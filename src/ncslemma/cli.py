@@ -14,13 +14,12 @@ stderr) and exits with a code that is a function of the verdict alone:
 
 Options given on the command line override the instance file's options
 block; whatever was in effect is recorded in every output for provenance.
-The environment variable NCSLEMMA_THREADS caps the number of parallel
-searches; commands run their searches sequentially in one process, so any
-cap of at least one is honored.
+The values must satisfy 0 <= tol <= tol_strict, tol_strict > 0 (both
+finite), budget >= 1 and seed >= 0, wherever they come from; anything else
+is exit code 2.
 """
 
 import argparse
-import os
 import sys
 
 import numpy as np
@@ -59,19 +58,6 @@ PARSE_ERRORS = (ParseError, InvalidInput, AsymmetricCoefficients)
 DIMENSION_ERRORS = (ShapeMismatch, DimensionTooLarge)
 
 
-def _threads_cap() -> int:
-    raw = os.environ.get("NCSLEMMA_THREADS")
-    if raw is None:
-        return 1
-    try:
-        cap = int(raw)
-    except ValueError as exc:
-        raise ParseError(f"NCSLEMMA_THREADS={raw!r} is not an integer") from exc
-    if cap < 1:
-        raise ParseError("NCSLEMMA_THREADS must be at least 1")
-    return cap
-
-
 def _emit(doc: dict, out_path, summary: str) -> None:
     text = serialize.dumps(doc)
     print(text)
@@ -96,7 +82,7 @@ def _merge_options(options: dict, args) -> dict:
         val = getattr(args, attr, None)
         if val is not None:
             opts[key] = val
-    return opts
+    return serialize.check_options(opts)
 
 
 def cmd_check_positivity(args) -> int:
@@ -357,7 +343,6 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        _threads_cap()
         return args.fn(args)
     except SlaterViolated as exc:
         print(serialize.dumps({"error": "slater-violated", "detail": str(exc)}))

@@ -6,6 +6,7 @@ and exactly symmetrized before use, so downstream code never sees asymmetry
 beyond roundoff.
 """
 
+import math
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
@@ -29,7 +30,7 @@ def as_matrix(a) -> np.ndarray:
     m = np.asarray(a, dtype=float)
     if m.ndim != 2:
         raise InvalidInput(f"expected a matrix, got ndim={m.ndim}")
-    if not np.all(np.isfinite(m)):
+    if not np.isfinite(m).all():
         raise InvalidInput("matrix has non-finite entries")
     return m
 
@@ -39,15 +40,28 @@ def symmetrize(a, tol: float = SYM_ATOL) -> np.ndarray:
     m = as_matrix(a)
     if m.shape[0] != m.shape[1]:
         raise InvalidInput(f"matrix is {m.shape[0]}x{m.shape[1]}, not square")
-    scale = 1.0 + np.linalg.norm(m)
-    gap = np.abs(m - m.T).max()
+    scale = 1.0 + fro(m)
+    # m - m.T is exactly antisymmetric, so its largest entry is its largest magnitude
+    gap = (m - m.T).max()
     if gap > tol * scale:
         raise InvalidInput(f"asymmetry {gap:.3e} exceeds tolerance {tol * scale:.3e}")
     return (m + m.T) / 2.0
 
 
 def fro(a) -> float:
-    return float(np.linalg.norm(a))
+    """Frobenius norm of an array of any shape (the value np.linalg.norm gives)."""
+    flat = np.asarray(a, dtype=float).ravel(order="K")
+    return math.sqrt(flat @ flat)
+
+
+def regroup(x, a: int, b: int, c: int, d: int) -> np.ndarray:
+    """Move entry ((i, j), (k, l)) of an ab x cd matrix to ((i, k), (j, l)) of an ac x bd one.
+
+    This is the index shuffle between an assembled block matrix (rows
+    (i, k)) and its blocks flattened one per row (rows (i, j)), which turns
+    every blockwise contraction into a single matrix product.
+    """
+    return x.reshape(a, b, c, d).transpose(0, 2, 1, 3).reshape(a * c, b * d)
 
 
 class EigDecomp(NamedTuple):
@@ -114,22 +128,25 @@ def psd_project(S) -> np.ndarray:
     return (V * np.maximum(w, 0.0)) @ V.T
 
 
+def _simplex_shift(u: np.ndarray) -> float:
+    """The t with sum(max(u + t, 0)) = 1, for u sorted in descending order."""
+    css = np.cumsum(u)
+    idx = np.arange(1, u.size + 1)
+    rho = np.nonzero(u + (1.0 - css) / idx > 0)[0][-1]
+    return (1.0 - css[rho]) / (rho + 1.0)
+
+
 def simplex_project(v) -> np.ndarray:
     """Euclidean projection of a real vector onto the probability simplex."""
     v = np.asarray(v, dtype=float)
-    u = np.sort(v)[::-1]
-    css = np.cumsum(u)
-    idx = np.arange(1, v.size + 1)
-    rho = np.nonzero(u + (1.0 - css) / idx > 0)[0][-1]
-    shift = (1.0 - css[rho]) / (rho + 1.0)
-    return np.maximum(v + shift, 0.0)
+    return np.maximum(v + _simplex_shift(np.sort(v)[::-1]), 0.0)
 
 
 def spectraplex_project(S) -> np.ndarray:
     """Euclidean projection onto {M symmetric : M >= 0, tr M = 1}."""
     S = symmetrize(S)
-    w, V = np.linalg.eigh(S)
-    return (V * simplex_project(w)) @ V.T
+    w, V = np.linalg.eigh(S)  # ascending, so w[::-1] is already sorted for the shift
+    return (V * np.maximum(w + _simplex_shift(w[::-1]), 0.0)) @ V.T
 
 
 def psd_factor(S, tol: float = DEFAULT_TOL) -> np.ndarray:

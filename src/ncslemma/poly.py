@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import AsymmetricCoefficients, InvalidInput, ShapeMismatch
-from .linalg import SYM_ATOL, fro
+from .linalg import SYM_ATOL, fro, regroup
 
 SYMMETRIC = "symmetric"
 GENERAL = "general"
@@ -135,27 +135,28 @@ def _check_point(p: NCQuadPoly, X: MatTuple):
         raise ShapeMismatch(f"polynomial has m={p.m} but tuple has m={X.m}")
 
 
+def _gram_form(p: NCQuadPoly, X: MatTuple) -> np.ndarray:
+    """sum_ij A_ij (x) X_i X_j^T, symmetrized, as two matrix products."""
+    m, q, n = p.m, p.q, X.n
+    stack = X.mats.reshape(m * n, n)
+    prods = regroup(stack @ stack.T, m, n, m, n)  # row (i, j) holds X_i X_j^T
+    out = regroup(p.blocks.reshape(m * m, q * q).T @ prods, q, q, n, n)
+    return (out + out.T) / 2.0
+
+
 def evaluate(p: NCQuadPoly, X: MatTuple) -> np.ndarray:
     """Evaluate f(X) = sum_ij A_ij (x) X_i X_j at a symmetric tuple."""
     _check_point(p, X)
     if X.kind != SYMMETRIC:
         raise ShapeMismatch("evaluate requires a symmetric tuple; "
                             "use evaluate_hereditary for general ones")
-    prods = np.einsum("iab,jbc->ijac", X.mats, X.mats)
-    out = np.einsum("ijpq,ijxy->pxqy", p.blocks, prods)
-    n = X.n
-    out = out.reshape(p.q * n, p.q * n)
-    return (out + out.T) / 2.0
+    return _gram_form(p, X)  # X_j = X_j^T exactly in a symmetric tuple
 
 
 def evaluate_hereditary(p: NCQuadPoly, X: MatTuple) -> np.ndarray:
     """Evaluate the hereditary form sum_ij A_ij (x) X_i X_j^T (any tuple kind)."""
     _check_point(p, X)
-    prods = np.einsum("iab,jcb->ijac", X.mats, X.mats)
-    out = np.einsum("ijpq,ijxy->pxqy", p.blocks, prods)
-    n = X.n
-    out = out.reshape(p.q * n, p.q * n)
-    return (out + out.T) / 2.0
+    return _gram_form(p, X)
 
 
 def evaluate_compressed(p: NCQuadPoly, X: MatTuple, Q) -> np.ndarray:
@@ -168,8 +169,10 @@ def evaluate_compressed(p: NCQuadPoly, X: MatTuple, Q) -> np.ndarray:
     if Q.ndim != 2 or Q.shape[0] != X.n:
         raise ShapeMismatch(f"Q must have {X.n} rows, got shape {Q.shape}")
     val = evaluate(p, X) if X.kind == SYMMETRIC else evaluate_hereditary(p, X)
-    iq = np.eye(p.q)
-    comp = np.kron(iq, Q.T) @ val @ np.kron(iq, Q)
+    q, n, l = p.q, X.n, Q.shape[1]
+    # Q^T on each block row, then Q on each block column
+    comp = np.matmul(Q.T, val.reshape(q, n, q * n))
+    comp = (comp.reshape(q * l * q, n) @ Q).reshape(q * l, q * l)
     return (comp + comp.T) / 2.0
 
 

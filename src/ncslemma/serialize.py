@@ -6,6 +6,7 @@ round-trip losslessly.
 """
 
 import json
+import math
 
 import numpy as np
 
@@ -146,16 +147,40 @@ def choi_from_json(doc) -> ChoiMatrix:
     return new_choi(_matrix(_require(doc, "J"), "J"), s, t)
 
 
+def check_options(opts: dict) -> dict:
+    """Return ``opts`` if every value is in range; raise ParseError otherwise.
+
+    The ranges are 0 <= tol <= tol_strict and tol_strict > 0, both finite,
+    budget >= 1 and seed >= 0.  A positive tol_strict keeps every reported
+    violation strictly negative.
+    """
+    tol, tol_strict = opts["tol"], opts["tol_strict"]
+    if not (math.isfinite(tol) and math.isfinite(tol_strict)):
+        raise ParseError(f"tol={tol!r} and tol_strict={tol_strict!r} must be finite")
+    if not (0.0 <= tol <= tol_strict and tol_strict > 0.0):
+        raise ParseError(f"options need 0 <= tol <= tol_strict and tol_strict > 0, "
+                         f"got tol={tol!r}, tol_strict={tol_strict!r}")
+    if opts["budget"] < 1:
+        raise ParseError(f"budget={opts['budget']} must be at least 1")
+    if opts["seed"] < 0:
+        raise ParseError(f"seed={opts['seed']} must be nonnegative")
+    return opts
+
+
 def options_from_json(doc: dict) -> dict:
     opts = doc.get("options", {}) or {}
     if not isinstance(opts, dict):
         raise ParseError("options must be an object")
-    return {
-        "tol": float(opts.get("tol", DEFAULT_TOL)),
-        "tol_strict": float(opts.get("tol_strict", DEFAULT_TOL_STRICT)),
-        "budget": int(opts.get("budget", DEFAULT_BUDGET)),
-        "seed": int(opts.get("seed", DEFAULT_SEED)),
-    }
+    try:
+        parsed = {
+            "tol": float(opts.get("tol", DEFAULT_TOL)),
+            "tol_strict": float(opts.get("tol_strict", DEFAULT_TOL_STRICT)),
+            "budget": int(opts.get("budget", DEFAULT_BUDGET)),
+            "seed": int(opts.get("seed", DEFAULT_SEED)),
+        }
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ParseError(f"options: {exc}") from exc
+    return check_options(parsed)
 
 
 def instance_from_json(doc) -> dict:

@@ -32,6 +32,7 @@ from .linalg import (
     lambda_min,
     min_eigpair,
     psd_factor,
+    regroup,
     spectraplex_project,
     supergradient_ascent,
     symmetrize,
@@ -135,28 +136,66 @@ def reconcile(f: NCQuadPoly, g: NCQuadPoly):
 def _map_coefficients(J: np.ndarray, blocks: np.ndarray, q: int) -> np.ndarray:
     """(1_m (x) phi_J) applied to coefficient blocks, assembled as an mq x mq matrix."""
     m = blocks.shape[0]
-    J4 = J.reshape(q, q, q, q)
-    out = np.einsum("acbd,ijcd->iajb", J4, blocks)
-    return out.reshape(m * q, m * q)
+    out = blocks.reshape(m * m, q * q) @ regroup(J, q, q, q, q).T
+    return regroup(out, m, m, q, q)
 
 
 def _b_term(M: np.ndarray, blocks: np.ndarray, q: int) -> np.ndarray:
     """sum_ij B_ij (x) M_ij for a separator candidate M (an mq x mq matrix)."""
     m = blocks.shape[0]
-    M4 = M.reshape(m, q, m, q).transpose(0, 2, 1, 3)
-    out = np.einsum("ijab,ijcd->acbd", blocks, M4)
-    return out.reshape(q * q, q * q)
+    out = blocks.reshape(m * m, q * q).T @ regroup(M, m, q, m, q)
+    return regroup(out, q, q, q, q)
+
+
+def _pair_products(V: np.ndarray) -> np.ndarray:
+    """kron(V, V): the matrix with entry ((i, j), (a, b)) equal to V[i, a] V[j, b]."""
+    r, c = V.shape
+    return (V[:, None, :, None] * V[None, :, None, :]).reshape(r * r, c * c)
+
+
+def _certify_gradient(v: np.ndarray, rows: np.ndarray, m: int, q: int) -> np.ndarray:
+    """-sum_ij W_ij (x) B_ij for W = v v^T as an m x m grid of q x q blocks W_ij.
+
+    ``rows`` holds the blocks B_ij one per row, blocks.reshape(m*m, q*q).
+    The result, indexed ((a, c), (b, d)), is minus the adjoint of
+    J -> (1_m (x) phi_J) B at v v^T.
+    """
+    return -regroup(_pair_products(v.reshape(m, q)).T @ rows, q, q, q, q)
+
+
+def _separator_gradient(u: np.ndarray, rows: np.ndarray, m: int, q: int) -> np.ndarray:
+    """The mq x mq matrix with (i, j) block U^T B_ij U, where U = u.reshape(q, q).
+
+    This is the adjoint of M -> sum_ij B_ij (x) M_ij at u u^T.
+    """
+    return regroup(rows @ _pair_products(u.reshape(q, q)), m, m, q, q)
 
 
 def _certify_oracle(calA: np.ndarray, blocks: np.ndarray, q: int):
     m = blocks.shape[0]
+    rows = blocks.reshape(m * m, q * q)
 
     def oracle(J):
         R = calA - _map_coefficients(J, blocks, q)
         val, v = min_eigpair(R)
-        W = np.outer(v, v).reshape(m, q, m, q).transpose(0, 2, 1, 3)
-        G = -np.einsum("ijab,ijcd->acbd", W, blocks).reshape(q * q, q * q)
+        G = _certify_gradient(v, rows, m, q)
         return val, (G + G.T) / 2.0
+
+    return oracle
+
+
+def _separator_oracle(calA: np.ndarray, blocks: np.ndarray, q: int, c: float):
+    m = blocks.shape[0]
+    rows = blocks.reshape(m * m, q * q)
+
+    def oracle(M):
+        T = _b_term(M, blocks, q)
+        t1, u = min_eigpair(T)
+        t2 = -float(np.sum(calA * M)) / c
+        if t1 <= t2:
+            G = _separator_gradient(u, rows, m, q)
+            return t1, (G + G.T) / 2.0
+        return t2, -calA / c
 
     return oracle
 
@@ -235,17 +274,7 @@ def find_separator(
     calA = coefficient_matrix(f)
     c = 1.0 + fro(calA)
     Bb = g.blocks
-
-    def oracle(M):
-        T = _b_term(M, Bb, q)
-        t1, v = min_eigpair(T)
-        t2 = -float(np.sum(calA * M)) / c
-        if t1 <= t2:
-            W = np.outer(v, v).reshape(q, q, q, q)
-            G = np.einsum("ijab,acbd->icjd", Bb, W).reshape(m * q, m * q)
-            return t1, (G + G.T) / 2.0
-        return t2, -calA / c
-
+    oracle = _separator_oracle(calA, Bb, q, c)
     margin = tol_strict / c
     rng = np.random.default_rng(seed)
     raw = rng.standard_normal((m * q, m * q))

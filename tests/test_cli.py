@@ -207,13 +207,53 @@ def test_reproducible_output(capsys):
     assert doc1["options"]["seed"] == 7
 
 
-def test_threads_env_validation(capsys, monkeypatch):
-    monkeypatch.setenv("NCSLEMMA_THREADS", "not-a-number")
-    code, doc, _ = run(capsys, "check-positivity", fx("zero_poly.json"))
+# Each of these used to get through: nan and 1e300 turned a residual with
+# lambda_min = -1.618 into a "certificate", --tol-strict 0 gave a
+# counterexample with violation 0.0, --seed -1 crashed with a traceback and
+# --budget -5 was silently inconclusive.
+@pytest.mark.parametrize("option", [
+    ["--tol", "nan"],
+    ["--tol", "1e300"],
+    ["--tol-strict", "0"],
+    ["--seed", "-1"],
+    ["--budget", "-5"],
+], ids=["tol-nan", "tol-1e300", "tol-strict-0", "seed-negative", "budget-negative"])
+def test_option_out_of_range_is_parse_error(capsys, option):
+    code, doc, err = run(capsys, "slemma", *option, fx("slemma_counterexample.json"))
     assert code == 2
-    monkeypatch.setenv("NCSLEMMA_THREADS", "4")
-    code, doc, _ = run(capsys, "check-positivity", fx("zero_poly.json"))
+    assert doc["error"] == "parse"
+    assert err.startswith("error:")
+
+
+@pytest.mark.parametrize("options", [
+    {"tol": float("nan")},
+    {"tol": -1e-8},
+    {"tol": 1e-5},
+    {"tol": 0.0, "tol_strict": 0.0},
+    {"tol_strict": float("inf")},
+    {"budget": 0},
+    {"seed": -3},
+    {"budget": "many"},
+], ids=["tol-nan", "tol-negative", "tol-above-strict", "strict-zero", "strict-inf", "budget-zero",
+        "seed-negative", "budget-not-a-number"])
+def test_file_option_out_of_range_is_parse_error(capsys, tmp_path, options):
+    doc = json.loads(open(fx("slemma_counterexample.json")).read())
+    doc["options"] = options
+    path = tmp_path / "bad_options.json"
+    path.write_text(json.dumps(doc))  # json writes NaN/Infinity, which json.loads reads back
+    code, out, _ = run(capsys, "slemma", str(path))
+    assert code == 2
+    assert out["error"] == "parse"
+
+
+def test_option_range_edges_are_accepted(capsys):
+    code, doc, _ = run(capsys, "check-positivity", "--tol", "0", "--tol-strict", "1e-300",
+                       "--budget", "1", "--seed", "0", fx("h1.json"))
     assert code == 0
+    assert doc["options"] == {"tol": 0.0, "tol_strict": 1e-300, "budget": 1, "seed": 0}
+    code, doc, _ = run(capsys, "check-positivity", "--tol", "1e-6", fx("h1.json"))
+    assert code == 0
+    assert doc["options"]["tol"] == doc["options"]["tol_strict"] == 1e-6
 
 
 def test_stdout_is_machine_readable_even_on_error(capsys):
