@@ -1,9 +1,14 @@
 """Dense symmetric linear algebra and spectral-optimization primitives.
 
-Everything operates on plain numpy arrays.  Matrices handed to the symmetric
-routines are validated (finite entries, symmetry within a relative tolerance)
-and exactly symmetrized before use, so downstream code never sees asymmetry
-beyond roundoff.
+Everything operates on plain numpy arrays.  Matrices handed to the public
+symmetric routines are validated (finite entries, symmetry within a relative
+tolerance) and exactly symmetrized before use, so downstream code never sees
+asymmetry beyond roundoff.
+
+The search loops build every matrix they hand to an eigensolver themselves,
+from inputs validated once at construction, so they call the trusted cores
+``_min_eigpair`` and ``_spectraplex_project`` directly.  Each public kernel
+is its validation followed by the same core, so both give the same floats.
 """
 
 import math
@@ -35,8 +40,8 @@ def as_matrix(a) -> np.ndarray:
     return m
 
 
-def symmetrize(a, tol: float = SYM_ATOL) -> np.ndarray:
-    """Return the symmetric part of ``a``; reject asymmetry beyond ``tol`` (relative)."""
+def _checked_square(a, tol: float = SYM_ATOL) -> np.ndarray:
+    """``a`` as a finite square matrix; reject asymmetry beyond ``tol`` (relative)."""
     m = as_matrix(a)
     if m.shape[0] != m.shape[1]:
         raise InvalidInput(f"matrix is {m.shape[0]}x{m.shape[1]}, not square")
@@ -45,13 +50,30 @@ def symmetrize(a, tol: float = SYM_ATOL) -> np.ndarray:
     gap = (m - m.T).max()
     if gap > tol * scale:
         raise InvalidInput(f"asymmetry {gap:.3e} exceeds tolerance {tol * scale:.3e}")
+    return m
+
+
+def symmetrize(a, tol: float = SYM_ATOL) -> np.ndarray:
+    """Return the symmetric part of ``a``; reject asymmetry beyond ``tol`` (relative)."""
+    m = _checked_square(a, tol)
     return (m + m.T) / 2.0
 
 
 def fro(a) -> float:
-    """Frobenius norm of an array of any shape (the value np.linalg.norm gives)."""
+    """Frobenius norm of an array of any shape (the value np.linalg.norm gives).
+
+    When the plain sum of squares overflows, the entries are first scaled by
+    their largest magnitude, so the norm stays finite up to the largest float;
+    every other result is the plain one, bit for bit.
+    """
     flat = np.asarray(a, dtype=float).ravel(order="K")
-    return math.sqrt(flat @ flat)
+    norm = math.sqrt(np.vdot(flat, flat))  # the sum flat @ flat forms, minus its overflow warning
+    if norm == math.inf:
+        big = float(np.abs(flat).max())
+        if big < math.inf:
+            scaled = flat / big
+            return big * math.sqrt(np.vdot(scaled, scaled))
+    return norm
 
 
 def regroup(x, a: int, b: int, c: int, d: int) -> np.ndarray:
@@ -88,15 +110,19 @@ def lambda_min(S) -> float:
     return float(np.linalg.eigvalsh(S)[0])
 
 
+def _min_eigpair(S: np.ndarray):
+    """min_eigpair without validation, for square finite matrices built in the loop."""
+    w, V = np.linalg.eigh((S + S.T) / 2.0)
+    return float(w[0]), V[:, 0].copy()
+
+
 def min_eigpair(S):
     """Smallest eigenvalue and a unit eigenvector for it.
 
     With a degenerate bottom eigenvalue the vector returned is the
     lowest-index eigenvector, which makes supergradients deterministic.
     """
-    S = symmetrize(S)
-    w, V = np.linalg.eigh(S)
-    return float(w[0]), V[:, 0].copy()
+    return _min_eigpair(_checked_square(S))
 
 
 def is_psd(S, tol: float = DEFAULT_TOL) -> bool:
@@ -129,11 +155,21 @@ def psd_project(S) -> np.ndarray:
 
 
 def _simplex_shift(u: np.ndarray) -> float:
-    """The t with sum(max(u + t, 0)) = 1, for u sorted in descending order."""
-    css = np.cumsum(u)
-    idx = np.arange(1, u.size + 1)
-    rho = np.nonzero(u + (1.0 - css) / idx > 0)[0][-1]
-    return (1.0 - css[rho]) / (rho + 1.0)
+    """The t with sum(max(u + t, 0)) = 1, for u sorted in descending order.
+
+    t is (1 - (u_1 + ... + u_k)) / k for the last k with u_k + t_k > 0.  The
+    running sum is the one np.cumsum forms, term by term, so a plain Python
+    pass gives its floats with fewer calls on the short vectors the searches
+    project.  k = 1 always qualifies in exact arithmetic and is the fallback
+    when roundoff rejects it, which happens once u_1 exceeds about 2^53.
+    """
+    total, shift = 0.0, None
+    for k, x in enumerate(u.tolist(), 1):
+        total += x
+        t = (1.0 - total) / k
+        if x + t > 0 or k == 1:
+            shift = t
+    return shift
 
 
 def simplex_project(v) -> np.ndarray:
@@ -142,11 +178,15 @@ def simplex_project(v) -> np.ndarray:
     return np.maximum(v + _simplex_shift(np.sort(v)[::-1]), 0.0)
 
 
+def _spectraplex_project(S: np.ndarray) -> np.ndarray:
+    """spectraplex_project without validation, for square finite matrices built in the loop."""
+    w, V = np.linalg.eigh((S + S.T) / 2.0)  # ascending, so w[::-1] is sorted for the shift
+    return (V * np.maximum(w + _simplex_shift(w[::-1]), 0.0)) @ V.T
+
+
 def spectraplex_project(S) -> np.ndarray:
     """Euclidean projection onto {M symmetric : M >= 0, tr M = 1}."""
-    S = symmetrize(S)
-    w, V = np.linalg.eigh(S)  # ascending, so w[::-1] is already sorted for the shift
-    return (V * np.maximum(w + _simplex_shift(w[::-1]), 0.0)) @ V.T
+    return _spectraplex_project(_checked_square(S))
 
 
 def psd_factor(S, tol: float = DEFAULT_TOL) -> np.ndarray:
@@ -184,6 +224,11 @@ def supergradient_ascent(
     stage fails to improve, which converges linearly on sharp maxima and is
     what pushes boundary-supported optima down to 1e-8 and beyond.
     Returns ``(best_x, best_value, evals)``.
+
+    ``project`` is called on every step without validation: it must accept
+    the finite arrays the loop builds.  A step whose value or supergradient
+    norm is not finite raises InvalidInput, since past that point no
+    iterate would be finite.
     """
     if project is None:
         project = lambda x: x
@@ -192,17 +237,25 @@ def supergradient_ascent(
     best_v = -np.inf
     evals = 0
 
+    def step(x):
+        v, G = oracle(x)
+        norm = fro(G)
+        if not (math.isfinite(v) and math.isfinite(norm)):
+            raise InvalidInput(
+                f"search step {evals + 1}: value {v!r}, supergradient norm {norm!r}"
+            )
+        return v, G, norm
+
     k = 0
     phase1 = max(1, budget // 4)
     while evals < phase1:
-        v, G = oracle(x)
+        v, G, norm = step(x)
         evals += 1
         if v > best_v:
             best_v, best_x = v, x.copy()
             if target is not None and best_v >= target:
                 return best_x, best_v, evals
         k += 1
-        norm = fro(G)
         if norm < 1e-15:  # constant objective: nothing to ascend
             return best_x, best_v, evals
         x = project(x + (1.0 / (np.sqrt(k) * norm)) * G)
@@ -214,13 +267,13 @@ def supergradient_ascent(
         for _ in range(stage_len):
             if evals >= budget:
                 break
-            v, G = oracle(x)
+            v, G, norm = step(x)
             evals += 1
             if v > best_v:
                 best_v, best_x = v, x.copy()
                 if target is not None and best_v >= target:
                     return best_x, best_v, evals
-            if fro(G) < 1e-15:
+            if norm < 1e-15:
                 return best_x, best_v, evals
             x = project(x + s * G)
         if best_v < stage_base + 0.01 * s:
@@ -256,7 +309,7 @@ def maximize_spectral(
         init = (raw + raw.T) / 2.0
     M0 = spectraplex_project(init)
     best, value, _ = supergradient_ascent(
-        oracle, M0, budget, project=spectraplex_project, target=target,
+        oracle, M0, budget, project=_spectraplex_project, target=target,
         min_step=max(1e-14, tol * 1e-2),
     )
     return best, value

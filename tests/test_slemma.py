@@ -313,6 +313,40 @@ def test_verify_certificate_rejects_tampering():
     assert not ns.verify_certificate(zero, f, g)
 
 
+def test_verify_certificate_rejects_on_huge_coefficients():
+    # f = 1e200 (x1x2 + x2x1) is not dominated by g = 1e200 x1x1, and the
+    # residual's plain sum of squares overflows.
+    f, g = scalar_embedded_pair()
+    f = ns.new_quad_poly(1e200 * f.blocks)
+    g = ns.new_quad_poly(1e200 * g.blocks)
+    J = ns.new_choi(np.eye(1), 1, 1)
+    residual = ns.coefficient_matrix(f) - _map_coefficients(J.J, g.blocks, 1)
+    cert = ns.CPCertificate(J=J, residual=residual, residual_lambda_min=-1e200)
+    assert not ns.verify_certificate(cert, f, g)
+
+
+def huge_block_identity_instance():
+    """Random 2 x 2 f over g = block identity (g(X) = sum X_i^2 (x) 1), scaled by 1e17."""
+    rng = np.random.default_rng(0)
+    f = random_poly(rng, 2, 2, scale=1e17)
+    g = ns.new_quad_poly(1e17 * np.einsum("ij,ab->ijab", np.eye(2), np.eye(2)))
+    return f, g, ns.new_tuple(np.ones((2, 1, 1)))
+
+
+@pytest.mark.parametrize("hereditary", [False, True])
+def test_decide_huge_coefficients_returns_verified_object(hereditary):
+    # The searches project matrices whose top eigenvalue exceeds 2^53, where
+    # roundoff rejects every index of the simplex shift.
+    f, g, slater = huge_block_identity_instance()
+    decider = ns.decide_hereditary if hereditary else ns.decide
+    d = decider(f, g, slater, budget=300)
+    assert d.kind in ("certificate", "counterexample")
+    if d.kind == "certificate":
+        assert ns.verify_certificate(d.certificate, f, g)
+    else:
+        assert ns.verify_counterexample(d.counterexample, f, g)
+
+
 def test_verify_certificate_wrong_instance():
     f, g = example_62_f(), example_62_g()
     cert = ns.certify(f, g).certificate
