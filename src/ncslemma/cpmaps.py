@@ -16,10 +16,8 @@ from typing import Callable
 import numpy as np
 
 from .errors import InvalidInput, ShapeMismatch, SymmetryBroken
-from .linalg import DEFAULT_TOL, fro, is_psd
+from .linalg import DEFAULT_TOL, check_symmetric, fro, is_psd, symmetric_part
 from .poly import MatTuple, NCQuadPoly, new_quad_poly
-
-_CHOI_ATOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -49,12 +47,7 @@ def new_choi(J, s: int, t: int) -> ChoiMatrix:
     J = np.asarray(J, dtype=float)
     if J.shape != (s * t, s * t):
         raise ShapeMismatch(f"Choi matrix must be {(s * t, s * t)}, got {J.shape}")
-    if not np.all(np.isfinite(J)):
-        raise InvalidInput("Choi matrix has non-finite entries")
-    scale = 1.0 + fro(J)
-    if np.abs(J - J.T).max() > _CHOI_ATOL * scale:
-        raise InvalidInput("Choi matrix is not symmetric")
-    Jsym = (J + J.T) / 2.0
+    Jsym = symmetric_part(J, J.T, check_symmetric(J, J.T, "Choi matrix"))
     Jsym.flags.writeable = False
     return ChoiMatrix(s=s, t=t, J=Jsym)
 

@@ -12,7 +12,7 @@ is its validation followed by the same core, so both give the same floats.
 """
 
 import math
-from typing import Callable, NamedTuple, Optional
+from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -29,6 +29,8 @@ MAX_DIM = 4096
 
 SYM_ATOL = 1e-12
 
+_HALF_MAX = float(np.finfo(float).max) / 2.0
+
 
 def as_matrix(a) -> np.ndarray:
     """Coerce to a 2-D float array with finite entries."""
@@ -40,23 +42,48 @@ def as_matrix(a) -> np.ndarray:
     return m
 
 
-def _checked_square(a, tol: float = SYM_ATOL) -> np.ndarray:
-    """``a`` as a finite square matrix; reject asymmetry beyond ``tol`` (relative)."""
-    m = as_matrix(a)
-    if m.shape[0] != m.shape[1]:
-        raise InvalidInput(f"matrix is {m.shape[0]}x{m.shape[1]}, not square")
-    scale = 1.0 + fro(m)
-    # m - m.T is exactly antisymmetric, so its largest entry is its largest magnitude
-    gap = (m - m.T).max()
-    if gap > tol * scale:
-        raise InvalidInput(f"asymmetry {gap:.3e} exceeds tolerance {tol * scale:.3e}")
-    return m
+def check_symmetric(a: np.ndarray, flipped: np.ndarray, what: str,
+                    error=InvalidInput, tol: float = SYM_ATOL) -> float:
+    """Reject ``a`` unless it is finite and equals ``flipped`` within ``tol`` (relative).
+
+    ``flipped`` is the transpose ``a`` must equal (``a.T`` for a matrix, the
+    block transpose for coefficient blocks).  Non-finite entries raise
+    InvalidInput; asymmetry beyond tol * (1 + ||a||_F) raises ``error``.
+    Returns ||a||_F.
+    """
+    if not np.isfinite(a).all():
+        raise InvalidInput(f"{what}: non-finite entries")
+    norm = fro(a)
+    # a - flipped is exactly antisymmetric, so its largest entry is its largest magnitude
+    gap = (a - flipped).max()
+    if gap > tol * (1.0 + norm):
+        raise error(f"{what}: asymmetry {gap:.3e} beyond tolerance {tol * (1.0 + norm):.3e}")
+    return norm
+
+
+def symmetric_part(a: np.ndarray, flipped: np.ndarray, norm: float) -> np.ndarray:
+    """(a + flipped) / 2 for a finite ``a`` with ||a||_F = ``norm``, kept finite.
+
+    No entry exceeds ``norm``, so below half the largest float the plain sum
+    cannot overflow and is used; above it, each term is halved first.
+    """
+    if norm <= _HALF_MAX:
+        return (a + flipped) / 2.0
+    return a / 2.0 + flipped / 2.0
+
+
+def _checked_square(a, tol: float = SYM_ATOL):
+    """``a`` as a finite square matrix and its Frobenius norm; reject asymmetry beyond ``tol``."""
+    m = np.asarray(a, dtype=float)
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        raise InvalidInput(f"expected a square matrix, got shape {m.shape}")
+    return m, check_symmetric(m, m.T, "matrix", tol=tol)
 
 
 def symmetrize(a, tol: float = SYM_ATOL) -> np.ndarray:
     """Return the symmetric part of ``a``; reject asymmetry beyond ``tol`` (relative)."""
-    m = _checked_square(a, tol)
-    return (m + m.T) / 2.0
+    m, norm = _checked_square(a, tol)
+    return symmetric_part(m, m.T, norm)
 
 
 def fro(a) -> float:
@@ -106,8 +133,7 @@ def sym_eig(S) -> EigDecomp:
 
 def lambda_min(S) -> float:
     """Smallest eigenvalue of a symmetric matrix."""
-    S = symmetrize(S)
-    return float(np.linalg.eigvalsh(S)[0])
+    return float(np.linalg.eigvalsh(symmetrize(S))[0])
 
 
 def _min_eigpair(S: np.ndarray):
@@ -122,7 +148,7 @@ def min_eigpair(S):
     With a degenerate bottom eigenvalue the vector returned is the
     lowest-index eigenvector, which makes supergradients deterministic.
     """
-    return _min_eigpair(_checked_square(S))
+    return _min_eigpair(_checked_square(S)[0])
 
 
 def is_psd(S, tol: float = DEFAULT_TOL) -> bool:
@@ -130,7 +156,7 @@ def is_psd(S, tol: float = DEFAULT_TOL) -> bool:
     if tol < 0:
         raise InvalidInput("tol must be nonnegative")
     S = symmetrize(S)
-    return lambda_min(S) >= -tol * (1.0 + fro(S))
+    return float(np.linalg.eigvalsh(S)[0]) >= -tol * (1.0 + fro(S))
 
 
 def kron(A, B) -> np.ndarray:
@@ -186,7 +212,7 @@ def _spectraplex_project(S: np.ndarray) -> np.ndarray:
 
 def spectraplex_project(S) -> np.ndarray:
     """Euclidean projection onto {M symmetric : M >= 0, tr M = 1}."""
-    return _spectraplex_project(_checked_square(S))
+    return _spectraplex_project(_checked_square(S)[0])
 
 
 def psd_factor(S, tol: float = DEFAULT_TOL) -> np.ndarray:
@@ -286,30 +312,36 @@ def maximize_spectral(
     oracle: Callable[[np.ndarray], tuple],
     dim: int,
     budget: int = DEFAULT_BUDGET,
-    tol: float = DEFAULT_TOL,
     seed: int = DEFAULT_SEED,
-    init: Optional[np.ndarray] = None,
+    starts: Sequence[np.ndarray] = (),
     target: Optional[float] = None,
+    min_step: float = 1e-14,
 ):
-    """Maximize a concave spectral objective over the spectraplex.
+    """Maximize a concave spectral objective over the spectraplex, from several starts.
 
     ``oracle(M)`` must return the objective value and a symmetric
-    supergradient at any trace-one PSD ``M``.  The starting point is the
-    spectraplex projection of a seeded random symmetric matrix (or of
-    ``init`` when given), so runs are deterministic for a fixed seed.
-    ``tol`` sets the step-size resolution floor (two orders below it);
-    budget exhaustion is not an error: the best iterate found and its value
-    are always returned.
+    supergradient at any trace-one PSD ``M``.  One ascent runs from the
+    spectraplex projection of each of ``starts`` in turn, then one from that
+    of a seeded random symmetric matrix, so runs are deterministic for a
+    fixed seed.  Each ascent gets an equal share of ``budget`` (at least one
+    evaluation), and the search stops once the best value reaches
+    ``target``.  ``min_step`` is the ascent's step-size floor.  Budget
+    exhaustion is not an error: the best iterate found and its value are
+    always returned.
     """
     if dim < 1:
         raise InvalidInput("dim must be positive")
-    if init is None:
-        rng = np.random.default_rng(seed)
-        raw = rng.standard_normal((dim, dim))
-        init = (raw + raw.T) / 2.0
-    M0 = spectraplex_project(init)
-    best, value, _ = supergradient_ascent(
-        oracle, M0, budget, project=_spectraplex_project, target=target,
-        min_step=max(1e-14, tol * 1e-2),
-    )
-    return best, value
+    raw = np.random.default_rng(seed).standard_normal((dim, dim))
+    starts = [*starts, (raw + raw.T) / 2.0]
+    share = max(1, budget // len(starts))
+    best, best_v = None, -np.inf
+    for M0 in starts:
+        M, v, _ = supergradient_ascent(
+            oracle, spectraplex_project(M0), share,
+            project=_spectraplex_project, target=target, min_step=min_step,
+        )
+        if v > best_v:
+            best, best_v = M, v
+        if target is not None and best_v >= target:
+            break
+    return best, best_v

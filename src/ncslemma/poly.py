@@ -7,12 +7,13 @@ demand.  Evaluation at an m-tuple of n x n matrices substitutes
 f(X) = sum_ij A_ij (x) X_i X_j, a qn x qn symmetric matrix.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import AsymmetricCoefficients, InvalidInput, ShapeMismatch
-from .linalg import SYM_ATOL, fro, regroup
+from .linalg import check_symmetric, regroup, symmetric_part
 
 SYMMETRIC = "symmetric"
 GENERAL = "general"
@@ -70,17 +71,10 @@ def new_quad_poly(blocks) -> NCQuadPoly:
     b = np.asarray(blocks, dtype=float)
     if b.ndim != 4 or b.shape[0] != b.shape[1] or b.shape[2] != b.shape[3]:
         raise ShapeMismatch(f"blocks must have shape (m, m, q, q), got {b.shape}")
-    if not np.all(np.isfinite(b)):
-        raise InvalidInput("coefficient blocks have non-finite entries")
     m, q = b.shape[0], b.shape[2]
     flipped = b.transpose(1, 0, 3, 2)  # A_ji^T at slot (i, j)
-    scale = 1.0 + fro(b)
-    gap = np.abs(b - flipped).max()
-    if gap > SYM_ATOL * scale:
-        raise AsymmetricCoefficients(
-            f"A_ij != A_ji^T by {gap:.3e} (allowed {SYM_ATOL * scale:.3e})"
-        )
-    return NCQuadPoly(m=m, q=q, blocks=_readonly((b + flipped) / 2.0))
+    norm = check_symmetric(b, flipped, "coefficient blocks", AsymmetricCoefficients)
+    return NCQuadPoly(m=m, q=q, blocks=_readonly(symmetric_part(b, flipped, norm)))
 
 
 def new_tuple(mats, kind: str = SYMMETRIC) -> MatTuple:
@@ -88,33 +82,31 @@ def new_tuple(mats, kind: str = SYMMETRIC) -> MatTuple:
     a = np.asarray(mats, dtype=float)
     if a.ndim != 3 or a.shape[1] != a.shape[2]:
         raise ShapeMismatch(f"mats must have shape (m, n, n), got {a.shape}")
-    if not np.all(np.isfinite(a)):
-        raise InvalidInput("tuple has non-finite entries")
     if kind not in (SYMMETRIC, GENERAL):
         raise InvalidInput(f"unknown tuple kind {kind!r}")
     if kind == SYMMETRIC:
         flipped = a.transpose(0, 2, 1)
-        scale = 1.0 + fro(a)
-        gap = np.abs(a - flipped).max()
-        if gap > SYM_ATOL * scale:
-            raise InvalidInput(f"symmetric tuple has asymmetry {gap:.3e}")
-        a = (a + flipped) / 2.0
+        a = symmetric_part(a, flipped, check_symmetric(a, flipped, "symmetric tuple"))
+    elif not np.isfinite(a).all():
+        raise InvalidInput("tuple has non-finite entries")
     return MatTuple(m=a.shape[0], n=a.shape[1], mats=_readonly(a), kind=kind)
 
 
 def new_scalar_quad(A, a=None, a0: float = 0.0) -> ScalarQuad:
+    """Validate and build x^T A x + a^T x + a0: A square, symmetric, all of it finite."""
     A = np.asarray(A, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ShapeMismatch(f"A must be square, got {A.shape}")
     m = A.shape[0]
-    scale = 1.0 + fro(A)
-    if np.abs(A - A.T).max() > SYM_ATOL * scale:
-        raise AsymmetricCoefficients("scalar coefficient matrix is not symmetric")
-    A = (A + A.T) / 2.0
+    norm = check_symmetric(A, A.T, "scalar coefficient matrix", AsymmetricCoefficients)
+    A = symmetric_part(A, A.T, norm)
     vec = np.zeros(m) if a is None else np.asarray(a, dtype=float)
     if vec.shape != (m,):
         raise ShapeMismatch(f"linear part must have shape ({m},)")
-    return ScalarQuad(m=m, A=_readonly(A), a=_readonly(vec), a0=float(a0))
+    a0 = float(a0)
+    if not (np.isfinite(vec).all() and math.isfinite(a0)):
+        raise InvalidInput("linear part or constant of a scalar quadratic is not finite")
+    return ScalarQuad(m=m, A=_readonly(A), a=_readonly(vec), a0=a0)
 
 
 def coefficient_matrix(p: NCQuadPoly) -> np.ndarray:
@@ -209,9 +201,3 @@ def scalar_to_nc(s: ScalarQuad) -> NCQuadPoly:
 def zero_poly(m: int, q: int) -> NCQuadPoly:
     return new_quad_poly(np.zeros((m, m, q, q)))
 
-
-def add(p: NCQuadPoly, r: NCQuadPoly, alpha: float = 1.0, beta: float = 1.0) -> NCQuadPoly:
-    """Linear combination alpha*p + beta*r of two polynomials of equal shape."""
-    if (p.m, p.q) != (r.m, r.q):
-        raise ShapeMismatch("polynomials must share (m, q)")
-    return new_quad_poly(alpha * p.blocks + beta * r.blocks)

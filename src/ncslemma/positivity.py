@@ -198,8 +198,11 @@ def scalar_slemma(
     s = np.asarray(slater, dtype=float)
     if s.shape != (f.m,):
         raise InvalidInput(f"slater point must be a vector of length {f.m}")
-    if float(s @ B @ s) <= tol_strict:
-        raise SlaterViolated(f"slater value {float(s @ B @ s):.3e} <= {tol_strict}")
+    if not np.isfinite(s).all():
+        raise InvalidInput("slater point has non-finite entries")
+    slater_value = float(s @ B @ s)
+    if not slater_value > tol_strict:  # a NaN value fails too
+        raise SlaterViolated(f"slater value {slater_value:.3e} <= {tol_strict}")
 
     def h(lam):
         return float(np.linalg.eigvalsh(A - lam * B)[0])
@@ -229,7 +232,7 @@ def scalar_slemma(
             return t1, B / cB
         return t2, -A / cA
 
-    S, margin = maximize_spectral(oracle, f.m, budget=budget, tol=tol, seed=seed)
+    S, margin = maximize_spectral(oracle, f.m, budget, seed, min_step=max(1e-14, tol * 1e-2))
     diagnostics["separator_margin"] = margin
     if float(np.sum(A * S)) > -tol_strict or float(np.sum(B * S)) < -tol:
         return ScalarSLemmaResult(outcome="inconclusive", diagnostics=diagnostics)

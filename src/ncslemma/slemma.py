@@ -16,26 +16,32 @@ confirms; everything else is reported inconclusive.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
 
-from .errors import PreconditionViolated, ShapeMismatch, SlaterViolated, VerificationFailed
+from .errors import (
+    InvalidInput,
+    PreconditionViolated,
+    ShapeMismatch,
+    SlaterViolated,
+    VerificationFailed,
+)
 from .linalg import (
     DEFAULT_BUDGET,
     DEFAULT_SEED,
     DEFAULT_TOL,
     DEFAULT_TOL_STRICT,
     _min_eigpair,
-    _spectraplex_project,
     fro,
     is_psd,
     lambda_min,
+    maximize_spectral,
     min_eigpair,  # unused: the loop calls _min_eigpair; bench/spans.py wraps this name here
     psd_factor,
     regroup,
-    spectraplex_project,
+    spectraplex_project,  # unused: maximize_spectral projects; bench/spans.py wraps this name here
     supergradient_ascent,
     symmetrize,
 )
@@ -212,8 +218,8 @@ def certify(
     """Search for a trace-one PSD Choi matrix J with A - (1_m (x) phi_J) B PSD.
 
     Maximizes the concave objective J -> lambda_min(A - (1 (x) phi_J) B)
-    over the spectraplex, restarting from the scaled identity map, the
-    maximally mixed point and a seeded random point.  A best value >= -tol
+    over the spectraplex, starting from the scaled identity map, then the
+    maximally mixed point, then a seeded random point.  A best value >= -tol
     yields a certificate; otherwise the best value is returned as a
     (one-sided) diagnostic; it is not a proof that no certificate exists.
     """
@@ -221,27 +227,10 @@ def certify(
         raise ShapeMismatch("certify requires matching (m, q); reconcile first")
     q = f.q
     calA = coefficient_matrix(f)
-    oracle = _certify_oracle(calA, g.blocks, q)
-    rng = np.random.default_rng(seed)
-    inits = [
-        identity_choi(q).J / q,
-        np.eye(q * q) / (q * q),
-    ]
-    raw = rng.standard_normal((q * q, q * q))
-    inits.append((raw + raw.T) / 2.0)
-
-    best_v, best_J = -np.inf, None
-    share = max(1, budget // len(inits))
-    for J0 in inits:
-        J, v, _ = supergradient_ascent(
-            oracle, spectraplex_project(J0), share,
-            project=_spectraplex_project, target=0.0,
-        )
-        if v > best_v:
-            best_v, best_J = v, J
-        if best_v >= 0.0:
-            break
-
+    starts = [identity_choi(q).J / q, np.eye(q * q) / (q * q)]
+    best_J, best_v = maximize_spectral(
+        _certify_oracle(calA, g.blocks, q), q * q, budget, seed, starts=starts, target=0.0,
+    )
     if best_v < -tol:
         return CertifySearch(certificate=None, best_value=best_v)
     J = best_J / np.trace(best_J)
@@ -276,24 +265,11 @@ def find_separator(
     calA = coefficient_matrix(f)
     c = 1.0 + fro(calA)
     Bb = g.blocks
-    oracle = _separator_oracle(calA, Bb, q, c)
     margin = tol_strict / c
-    rng = np.random.default_rng(seed)
-    raw = rng.standard_normal((m * q, m * q))
-    inits = [np.eye(m * q) / (m * q), (raw + raw.T) / 2.0]
-    best_v, best_M = -np.inf, None
-    share = max(1, budget // len(inits))
-    for M0 in inits:
-        M, v, _ = supergradient_ascent(
-            oracle, spectraplex_project(M0), share,
-            project=_spectraplex_project, target=2.0 * margin,
-        )
-        if v > best_v:
-            best_v, best_M = v, M
-        if best_v >= 2.0 * margin:
-            break
-
-    M = best_M
+    M, best_v = maximize_spectral(
+        _separator_oracle(calA, Bb, q, c), m * q, budget, seed,
+        starts=[np.eye(m * q) / (m * q)], target=2.0 * margin,
+    )
     T = _b_term(M, Bb, q)
     b_margin = lambda_min(T)
     a_value = float(np.sum(calA * M))
@@ -302,12 +278,86 @@ def find_separator(
     return SeparatorSearch(M=M, best_value=best_v, b_margin=b_margin, a_value=a_value)
 
 
-def _factor_rows(M: np.ndarray, q: int, cutoff: float):
-    """Factor M = V V^T and slice V into per-variable q x r pieces."""
-    V = psd_factor(M, cutoff)
-    r = V.shape[1]
-    m = M.shape[0] // q
-    return [V[i * q : (i + 1) * q, :] for i in range(m)], r
+def _checked_separator(f, g, M, tol, tol_strict) -> np.ndarray:
+    """M, symmetrized, once it is a separator: PSD, sum B_ij (x) M_ij PSD, <A, M> < 0."""
+    M = symmetrize(M)
+    q, m = f.q, f.m
+    if M.shape != (m * q, m * q):
+        raise ShapeMismatch(f"separator must be {(m * q, m * q)}, got {M.shape}")
+    if not is_psd(M, tol):
+        raise PreconditionViolated("separator is not PSD")
+    if not is_psd(_b_term(M, g.blocks, q), tol):
+        raise PreconditionViolated("sum B_ij (x) M_ij is not PSD")
+    if float(np.sum(coefficient_matrix(f) * M)) > -tol_strict:
+        raise PreconditionViolated("<A, M> is not strictly negative")
+    return M
+
+
+def _projected_point(rows, r: int, q: int) -> dict:
+    """Bordered symmetric X_i = [[0, V_i^T], [V_i, 0]], P onto the last q coordinates."""
+    n = r + q
+    mats = np.zeros((len(rows), n, n))
+    for i, V in enumerate(rows):
+        mats[i, :r, r:] = V.T
+        mats[i, r:, :r] = V
+    P = np.zeros((n, n))
+    P[r:, r:] = np.eye(q)
+    return {"X": new_tuple(mats, kind="symmetric"), "P": P, "E": np.eye(q).reshape(-1)}
+
+
+def _hereditary_point(rows, r: int, q: int) -> dict:
+    """X_i = V_i zero-padded to max(r, q) square, E' = sum_i e_i (x) f_i."""
+    n = max(r, q)
+    mats = np.zeros((len(rows), n, n))
+    for i, V in enumerate(rows):
+        mats[i, :q, :r] = V
+    return {"X": new_tuple(mats, kind=GENERAL), "E": np.eye(q, n).reshape(-1)}
+
+
+def _sides(ce, f: NCQuadPoly, g: NCQuadPoly):
+    """The g side that must be PSD and the violation E^T (f side) E at ce's stored point.
+
+    Both counterexample kinds are accepted through this one computation,
+    by the builders and by verify_counterexample alike.
+    """
+    if isinstance(ce, HereditaryCounterexample):
+        g_side = evaluate_hereditary(g, ce.X)
+        f_side = evaluate_hereditary(f, ce.X)
+    else:
+        r = ce.X.n - f.q
+        if r < 0:
+            raise ShapeMismatch(f"evaluation point of size {ce.X.n} is below q = {f.q}")
+        g_side = evaluate_compressed(g, ce.X, ce.P)
+        f_side = evaluate_compressed(f, ce.X, ce.P[:, r:])
+    return g_side, float(ce.E @ f_side @ ce.E)
+
+
+def _build(kind, point, f, g, M, tol, tol_strict):
+    """Factor a checked separator M = V V^T and accept the ``kind`` built at ``point``.
+
+    Accepts through _sides, requires the factor to reproduce every block
+    M_ij, and retries once at a 10x finer rank cutoff.
+    """
+    M = _checked_separator(f, g, M, tol, tol_strict)
+    q, m = f.q, f.m
+    last_error = None
+    for cutoff in (tol, tol / 10.0):
+        V = psd_factor(M, cutoff)
+        r = V.shape[1]
+        rows = [V[i * q : (i + 1) * q, :] for i in range(m)]
+        ce = kind(M=M, rank=r, **point(rows, r, q))
+        g_side, violation = _sides(ce, f, g)
+        block_err = max(
+            fro(rows[i] @ rows[j].T - M[i * q : (i + 1) * q, j * q : (j + 1) * q])
+            for i in range(m) for j in range(m)
+        )
+        if is_psd(g_side, tol) and violation <= -tol_strict and block_err <= 1e-8:
+            return replace(ce, violation=violation)
+        last_error = (
+            f"lambda_min(g side)={lambda_min(g_side):.3e}, "
+            f"violation={violation:.3e}, block error={block_err:.3e}"
+        )
+    raise VerificationFailed(f"{kind.__name__} checks failed: {last_error}")
 
 
 def build_counterexample(
@@ -327,49 +377,7 @@ def build_counterexample(
     All three facts are re-verified from scratch before returning, with one
     retry at a 10x finer rank cutoff.
     """
-    M = symmetrize(M)
-    q, m = f.q, f.m
-    if M.shape != (m * q, m * q):
-        raise ShapeMismatch(f"separator must be {(m * q, m * q)}, got {M.shape}")
-    if not is_psd(M, tol):
-        raise PreconditionViolated("separator is not PSD")
-    if not is_psd(_b_term(M, g.blocks, q), tol):
-        raise PreconditionViolated("sum B_ij (x) M_ij is not PSD")
-    calA = coefficient_matrix(f)
-    if float(np.sum(calA * M)) > -tol_strict:
-        raise PreconditionViolated("<A, M> is not strictly negative")
-
-    last_error = None
-    for cutoff in (tol, tol / 10.0):
-        rows, r = _factor_rows(M, q, cutoff)
-        n = r + q
-        mats = np.zeros((m, n, n))
-        for i in range(m):
-            mats[i, :r, r:] = rows[i].T
-            mats[i, r:, :r] = rows[i]
-        X = new_tuple(mats, kind="symmetric")
-        P = np.zeros((n, n))
-        P[r:, r:] = np.eye(q)
-        E = np.eye(q).reshape(-1)
-
-        comp_g = evaluate_compressed(g, X, P)
-        rect = P[:, r:]
-        comp_f = evaluate_compressed(f, X, rect)
-        violation = float(E @ comp_f @ E)
-
-        block_err = 0.0
-        for i in range(m):
-            for j in range(m):
-                Mij = M[i * q : (i + 1) * q, j * q : (j + 1) * q]
-                block_err = max(block_err, fro(rows[i] @ rows[j].T - Mij))
-
-        if is_psd(comp_g, tol) and violation <= -tol_strict and block_err <= 1e-8:
-            return Counterexample(M=M, rank=r, X=X, P=P, E=E, violation=violation)
-        last_error = (
-            f"lambda_min(compressed g)={lambda_min(comp_g):.3e}, "
-            f"violation={violation:.3e}, block error={block_err:.3e}"
-        )
-    raise VerificationFailed(f"counterexample checks failed: {last_error}")
+    return _build(Counterexample, _projected_point, f, g, M, tol, tol_strict)
 
 
 def build_counterexample_hereditary(
@@ -385,53 +393,15 @@ def build_counterexample_hereditary(
     X_i X_j^T embeds M_ij directly and g(X) is PSD outright; the witness
     E' = sum_i e_i (x) f_i evaluates f(X) to <A, M> < 0.
     """
-    M = symmetrize(M)
-    q, m = f.q, f.m
-    if M.shape != (m * q, m * q):
-        raise ShapeMismatch(f"separator must be {(m * q, m * q)}, got {M.shape}")
-    if not is_psd(M, tol):
-        raise PreconditionViolated("separator is not PSD")
-    if not is_psd(_b_term(M, g.blocks, q), tol):
-        raise PreconditionViolated("sum B_ij (x) M_ij is not PSD")
-    calA = coefficient_matrix(f)
-    if float(np.sum(calA * M)) > -tol_strict:
-        raise PreconditionViolated("<A, M> is not strictly negative")
-
-    last_error = None
-    for cutoff in (tol, tol / 10.0):
-        rows, r = _factor_rows(M, q, cutoff)
-        n = max(r, q)
-        mats = np.zeros((m, n, n))
-        for i in range(m):
-            mats[i, :q, :r] = rows[i]
-        X = new_tuple(mats, kind=GENERAL)
-        E = np.eye(q, n).reshape(-1)
-
-        g_eval = evaluate_hereditary(g, X)
-        f_eval = evaluate_hereditary(f, X)
-        violation = float(E @ f_eval @ E)
-
-        block_err = 0.0
-        for i in range(m):
-            for j in range(m):
-                Mij = M[i * q : (i + 1) * q, j * q : (j + 1) * q]
-                embedded = np.zeros((n, n))
-                embedded[:q, :q] = Mij
-                block_err = max(block_err, fro(mats[i] @ mats[j].T - embedded))
-
-        if is_psd(g_eval, tol) and violation <= -tol_strict and block_err <= 1e-8:
-            return HereditaryCounterexample(M=M, rank=r, X=X, E=E, violation=violation)
-        last_error = (
-            f"lambda_min(g(X))={lambda_min(g_eval):.3e}, "
-            f"violation={violation:.3e}, block error={block_err:.3e}"
-        )
-    raise VerificationFailed(f"hereditary counterexample checks failed: {last_error}")
+    return _build(HereditaryCounterexample, _hereditary_point, f, g, M, tol, tol_strict)
 
 
 def _check_slater(g: NCQuadPoly, slater: MatTuple, tol_strict: float, hereditary: bool):
     if slater.m != g.m:
         raise ShapeMismatch(f"slater tuple has m={slater.m}, g has m={g.m}")
     val = evaluate_hereditary(g, slater) if hereditary else evaluate(g, slater)
+    if not np.isfinite(val).all():
+        raise InvalidInput("g(slater) overflows the float range; rescale g or the slater tuple")
     lm = lambda_min(val)
     if lm <= tol_strict:
         raise SlaterViolated(f"lambda_min(g(slater)) = {lm:.3e} <= {tol_strict}")
@@ -648,23 +618,9 @@ def verify_counterexample(
     """
     try:
         f2, g2 = reconcile(f, g)
-        q = f2.q
-        if isinstance(ce, HereditaryCounterexample):
-            if ce.X is None or ce.X.m != f2.m:
-                return False
-            g_eval = evaluate_hereditary(g2, ce.X)
-            f_eval = evaluate_hereditary(f2, ce.X)
-            violation = float(ce.E @ f_eval @ ce.E)
-            return bool(is_psd(g_eval, tol) and violation <= -tol_strict)
         if ce.X is None or ce.X.m != f2.m:
             return False
-        r = ce.X.n - q
-        if r < 0:
-            return False
-        comp_g = evaluate_compressed(g2, ce.X, ce.P)
-        rect = ce.P[:, r:]
-        comp_f = evaluate_compressed(f2, ce.X, rect)
-        violation = float(ce.E @ comp_f @ ce.E)
-        return bool(is_psd(comp_g, tol) and violation <= -tol_strict)
+        g_side, violation = _sides(ce, f2, g2)
+        return bool(is_psd(g_side, tol) and violation <= -tol_strict)
     except (ShapeMismatch, ValueError):
         return False

@@ -185,6 +185,32 @@ def test_scalar_slemma_counterexample(capsys):
     assert x @ B @ x >= -1e-8
 
 
+NAN, INF = float("nan"), float("inf")
+SCALAR_INSTANCE = {"format": serialize.FORMAT, "kind": "scalar-slemma",
+                   "f": {"A": [[0.0, 1.0], [1.0, 0.0]]}, "g": {"A": [[1.0, 0.0], [0.0, 0.5]]},
+                   "slater": [1.0, 0.0]}
+
+
+@pytest.mark.parametrize("where,value", [
+    (("f", "A"), [[NAN, 0.0], [0.0, -1.0]]),  # exited 0 with "certificate" lambda 1.16e-45
+    (("g", "A"), [[1.0, 0.0], [0.0, INF]]),
+    (("f", "a"), [NAN, 0.0]),
+    (("g", "a0"), INF),
+    (("slater",), [NAN, 0.0]),  # passed the Slater test and exited 11
+], ids=["nan-f.A", "inf-g.A", "nan-f.a", "inf-g.a0", "nan-slater"])
+def test_scalar_slemma_non_finite_input_is_parse_error(capsys, tmp_path, where, value):
+    doc = json.loads(json.dumps(SCALAR_INSTANCE))
+    target = doc
+    for key in where[:-1]:
+        target = target[key]
+    target[where[-1]] = value
+    path = tmp_path / "scalar.json"
+    path.write_text(json.dumps(doc))  # json writes NaN and Infinity, and reads them back
+    code, out, _ = run(capsys, "scalar-slemma", str(path))
+    assert code == cli.EXIT_PARSE
+    assert out["error"] == "parse"
+
+
 def test_homogenize_command(capsys, tmp_path):
     out = tmp_path / "h.json"
     code, doc, _ = run(capsys, "homogenize", "-o", str(out), fx("homogenize_affine.json"))

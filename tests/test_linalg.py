@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import ncslemma as ns
+from ncslemma import linalg
 from ncslemma.errors import DimensionTooLarge, InvalidInput, NotPSD
 from ncslemma.linalg import lambda_min, simplex_project, supergradient_ascent
 
@@ -245,3 +246,61 @@ def test_supergradient_ascent_unconstrained():
     x, v, _ = supergradient_ascent(oracle, np.zeros(2), 3000)
     assert v >= -1e-9
     assert np.allclose(x, [1.0, 2.0], atol=1e-8)
+
+
+@pytest.mark.parametrize("sign,verdict", [(1.0, True), (-1.0, False)])
+def test_is_psd_near_the_largest_float(sign, verdict):
+    # (S + S^T) / 2 overflows above ~9e307; the symmetric part must not
+    S = sign * 1e308 * np.eye(2)
+    assert ns.is_psd(S) is verdict
+    assert np.array_equal(linalg.symmetrize(S), S)
+    assert lambda_min(S) == sign * 1e308
+
+
+def test_is_psd_validates_once(monkeypatch):
+    calls = []
+    checked = linalg._checked_square
+
+    def counting(a, *args, **kwargs):
+        calls.append(1)
+        return checked(a, *args, **kwargs)
+
+    monkeypatch.setattr(linalg, "_checked_square", counting)
+    S = np.diag([1.0, -1e-12])
+    assert ns.is_psd(S)
+    assert len(calls) == 1
+
+
+def test_maximize_spectral_start_schedule():
+    # one ascent per given start, then the seeded random start, in that order
+    seen = []
+
+    def oracle(M):
+        seen.append(M.copy())
+        return 1.0, np.zeros_like(M)  # constant: each ascent stops after one step
+
+    starts = [np.diag([1.0, 0.0]), np.diag([0.0, 1.0])]
+    M, value = ns.maximize_spectral(oracle, 2, budget=90, seed=4, starts=starts)
+    raw = np.random.default_rng(4).standard_normal((2, 2))
+    expected = starts + [ns.spectraplex_project((raw + raw.T) / 2.0)]
+    assert len(seen) == 3
+    for got, want in zip(seen, expected):
+        assert np.allclose(got, want, atol=1e-15)
+    assert value == 1.0 and np.array_equal(M, seen[0])  # ties keep the earliest
+
+
+def test_maximize_spectral_budget_shares_and_target():
+    C = np.diag([1.0, 0.0, 0.0])
+    evals = []
+
+    def oracle(M):
+        evals.append(1)
+        return float(np.sum(C * M)), C
+
+    # the first start is already optimal: the target stops the search there
+    _, value = ns.maximize_spectral(oracle, 3, budget=300, starts=[C], target=1.0)
+    assert value == 1.0 and len(evals) == 1
+    # an unreachable target: two ascents of budget // 2 each, no more
+    evals.clear()
+    _, value = ns.maximize_spectral(oracle, 3, budget=300, starts=[np.eye(3)], target=2.0)
+    assert len(evals) == 300 and value <= 1.0

@@ -3,7 +3,7 @@ import pytest
 
 import ncslemma as ns
 from ncslemma.errors import AsymmetricCoefficients, InvalidInput, ShapeMismatch
-from ncslemma.poly import add, blocks_from_matrix, zero_poly
+from ncslemma.poly import blocks_from_matrix, zero_poly
 
 from helpers import random_poly, random_psd_poly, random_sym_tuple, random_gen_tuple
 
@@ -288,7 +288,7 @@ def test_evaluate_linearity():
     r = random_poly(rng, 2, 3)
     X = random_sym_tuple(rng, 2, 2)
     alpha, beta = 0.7, -1.3
-    combo = ns.evaluate(add(p, r, alpha, beta), X)
+    combo = ns.evaluate(ns.new_quad_poly(alpha * p.blocks + beta * r.blocks), X)
     direct = alpha * ns.evaluate(p, X) + beta * ns.evaluate(r, X)
     assert np.abs(combo - direct).max() <= 1e-10 * (1 + np.abs(direct).max())
 
@@ -321,3 +321,24 @@ def test_tuple_validation():
         ns.new_tuple(np.zeros((1, 2, 2)), kind="diagonal")
     with pytest.raises(ShapeMismatch):
         ns.new_tuple(np.zeros((2, 3)))
+
+
+@pytest.mark.parametrize("A,a,a0,error", [
+    ([[np.nan, 0.0], [0.0, -1.0]], None, 0.0, InvalidInput),
+    ([[1.0, 0.0], [0.0, np.inf]], None, 0.0, InvalidInput),
+    ([[1.0, 0.0], [0.0, 1.0]], [np.nan, 0.0], 0.0, InvalidInput),
+    ([[1.0, 0.0], [0.0, 1.0]], None, -np.inf, InvalidInput),
+    ([[1.0, 1.0], [0.0, 1.0]], None, 0.0, AsymmetricCoefficients),
+])
+def test_new_scalar_quad_validation(A, a, a0, error):
+    with pytest.raises(error):
+        ns.new_scalar_quad(A, a=a, a0=a0)
+
+
+def test_constructors_keep_entries_near_the_largest_float():
+    # (a + a^T) / 2 overflows above ~9e307; the stored symmetric part must not
+    big = 1.5e308
+    assert ns.new_quad_poly(np.full((2, 2, 1, 1), big)).blocks.max() == big
+    assert ns.new_tuple(np.full((1, 2, 2), big)).mats.max() == big
+    assert ns.new_scalar_quad(np.full((2, 2), big)).A.max() == big
+    assert ns.new_choi(np.full((1, 1), big), 1, 1).J.max() == big

@@ -8,7 +8,7 @@ from ncslemma.errors import (
     PreconditionViolated,
     SlaterViolated,
 )
-from ncslemma.poly import add, zero_poly
+from ncslemma.poly import zero_poly
 
 from helpers import random_poly, random_psd_poly, random_sym, random_sym_tuple
 from test_poly import example_62_f, example_62_g
@@ -65,7 +65,7 @@ def test_globally_psd_zero_difference():
     from test_cpmaps import phi2
 
     f, g = example_62_f(), example_62_g()
-    diff = add(f, ns.apply_map_to_poly(phi2(), g), 1.0, -1.0)
+    diff = ns.new_quad_poly(f.blocks - ns.apply_map_to_poly(phi2(), g).blocks)
     assert np.abs(diff.blocks).max() == 0.0
     assert ns.is_globally_psd(diff).verdict == "psd"
 

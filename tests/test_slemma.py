@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 import ncslemma as ns
-from ncslemma.errors import PreconditionViolated, ShapeMismatch, SlaterViolated
+from ncslemma import slemma
+from ncslemma.errors import InvalidInput, PreconditionViolated, ShapeMismatch, SlaterViolated
 from ncslemma.poly import blocks_from_matrix
 from ncslemma.slemma import _b_term, _map_coefficients
 
@@ -184,6 +185,18 @@ def test_decide_slater_violation():
         ns.decide(f, g, bad)
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+@pytest.mark.parametrize("hereditary", [False, True])
+def test_decide_slater_overflow_is_named(hereditary):
+    # valid at 3e307, but g(slater) = 3e307 * (2 + 1 + 1 + 2) is past the largest float
+    f = ns.new_quad_poly(3e307 * np.array([[1.0, 0.5], [0.5, -1.0]]).reshape(2, 2, 1, 1))
+    g = ns.new_quad_poly(3e307 * np.array([[2.0, 1.0], [1.0, 2.0]]).reshape(2, 2, 1, 1))
+    slater = ns.new_tuple(np.ones((2, 1, 1)), kind="general" if hereditary else "symmetric")
+    decider = ns.decide_hereditary if hereditary else ns.decide
+    with pytest.raises(InvalidInput, match=r"g\(slater\) overflows"):
+        decider(f, g, slater)
+
+
 def test_decide_reconciles_smaller_qf():
     # f has q=1, g has q=2; f is padded before the search
     f = ns.new_quad_poly(np.ones((1, 1, 1, 1)))  # x1 x1
@@ -227,6 +240,22 @@ def test_hereditary_counterexample_q1_structure():
                                      abs=1e-10)
     fX = ns.evaluate_hereditary(f, ce.X)
     assert float(ce.E @ fX @ ce.E) == pytest.approx(ce.violation)
+
+
+@pytest.mark.parametrize("hereditary", [False, True])
+def test_builders_accept_through_the_verifier_evaluations(monkeypatch, hereditary):
+    # the builder evaluates g and f once at its point, as verify_counterexample does
+    f, g = scalar_embedded_pair()
+    sep = ns.find_separator(f, g)
+    name = "evaluate_hereditary" if hereditary else "evaluate_compressed"
+    build = ns.build_counterexample_hereditary if hereditary else ns.build_counterexample
+    calls = []
+    evaluate = getattr(slemma, name)
+    monkeypatch.setattr(slemma, name, lambda *args: calls.append(args[0]) or evaluate(*args))
+    ce = build(f, g, sep.M)
+    assert calls == [g, f]
+    assert ns.verify_counterexample(ce, f, g)
+    assert calls == [g, f, g, f]
 
 
 def test_decide_hereditary_certificate():

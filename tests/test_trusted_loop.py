@@ -104,6 +104,43 @@ def test_scalar_separator_trusted_equals_validating(m, q):
     same_array(a.x, b.x)
 
 
+def restart_loop(oracle, starts, budget, target):
+    """The restart loop certify and find_separator each ran before maximize_spectral."""
+    best_v, best = -np.inf, None
+    share = max(1, budget // len(starts))
+    for x0 in starts:
+        x, v, _ = supergradient_ascent(oracle, linalg.spectraplex_project(x0), share,
+                                       project=linalg._spectraplex_project, target=target)
+        if v > best_v:
+            best_v, best = v, x
+        if best_v >= target:
+            break
+    return best, best_v
+
+
+def random_start(seed, d):
+    raw = np.random.default_rng(seed).standard_normal((d, d))
+    return (raw + raw.T) / 2.0
+
+
+@pytest.mark.parametrize("m,q", SIZES)
+def test_searches_keep_their_start_schedules(m, q):
+    rng = np.random.default_rng(400 * m + q)
+    f, g, _ = refutable_instance(rng, m, q)
+    calA = ns.coefficient_matrix(f)
+    starts = [ns.identity_choi(q).J / q, np.eye(q * q) / (q * q), random_start(7, q * q)]
+    _, best_v = restart_loop(slemma._certify_oracle(calA, g.blocks, q), starts, BUDGET, 0.0)
+    assert slemma.certify(f, g, budget=BUDGET, seed=7).best_value == best_v
+
+    c = 1.0 + linalg.fro(calA)
+    starts = [np.eye(m * q) / (m * q), random_start(8, m * q)]
+    oracle = slemma._separator_oracle(calA, g.blocks, q, c)
+    M, best_v = restart_loop(oracle, starts, BUDGET, 2.0 * ns.DEFAULT_TOL_STRICT / c)
+    sep = slemma.find_separator(f, g, budget=BUDGET, seed=8)
+    assert sep.best_value == best_v
+    assert sep.M is not None and np.array_equal(sep.M, M)
+
+
 # --- the simplex shift ---------------------------------------------------------
 
 def numpy_shift(u):
