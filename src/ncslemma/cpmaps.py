@@ -16,7 +16,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import InvalidInput, ShapeMismatch, SymmetryBroken
-from .linalg import DEFAULT_TOL, check_symmetric, fro, is_psd, symmetric_part
+from .linalg import DEFAULT_TOL, checked_symmetric_part, fro, is_psd
 from .poly import MatTuple, NCQuadPoly, new_quad_poly
 
 
@@ -47,7 +47,7 @@ def new_choi(J, s: int, t: int) -> ChoiMatrix:
     J = np.asarray(J, dtype=float)
     if J.shape != (s * t, s * t):
         raise ShapeMismatch(f"Choi matrix must be {(s * t, s * t)}, got {J.shape}")
-    Jsym = symmetric_part(J, J.T, check_symmetric(J, J.T, "Choi matrix"))
+    Jsym = checked_symmetric_part(J, J.T, "Choi matrix")
     Jsym.flags.writeable = False
     return ChoiMatrix(s=s, t=t, J=Jsym)
 

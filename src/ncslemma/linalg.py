@@ -42,48 +42,38 @@ def as_matrix(a) -> np.ndarray:
     return m
 
 
-def check_symmetric(a: np.ndarray, flipped: np.ndarray, what: str,
-                    error=InvalidInput, tol: float = SYM_ATOL) -> float:
-    """Reject ``a`` unless it is finite and equals ``flipped`` within ``tol`` (relative).
+def checked_symmetric_part(a: np.ndarray, flipped: np.ndarray, what: str,
+                           error=InvalidInput, tol: float = SYM_ATOL) -> np.ndarray:
+    """(a + flipped) / 2, once ``a`` is finite and equals ``flipped`` within ``tol`` (relative).
 
     ``flipped`` is the transpose ``a`` must equal (``a.T`` for a matrix, the
-    block transpose for coefficient blocks).  Non-finite entries raise
-    InvalidInput; asymmetry beyond tol * (1 + ||a||_F) raises ``error``.
-    Returns ||a||_F.
+    block transpose for coefficient blocks).  Non-finite entries, and a
+    Frobenius norm past the largest float (it would make every relative
+    tolerance infinite), raise InvalidInput; asymmetry beyond
+    tol * (1 + ||a||_F) raises ``error``.  No entry exceeds the norm, so below
+    half the largest float the plain sum cannot overflow and is used; above
+    it, each term is halved first.
     """
     if not np.isfinite(a).all():
         raise InvalidInput(f"{what}: non-finite entries")
     norm = fro(a)
+    if norm == math.inf:
+        raise InvalidInput(f"{what}: Frobenius norm exceeds the float range")
     # a - flipped is exactly antisymmetric, so its largest entry is its largest magnitude
     gap = (a - flipped).max()
     if gap > tol * (1.0 + norm):
         raise error(f"{what}: asymmetry {gap:.3e} beyond tolerance {tol * (1.0 + norm):.3e}")
-    return norm
-
-
-def symmetric_part(a: np.ndarray, flipped: np.ndarray, norm: float) -> np.ndarray:
-    """(a + flipped) / 2 for a finite ``a`` with ||a||_F = ``norm``, kept finite.
-
-    No entry exceeds ``norm``, so below half the largest float the plain sum
-    cannot overflow and is used; above it, each term is halved first.
-    """
     if norm <= _HALF_MAX:
         return (a + flipped) / 2.0
     return a / 2.0 + flipped / 2.0
 
 
-def _checked_square(a, tol: float = SYM_ATOL):
-    """``a`` as a finite square matrix and its Frobenius norm; reject asymmetry beyond ``tol``."""
+def symmetrize(a, tol: float = SYM_ATOL) -> np.ndarray:
+    """Return the symmetric part of ``a``; reject asymmetry beyond ``tol`` (relative)."""
     m = np.asarray(a, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise InvalidInput(f"expected a square matrix, got shape {m.shape}")
-    return m, check_symmetric(m, m.T, "matrix", tol=tol)
-
-
-def symmetrize(a, tol: float = SYM_ATOL) -> np.ndarray:
-    """Return the symmetric part of ``a``; reject asymmetry beyond ``tol`` (relative)."""
-    m, norm = _checked_square(a, tol)
-    return symmetric_part(m, m.T, norm)
+    return checked_symmetric_part(m, m.T, "matrix", tol=tol)
 
 
 def fro(a) -> float:
@@ -148,7 +138,7 @@ def min_eigpair(S):
     With a degenerate bottom eigenvalue the vector returned is the
     lowest-index eigenvector, which makes supergradients deterministic.
     """
-    return _min_eigpair(_checked_square(S)[0])
+    return _min_eigpair(symmetrize(S))
 
 
 def is_psd(S, tol: float = DEFAULT_TOL) -> bool:
@@ -212,7 +202,7 @@ def _spectraplex_project(S: np.ndarray) -> np.ndarray:
 
 def spectraplex_project(S) -> np.ndarray:
     """Euclidean projection onto {M symmetric : M >= 0, tr M = 1}."""
-    return _spectraplex_project(_checked_square(S)[0])
+    return _spectraplex_project(symmetrize(S))
 
 
 def psd_factor(S, tol: float = DEFAULT_TOL) -> np.ndarray:

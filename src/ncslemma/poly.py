@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import AsymmetricCoefficients, InvalidInput, ShapeMismatch
-from .linalg import check_symmetric, regroup, symmetric_part
+from .linalg import checked_symmetric_part, regroup
 
 SYMMETRIC = "symmetric"
 GENERAL = "general"
@@ -73,8 +73,8 @@ def new_quad_poly(blocks) -> NCQuadPoly:
         raise ShapeMismatch(f"blocks must have shape (m, m, q, q), got {b.shape}")
     m, q = b.shape[0], b.shape[2]
     flipped = b.transpose(1, 0, 3, 2)  # A_ji^T at slot (i, j)
-    norm = check_symmetric(b, flipped, "coefficient blocks", AsymmetricCoefficients)
-    return NCQuadPoly(m=m, q=q, blocks=_readonly(symmetric_part(b, flipped, norm)))
+    b = checked_symmetric_part(b, flipped, "coefficient blocks", AsymmetricCoefficients)
+    return NCQuadPoly(m=m, q=q, blocks=_readonly(b))
 
 
 def new_tuple(mats, kind: str = SYMMETRIC) -> MatTuple:
@@ -86,7 +86,7 @@ def new_tuple(mats, kind: str = SYMMETRIC) -> MatTuple:
         raise InvalidInput(f"unknown tuple kind {kind!r}")
     if kind == SYMMETRIC:
         flipped = a.transpose(0, 2, 1)
-        a = symmetric_part(a, flipped, check_symmetric(a, flipped, "symmetric tuple"))
+        a = checked_symmetric_part(a, flipped, "symmetric tuple")
     elif not np.isfinite(a).all():
         raise InvalidInput("tuple has non-finite entries")
     return MatTuple(m=a.shape[0], n=a.shape[1], mats=_readonly(a), kind=kind)
@@ -98,8 +98,7 @@ def new_scalar_quad(A, a=None, a0: float = 0.0) -> ScalarQuad:
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ShapeMismatch(f"A must be square, got {A.shape}")
     m = A.shape[0]
-    norm = check_symmetric(A, A.T, "scalar coefficient matrix", AsymmetricCoefficients)
-    A = symmetric_part(A, A.T, norm)
+    A = checked_symmetric_part(A, A.T, "scalar coefficient matrix", AsymmetricCoefficients)
     vec = np.zeros(m) if a is None else np.asarray(a, dtype=float)
     if vec.shape != (m,):
         raise ShapeMismatch(f"linear part must have shape ({m},)")

@@ -63,6 +63,17 @@ def test_check_positivity_huge_coefficients(capsys, tmp_path):
     assert doc["witness"]["value"] < 0
 
 
+def test_check_positivity_norm_past_the_largest_float(capsys, tmp_path):
+    # one block -1.5e308 * I2: finite entries whose Frobenius norm is inf, which
+    # made the PSD tolerance -inf and the verdict "psd" for a negative definite f
+    path = tmp_path / "past_range.json"
+    path.write_text(json.dumps({"format": serialize.FORMAT, "kind": "positivity",
+                                "f": {"m": 1, "q": 2, "blocks": [[(-1.5e308 * np.eye(2)).tolist()]]}}))
+    code, doc, _ = run(capsys, "check-positivity", str(path))
+    assert code == cli.EXIT_PARSE
+    assert doc["error"] == "parse"
+
+
 def test_check_positivity_sos(capsys, tmp_path):
     out = tmp_path / "h1_result.json"
     code, doc, _ = run(capsys, "check-positivity", "--sos", "-o", str(out), fx("h1.json"))
@@ -147,6 +158,21 @@ def test_verify_rejects_bogus_certificate_on_huge_coefficients(capsys, tmp_path)
     code, doc, _ = run(capsys, "verify", str(cert_path), str(inst))
     assert code == 10
     assert doc["verified"] is False
+
+
+def test_verify_norm_past_the_largest_float(capsys, tmp_path):
+    # f = -1.5e308 * (x1 x1 (x) I2) is not dominated by g; its norm is inf
+    doc = {"format": serialize.FORMAT, "kind": "slemma",
+           "f": {"m": 1, "q": 2, "blocks": [[(-1.5e308 * np.eye(2)).tolist()]]},
+           "g": {"m": 1, "q": 2, "blocks": [[np.eye(2).tolist()]]}}
+    inst = tmp_path / "past_range.json"
+    inst.write_text(json.dumps(doc))
+    cert = ns.CPCertificate(J=ns.new_choi(np.eye(4) / 4.0, 2, 2), residual=np.zeros((2, 2)))
+    cert_path = tmp_path / "cert.json"
+    cert_path.write_text(serialize.dumps(serialize.certificate_to_json(cert, {})))
+    code, out, _ = run(capsys, "verify", str(cert_path), str(inst))
+    assert code == cli.EXIT_PARSE
+    assert out["error"] == "parse"
 
 
 def test_slemma_huge_coefficients_exit_code(capsys, tmp_path):

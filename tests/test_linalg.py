@@ -257,15 +257,25 @@ def test_is_psd_near_the_largest_float(sign, verdict):
     assert lambda_min(S) == sign * 1e308
 
 
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_norm_past_the_largest_float_is_rejected(sign):
+    # finite entries, but ||S||_F ~ 2.12e308 is inf: a tolerance -tol * (1 + inf)
+    # would pass every matrix, so each kernel rejects the input instead
+    S = sign * 1.5e308 * np.eye(2)
+    for kernel in (ns.is_psd, ns.psd_factor, linalg.symmetrize, linalg.min_eigpair):
+        with pytest.raises(InvalidInput, match="Frobenius norm exceeds the float range"):
+            kernel(S)
+
+
 def test_is_psd_validates_once(monkeypatch):
     calls = []
-    checked = linalg._checked_square
+    checked = linalg.checked_symmetric_part
 
     def counting(a, *args, **kwargs):
         calls.append(1)
         return checked(a, *args, **kwargs)
 
-    monkeypatch.setattr(linalg, "_checked_square", counting)
+    monkeypatch.setattr(linalg, "checked_symmetric_part", counting)
     S = np.diag([1.0, -1e-12])
     assert ns.is_psd(S)
     assert len(calls) == 1

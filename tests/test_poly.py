@@ -338,7 +338,20 @@ def test_new_scalar_quad_validation(A, a, a0, error):
 def test_constructors_keep_entries_near_the_largest_float():
     # (a + a^T) / 2 overflows above ~9e307; the stored symmetric part must not
     big = 1.5e308
-    assert ns.new_quad_poly(np.full((2, 2, 1, 1), big)).blocks.max() == big
-    assert ns.new_tuple(np.full((1, 2, 2), big)).mats.max() == big
-    assert ns.new_scalar_quad(np.full((2, 2), big)).A.max() == big
+    assert ns.new_quad_poly(np.full((1, 1, 1, 1), big)).blocks.max() == big
+    assert ns.new_tuple(np.full((1, 1, 1), big)).mats.max() == big
+    assert ns.new_scalar_quad(np.full((1, 1), big)).A.max() == big
     assert ns.new_choi(np.full((1, 1), big), 1, 1).J.max() == big
+
+
+def test_constructors_reject_norms_past_the_largest_float():
+    # finite entries whose Frobenius norm is inf would make every tolerance infinite
+    big = 1.5e308
+    with pytest.raises(InvalidInput, match="float range"):
+        ns.new_quad_poly(np.full((2, 2, 1, 1), big))
+    with pytest.raises(InvalidInput, match="float range"):
+        ns.new_tuple(np.full((1, 2, 2), big))
+    with pytest.raises(InvalidInput, match="float range"):
+        ns.new_scalar_quad(np.full((2, 2), big))
+    with pytest.raises(InvalidInput, match="float range"):
+        ns.new_choi(np.full((2, 2), big), 1, 2)
