@@ -16,13 +16,13 @@ Options given on the command line override the instance file's options
 block; whatever was in effect is recorded in every output for provenance.
 The values must satisfy 0 <= tol <= tol_strict, tol_strict > 0 (both
 finite), budget >= 1 and seed >= 0, wherever they come from; anything else
-is exit code 2.
+is exit code 2.  So is any file, or field of a file, that cannot be read as
+what it should hold (sizes that disagree are exit code 3); every error prints a
+JSON object with an "error" tag on stdout too.
 """
 
 import argparse
 import sys
-
-import numpy as np
 
 from . import serialize
 from .errors import (
@@ -54,42 +54,60 @@ EXIT_NEGATIVE = 10
 EXIT_COUNTEREXAMPLE = 11
 EXIT_INCONCLUSIVE = 12
 
-PARSE_ERRORS = (ParseError, InvalidInput, AsymmetricCoefficients)
-DIMENSION_ERRORS = (ShapeMismatch, DimensionTooLarge)
+# Errors that end a command with a JSON error object: type -> (error tag, exit code).
+ERRORS = {
+    SlaterViolated: ("slater-violated", EXIT_SLATER),
+    ShapeMismatch: ("dimension", EXIT_DIMENSION),
+    DimensionTooLarge: ("dimension", EXIT_DIMENSION),
+    ParseError: ("parse", EXIT_PARSE),
+    InvalidInput: ("parse", EXIT_PARSE),
+    AsymmetricCoefficients: ("parse", EXIT_PARSE),
+    NotGloballyPSD: ("not-globally-psd", EXIT_NEGATIVE),
+}
 
-
-def _emit(doc: dict, out_path, summary: str) -> None:
-    text = serialize.dumps(doc)
-    print(text)
-    if out_path:
-        with open(out_path, "w") as fh:
-            fh.write(text + "\n")
-    print(summary, file=sys.stderr)
+# Instance kinds with a matrix-valued polynomial f.
+MATRIX_KINDS = ("positivity", "slemma", "slemma-hereditary", "homogenize")
 
 
 def _load_json(path):
     try:
         with open(path) as fh:
             return serialize.loads(fh.read())
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
 
 
 def _merge_options(options: dict, args) -> dict:
     opts = dict(options)
-    for key, attr in (("tol", "tol"), ("tol_strict", "tol_strict"),
-                      ("budget", "budget"), ("seed", "seed")):
-        val = getattr(args, attr, None)
+    for key in ("tol", "tol_strict", "budget", "seed"):
+        val = getattr(args, key)
         if val is not None:
             opts[key] = val
     return serialize.check_options(opts)
 
 
-def cmd_check_positivity(args) -> int:
+def _run(args) -> int:
+    """Every command: load the instance, check its kind, merge options, run, emit the JSON."""
     inst = serialize.instance_from_json(_load_json(args.instance))
-    if inst["kind"] not in ("positivity", "slemma", "slemma-hereditary", "homogenize"):
-        raise ParseError(f"kind {inst['kind']!r} has no polynomial to check")
-    opts = _merge_options(inst["options"], args)
+    if inst["kind"] not in args.kinds:
+        raise ParseError(f"{args.command} needs a {' or '.join(args.kinds)} instance, "
+                         f"got {inst['kind']!r}")
+    doc, summary, code = args.fn(args, inst, _merge_options(inst["options"], args))
+    text = serialize.dumps(doc)
+    if args.output:  # written first, so a failed write leaves stdout to the error object
+        try:
+            with open(args.output, "w") as fh:
+                fh.write(text + "\n")
+        except OSError as exc:
+            raise ParseError(f"cannot write {args.output}: {exc}") from exc
+    print(text)
+    print(summary, file=sys.stderr)
+    return code
+
+
+# Each command below returns (JSON document, stderr summary, exit code).
+
+def cmd_check_positivity(args, inst, opts):
     f = inst["f"]
     report = is_globally_psd(f, tol=opts["tol"], tol_strict=opts["tol_strict"])
     doc = {
@@ -103,26 +121,19 @@ def cmd_check_positivity(args) -> int:
         if args.sos:
             sf = sos_factor(f, tol=opts["tol"])
             doc["sos"] = {"rank": sf.rank, "factors": sf.factors.tolist()}
-        _emit(doc, args.output, "globally positive semidefinite")
-        return EXIT_OK
+        return doc, "globally positive semidefinite", EXIT_OK
     if report.witness_point is not None:
         doc["witness"] = {
             "X": tuple_to_json(report.witness_point),
             "vector": report.witness_vector.tolist(),
             "value": report.witness_value,
         }
-    _emit(doc, args.output,
-          f"not positive semidefinite (lambda_min = {report.eigenvalues[-1]:.6e})")
-    return EXIT_NEGATIVE
+    return (doc, f"not positive semidefinite (lambda_min = {report.eigenvalues[-1]:.6e})",
+            EXIT_NEGATIVE)
 
 
-def cmd_slemma(args, hereditary: bool) -> int:
-    inst = serialize.instance_from_json(_load_json(args.instance))
-    want = "slemma-hereditary" if hereditary else "slemma"
-    if inst["kind"] != want:
-        raise ParseError(f"expected a {want} instance, got {inst['kind']!r}")
-    opts = _merge_options(inst["options"], args)
-    decider = decide_hereditary if hereditary else decide
+def cmd_slemma(args, inst, opts):
+    decider = decide_hereditary if inst["kind"] == "slemma-hereditary" else decide
     decision = decider(
         inst["f"], inst["g"], inst["slater"],
         budget=opts["budget"], tol=opts["tol"],
@@ -130,31 +141,22 @@ def cmd_slemma(args, hereditary: bool) -> int:
     )
     if decision.kind == "certificate":
         doc = serialize.certificate_to_json(decision.certificate, opts)
-        _emit(doc, args.output,
-              f"certificate found (residual lambda_min = "
-              f"{decision.certificate.residual_lambda_min:.6e})")
-        return EXIT_OK
+        return (doc, f"certificate found (residual lambda_min = "
+                     f"{decision.certificate.residual_lambda_min:.6e})", EXIT_OK)
     if decision.kind == "counterexample":
         doc = serialize.counterexample_to_json(decision.counterexample, opts)
-        _emit(doc, args.output,
-              f"counterexample found (violation = "
-              f"{decision.counterexample.violation:.6e})")
-        return EXIT_COUNTEREXAMPLE
+        return (doc, f"counterexample found (violation = "
+                     f"{decision.counterexample.violation:.6e})", EXIT_COUNTEREXAMPLE)
     doc = {
         "format": serialize.FORMAT,
         "type": "inconclusive",
         "diagnostics": {k: v for k, v in decision.diagnostics.items()},
         "options": opts,
     }
-    _emit(doc, args.output, "inconclusive: budget exhausted on both searches")
-    return EXIT_INCONCLUSIVE
+    return doc, "inconclusive: budget exhausted on both searches", EXIT_INCONCLUSIVE
 
 
-def cmd_scalar_slemma(args) -> int:
-    inst = serialize.instance_from_json(_load_json(args.instance))
-    if inst["kind"] != "scalar-slemma":
-        raise ParseError(f"expected a scalar-slemma instance, got {inst['kind']!r}")
-    opts = _merge_options(inst["options"], args)
+def cmd_scalar_slemma(args, inst, opts):
     result = scalar_slemma(
         inst["f"], inst["g"], inst["slater"],
         tol=opts["tol"], tol_strict=opts["tol_strict"],
@@ -169,25 +171,16 @@ def cmd_scalar_slemma(args) -> int:
     }
     if result.outcome == "certificate":
         doc["lambda"] = result.lam
-        _emit(doc, args.output, f"certificate: lambda = {result.lam:.12g}")
-        return EXIT_OK
+        return doc, f"certificate: lambda = {result.lam:.12g}", EXIT_OK
     if result.outcome == "counterexample":
         doc["x"] = result.x.tolist()
-        _emit(doc, args.output, "counterexample found")
-        return EXIT_COUNTEREXAMPLE
-    _emit(doc, args.output, "inconclusive")
-    return EXIT_INCONCLUSIVE
+        return doc, "counterexample found", EXIT_COUNTEREXAMPLE
+    return doc, "inconclusive", EXIT_INCONCLUSIVE
 
 
-def cmd_homogenize(args) -> int:
-    inst = serialize.instance_from_json(_load_json(args.instance))
-    if inst["kind"] != "homogenize":
-        raise ParseError(f"expected a homogenize instance, got {inst['kind']!r}")
-    opts = _merge_options(inst["options"], args)
-    result = homogenize(
-        inst["f"], inst["linear"], inst["constant"],
-        budget=opts["budget"], tol=opts["tol"], seed=opts["seed"],
-    )
+def cmd_homogenize(args, inst, opts):
+    result = homogenize(inst["f"], inst["linear"], inst["constant"],
+                        budget=opts["budget"], tol=opts["tol"])
     doc = {
         "format": serialize.FORMAT,
         "type": "homogenization",
@@ -198,61 +191,43 @@ def cmd_homogenize(args) -> int:
         "options": opts,
     }
     if result.feasible:
-        _emit(doc, args.output,
-              f"PSD homogenization found (lambda_min = {result.lambda_min:.6e})")
-        return EXIT_OK
-    _emit(doc, args.output,
-          f"no PSD homogenization (best lambda_min = {result.lambda_min:.6e})")
-    return EXIT_NEGATIVE
+        return (doc, f"PSD homogenization found (lambda_min = {result.lambda_min:.6e})",
+                EXIT_OK)
+    return (doc, f"no PSD homogenization (best lambda_min = {result.lambda_min:.6e})",
+            EXIT_NEGATIVE)
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(args, inst, opts):
     cert_doc = _load_json(args.certificate)
-    inst = serialize.instance_from_json(_load_json(args.instance))
-    if inst["kind"] not in ("slemma", "slemma-hereditary"):
-        raise ParseError("verification needs a slemma or slemma-hereditary instance")
-    opts = _merge_options(inst["options"], args)
-    kind = cert_doc.get("type") if isinstance(cert_doc, dict) else None
-    if kind == "cp-certificate":
+    if isinstance(cert_doc, dict) and cert_doc.get("type") == "cp-certificate":
         cert = serialize.certificate_from_json(cert_doc)
         ok = verify_certificate(cert, inst["f"], inst["g"],
                                 tol=opts["tol"], seed=opts["seed"])
-    elif kind in ("counterexample", "counterexample-hereditary"):
+    else:
         ce = serialize.counterexample_from_json(cert_doc)
         ok = verify_counterexample(ce, inst["f"], inst["g"],
                                    tol=opts["tol"], tol_strict=opts["tol_strict"])
-    else:
-        raise ParseError(f"unknown certificate type {kind!r}")
     doc = {
         "format": serialize.FORMAT,
         "type": "verification",
         "verified": bool(ok),
         "options": opts,
     }
-    _emit(doc, args.output, "verification passed" if ok else "verification FAILED")
-    return EXIT_OK if ok else EXIT_NEGATIVE
+    return doc, "verification passed" if ok else "verification FAILED", (
+        EXIT_OK if ok else EXIT_NEGATIVE)
 
 
-def cmd_evaluate(args) -> int:
-    inst = serialize.instance_from_json(_load_json(args.instance))
-    opts = _merge_options(inst["options"], args)
+def cmd_evaluate(args, inst, opts):
     which = args.poly
-    if which == "g" and "g" not in inst:
-        raise ParseError("instance has no polynomial g")
-    p = inst["g"] if which == "g" else inst["f"]
-    if not hasattr(p, "blocks"):
-        raise ParseError("instance polynomial is not matrix-valued")
+    if which not in inst:
+        raise ParseError(f"instance has no polynomial {which}")
+    p = inst[which]
     tup_doc = _load_json(args.tuple)
-    if not isinstance(tup_doc, dict):
-        raise ParseError("tuple file must be a JSON object")
     X = serialize.tuple_from_json(tup_doc)
     if X.m != p.m:
         raise ShapeMismatch(f"tuple has m={X.m}, polynomial has m={p.m}")
     if args.project:
-        if "projection" not in tup_doc:
-            raise ParseError("--project requires a projection matrix in the tuple file")
-        Q = np.asarray(tup_doc["projection"], dtype=float)
-        value = evaluate_compressed(p, X, Q)
+        value = evaluate_compressed(p, X, serialize.projection_from_json(tup_doc))
     elif X.kind == "general":
         value = evaluate_hereditary(p, X)
     else:
@@ -267,10 +242,8 @@ def cmd_evaluate(args) -> int:
         "eigenvalues": eig.values.tolist(),
         "options": opts,
     }
-    _emit(doc, args.output,
-          f"evaluated {which}: {value.shape[0]}x{value.shape[1]}, "
-          f"lambda_min = {eig.values[-1]:.6e}")
-    return EXIT_OK
+    return doc, (f"evaluated {which}: {value.shape[0]}x{value.shape[1]}, "
+                 f"lambda_min = {eig.values[-1]:.6e}"), EXIT_OK
 
 
 def _add_common(sub):
@@ -294,72 +267,46 @@ def build_parser() -> argparse.ArgumentParser:
     )
     subs = parser.add_subparsers(dest="command", required=True)
 
-    p = subs.add_parser("check-positivity", help="global PSD test of f")
-    p.add_argument("instance")
+    def command(name, help, fn, kinds, *positional):
+        p = subs.add_parser(name, help=help)
+        for arg in positional:
+            p.add_argument(arg)
+        p.set_defaults(fn=fn, kinds=kinds)
+        return p
+
+    p = command("check-positivity", "global PSD test of f", cmd_check_positivity,
+                MATRIX_KINDS, "instance")
     p.add_argument("--sos", action="store_true",
                    help="emit a sum-of-squares factorization when PSD")
-    _add_common(p)
-    p.set_defaults(fn=cmd_check_positivity)
-
-    p = subs.add_parser("slemma", help="decide domination of f over g")
-    p.add_argument("instance")
-    _add_common(p)
-    p.set_defaults(fn=lambda a: cmd_slemma(a, hereditary=False))
-
-    p = subs.add_parser("slemma-hereditary", help="decide hereditary domination")
-    p.add_argument("instance")
-    _add_common(p)
-    p.set_defaults(fn=lambda a: cmd_slemma(a, hereditary=True))
-
-    p = subs.add_parser("scalar-slemma", help="scalar-coefficient S-lemma")
-    p.add_argument("instance")
-    _add_common(p)
-    p.set_defaults(fn=cmd_scalar_slemma)
-
-    p = subs.add_parser("homogenize", help="search for a PSD homogenization")
-    p.add_argument("instance")
-    _add_common(p)
-    p.set_defaults(fn=cmd_homogenize)
-
-    p = subs.add_parser("verify", help="re-verify an emitted certificate file")
-    p.add_argument("certificate")
-    p.add_argument("instance")
-    _add_common(p)
-    p.set_defaults(fn=cmd_verify)
-
-    p = subs.add_parser("evaluate", help="evaluate a polynomial at a tuple")
-    p.add_argument("instance")
-    p.add_argument("tuple")
+    command("slemma", "decide domination of f over g", cmd_slemma, ("slemma",), "instance")
+    command("slemma-hereditary", "decide hereditary domination", cmd_slemma,
+            ("slemma-hereditary",), "instance")
+    command("scalar-slemma", "scalar-coefficient S-lemma", cmd_scalar_slemma,
+            ("scalar-slemma",), "instance")
+    command("homogenize", "search for a PSD homogenization", cmd_homogenize,
+            ("homogenize",), "instance")
+    command("verify", "re-verify an emitted certificate file", cmd_verify,
+            ("slemma", "slemma-hereditary"), "certificate", "instance")
+    p = command("evaluate", "evaluate a polynomial at a tuple", cmd_evaluate,
+                MATRIX_KINDS, "instance", "tuple")
     p.add_argument("--poly", choices=("f", "g"), default="f",
                    help="which polynomial of the instance to evaluate")
     p.add_argument("--project", action="store_true",
                    help="compress with the projection stored in the tuple file")
-    _add_common(p)
-    p.set_defaults(fn=cmd_evaluate)
+    for p in subs.choices.values():
+        _add_common(p)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.fn(args)
-    except SlaterViolated as exc:
-        print(serialize.dumps({"error": "slater-violated", "detail": str(exc)}))
+        return _run(args)
+    except tuple(ERRORS) as exc:
+        tag, code = next(ERRORS[t] for t in type(exc).__mro__ if t in ERRORS)
+        print(serialize.dumps({"error": tag, "detail": str(exc)}))
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_SLATER
-    except DIMENSION_ERRORS as exc:
-        print(serialize.dumps({"error": "dimension", "detail": str(exc)}))
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DIMENSION
-    except PARSE_ERRORS as exc:
-        print(serialize.dumps({"error": "parse", "detail": str(exc)}))
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except NotGloballyPSD as exc:
-        print(serialize.dumps({"error": "not-globally-psd", "detail": str(exc)}))
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NEGATIVE
+        return code
 
 
 def entry() -> None:

@@ -8,7 +8,10 @@ asymmetry beyond roundoff.
 The search loops build every matrix they hand to an eigensolver themselves,
 from inputs validated once at construction, so they call the trusted cores
 ``_min_eigpair`` and ``_spectraplex_project`` directly.  Each public kernel
-is its validation followed by the same core, so both give the same floats.
+validates with ``symmetrize`` and eigensolves its exactly symmetric result
+as is, which the core's own (S + S.T) / 2 leaves unchanged: both give the
+same floats for eigenvalues up to 2^52, and the public kernels stay correct
+where that sum would overflow or the simplex shift would lose its 1.
 """
 
 import math
@@ -29,7 +32,10 @@ MAX_DIM = 4096
 
 SYM_ATOL = 1e-12
 
+STAGE_LEN = 30  # steps of one constant-step stage of supergradient_ascent
+
 _HALF_MAX = float(np.finfo(float).max) / 2.0
+_SHIFT_EXACT = 2.0 ** 52  # below this, 1 - u loses no bit of the 1 in _simplex_shift
 
 
 def as_matrix(a) -> np.ndarray:
@@ -138,7 +144,8 @@ def min_eigpair(S):
     With a degenerate bottom eigenvalue the vector returned is the
     lowest-index eigenvector, which makes supergradients deterministic.
     """
-    return _min_eigpair(symmetrize(S))
+    w, V = np.linalg.eigh(symmetrize(S))  # exactly symmetric: the core's (S + S.T) / 2 is S
+    return float(w[0]), V[:, 0].copy()
 
 
 def is_psd(S, tol: float = DEFAULT_TOL) -> bool:
@@ -202,7 +209,12 @@ def _spectraplex_project(S: np.ndarray) -> np.ndarray:
 
 def spectraplex_project(S) -> np.ndarray:
     """Euclidean projection onto {M symmetric : M >= 0, tr M = 1}."""
-    return _spectraplex_project(symmetrize(S))
+    w, V = np.linalg.eigh(symmetrize(S))  # exactly symmetric: the core's (S + S.T) / 2 is S
+    if max(w[-1], -w[0]) > _SHIFT_EXACT:
+        # The shift would round the 1 away or overflow.  Moving w by its largest
+        # entry leaves the projection as it is, and entries below -1 get no weight.
+        w = np.maximum(w - w[-1], -2.0)
+    return (V * np.maximum(w + _simplex_shift(w[::-1]), 0.0)) @ V.T
 
 
 def psd_factor(S, tol: float = DEFAULT_TOL) -> np.ndarray:
@@ -227,8 +239,6 @@ def supergradient_ascent(
     budget: int,
     project: Optional[Callable[[np.ndarray], np.ndarray]] = None,
     target: Optional[float] = None,
-    step0: float = 1.0,
-    stage_len: int = 30,
     min_step: float = 1e-14,
 ):
     """Two-phase projected supergradient ascent for a concave objective.
@@ -276,11 +286,11 @@ def supergradient_ascent(
             return best_x, best_v, evals
         x = project(x + (1.0 / (np.sqrt(k) * norm)) * G)
 
-    s = step0
+    s = 1.0
     x = best_x.copy()
     while evals < budget and s > min_step:
         stage_base = best_v
-        for _ in range(stage_len):
+        for _ in range(STAGE_LEN):
             if evals >= budget:
                 break
             v, G, norm = step(x)

@@ -132,7 +132,8 @@ def _gram_form(p: NCQuadPoly, X: MatTuple) -> np.ndarray:
     stack = X.mats.reshape(m * n, n)
     prods = regroup(stack @ stack.T, m, n, m, n)  # row (i, j) holds X_i X_j^T
     out = regroup(p.blocks.reshape(m * m, q * q).T @ prods, q, q, n, n)
-    return (out + out.T) / 2.0
+    out *= 0.5  # halved before the sum, which then cannot overflow
+    return out + out.T
 
 
 def evaluate(p: NCQuadPoly, X: MatTuple) -> np.ndarray:
@@ -164,7 +165,8 @@ def evaluate_compressed(p: NCQuadPoly, X: MatTuple, Q) -> np.ndarray:
     # Q^T on each block row, then Q on each block column
     comp = np.matmul(Q.T, val.reshape(q, n, q * n))
     comp = (comp.reshape(q * l * q, n) @ Q).reshape(q * l, q * l)
-    return (comp + comp.T) / 2.0
+    comp *= 0.5  # halved before the sum, which then cannot overflow
+    return comp + comp.T
 
 
 def direct_sum_repeat(p: NCQuadPoly, k: int) -> NCQuadPoly:

@@ -68,24 +68,54 @@ def _render(obj, indent: int) -> str:
 def loads(text: str):
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nested too deep
         raise ParseError(f"invalid JSON: {exc}") from exc
 
 
-def _require(doc: dict, key: str):
-    if key not in doc:
+_REQUIRED = object()
+
+
+def _field(doc: dict, key: str, default=_REQUIRED):
+    if key in doc:
+        return doc[key]
+    if default is _REQUIRED:
         raise ParseError(f"missing field {key!r}")
-    return doc[key]
+    return default
 
 
-def _matrix(data, what: str) -> np.ndarray:
+def _read(doc: dict, key: str, convert, what: str, default=_REQUIRED):
+    """``convert`` applied to ``doc[key]`` (or to ``default`` when the key is absent).
+
+    Every number and array in a document is read here, so any value that
+    does not convert is a ParseError.
+    """
+    value = _field(doc, key, default)
     try:
-        arr = np.asarray(data, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise ParseError(f"{what} is not a numeric array") from exc
-    if arr.ndim != 2:
-        raise ParseError(f"{what} must be a 2-D array")
+        return convert(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ParseError(f"{key} is not {what}: {exc}") from exc
+
+
+def _int(doc: dict, key: str, default=_REQUIRED) -> int:
+    return _read(doc, key, int, "an integer", default)
+
+
+def _float(doc: dict, key: str, default=_REQUIRED) -> float:
+    return _read(doc, key, float, "a number", default)
+
+
+def _array(doc: dict, key: str, ndim=None) -> np.ndarray:
+    """A float array; a wrong ``ndim`` is a ParseError, any other shape is the caller's check."""
+    arr = _read(doc, key, lambda v: np.asarray(v, dtype=float), "a numeric array")
+    if ndim is not None and arr.ndim != ndim:
+        raise ParseError(f"{key} must be a {ndim}-D array")
     return arr
+
+
+def _object(doc, what: str) -> dict:
+    if not isinstance(doc, dict):
+        raise ParseError(f"{what} must be an object")
+    return doc
 
 
 def poly_to_json(p: NCQuadPoly) -> dict:
@@ -93,14 +123,8 @@ def poly_to_json(p: NCQuadPoly) -> dict:
 
 
 def poly_from_json(doc) -> NCQuadPoly:
-    if not isinstance(doc, dict):
-        raise ParseError("polynomial must be an object")
-    m = int(_require(doc, "m"))
-    q = int(_require(doc, "q"))
-    try:
-        blocks = np.asarray(_require(doc, "blocks"), dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise ParseError("blocks is not a numeric array") from exc
+    doc = _object(doc, "polynomial")
+    m, q, blocks = _int(doc, "m"), _int(doc, "q"), _array(doc, "blocks")
     if blocks.shape != (m, m, q, q):
         raise ShapeMismatch(
             f"blocks has shape {blocks.shape}, expected {(m, m, q, q)}"
@@ -113,26 +137,22 @@ def tuple_to_json(X: MatTuple) -> dict:
 
 
 def tuple_from_json(doc) -> MatTuple:
-    if not isinstance(doc, dict):
-        raise ParseError("tuple must be an object")
-    n = int(_require(doc, "n"))
-    kind = doc.get("kind", "symmetric")
-    try:
-        mats = np.asarray(_require(doc, "mats"), dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise ParseError("mats is not a numeric array") from exc
+    doc = _object(doc, "tuple")
+    n, mats = _int(doc, "n"), _array(doc, "mats")
     if mats.ndim != 3 or mats.shape[1:] != (n, n):
         raise ShapeMismatch(f"mats has shape {mats.shape}, expected (m, {n}, {n})")
-    return new_tuple(mats, kind=kind)
+    return new_tuple(mats, kind=doc.get("kind", "symmetric"))
+
+
+def projection_from_json(doc) -> np.ndarray:
+    """The ``projection`` matrix a tuple file may carry for compressed evaluation."""
+    return _array(_object(doc, "tuple"), "projection")
 
 
 def scalar_quad_from_json(doc) -> ScalarQuad:
-    if not isinstance(doc, dict):
-        raise ParseError("scalar quadratic must be an object")
-    A = _matrix(_require(doc, "A"), "A")
-    a = doc.get("a")
-    a0 = float(doc.get("a0", 0.0))
-    return new_scalar_quad(A, a=a, a0=a0)
+    doc = _object(doc, "scalar quadratic")
+    a = None if doc.get("a") is None else _array(doc, "a")
+    return new_scalar_quad(_array(doc, "A", 2), a=a, a0=_float(doc, "a0", 0.0))
 
 
 def choi_to_json(J: ChoiMatrix) -> dict:
@@ -140,11 +160,8 @@ def choi_to_json(J: ChoiMatrix) -> dict:
 
 
 def choi_from_json(doc) -> ChoiMatrix:
-    if not isinstance(doc, dict):
-        raise ParseError("Choi matrix must be an object")
-    s = int(_require(doc, "s"))
-    t = int(_require(doc, "t"))
-    return new_choi(_matrix(_require(doc, "J"), "J"), s, t)
+    doc = _object(doc, "Choi matrix")
+    return new_choi(_array(doc, "J", 2), _int(doc, "s"), _int(doc, "t"))
 
 
 def check_options(opts: dict) -> dict:
@@ -168,19 +185,13 @@ def check_options(opts: dict) -> dict:
 
 
 def options_from_json(doc: dict) -> dict:
-    opts = doc.get("options", {}) or {}
-    if not isinstance(opts, dict):
-        raise ParseError("options must be an object")
-    try:
-        parsed = {
-            "tol": float(opts.get("tol", DEFAULT_TOL)),
-            "tol_strict": float(opts.get("tol_strict", DEFAULT_TOL_STRICT)),
-            "budget": int(opts.get("budget", DEFAULT_BUDGET)),
-            "seed": int(opts.get("seed", DEFAULT_SEED)),
-        }
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ParseError(f"options: {exc}") from exc
-    return check_options(parsed)
+    opts = _object(doc.get("options", {}) or {}, "options")
+    return check_options({
+        "tol": _float(opts, "tol", DEFAULT_TOL),
+        "tol_strict": _float(opts, "tol_strict", DEFAULT_TOL_STRICT),
+        "budget": _int(opts, "budget", DEFAULT_BUDGET),
+        "seed": _int(opts, "seed", DEFAULT_SEED),
+    })
 
 
 def instance_from_json(doc) -> dict:
@@ -190,57 +201,58 @@ def instance_from_json(doc) -> dict:
     slater, linear, constant).  Dimension inconsistencies raise
     ShapeMismatch; schema problems raise ParseError.
     """
-    if not isinstance(doc, dict):
-        raise ParseError("instance must be a JSON object")
+    doc = _object(doc, "instance")
     if doc.get("format") != FORMAT:
         raise ParseError(f'missing or unsupported format tag (expected "{FORMAT}")')
-    kind = _require(doc, "kind")
+    kind = _field(doc, "kind")
     if kind not in KINDS:
         raise ParseError(f"unknown kind {kind!r}")
     out = {"kind": kind, "options": options_from_json(doc)}
 
     if kind == "positivity":
-        out["f"] = poly_from_json(_require(doc, "f"))
+        out["f"] = poly_from_json(_field(doc, "f"))
         return out
 
-    if kind in ("slemma", "slemma-hereditary"):
-        out["f"] = poly_from_json(_require(doc, "f"))
-        out["g"] = poly_from_json(_require(doc, "g"))
-        if out["f"].m != out["g"].m:
-            raise ShapeMismatch("f and g disagree on the number of variables")
-        slater = tuple_from_json(_require(doc, "slater"))
-        if slater.m != out["f"].m:
+    if kind == "homogenize":
+        f = poly_from_json(_field(doc, "f"))
+        linear = _array(doc, "linear")
+        constant = _array(doc, "constant", 2)
+        if linear.shape != (f.m, f.q, f.q):
+            raise ShapeMismatch(
+                f"linear part has shape {linear.shape}, expected {(f.m, f.q, f.q)}"
+            )
+        if constant.shape != (f.q, f.q):
+            raise ShapeMismatch("constant part has the wrong shape")
+        out.update(f=f, linear=linear, constant=constant)
+        return out
+
+    # f dominating g under the Slater point
+    read = scalar_quad_from_json if kind == "scalar-slemma" else poly_from_json
+    f, g = read(_field(doc, "f")), read(_field(doc, "g"))
+    if f.m != g.m:
+        raise ShapeMismatch("f and g disagree on the number of variables")
+    if kind == "scalar-slemma":
+        slater = _array(doc, "slater")
+        if slater.shape != (f.m,):
+            raise ShapeMismatch("slater point has the wrong length")
+    else:
+        slater = tuple_from_json(_field(doc, "slater"))
+        if slater.m != f.m:
             raise ShapeMismatch("slater tuple disagrees on the number of variables")
         if kind == "slemma" and slater.kind != "symmetric":
             raise ShapeMismatch("slemma requires a symmetric slater tuple")
-        out["slater"] = slater
-        return out
-
-    if kind == "scalar-slemma":
-        out["f"] = scalar_quad_from_json(_require(doc, "f"))
-        out["g"] = scalar_quad_from_json(_require(doc, "g"))
-        if out["f"].m != out["g"].m:
-            raise ShapeMismatch("f and g disagree on the number of variables")
-        slater = np.asarray(_require(doc, "slater"), dtype=float)
-        if slater.shape != (out["f"].m,):
-            raise ShapeMismatch("slater point has the wrong length")
-        out["slater"] = slater
-        return out
-
-    # homogenize
-    f = poly_from_json(_require(doc, "f"))
-    linear = np.asarray(_require(doc, "linear"), dtype=float)
-    constant = _matrix(_require(doc, "constant"), "constant")
-    if linear.shape != (f.m, f.q, f.q):
-        raise ShapeMismatch(
-            f"linear part has shape {linear.shape}, expected {(f.m, f.q, f.q)}"
-        )
-    if constant.shape != (f.q, f.q):
-        raise ShapeMismatch("constant part has the wrong shape")
-    out["f"] = f
-    out["linear"] = linear
-    out["constant"] = constant
+    out.update(f=f, g=g, slater=slater)
     return out
+
+
+def _file_type(doc, types) -> str:
+    """The ``type`` of an ncslemma/1 result file, which must be one of ``types``."""
+    if not isinstance(doc, dict) or doc.get("format") != FORMAT:
+        raise ParseError("not an ncslemma/1 file")
+    kind = doc.get("type")
+    if kind not in types:
+        raise ParseError(f"expected a {' or '.join(types)} file, got {kind!r}")
+    return kind
 
 
 def certificate_to_json(cert: CPCertificate, options: dict) -> dict:
@@ -255,58 +267,39 @@ def certificate_to_json(cert: CPCertificate, options: dict) -> dict:
 
 
 def certificate_from_json(doc) -> CPCertificate:
-    if not isinstance(doc, dict) or doc.get("format") != FORMAT:
-        raise ParseError("not an ncslemma/1 file")
-    if doc.get("type") != "cp-certificate":
-        raise ParseError(f"expected a cp-certificate file, got {doc.get('type')!r}")
-    J = choi_from_json(_require(doc, "J"))
-    residual = _matrix(_require(doc, "residual"), "residual")
+    _file_type(doc, ("cp-certificate",))
     return CPCertificate(
-        J=J,
-        residual=residual,
-        residual_lambda_min=float(_require(doc, "residual_lambda_min")),
+        J=choi_from_json(_field(doc, "J")),
+        residual=_array(doc, "residual", 2),
+        residual_lambda_min=_float(doc, "residual_lambda_min"),
     )
 
 
 def counterexample_to_json(ce, options: dict) -> dict:
-    if isinstance(ce, HereditaryCounterexample):
-        return {
-            "format": FORMAT,
-            "type": "counterexample-hereditary",
-            "refutes": "hereditary-domination",
-            "M": ce.M.tolist(),
-            "rank": ce.rank,
-            "X": tuple_to_json(ce.X),
-            "E": ce.E.tolist(),
-            "violation": ce.violation,
-            "options": options,
-        }
-    return {
+    hereditary = isinstance(ce, HereditaryCounterexample)
+    doc = {
         "format": FORMAT,
-        "type": "counterexample",
-        "refutes": "projected-domination",
+        "type": "counterexample-hereditary" if hereditary else "counterexample",
+        "refutes": "hereditary-domination" if hereditary else "projected-domination",
         "M": ce.M.tolist(),
         "rank": ce.rank,
         "X": tuple_to_json(ce.X),
-        "P": ce.P.tolist(),
-        "E": ce.E.tolist(),
-        "violation": ce.violation,
-        "options": options,
     }
+    if not hereditary:
+        doc["P"] = ce.P.tolist()
+    doc.update(E=ce.E.tolist(), violation=ce.violation, options=options)
+    return doc
 
 
 def counterexample_from_json(doc):
-    if not isinstance(doc, dict) or doc.get("format") != FORMAT:
-        raise ParseError("not an ncslemma/1 file")
-    kind = doc.get("type")
-    M = _matrix(_require(doc, "M"), "M")
-    X = tuple_from_json(_require(doc, "X"))
-    E = np.asarray(_require(doc, "E"), dtype=float)
-    violation = float(_require(doc, "violation"))
-    rank = int(doc.get("rank", 0))
+    kind = _file_type(doc, ("counterexample", "counterexample-hereditary"))
+    fields = dict(
+        M=_array(doc, "M", 2),
+        rank=_int(doc, "rank", 0),
+        X=tuple_from_json(_field(doc, "X")),
+        E=_array(doc, "E", 1),
+        violation=_float(doc, "violation"),
+    )
     if kind == "counterexample":
-        P = _matrix(_require(doc, "P"), "P")
-        return Counterexample(M=M, rank=rank, X=X, P=P, E=E, violation=violation)
-    if kind == "counterexample-hereditary":
-        return HereditaryCounterexample(M=M, rank=rank, X=X, E=E, violation=violation)
-    raise ParseError(f"expected a counterexample file, got {kind!r}")
+        return Counterexample(P=_array(doc, "P", 2), **fields)
+    return HereditaryCounterexample(**fields)

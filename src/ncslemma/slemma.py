@@ -481,7 +481,6 @@ def homogenize(
     constant,
     budget: int = DEFAULT_BUDGET,
     tol: float = DEFAULT_TOL,
-    seed: int = DEFAULT_SEED,
 ) -> HomogenizationResult:
     """Search for a PSD homogenization of sum A_ij x_i x_j + sum A_i x_i + A_0.
 
@@ -561,19 +560,21 @@ def homogenized_poly(quad: NCQuadPoly, result: HomogenizationResult) -> NCQuadPo
     return new_quad_poly(blocks_from_matrix(result.coefficient, m + 1, q))
 
 
+SPOT_CHECKS = 10
+
+
 def verify_certificate(
     cert: CPCertificate,
     f: NCQuadPoly,
     g: NCQuadPoly,
     tol: float = DEFAULT_TOL,
-    trials: int = 10,
     seed: int = DEFAULT_SEED,
 ) -> bool:
     """Independent re-check of a certificate against the instance it claims.
 
     Recomputes the residual from the inputs, re-runs both PSD tests and the
-    trace normalization, and spot-checks f(X) - (phi (x) 1) g(X) on seeded
-    random symmetric tuples of size up to 4.
+    trace normalization, and spot-checks f(X) - (phi (x) 1) g(X) on
+    SPOT_CHECKS seeded random symmetric tuples of size up to 4.
     """
     try:
         f2, g2 = reconcile(f, g)
@@ -594,7 +595,7 @@ def verify_certificate(
     from .cpmaps import apply_map_blockwise
 
     rng = np.random.default_rng(seed)
-    for _ in range(trials):
+    for _ in range(SPOT_CHECKS):
         n = int(rng.integers(1, 5))
         raw = rng.standard_normal((f2.m, n, n))
         X = new_tuple((raw + raw.transpose(0, 2, 1)) / 2.0, kind="symmetric")

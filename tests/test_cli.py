@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 
@@ -365,3 +367,85 @@ def test_stdout_is_machine_readable_even_on_error(capsys):
     doc = json.loads(captured.out)
     assert doc["error"] == "parse"
     assert captured.err.startswith("error:")
+
+
+def emitted(directory, command, fixture):
+    """Write the result file ``ncslemma <command> -o`` gives for a fixture; return its path."""
+    path = directory / f"{fixture}.out.json"
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        cli.main([command, "-o", str(path), fx(f"{fixture}.json")])
+    return path
+
+
+@pytest.fixture(scope="module")
+def results(tmp_path_factory):
+    directory = tmp_path_factory.mktemp("results")
+    return {"certificate": emitted(directory, "slemma", "example62"),
+            "counterexample": emitted(directory, "slemma", "slemma_counterexample")}
+
+
+# (edited file, command line with FILE for the edited copy, field path, value).
+# Each one used to end cli.main with an uncaught exception: exit 1 and no JSON.
+MALFORMED = {
+    "f.m-string": ("h1", ["check-positivity", "FILE"], ("f", "m"), "x"),
+    "f.m-null": ("h1", ["check-positivity", "FILE"], ("f", "m"), None),
+    "f.m-1e400": ("h1", ["check-positivity", "FILE"], ("f", "m"), 1e400),  # inf, written as Infinity
+    "f.q-list": ("h1", ["check-positivity", "FILE"], ("f", "q"), [2]),
+    "slater.n-string": ("example62", ["slemma", "FILE"], ("slater", "n"), "x"),
+    "scalar-f.a0-string": ("scalar_certificate", ["scalar-slemma", "FILE"], ("f", "a0"), "x"),
+    "scalar-f.a-string": ("scalar_certificate", ["scalar-slemma", "FILE"], ("f", "a"), "x"),
+    "scalar-slater-string": ("scalar_certificate", ["scalar-slemma", "FILE"], ("slater",), "x"),
+    "linear-string": ("homogenize_affine", ["homogenize", "FILE"], ("linear",), "x"),
+    "certificate-residual_lambda_min-string": (
+        "certificate", ["verify", "FILE", fx("example62.json")], ("residual_lambda_min",), "x"),
+    "certificate-J.s-string": (
+        "certificate", ["verify", "FILE", fx("example62.json")], ("J", "s"), "x"),
+    "counterexample-rank-string": (
+        "counterexample", ["verify", "FILE", fx("slemma_counterexample.json")], ("rank",), "x"),
+    "counterexample-violation-null": (
+        "counterexample", ["verify", "FILE", fx("slemma_counterexample.json")], ("violation",), None),
+    "counterexample-E-string": (
+        "counterexample", ["verify", "FILE", fx("slemma_counterexample.json")], ("E",), "x"),
+    "projection-strings": ("example61_tuple", ["evaluate", "--project", fx("example61_f.json"), "FILE"],
+                           ("projection",), [["a"]]),
+    "projection-string": ("example61_tuple", ["evaluate", "--project", fx("example61_f.json"), "FILE"],
+                          ("projection",), "x"),
+    "projection-ragged": ("example61_tuple", ["evaluate", "--project", fx("example61_f.json"), "FILE"],
+                          ("projection",), [[1, 2], [3]]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_field_exits_2_with_json(capsys, tmp_path, results, case):
+    source, argv, where, value = MALFORMED[case]
+    with open(results.get(source) or fx(f"{source}.json")) as fh:
+        doc = json.load(fh)
+    target = doc
+    for key in where[:-1]:
+        target = target[key]
+    target[where[-1]] = value
+    path = tmp_path / "edited.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, *[str(path) if a == "FILE" else a for a in argv])
+    assert code == cli.EXIT_PARSE
+    assert out["error"] == "parse"
+    assert err.startswith("error:")
+
+
+@pytest.mark.parametrize("content", [
+    b"\xff\xfe{}",  # not UTF-8
+    b"[" * 100000 + b"]" * 100000,  # nested past the recursion limit
+], ids=["undecodable-bytes", "deep-nesting"])
+def test_unreadable_instance_file_exits_2_with_json(capsys, tmp_path, content):
+    path = tmp_path / "instance.json"
+    path.write_bytes(content)
+    code, out, _ = run(capsys, "check-positivity", str(path))
+    assert code == cli.EXIT_PARSE
+    assert out["error"] == "parse"
+
+
+def test_unwritable_output_exits_2_with_json(capsys, tmp_path):
+    code, out, _ = run(capsys, "check-positivity", "-o", str(tmp_path / "missing" / "out.json"),
+                       fx("h1.json"))
+    assert code == cli.EXIT_PARSE
+    assert out["error"] == "parse"

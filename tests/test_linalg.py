@@ -258,6 +258,19 @@ def test_is_psd_near_the_largest_float(sign, verdict):
 
 
 @pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_public_search_kernels_near_the_largest_float(sign):
+    # the trusted cores form (S + S^T) / 2, which overflows above ~9e307, and the
+    # simplex shift's 1 - w rounds the 1 away; the public kernels avoid both
+    S = sign * 1e308 * np.eye(2)
+    value, v = linalg.min_eigpair(S)
+    assert value == sign * 1e308
+    assert np.array_equal(v, [1.0, 0.0])
+    assert np.array_equal(linalg.spectraplex_project(S), np.eye(2) / 2.0)
+    assert np.array_equal(linalg.spectraplex_project(np.diag([sign * 1e308, 0.0])),
+                          np.diag([1.0, 0.0] if sign > 0 else [0.0, 1.0]))
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
 def test_norm_past_the_largest_float_is_rejected(sign):
     # finite entries, but ||S||_F ~ 2.12e308 is inf: a tolerance -tol * (1 + inf)
     # would pass every matrix, so each kernel rejects the input instead

@@ -344,6 +344,18 @@ def test_constructors_keep_entries_near_the_largest_float():
     assert ns.new_choi(np.full((1, 1), big), 1, 1).J.max() == big
 
 
+@pytest.mark.parametrize("evaluator", [
+    ns.evaluate,
+    ns.evaluate_hereditary,
+    lambda p, X: ns.evaluate_compressed(p, X, np.eye(1)),
+], ids=["evaluate", "evaluate_hereditary", "evaluate_compressed"])
+def test_evaluation_near_the_largest_float(evaluator):
+    # the value 1e308 is representable; (V + V^T) / 2 would overflow to inf
+    p = ns.new_quad_poly([[[[1e308]]]])
+    X = ns.new_tuple(np.ones((1, 1, 1)))
+    assert np.array_equal(evaluator(p, X), [[1e308]])
+
+
 def test_constructors_reject_norms_past_the_largest_float():
     # finite entries whose Frobenius norm is inf would make every tolerance infinite
     big = 1.5e308
