@@ -17,8 +17,8 @@ block; whatever was in effect is recorded in every output for provenance.
 The values must satisfy 0 <= tol <= tol_strict, tol_strict > 0 (both
 finite), budget >= 1 and seed >= 0, wherever they come from; anything else
 is exit code 2.  So is any file, or field of a file, that cannot be read as
-what it should hold (sizes that disagree are exit code 3); every error prints a
-JSON object with an "error" tag on stdout too.
+what it should hold (sizes that disagree are exit code 3), and any malformed
+command line; every error prints a JSON object with an "error" tag on stdout too.
 """
 
 import argparse
@@ -259,8 +259,15 @@ def _add_common(sub):
                      help="also write the result JSON to this file")
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a malformed command line as ParseError; its subcommand parsers do too."""
+
+    def error(self, message):
+        raise ParseError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="ncslemma",
         description="Positivity and S-lemma certificates for quadratic "
                     "matrix-valued NC polynomials.",
@@ -299,9 +306,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
-        return _run(args)
+        return _run(build_parser().parse_args(argv))
     except tuple(ERRORS) as exc:
         tag, code = next(ERRORS[t] for t in type(exc).__mro__ if t in ERRORS)
         print(serialize.dumps({"error": tag, "detail": str(exc)}))

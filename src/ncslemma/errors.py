@@ -29,10 +29,6 @@ class NotGloballyPSD(NCSLemmaError, ValueError):
     """A polynomial required to be globally positive semidefinite is not."""
 
 
-class SymmetryBroken(NCSLemmaError, ValueError):
-    """A map application produced blocks that are no longer symmetric."""
-
-
 class SlaterViolated(NCSLemmaError, ValueError):
     """The strict-feasibility hypothesis fails at the supplied point."""
 

@@ -19,15 +19,16 @@ from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .errors import DimensionTooLarge, InvalidInput, NotPSD
+from .errors import InvalidInput, NotPSD
 
 DEFAULT_TOL = 1e-8
 DEFAULT_TOL_STRICT = 1e-6
 DEFAULT_BUDGET = 5000
 DEFAULT_SEED = 42
 
-# Hard cap on any matrix dimension produced by kron; large-scale sizes are a
-# non-goal and silently huge allocations are worse than an error.
+# Hard cap on the side of the q^2 x q^2 and mq x mq matrices the searches
+# allocate; large-scale sizes are a non-goal and silently huge allocations
+# are worse than an error.
 MAX_DIM = 4096
 
 SYM_ATOL = 1e-12
@@ -36,16 +37,6 @@ STAGE_LEN = 30  # steps of one constant-step stage of supergradient_ascent
 
 _HALF_MAX = float(np.finfo(float).max) / 2.0
 _SHIFT_EXACT = 2.0 ** 52  # below this, 1 - u loses no bit of the 1 in _simplex_shift
-
-
-def as_matrix(a) -> np.ndarray:
-    """Coerce to a 2-D float array with finite entries."""
-    m = np.asarray(a, dtype=float)
-    if m.ndim != 2:
-        raise InvalidInput(f"expected a matrix, got ndim={m.ndim}")
-    if not np.isfinite(m).all():
-        raise InvalidInput("matrix has non-finite entries")
-    return m
 
 
 def checked_symmetric_part(a: np.ndarray, flipped: np.ndarray, what: str,
@@ -154,27 +145,6 @@ def is_psd(S, tol: float = DEFAULT_TOL) -> bool:
         raise InvalidInput("tol must be nonnegative")
     S = symmetrize(S)
     return float(np.linalg.eigvalsh(S)[0]) >= -tol * (1.0 + fro(S))
-
-
-def kron(A, B) -> np.ndarray:
-    """Kronecker product with a guard against runaway dimensions."""
-    A = as_matrix(A)
-    B = as_matrix(B)
-    if A.shape[0] * B.shape[0] > MAX_DIM or A.shape[1] * B.shape[1] > MAX_DIM:
-        raise DimensionTooLarge(
-            f"kron result {A.shape[0] * B.shape[0]}x{A.shape[1] * B.shape[1]} "
-            f"exceeds the {MAX_DIM} limit"
-        )
-    return np.kron(A, B)
-
-
-def psd_project(S) -> np.ndarray:
-    """Nearest (Frobenius) positive semidefinite matrix: clip eigenvalues at 0."""
-    S = symmetrize(S)
-    w, V = np.linalg.eigh(S)
-    if w[0] >= 0.0:
-        return S
-    return (V * np.maximum(w, 0.0)) @ V.T
 
 
 def _simplex_shift(u: np.ndarray) -> float:

@@ -198,7 +198,3 @@ def scalar_to_nc(s: ScalarQuad) -> NCQuadPoly:
     """Lift a commutative quadratic form to the q = 1 matrix-valued setting."""
     return new_quad_poly(s.A.reshape(s.m, s.m, 1, 1))
 
-
-def zero_poly(m: int, q: int) -> NCQuadPoly:
-    return new_quad_poly(np.zeros((m, m, q, q)))
-

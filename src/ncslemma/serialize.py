@@ -10,7 +10,7 @@ import math
 
 import numpy as np
 
-from .errors import ParseError, ShapeMismatch
+from .errors import InvalidInput, ParseError, ShapeMismatch
 from .linalg import DEFAULT_BUDGET, DEFAULT_SEED, DEFAULT_TOL, DEFAULT_TOL_STRICT
 from .poly import (
     MatTuple,
@@ -29,7 +29,10 @@ KINDS = ("positivity", "slemma", "slemma-hereditary", "scalar-slemma", "homogeni
 
 
 def dumps(obj) -> str:
-    """Serialize to JSON with all floats at 17 significant digits."""
+    """Serialize to JSON with all floats at 17 significant digits.
+
+    A NaN or infinite float has no JSON form and raises InvalidInput.
+    """
     return _render(obj, 0)
 
 
@@ -59,7 +62,10 @@ def _render(obj, indent: int) -> str:
     if isinstance(obj, (int, np.integer)):
         return str(int(obj))
     if isinstance(obj, (float, np.floating)):
-        return format(float(obj), ".17g")
+        x = float(obj)
+        if not math.isfinite(x):
+            raise InvalidInput(f"{x} has no JSON form")
+        return format(x, ".17g")
     if obj is None:
         return "null"
     return json.dumps(obj)

@@ -22,6 +22,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import (
+    DimensionTooLarge,
     InvalidInput,
     PreconditionViolated,
     ShapeMismatch,
@@ -33,6 +34,7 @@ from .linalg import (
     DEFAULT_SEED,
     DEFAULT_TOL,
     DEFAULT_TOL_STRICT,
+    MAX_DIM,
     _min_eigpair,
     fro,
     is_psd,
@@ -412,6 +414,12 @@ SLICE = 500
 
 def _decide_common(f, g, budget, tol, tol_strict, seed, hereditary):
     f2, g2 = reconcile(f, g)
+    m, q = f2.m, f2.q
+    if max(q * q, m * q) > MAX_DIM:
+        raise DimensionTooLarge(
+            f"(m, q) = ({m}, {q}) needs {q * q}x{q * q} and {m * q}x{m * q} search "
+            f"matrices; the limit is {MAX_DIM}"
+        )
     builder = build_counterexample_hereditary if hereditary else build_counterexample
     diagnostics = {"certify_best": -np.inf, "separator_best": -np.inf}
     rounds = max(1, math.ceil(budget / SLICE))
@@ -451,7 +459,8 @@ def decide(
     reconciled automatically (pad f, or replace g by repeated blocks).  The
     certificate search and the separator search alternate in budget slices,
     certificate side first; the first verified object wins, and only budget
-    exhaustion on both sides yields an inconclusive report.
+    exhaustion on both sides yields an inconclusive report.  Reconciled
+    sizes with q^2 or mq above MAX_DIM raise DimensionTooLarge.
     """
     _check_slater(g, slater, tol_strict, hereditary=False)
     return _decide_common(f, g, budget, tol, tol_strict, seed, hereditary=False)
@@ -599,7 +608,7 @@ def verify_certificate(
         n = int(rng.integers(1, 5))
         raw = rng.standard_normal((f2.m, n, n))
         X = new_tuple((raw + raw.transpose(0, 2, 1)) / 2.0, kind="symmetric")
-        gap = evaluate(f2, X) - apply_map_blockwise(J, evaluate(g2, X), layout="outer")
+        gap = evaluate(f2, X) - apply_map_blockwise(J, evaluate(g2, X))
         if not is_psd(gap, tol):
             return False
     return True
@@ -623,5 +632,5 @@ def verify_counterexample(
             return False
         g_side, violation = _sides(ce, f2, g2)
         return bool(is_psd(g_side, tol) and violation <= -tol_strict)
-    except (ShapeMismatch, ValueError):
+    except (ShapeMismatch, ValueError, TypeError):  # TypeError: e.g. a 2-D E
         return False

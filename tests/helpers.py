@@ -3,6 +3,7 @@
 import numpy as np
 
 import ncslemma as ns
+from ncslemma.slemma import _map_coefficients
 
 
 def random_sym(rng, d, scale=1.0):
@@ -50,8 +51,7 @@ def planted_certificate_instance(rng, m, q, noise_margin=0.1):
     """
     g = random_poly(rng, m, q)
     J0 = ns.spectraplex_project(random_sym(rng, q * q))
-    calB = ns.coefficient_matrix(g)
-    L = ns.apply_map_blockwise(ns.new_choi(J0, q, q), calB, layout="inner")
+    L = _map_coefficients(J0, g.blocks, q)
     d = m * q
     W = rng.standard_normal((d, 2 * d))
     noise = W @ W.T / (2 * d)

@@ -369,6 +369,41 @@ def test_stdout_is_machine_readable_even_on_error(capsys):
     assert captured.err.startswith("error:")
 
 
+# argparse used to print its usage on stderr and exit 2 with nothing on stdout.
+@pytest.mark.parametrize("argv", [
+    ["slemma", "--budget", "x", fx("example62.json")],
+    ["slemma", "--no-such-flag", fx("example62.json")],
+    ["slemma"],
+], ids=["budget-not-an-integer", "unknown-flag", "missing-positional"])
+def test_malformed_command_line_exits_2_with_json(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == cli.EXIT_PARSE
+    assert out["error"] == "parse"
+    assert err.startswith("error:")
+
+
+def test_help_still_prints_usage_and_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["slemma", "--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: ncslemma slemma")
+
+
+def test_slemma_past_the_dimension_limit_exits_3_with_json(capsys, tmp_path):
+    # q = 65: the certificate search would hold 4225 x 4225 matrices
+    q = 65
+    doc = {"format": serialize.FORMAT, "kind": "slemma",
+           "f": {"m": 1, "q": q, "blocks": [[(-np.eye(q)).tolist()]]},
+           "g": {"m": 1, "q": q, "blocks": [[np.eye(q).tolist()]]},
+           "slater": {"n": 1, "kind": "symmetric", "mats": [[[1.0]]]}}
+    path = tmp_path / "too_large.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "slemma", str(path))
+    assert code == cli.EXIT_DIMENSION
+    assert out["error"] == "dimension"
+    assert err.startswith("error:")
+
+
 def emitted(directory, command, fixture):
     """Write the result file ``ncslemma <command> -o`` gives for a fixture; return its path."""
     path = directory / f"{fixture}.out.json"

@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 
 import ncslemma as ns
-from ncslemma.errors import InvalidInput, ShapeMismatch, SymmetryBroken
+from ncslemma.errors import InvalidInput, ShapeMismatch
+from ncslemma.poly import blocks_from_matrix
+from ncslemma.slemma import _map_coefficients
 
 from helpers import random_poly, random_psd_poly, random_sym, random_sym_tuple, random_gen_tuple
 from test_poly import example_62_f, example_62_g
@@ -10,9 +12,7 @@ from test_poly import example_62_f, example_62_g
 
 def phi2():
     """The map [[a, b], [c, d]] -> [[d, 0], [0, a]] from the worked example."""
-    return ns.choi_from_action(
-        lambda E: np.array([[E[1, 1], 0.0], [0.0, E[0, 0]]]), 2, 2
-    )
+    return ns.new_choi(np.diag([0.0, 1.0, 1.0, 0.0]), 2, 2)
 
 
 def test_identity_choi_reproduces_input():
@@ -29,7 +29,7 @@ def test_phi2_action_and_cp():
     assert np.allclose(ns.apply_map(J, M), np.array([[4.0, 0.0], [0.0, 1.0]]))
     assert np.allclose(ns.apply_map(J, np.diag([1.0, 0.0])), np.diag([0.0, 1.0]))
     assert np.allclose(ns.apply_map(J, np.diag([0.0, 1.0])), np.diag([1.0, 0.0]))
-    assert ns.is_completely_positive(J)
+    assert ns.is_psd(J.J)
     assert np.array_equal(J.J, np.diag([0.0, 1.0, 1.0, 0.0]))
 
 
@@ -39,14 +39,14 @@ def test_zero_map():
 
 
 def test_transpose_map_not_cp():
-    J = ns.choi_from_action(lambda E: E.T, 2, 2)
+    J = ns.new_choi(ns.shuffle(2, 2).u, 2, 2)
     # the Choi matrix is the swap operator, eigenvalue -1
     assert float(np.linalg.eigvalsh(J.J)[0]) == pytest.approx(-1.0)
-    assert not ns.is_completely_positive(J)
+    assert not ns.is_psd(J.J)
     # yet the map itself is positive: the violation needs the block level
     omega = ns.identity_choi(2).J  # PSD rank-one input
     assert ns.is_psd(omega, 1e-10)
-    out = ns.apply_map_blockwise(J, omega, layout="outer")
+    out = ns.apply_map_blockwise(J, omega)
     assert not ns.is_psd(out, 1e-8)
     assert np.allclose(out, J.J)  # (phi (x) 1) on sum E_ab (x) E_ab gives the Choi matrix
 
@@ -60,37 +60,21 @@ def test_new_choi_rejects_asymmetric():
         ns.new_choi(np.zeros((3, 3)), 2, 2)
 
 
-def test_choi_roundtrip_random_maps():
-    # build J from a map's action on matrix units, then apply_map reproduces it
-    rng = np.random.default_rng(1)
-    for _ in range(5):
-        base = ns.new_choi(random_sym(rng, 4), 2, 2)
-
-        def action(E, base=base):
-            return ns.apply_map(base, E)
-
-        J = ns.choi_from_action(action, 2, 2)
-        assert np.allclose(J.J, base.J, atol=1e-13)
-        for _ in range(20):
-            M = rng.standard_normal((2, 2))
-            assert np.allclose(ns.apply_map(J, M), action(M), atol=1e-12)
-
-
 def test_cp_maps_preserve_psd():
     rng = np.random.default_rng(2)
     for _ in range(20):
         W = rng.standard_normal((4, 6))
         J = ns.new_choi(W @ W.T, 2, 2)
-        assert ns.is_completely_positive(J)
+        assert ns.is_psd(J.J)
         V = rng.standard_normal((2, 3))
         M = V @ V.T
         assert ns.is_psd(ns.apply_map(J, M), 1e-9)
         V6 = rng.standard_normal((6, 6))
-        big = V6 @ V6.T  # 3x3 grid of 2x2 blocks
-        assert ns.is_psd(ns.apply_map_blockwise(J, big, layout="inner"), 1e-9)
+        big = V6 @ V6.T  # 3x3 grid of 2x2 blocks, (1_3 (x) phi) maps each block
+        assert ns.is_psd(_map_coefficients(J.J, blocks_from_matrix(big, 3, 2), 2), 1e-9)
         big4 = rng.standard_normal((4, 4))
-        big4 = big4 @ big4.T  # 2x2 grid of 2x2 blocks, outer layout
-        assert ns.is_psd(ns.apply_map_blockwise(J, big4, layout="outer"), 1e-9)
+        big4 = big4 @ big4.T  # 2x2 grid of 2x2 blocks, (phi (x) 1_2) contracts the grid
+        assert ns.is_psd(ns.apply_map_blockwise(J, big4), 1e-9)
 
 
 def test_non_cp_has_violating_psd_input():
@@ -102,7 +86,7 @@ def test_non_cp_has_violating_psd_input():
         J = ns.new_choi(random_sym(rng, 4), 2, 2)
         if float(np.linalg.eigvalsh(J.J)[0]) < -1e-6:
             omega = ns.identity_choi(2).J
-            out = ns.apply_map_blockwise(J, omega, layout="outer")
+            out = ns.apply_map_blockwise(J, omega)
             assert not ns.is_psd(out, 1e-8)
             found += 1
     assert found > 0
@@ -112,16 +96,14 @@ def test_apply_map_blockwise_identity():
     J = ns.identity_choi(2)
     rng = np.random.default_rng(4)
     M = random_sym(rng, 6)
-    assert np.allclose(ns.apply_map_blockwise(J, M, layout="inner"), M, atol=1e-13)
+    assert np.allclose(_map_coefficients(J.J, blocks_from_matrix(M, 3, 2), 2), M, atol=1e-13)
     M4 = random_sym(rng, 4)
-    assert np.allclose(ns.apply_map_blockwise(J, M4, layout="outer"), M4, atol=1e-13)
+    assert np.allclose(ns.apply_map_blockwise(J, M4), M4, atol=1e-13)
 
 
 def test_apply_map_blockwise_example_62():
     f, g = example_62_f(), example_62_g()
-    J = phi2()
-    calB = ns.coefficient_matrix(g)
-    mapped = ns.apply_map_blockwise(J, calB, layout="inner")
+    mapped = _map_coefficients(phi2().J, g.blocks, 2)  # (1 (x) phi2) B = A
     assert np.allclose(mapped, ns.coefficient_matrix(f), atol=1e-13)
 
 
@@ -132,26 +114,7 @@ def test_apply_map_blockwise_rank_one_preserves_psd():
     for _ in range(10):
         V = rng.standard_normal((6, 6))
         M = V @ V.T
-        assert ns.is_psd(ns.apply_map_blockwise(J, M, layout="inner"), 1e-9)
-
-
-def test_apply_map_to_poly():
-    f, g = example_62_f(), example_62_g()
-    assert np.allclose(
-        ns.apply_map_to_poly(ns.identity_choi(2), g).blocks, g.blocks, atol=1e-13
-    )
-    mapped = ns.apply_map_to_poly(phi2(), g)
-    assert np.allclose(mapped.blocks, f.blocks, atol=1e-13)
-
-
-def test_apply_map_to_poly_trace():
-    rng = np.random.default_rng(6)
-    g = random_poly(rng, 2, 3)
-    tr = ns.apply_map_to_poly(ns.trace_choi(3), g)
-    assert (tr.m, tr.q) == (2, 1)
-    for i in range(2):
-        for j in range(2):
-            assert tr.blocks[i, j, 0, 0] == pytest.approx(np.trace(g.blocks[i, j]))
+        assert ns.is_psd(_map_coefficients(J.J, blocks_from_matrix(M, 3, 2), 2), 1e-9)
 
 
 def test_shuffle_trivial_and_swap():
@@ -232,7 +195,7 @@ def test_gram_identity():
         p = random_poly(rng, m, q)
         X = random_sym_tuple(rng, m, n)
         val = ns.evaluate(p, X)
-        via_map = ns.apply_map_blockwise(ns.rearrange(p), ns.gram(X), layout="outer")
+        via_map = ns.apply_map_blockwise(ns.rearrange(p), ns.gram(X))
         assert np.linalg.norm(val - via_map) <= 1e-9 * (1 + np.linalg.norm(val))
 
 
@@ -245,20 +208,6 @@ def test_gram_identity_hereditary():
         p = random_poly(rng, m, q)
         X = random_gen_tuple(rng, m, n)
         val = ns.evaluate_hereditary(p, X)
-        via_map = ns.apply_map_blockwise(ns.rearrange(p), ns.gram(X), layout="outer")
+        via_map = ns.apply_map_blockwise(ns.rearrange(p), ns.gram(X))
         assert np.linalg.norm(val - via_map) <= 1e-9 * (1 + np.linalg.norm(val))
 
-
-def test_apply_map_to_poly_symmetry_guard():
-    # a map with symmetric Choi always sends valid blocks to valid blocks,
-    # so the guard only fires on inconsistent manual input
-    J = ns.identity_choi(2)
-    g = example_62_g()
-    out = ns.apply_map_to_poly(J, g)
-    assert np.array_equal(out.blocks, g.blocks)
-    # a poly-like object with asymmetric blocks, bypassing validation
-    blocks = np.zeros((2, 2, 2, 2))
-    blocks[0, 1, 0, 1] = 1.0
-    bad = ns.NCQuadPoly(m=2, q=2, blocks=blocks)
-    with pytest.raises(SymmetryBroken):
-        ns.apply_map_to_poly(J, bad)

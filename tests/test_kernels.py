@@ -8,7 +8,6 @@ import pytest
 import ncslemma as ns
 from ncslemma.errors import InvalidInput
 from ncslemma.linalg import (
-    as_matrix,
     fro,
     min_eigpair,
     simplex_project,
@@ -201,12 +200,6 @@ BAD_INPUTS = {
 def test_validation_still_raises(fn, bad):
     with pytest.raises(InvalidInput):
         fn(BAD_INPUTS[bad])
-
-
-def test_as_matrix_rejects():
-    for bad in ("non-finite", "infinite", "not-a-matrix"):
-        with pytest.raises(InvalidInput):
-            as_matrix(BAD_INPUTS[bad])
 
 
 def test_asymmetry_threshold_is_relative():

@@ -3,7 +3,7 @@ import pytest
 
 import ncslemma as ns
 from ncslemma import linalg
-from ncslemma.errors import DimensionTooLarge, InvalidInput, NotPSD
+from ncslemma.errors import InvalidInput, NotPSD
 from ncslemma.linalg import lambda_min, simplex_project, supergradient_ascent
 
 
@@ -74,57 +74,6 @@ def test_large_entries_keep_their_verdict():
     assert ns.is_psd(1e160 * np.eye(2))
     with pytest.raises(InvalidInput):
         ns.linalg.symmetrize([[0.0, 1e200], [-1e200, 0.0]])
-
-
-def test_kron_examples():
-    assert np.array_equal(ns.kron(np.eye(2), np.eye(3)), np.eye(6))
-    out = ns.kron(np.array([[1.0, 0.0], [0.0, -1.0]]), np.array([[2.0]]))
-    assert np.array_equal(out, np.array([[2.0, 0.0], [0.0, -2.0]]))
-
-
-def test_kron_mixed_product():
-    rng = np.random.default_rng(2)
-    for _ in range(20):
-        A, B, C, D = (rng.standard_normal((3, 3)) for _ in range(4))
-        lhs = ns.kron(A, B) @ ns.kron(C, D)
-        rhs = ns.kron(A @ C, B @ D)
-        assert np.linalg.norm(lhs - rhs) <= 1e-10 * (1 + np.linalg.norm(rhs))
-
-
-def test_kron_dimension_guard():
-    with pytest.raises(DimensionTooLarge):
-        ns.kron(np.eye(100), np.eye(100))
-
-
-def test_psd_project_examples():
-    assert np.allclose(ns.psd_project(np.diag([3.0, -2.0])), np.diag([3.0, 0.0]))
-    rng = np.random.default_rng(3)
-    V = rng.standard_normal((4, 4))
-    S = V @ V.T
-    assert np.linalg.norm(ns.psd_project(S) - S) <= 1e-10
-
-
-def test_psd_project_is_nearest():
-    # compare against direct minimization of ||S - L L^T||_F over L
-    from scipy.optimize import minimize
-
-    rng = np.random.default_rng(4)
-    for _ in range(5):
-        S = rng.standard_normal((3, 3))
-        S = (S + S.T) / 2
-        proj = ns.psd_project(S)
-        d_proj = np.linalg.norm(S - proj)
-
-        def objective(theta):
-            L = theta.reshape(3, 3)
-            return np.linalg.norm(S - L @ L.T)
-
-        best = np.inf
-        for _ in range(8):
-            res = minimize(objective, rng.standard_normal(9), method="Nelder-Mead",
-                           options={"maxiter": 4000, "xatol": 1e-10, "fatol": 1e-12})
-            best = min(best, res.fun)
-        assert d_proj <= best + 1e-5
 
 
 def test_spectraplex_project_examples():

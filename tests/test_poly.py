@@ -3,7 +3,7 @@ import pytest
 
 import ncslemma as ns
 from ncslemma.errors import AsymmetricCoefficients, InvalidInput, ShapeMismatch
-from ncslemma.poly import blocks_from_matrix, zero_poly
+from ncslemma.poly import blocks_from_matrix
 
 from helpers import random_poly, random_psd_poly, random_sym_tuple, random_gen_tuple
 
@@ -89,7 +89,7 @@ def test_coefficient_matrix_example_62():
 
 
 def test_coefficient_matrix_zero():
-    assert np.array_equal(ns.coefficient_matrix(zero_poly(3, 2)), np.zeros((6, 6)))
+    assert np.array_equal(ns.coefficient_matrix(ns.new_quad_poly(np.zeros((3, 3, 2, 2)))), np.zeros((6, 6)))
 
 
 def test_coefficient_matrix_h1():

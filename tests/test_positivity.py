@@ -8,7 +8,8 @@ from ncslemma.errors import (
     PreconditionViolated,
     SlaterViolated,
 )
-from ncslemma.poly import zero_poly
+from ncslemma.poly import blocks_from_matrix
+from ncslemma.slemma import _map_coefficients
 
 from helpers import random_poly, random_psd_poly, random_sym, random_sym_tuple
 from test_poly import example_62_f, example_62_g
@@ -65,7 +66,8 @@ def test_globally_psd_zero_difference():
     from test_cpmaps import phi2
 
     f, g = example_62_f(), example_62_g()
-    diff = ns.new_quad_poly(f.blocks - ns.apply_map_to_poly(phi2(), g).blocks)
+    mapped = blocks_from_matrix(_map_coefficients(phi2().J, g.blocks, 2), 2, 2)
+    diff = ns.new_quad_poly(f.blocks - mapped)
     assert np.abs(diff.blocks).max() == 0.0
     assert ns.is_globally_psd(diff).verdict == "psd"
 

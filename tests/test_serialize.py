@@ -5,7 +5,7 @@ import pytest
 
 import ncslemma as ns
 from ncslemma import serialize
-from ncslemma.errors import ParseError, ShapeMismatch
+from ncslemma.errors import InvalidInput, ParseError, ShapeMismatch
 
 from helpers import random_poly, random_sym, random_sym_tuple
 
@@ -23,6 +23,14 @@ def test_dumps_roundtrips_doubles():
     values = list(rng.standard_normal(100) * 10.0 ** rng.integers(-8, 8, size=100))
     parsed = json.loads(serialize.dumps({"v": values}))["v"]
     assert parsed == values
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -np.inf, np.float64("nan")],
+                         ids=["nan", "inf", "minus-inf", "numpy-nan"])
+def test_dumps_rejects_non_finite_floats(value):
+    # a bare nan or inf is not JSON
+    with pytest.raises(InvalidInput):
+        serialize.dumps({"a": 1.0, "b": [[0.5, value]]})
 
 
 def test_poly_roundtrip():

@@ -1,9 +1,17 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 import ncslemma as ns
 from ncslemma import slemma
-from ncslemma.errors import InvalidInput, PreconditionViolated, ShapeMismatch, SlaterViolated
+from ncslemma.errors import (
+    DimensionTooLarge,
+    InvalidInput,
+    PreconditionViolated,
+    ShapeMismatch,
+    SlaterViolated,
+)
 from ncslemma.poly import blocks_from_matrix
 from ncslemma.slemma import _b_term, _map_coefficients
 
@@ -197,6 +205,18 @@ def test_decide_slater_overflow_is_named(hereditary):
         decider(f, g, slater)
 
 
+@pytest.mark.parametrize("hereditary", [False, True])
+def test_decide_past_the_dimension_limit(hereditary):
+    # (m, q) = (1, 65): the certificate search would hold 4225 x 4225 matrices
+    q = 65
+    f = ns.new_quad_poly(-np.eye(q).reshape(1, 1, q, q))
+    g = ns.new_quad_poly(np.eye(q).reshape(1, 1, q, q))
+    slater = ns.new_tuple(np.ones((1, 1, 1)), kind="general" if hereditary else "symmetric")
+    decider = ns.decide_hereditary if hereditary else ns.decide
+    with pytest.raises(DimensionTooLarge, match="4225x4225"):
+        decider(f, g, slater)
+
+
 def test_decide_reconciles_smaller_qf():
     # f has q=1, g has q=2; f is padded before the search
     f = ns.new_quad_poly(np.ones((1, 1, 1, 1)))  # x1 x1
@@ -376,6 +396,16 @@ def test_decide_huge_coefficients_returns_verified_object(hereditary):
         assert ns.verify_counterexample(d.counterexample, f, g)
 
 
+@pytest.mark.parametrize("hereditary", [False, True])
+def test_verify_counterexample_rejects_a_2d_witness(hereditary):
+    f, g = scalar_embedded_pair()
+    decider = ns.decide_hereditary if hereditary else ns.decide
+    ce = decider(f, g, unit_slater()).counterexample
+    assert ns.verify_counterexample(ce, f, g)
+    for E in (ce.E.reshape(-1, 1), ce.E.reshape(1, -1)):
+        assert ns.verify_counterexample(dataclasses.replace(ce, E=E), f, g) is False
+
+
 def test_verify_certificate_wrong_instance():
     f, g = example_62_f(), example_62_g()
     cert = ns.certify(f, g).certificate
@@ -393,19 +423,19 @@ def test_certificate_soundness_with_compressions():
         n = int(rng.integers(2, 5))
         X = random_sym_tuple(rng, 2, n)
         gap = ns.evaluate(f, X) - ns.apply_map_blockwise(
-            cert.J, ns.evaluate(g, X), layout="outer")
+            cert.J, ns.evaluate(g, X))
         assert ns.is_psd(gap, 1e-8)
         # orthogonal projection compression
         k = int(rng.integers(1, n + 1))
         U, _ = np.linalg.qr(rng.standard_normal((n, n)))
         P = U[:, :k] @ U[:, :k].T
         gap_p = ns.evaluate_compressed(f, X, P) - ns.apply_map_blockwise(
-            cert.J, ns.evaluate_compressed(g, X, P), layout="outer")
+            cert.J, ns.evaluate_compressed(g, X, P))
         assert ns.is_psd(gap_p, 1e-8)
         # rectangular compression
         Q = rng.standard_normal((n, int(rng.integers(1, 4))))
         gap_q = ns.evaluate_compressed(f, X, Q) - ns.apply_map_blockwise(
-            cert.J, ns.evaluate_compressed(g, X, Q), layout="outer")
+            cert.J, ns.evaluate_compressed(g, X, Q))
         assert ns.is_psd(gap_q, 1e-8)
 
 
