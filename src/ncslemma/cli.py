@@ -24,6 +24,8 @@ command line; every error prints a JSON object with an "error" tag on stdout too
 import argparse
 import sys
 
+import numpy as np
+
 from . import serialize
 from .errors import (
     AsymmetricCoefficients,
@@ -226,12 +228,15 @@ def cmd_evaluate(args, inst, opts):
     X = serialize.tuple_from_json(tup_doc)
     if X.m != p.m:
         raise ShapeMismatch(f"tuple has m={X.m}, polynomial has m={p.m}")
-    if args.project:
-        value = evaluate_compressed(p, X, serialize.projection_from_json(tup_doc))
-    elif X.kind == "general":
-        value = evaluate_hereditary(p, X)
-    else:
-        value = evaluate(p, X)
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite value is named below
+        if args.project:
+            value = evaluate_compressed(p, X, serialize.projection_from_json(tup_doc))
+        elif X.kind == "general":
+            value = evaluate_hereditary(p, X)
+        else:
+            value = evaluate(p, X)
+    if not np.isfinite(value).all():
+        raise InvalidInput(f"{which}(X) is past the float range")
     eig = sym_eig(value)
     doc = {
         "format": serialize.FORMAT,

@@ -115,4 +115,5 @@ def gram(X: MatTuple) -> np.ndarray:
     """The mn x mn Gram matrix with (i, j) block X_i X_j^T (= X_i X_j when symmetric)."""
     stack = X.mats.reshape(X.m * X.n, X.n)
     G = stack @ stack.T
-    return (G + G.T) / 2.0
+    G *= 0.5  # halved before the sum, which then cannot overflow
+    return G + G.T

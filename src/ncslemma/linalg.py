@@ -5,13 +5,9 @@ symmetric routines are validated (finite entries, symmetry within a relative
 tolerance) and exactly symmetrized before use, so downstream code never sees
 asymmetry beyond roundoff.
 
-The search loops build every matrix they hand to an eigensolver themselves,
-from inputs validated once at construction, so they call the trusted cores
-``_min_eigpair`` and ``_spectraplex_project`` directly.  Each public kernel
-validates with ``symmetrize`` and eigensolves its exactly symmetric result
-as is, which the core's own (S + S.T) / 2 leaves unchanged: both give the
-same floats for eigenvalues up to 2^52, and the public kernels stay correct
-where that sum would overflow or the simplex shift would lose its 1.
+The cores ``_min_eigpair`` and ``_spectraplex_project`` skip those checks,
+for the matrices the search loops build from inputs validated once; each
+public kernel is ``symmetrize`` followed by its core.
 """
 
 import math
@@ -125,7 +121,8 @@ def lambda_min(S) -> float:
 
 def _min_eigpair(S: np.ndarray):
     """min_eigpair without validation, for square finite matrices built in the loop."""
-    w, V = np.linalg.eigh((S + S.T) / 2.0)
+    h = S * 0.5  # halved before the symmetrizing sum, which then cannot overflow
+    w, V = np.linalg.eigh(h + h.T)
     return float(w[0]), V[:, 0].copy()
 
 
@@ -135,8 +132,7 @@ def min_eigpair(S):
     With a degenerate bottom eigenvalue the vector returned is the
     lowest-index eigenvector, which makes supergradients deterministic.
     """
-    w, V = np.linalg.eigh(symmetrize(S))  # exactly symmetric: the core's (S + S.T) / 2 is S
-    return float(w[0]), V[:, 0].copy()
+    return _min_eigpair(symmetrize(S))
 
 
 def is_psd(S, tol: float = DEFAULT_TOL) -> bool:
@@ -173,18 +169,18 @@ def simplex_project(v) -> np.ndarray:
 
 def _spectraplex_project(S: np.ndarray) -> np.ndarray:
     """spectraplex_project without validation, for square finite matrices built in the loop."""
-    w, V = np.linalg.eigh((S + S.T) / 2.0)  # ascending, so w[::-1] is sorted for the shift
-    return (V * np.maximum(w + _simplex_shift(w[::-1]), 0.0)) @ V.T
-
-
-def spectraplex_project(S) -> np.ndarray:
-    """Euclidean projection onto {M symmetric : M >= 0, tr M = 1}."""
-    w, V = np.linalg.eigh(symmetrize(S))  # exactly symmetric: the core's (S + S.T) / 2 is S
+    h = S * 0.5  # halved before the symmetrizing sum, which then cannot overflow
+    w, V = np.linalg.eigh(h + h.T)  # ascending, so w[::-1] is sorted for the shift
     if max(w[-1], -w[0]) > _SHIFT_EXACT:
         # The shift would round the 1 away or overflow.  Moving w by its largest
         # entry leaves the projection as it is, and entries below -1 get no weight.
         w = np.maximum(w - w[-1], -2.0)
     return (V * np.maximum(w + _simplex_shift(w[::-1]), 0.0)) @ V.T
+
+
+def spectraplex_project(S) -> np.ndarray:
+    """Euclidean projection onto {M symmetric : M >= 0, tr M = 1}."""
+    return _spectraplex_project(symmetrize(S))
 
 
 def psd_factor(S, tol: float = DEFAULT_TOL) -> np.ndarray:
@@ -228,50 +224,39 @@ def supergradient_ascent(
     """
     if project is None:
         project = lambda x: x
-    x = project(np.array(x0, dtype=float))
-    best_x = x.copy()
-    best_v = -np.inf
-    evals = 0
+    best_x, best_v, evals = None, -np.inf, 0
 
-    def step(x):
-        v, G = oracle(x)
-        norm = fro(G)
-        if not (math.isfinite(v) and math.isfinite(norm)):
-            raise InvalidInput(
-                f"search step {evals + 1}: value {v!r}, supergradient norm {norm!r}"
-            )
-        return v, G, norm
-
-    k = 0
-    phase1 = max(1, budget // 4)
-    while evals < phase1:
-        v, G, norm = step(x)
-        evals += 1
-        if v > best_v:
-            best_v, best_x = v, x.copy()
-            if target is not None and best_v >= target:
-                return best_x, best_v, evals
-        k += 1
-        if norm < 1e-15:  # constant objective: nothing to ascend
-            return best_x, best_v, evals
-        x = project(x + (1.0 / (np.sqrt(k) * norm)) * G)
-
-    s = 1.0
-    x = best_x.copy()
-    while evals < budget and s > min_step:
-        stage_base = best_v
-        for _ in range(STAGE_LEN):
-            if evals >= budget:
-                break
-            v, G, norm = step(x)
+    def run(x, stop, step):
+        """Ascend from x by step(k, norm) * G until evals is stop; the last x, or None if done."""
+        nonlocal best_x, best_v, evals
+        k = 0
+        while evals < stop:
+            v, G = oracle(x)
+            norm = fro(G)
+            if not (math.isfinite(v) and math.isfinite(norm)):
+                raise InvalidInput(
+                    f"search step {evals + 1}: value {v!r}, supergradient norm {norm!r}"
+                )
             evals += 1
             if v > best_v:
                 best_v, best_x = v, x.copy()
                 if target is not None and best_v >= target:
-                    return best_x, best_v, evals
-            if norm < 1e-15:
-                return best_x, best_v, evals
-            x = project(x + s * G)
+                    return None
+            if norm < 1e-15:  # constant objective: nothing to ascend
+                return None
+            k += 1
+            x = project(x + step(k, norm) * G)
+        return x
+
+    x = project(np.array(x0, dtype=float))
+    if run(x, max(1, budget // 4), lambda k, norm: 1.0 / (np.sqrt(k) * norm)) is None:
+        return best_x, best_v, evals
+    s, x = 1.0, best_x.copy()
+    while evals < budget and s > min_step:
+        stage_base = best_v
+        x = run(x, min(budget, evals + STAGE_LEN), lambda k, norm: s)
+        if x is None:
+            break
         if best_v < stage_base + 0.01 * s:
             s *= 0.5
             x = best_x.copy()

@@ -236,7 +236,7 @@ def scalar_slemma(
     diagnostics["separator_margin"] = margin
     if float(np.sum(A * S)) > -tol_strict or float(np.sum(B * S)) < -tol:
         return ScalarSLemmaResult(outcome="inconclusive", diagnostics=diagnostics)
-    x = rank_one_split(S, A, B, tol=tol, tol_strict=tol_strict, seed=seed)
+    x = rank_one_split(S, A, B, tol=tol, tol_strict=tol_strict)
     # Scale so the strict inequality holds with an absolute margin; scaling
     # can only happen when the B-form value is nonnegative.
     ax = float(x @ A @ x)
@@ -254,21 +254,20 @@ def rank_one_split(
     B,
     tol: float = DEFAULT_TOL,
     tol_strict: float = 0.0,
-    seed: int = DEFAULT_SEED,
 ) -> np.ndarray:
     """Extract x with x^T A x < 0 and x^T B x >= -tol from a separator S.
 
     Requires S PSD, <S, A> <= -tol_strict and <S, B> >= -tol; the default
-    strictness 0 admits boundary separators like <S, A> = 0, where a
-    rotation with zero A-sum still yields a strictly negative direction.
+    strictness 0 admits boundary separators like <S, A> = 0, where the sign
+    choice below can still make x^T A x strictly negative.
 
-    Factors S = sum_k v_k v_k^T and equalizes the B-form values of the
-    columns by pairwise Givens-style rotations (each rotation fixes one
-    vector's B-value at the common mean, which is >= -tol by assumption and
-    leaves the A-form total <= <S, A> < 0 untouched); some equalized column
-    must then carry a negative A-value.  The returned vector is always
-    re-verified; if the merge degenerates numerically a randomized
-    sign-combination fallback over the columns runs before giving up.
+    The construction is exact (Sturm and Zhang, 2003).  With S = V V^T and
+    W = V U, U the eigenvectors of V^T B V, the matrix W^T B W is diagonal,
+    so every sign vector s gives (W s)^T B (W s) = tr V^T B V = <B, S>.  With
+    C = W^T A W, s_1 = 1 and s_k = -1 exactly when sum_{i<k} s_i C_ik > 0,
+    each cross term of (W s)^T A (W s) is at most 0, so that value is at most
+    tr C = <A, S>.  W s is returned normalized if that passes the accept
+    check, else as is if that passes, and SplitFailed is raised otherwise.
     """
     S = symmetrize(S)
     A = symmetrize(A)
@@ -284,58 +283,20 @@ def rank_one_split(
         return float(x @ A @ x) < 0.0 and float(x @ B @ x) >= -tol
 
     V = psd_factor(S, tol)
-    cols = [V[:, k].copy() for k in range(V.shape[1])]
-    r = len(cols)
-    c = float(np.sum(S * B)) / r
-    eps = 1e-13 * (1.0 + fro(B)) * (1.0 + fro(S))
-
-    done = []
-    active = cols
-    for _ in range(r - 1):
-        bvals = [float(v @ B @ v) for v in active]
-        hi_idx = [k for k, b in enumerate(bvals) if b > c + eps]
-        lo_idx = [k for k, b in enumerate(bvals) if b < c - eps]
-        if not hi_idx or not lo_idx:
-            break
-        i, j = hi_idx[0], lo_idx[0]
-        vi, vj = active[i], active[j]
-        bi, bj, bij = bvals[i], bvals[j], float(vi @ B @ vj)
-        disc = bij * bij - (bj - c) * (bi - c)
-        if disc <= 0:  # cannot happen with bi > c > bj, guards roundoff
-            break
-        root = np.sqrt(disc)
-        qq = -(bij + np.copysign(root, bij)) if bij != 0.0 else root
-        t_candidates = [t for t in (qq / (bj - c), (bi - c) / qq if qq else np.inf)
-                        if np.isfinite(t)]
-        t = min(t_candidates, key=abs)
-        norm = np.sqrt(1.0 + t * t)
-        w = (vi + t * vj) / norm
-        w_perp = (-t * vi + vj) / norm
-        done.append(w)
-        rest = [v for k, v in enumerate(active) if k not in (i, j)]
-        active = rest + [w_perp]
-    done.extend(active)
-
-    avals = [float(v @ A @ v) for v in done]
-    order = np.argsort(avals)
-    for k in order:
-        x = done[k]
-        nx = fro(x)
-        if nx > 0 and accept(x / nx):
-            return x / nx
-        if accept(x):
-            return x
-
-    rng = np.random.default_rng(seed)
-    candidates = list(cols)
-    for _ in range(200):
-        signs = rng.choice([-1.0, 1.0], size=len(cols))
-        candidates.append(sum(s * v for s, v in zip(signs, cols)))
-    for x in candidates:
-        nx = fro(x)
-        if nx > 0 and accept(x / nx):
-            return x / nx
+    BV = V.T @ B @ V
+    W = V @ np.linalg.eigh(BV + BV.T)[1]  # twice the symmetric part: the same eigenvectors
+    C = W.T @ A @ W
+    signs = np.ones(W.shape[1])
+    for k in range(1, signs.size):
+        if signs[:k] @ C[:k, k] > 0:
+            signs[k] = -1.0
+    x = W @ signs
+    nx = fro(x)
+    if nx > 0 and accept(x / nx):
+        return x / nx
+    if accept(x):
+        return x
     raise SplitFailed(
         f"no vector found: <S,A>={float(np.sum(S * A)):.3e}, "
-        f"<S,B>={float(np.sum(S * B)):.3e}, rank={r}"
+        f"<S,B>={float(np.sum(S * B)):.3e}, rank={W.shape[1]}"
     )

@@ -249,6 +249,30 @@ def test_homogenize_command(capsys, tmp_path):
     assert float(np.linalg.eigvalsh(C)[0]) >= -1e-8
 
 
+def test_homogenize_near_the_largest_float(capsys, tmp_path):
+    # the search symmetrizes each iterate; with a constant of 1e308 * I that sum
+    # must not overflow into a NaN step
+    doc = json.loads(open(fx("homogenize_affine.json")).read())
+    doc["constant"] = (1e308 * np.eye(2)).tolist()
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(doc))
+    code, out, _ = run(capsys, "homogenize", str(path))
+    assert code == 0
+    assert out["type"] == "homogenization"
+    assert out["feasible"] is True
+
+
+def test_evaluate_past_the_float_range_is_named(capsys, tmp_path):
+    doc = json.loads(open(fx("example61_tuple.json")).read())
+    doc["projection"] = (1e160 * np.array(doc["projection"])).tolist()
+    path = tmp_path / "tuple.json"
+    path.write_text(json.dumps(doc))
+    code, out, _ = run(capsys, "evaluate", "--project", fx("example61_f.json"), str(path))
+    assert code == 2
+    assert out["error"] == "parse"
+    assert out["detail"] == "f(X) is past the float range"
+
+
 def test_evaluate_example61_projected(capsys):
     code, doc, _ = run(capsys, "evaluate", "--project",
                        fx("example61_f.json"), fx("example61_tuple.json"))

@@ -197,6 +197,13 @@ def test_gram_identity():
         val = ns.evaluate(p, X)
         via_map = ns.apply_map_blockwise(ns.rearrange(p), ns.gram(X))
         assert np.linalg.norm(val - via_map) <= 1e-9 * (1 + np.linalg.norm(val))
+    # X_1 X_1 = 1.44e308 is a float, but the plain (G + G^T) / 2 overflows
+    p = ns.new_quad_poly([[[[1.0]]]])
+    X = ns.new_tuple([[[1.2e154]]])
+    val = ns.evaluate(p, X)
+    via_map = ns.apply_map_blockwise(ns.rearrange(p), ns.gram(X))
+    assert np.isfinite(via_map).all()
+    assert np.allclose(via_map, val, rtol=1e-9, atol=0.0)  # a norm would square 1.44e308
 
 
 def test_gram_identity_hereditary():

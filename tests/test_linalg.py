@@ -208,8 +208,8 @@ def test_is_psd_near_the_largest_float(sign, verdict):
 
 @pytest.mark.parametrize("sign", [1.0, -1.0])
 def test_public_search_kernels_near_the_largest_float(sign):
-    # the trusted cores form (S + S^T) / 2, which overflows above ~9e307, and the
-    # simplex shift's 1 - w rounds the 1 away; the public kernels avoid both
+    # (S + S^T) / 2 overflows above ~9e307, and the simplex shift's 1 - w
+    # rounds the 1 away; the kernels avoid both
     S = sign * 1e308 * np.eye(2)
     value, v = linalg.min_eigpair(S)
     assert value == sign * 1e308
@@ -217,6 +217,24 @@ def test_public_search_kernels_near_the_largest_float(sign):
     assert np.array_equal(linalg.spectraplex_project(S), np.eye(2) / 2.0)
     assert np.array_equal(linalg.spectraplex_project(np.diag([sign * 1e308, 0.0])),
                           np.diag([1.0, 0.0] if sign > 0 else [0.0, 1.0]))
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_min_eigpair_core_near_the_largest_float(sign):
+    # the search loops call the core on matrices they build; it must not overflow
+    S = sign * 1e308 * np.eye(2)
+    value, v = linalg._min_eigpair(S)
+    assert np.isfinite(value) and np.isfinite(v).all()
+    public = linalg.min_eigpair(S)
+    assert value == public[0] and np.array_equal(v, public[1])
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_spectraplex_project_core_near_the_largest_float(sign):
+    for S in (sign * 1e308 * np.eye(2), np.diag([sign * 1e308, 0.0])):
+        M = linalg._spectraplex_project(S)
+        assert np.isfinite(M).all()
+        assert np.array_equal(M, linalg.spectraplex_project(S))
 
 
 @pytest.mark.parametrize("sign", [1.0, -1.0])

@@ -227,6 +227,20 @@ def test_rank_one_split_planted():
         assert out @ A @ out < 0
         assert out @ B @ out >= -1e-8
         done += 1
+    # separators of every rank, with <S, A> < 0 <= <S, B>
+    for m in range(1, 7):
+        for r in range(1, m + 1):
+            for _ in range(5):
+                G = rng.standard_normal((m, r))
+                S = G @ G.T / np.sum(G * G)  # trace one, so <S, I> = 1
+                A = random_sym(rng, m)
+                A -= (float(np.sum(S * A)) + rng.uniform(1e-3, 1.0)) * np.eye(m)
+                B = random_sym(rng, m)
+                B -= (float(np.sum(S * B)) - rng.uniform(0.0, 1.0)) * np.eye(m)
+                assert np.linalg.matrix_rank(S) == r
+                out = ns.rank_one_split(S, A, B, tol_strict=1e-6)
+                assert out @ A @ out < 0
+                assert out @ B @ out >= -1e-8
 
 
 def test_rank_one_split_preconditions():
