@@ -11,6 +11,7 @@ public kernel is ``symmetrize`` followed by its core.
 """
 
 import math
+from types import GeneratorType
 from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -199,23 +200,23 @@ def psd_factor(S, tol: float = DEFAULT_TOL) -> np.ndarray:
     return V[:, keep] * np.sqrt(w[keep])
 
 
-def supergradient_ascent(
-    oracle: Callable[[np.ndarray], tuple],
+def _ascent(
     x0: np.ndarray,
     budget: int,
     project: Optional[Callable[[np.ndarray], np.ndarray]] = None,
     target: Optional[float] = None,
     min_step: float = 1e-14,
 ):
-    """Two-phase projected supergradient ascent for a concave objective.
+    """Two-phase projected supergradient ascent for a concave objective, one step at a time.
 
-    ``oracle(x)`` returns ``(value, supergradient)``.  Phase one runs the
-    classic diminishing 1/sqrt(k) schedule (normalized directions) with
-    best-iterate tracking; phase two restarts from the best point and takes
-    raw supergradient steps with a constant size that halves whenever a
-    stage fails to improve, which converges linearly on sharp maxima and is
-    what pushes boundary-supported optima down to 1e-8 and beyond.
-    Returns ``(best_x, best_value, evals)``.
+    A generator: it yields each point to evaluate and takes back the
+    oracle's ``(value, supergradient)`` for it; it returns
+    ``(best_x, best_value)``.  ``supergradient_ascent`` drives it.  Phase one
+    runs the classic diminishing 1/sqrt(k) schedule (normalized directions)
+    with best-iterate tracking; phase two restarts from the best point and
+    takes raw supergradient steps with a constant size that halves whenever
+    a stage fails to improve, which converges linearly on sharp maxima and
+    is what pushes boundary-supported optima down to 1e-8 and beyond.
 
     ``project`` is called on every step without validation: it must accept
     the finite arrays the loop builds.  A step whose value or supergradient
@@ -224,14 +225,13 @@ def supergradient_ascent(
     """
     if project is None:
         project = lambda x: x
+    x = project(np.array(x0, dtype=float))
     best_x, best_v, evals = None, -np.inf, 0
-
-    def run(x, stop, step):
-        """Ascend from x by step(k, norm) * G until evals is stop; the last x, or None if done."""
-        nonlocal best_x, best_v, evals
+    s, stop = None, max(1, budget // 4)  # s is None in phase one
+    while True:
         k = 0
         while evals < stop:
-            v, G = oracle(x)
+            v, G = yield x
             norm = fro(G)
             if not (math.isfinite(v) and math.isfinite(norm)):
                 raise InvalidInput(
@@ -241,26 +241,79 @@ def supergradient_ascent(
             if v > best_v:
                 best_v, best_x = v, x.copy()
                 if target is not None and best_v >= target:
-                    return None
+                    return best_x, best_v
             if norm < 1e-15:  # constant objective: nothing to ascend
-                return None
+                return best_x, best_v
             k += 1
-            x = project(x + step(k, norm) * G)
-        return x
-
-    x = project(np.array(x0, dtype=float))
-    if run(x, max(1, budget // 4), lambda k, norm: 1.0 / (np.sqrt(k) * norm)) is None:
-        return best_x, best_v, evals
-    s, x = 1.0, best_x.copy()
-    while evals < budget and s > min_step:
-        stage_base = best_v
-        x = run(x, min(budget, evals + STAGE_LEN), lambda k, norm: s)
-        if x is None:
-            break
-        if best_v < stage_base + 0.01 * s:
+            if s is None:  # 1 / (sqrt(k) norm), split where the product overflows
+                d = math.sqrt(k) * norm
+                step = 1.0 / d if d < math.inf else 1.0 / math.sqrt(k) / norm
+            else:
+                step = s
+            x = project(x + step * G)
+        if s is None:
+            s, x = 1.0, best_x.copy()
+        elif best_v < stage_base + 0.01 * s:
             s *= 0.5
             x = best_x.copy()
-    return best_x, best_v, evals
+        if evals >= budget or s <= min_step:
+            return best_x, best_v
+        stage_base, stop = best_v, min(budget, evals + STAGE_LEN)
+
+
+def supergradient_ascent(
+    oracle: Callable,
+    x0,
+    budget: Optional[int] = None,
+    project: Optional[Callable[[np.ndarray], np.ndarray]] = None,
+    target: Optional[float] = None,
+    min_step: float = 1e-14,
+):
+    """Drive a steppable search with ``oracle``; return ``(*its result, evals)``.
+
+    ``x0`` is the start point of one ``_ascent`` (with ``budget``,
+    ``project``, ``target`` and ``min_step``), which then returns
+    ``(best_x, best_value, evals)``.  Or it is a search already built, a
+    generator such as ``_ascent`` or ``spectral_search`` returning a pair:
+    ``oracle`` is called on each point it yields and the output sent back,
+    and the other arguments are unused.  ``evals`` is the number of
+    ``oracle`` calls.
+    """
+    search = x0 if isinstance(x0, GeneratorType) else _ascent(x0, budget, project, target, min_step)
+    evals, out = 0, None
+    while True:
+        try:
+            x = search.send(out)
+        except StopIteration as done:
+            return (*done.value, evals)
+        out = oracle(x)
+        evals += 1
+
+
+def spectral_search(
+    dim: int,
+    budget: int,
+    seed: int,
+    starts: Sequence[np.ndarray] = (),
+    target: Optional[float] = None,
+    min_step: float = 1e-14,
+):
+    """maximize_spectral one step at a time: a generator of ``_ascent``s, returning (best, value)."""
+    if dim < 1:
+        raise InvalidInput("dim must be positive")
+    raw = np.random.default_rng(seed).standard_normal((dim, dim))
+    starts = [*starts, (raw + raw.T) / 2.0]
+    share = max(1, budget // len(starts))
+    best, best_v = None, -np.inf
+    for M0 in starts:
+        M, v = yield from _ascent(
+            spectraplex_project(M0), share, _spectraplex_project, target, min_step,
+        )
+        if v > best_v:
+            best, best_v = M, v
+        if target is not None and best_v >= target:
+            break
+    return best, best_v
 
 
 def maximize_spectral(
@@ -282,21 +335,10 @@ def maximize_spectral(
     evaluation), and the search stops once the best value reaches
     ``target``.  ``min_step`` is the ascent's step-size floor.  Budget
     exhaustion is not an error: the best iterate found and its value are
-    always returned.
+    always returned.  ``spectral_search`` is the same search, one step at a
+    time.
     """
-    if dim < 1:
-        raise InvalidInput("dim must be positive")
-    raw = np.random.default_rng(seed).standard_normal((dim, dim))
-    starts = [*starts, (raw + raw.T) / 2.0]
-    share = max(1, budget // len(starts))
-    best, best_v = None, -np.inf
-    for M0 in starts:
-        M, v, _ = supergradient_ascent(
-            oracle, spectraplex_project(M0), share,
-            project=_spectraplex_project, target=target, min_step=min_step,
-        )
-        if v > best_v:
-            best, best_v = M, v
-        if target is not None and best_v >= target:
-            break
+    best, best_v, _ = supergradient_ascent(
+        oracle, spectral_search(dim, budget, seed, starts, target, min_step),
+    )
     return best, best_v

@@ -13,6 +13,10 @@ g(X) PSD imply compressions of f(X) PSD" has exactly two verifiable answers:
 A failed certificate search is never treated as a refutation on its own:
 only a verified counterexample refutes, and only a verified certificate
 confirms; everything else is reported inconclusive.
+
+The two searches are the two sides of one duality, so at most one can
+reach its target.  decide races them: one oracle evaluation from each in
+turn, and the first side to settle the question ends the round.
 """
 
 import math
@@ -39,11 +43,11 @@ from .linalg import (
     fro,
     is_psd,
     lambda_min,
-    maximize_spectral,
     min_eigpair,  # unused: the loop calls _min_eigpair; bench/spans.py wraps this name here
     psd_factor,
     regroup,
-    spectraplex_project,  # unused: maximize_spectral projects; bench/spans.py wraps this name here
+    spectral_search,
+    spectraplex_project,  # unused: spectral_search projects; bench/spans.py wraps this name here
     supergradient_ascent,
     symmetrize,
 )
@@ -210,6 +214,31 @@ def _separator_oracle(calA: np.ndarray, blocks: np.ndarray, q: int, c: float):
     return oracle
 
 
+def _certify_side(f: NCQuadPoly, g: NCQuadPoly, budget: int, seed: int):
+    """certify's oracle and its spectral search, not yet started."""
+    q = f.q
+    starts = [identity_choi(q).J / q, np.eye(q * q) / (q * q)]
+    oracle = _certify_oracle(coefficient_matrix(f), g.blocks, q)
+    return oracle, spectral_search(q * q, budget, seed, starts=starts, target=0.0)
+
+
+def _certified(f: NCQuadPoly, g: NCQuadPoly, best_J, best_v: float, tol: float) -> CertifySearch:
+    """certify's answer for the best point its search reached."""
+    if best_v < -tol:
+        return CertifySearch(certificate=None, best_value=best_v)
+    q = f.q
+    J = best_J / np.trace(best_J)
+    residual = symmetrize(coefficient_matrix(f) - _map_coefficients(J, g.blocks, q))
+    return CertifySearch(
+        certificate=CPCertificate(
+            J=new_choi(J, q, q),
+            residual=residual,
+            residual_lambda_min=lambda_min(residual),
+        ),
+        best_value=best_v,
+    )
+
+
 def certify(
     f: NCQuadPoly,
     g: NCQuadPoly,
@@ -227,24 +256,34 @@ def certify(
     """
     if f.m != g.m or f.q != g.q:
         raise ShapeMismatch("certify requires matching (m, q); reconcile first")
-    q = f.q
+    best_J, best_v, _ = supergradient_ascent(*_certify_side(f, g, budget, seed))
+    return _certified(f, g, best_J, best_v, tol)
+
+
+def _separator_side(f: NCQuadPoly, g: NCQuadPoly, budget: int, tol_strict: float, seed: int):
+    """find_separator's oracle, its spectral search (not yet started) and its margin.
+
+    The margin tol_strict / c is the value a separator must clear; the
+    search stops at twice that.
+    """
+    q, m = f.q, f.m
     calA = coefficient_matrix(f)
-    starts = [identity_choi(q).J / q, np.eye(q * q) / (q * q)]
-    best_J, best_v = maximize_spectral(
-        _certify_oracle(calA, g.blocks, q), q * q, budget, seed, starts=starts, target=0.0,
+    c = 1.0 + fro(calA)
+    margin = tol_strict / c
+    search = spectral_search(
+        m * q, budget, seed, starts=[np.eye(m * q) / (m * q)], target=2.0 * margin,
     )
-    if best_v < -tol:
-        return CertifySearch(certificate=None, best_value=best_v)
-    J = best_J / np.trace(best_J)
-    residual = symmetrize(calA - _map_coefficients(J, g.blocks, q))
-    return CertifySearch(
-        certificate=CPCertificate(
-            J=new_choi(J, q, q),
-            residual=residual,
-            residual_lambda_min=lambda_min(residual),
-        ),
-        best_value=best_v,
-    )
+    return _separator_oracle(calA, g.blocks, q, c), search, margin
+
+
+def _separated(f, g, M, best_v, margin, tol, tol_strict) -> SeparatorSearch:
+    """find_separator's answer for the best point its search reached."""
+    T = _b_term(M, g.blocks, f.q)
+    b_margin = lambda_min(T)
+    a_value = float(np.sum(coefficient_matrix(f) * M))
+    if best_v < margin or not is_psd(T, tol) or a_value > -tol_strict:
+        M = None
+    return SeparatorSearch(M=M, best_value=best_v, b_margin=b_margin, a_value=a_value)
 
 
 def find_separator(
@@ -263,21 +302,9 @@ def find_separator(
     """
     if f.m != g.m or f.q != g.q:
         raise ShapeMismatch("find_separator requires matching (m, q); reconcile first")
-    q, m = f.q, f.m
-    calA = coefficient_matrix(f)
-    c = 1.0 + fro(calA)
-    Bb = g.blocks
-    margin = tol_strict / c
-    M, best_v = maximize_spectral(
-        _separator_oracle(calA, Bb, q, c), m * q, budget, seed,
-        starts=[np.eye(m * q) / (m * q)], target=2.0 * margin,
-    )
-    T = _b_term(M, Bb, q)
-    b_margin = lambda_min(T)
-    a_value = float(np.sum(calA * M))
-    if best_v < margin or not is_psd(T, tol) or a_value > -tol_strict:
-        return SeparatorSearch(M=None, best_value=best_v, b_margin=b_margin, a_value=a_value)
-    return SeparatorSearch(M=M, best_value=best_v, b_margin=b_margin, a_value=a_value)
+    oracle, search, margin = _separator_side(f, g, budget, tol_strict, seed)
+    M, best_v, _ = supergradient_ascent(oracle, search)
+    return _separated(f, g, M, best_v, margin, tol, tol_strict)
 
 
 def _checked_separator(f, g, M, tol, tol_strict) -> np.ndarray:
@@ -412,6 +439,39 @@ def _check_slater(g: NCQuadPoly, slater: MatTuple, tol_strict: float, hereditary
 SLICE = 500
 
 
+def _race(searches, settles):
+    """The certify and separator searches of one round, one evaluation each in turn.
+
+    A generator for supergradient_ascent: it yields ``(side, point)``, side
+    0 (certify) first, and takes the oracle's output for it back.  A side
+    whose search finishes leaves the turn; the round ends once both have
+    finished, or as soon as one finishes with a best value of at least
+    ``settles[side]``, which cuts the other short.  Returns, per side,
+    ``[best point or None if cut short, best value reached, evaluations]``.
+    """
+    tally = [[None, -np.inf, 0], [None, -np.inf, 0]]
+    live = list(searches)
+    points = [search.send(None) for search in live]
+    while live[0] or live[1]:
+        for side in (0, 1):
+            if live[side] is None:
+                continue
+            out = yield side, points[side]
+            rec = tally[side]
+            rec[2] += 1
+            if out[0] > rec[1]:
+                rec[1] = out[0]
+            try:
+                points[side] = live[side].send(out)
+            except StopIteration as done:
+                live[side] = None
+                rec[0] = done.value[0]
+                if done.value[1] >= settles[side]:
+                    live[1 - side] = None
+                    break
+    return tally
+
+
 def _decide_common(f, g, budget, tol, tol_strict, seed, hereditary):
     f2, g2 = reconcile(f, g)
     m, q = f2.m, f2.q
@@ -421,19 +481,39 @@ def _decide_common(f, g, budget, tol, tol_strict, seed, hereditary):
             f"matrices; the limit is {MAX_DIM}"
         )
     builder = build_counterexample_hereditary if hereditary else build_counterexample
-    diagnostics = {"certify_best": -np.inf, "separator_best": -np.inf}
+    diagnostics = {"certify_best": -np.inf, "separator_best": -np.inf,
+                   "certify_evals": 0, "separator_evals": 0}
     rounds = max(1, math.ceil(budget / SLICE))
     for rnd in range(1, rounds + 1):
         slice_budget = min(budget, rnd * SLICE)
-        cert = certify(f2, g2, budget=slice_budget, tol=tol, seed=seed)
-        diagnostics["certify_best"] = max(diagnostics["certify_best"], cert.best_value)
-        if cert.certificate is not None:
-            return Decision(kind="certificate", certificate=cert.certificate,
-                            diagnostics=diagnostics)
-        sep = find_separator(f2, g2, budget=slice_budget, tol=tol,
-                             tol_strict=tol_strict, seed=seed + 1)
-        diagnostics["separator_best"] = max(diagnostics["separator_best"], sep.best_value)
-        if sep.M is not None:
+        cert_oracle, cert_search = _certify_side(f2, g2, slice_budget, seed)
+        sep_oracle, sep_search, margin = _separator_side(f2, g2, slice_budget, tol_strict, seed + 1)
+        sides = (cert_oracle, sep_oracle)
+
+        def oracle(step):
+            side, X = step
+            return sides[side](X)
+
+        # Weak duality: a separator value >= 2 margin puts every certify value
+        # at or below -2 tol_strict, so when that is below -tol the separator's
+        # target settles the round; certify finishing at >= -tol always does.
+        settles = (-tol, 2.0 * margin if 2.0 * tol_strict > tol else np.inf)
+        (J, cert_best, cert_evals), (M, sep_best, sep_evals), _ = supergradient_ascent(
+            oracle, _race((cert_search, sep_search), settles),
+        )
+        diagnostics["certify_best"] = max(diagnostics["certify_best"], cert_best)
+        diagnostics["separator_best"] = max(diagnostics["separator_best"], sep_best)
+        diagnostics["certify_evals"] += cert_evals
+        diagnostics["separator_evals"] += sep_evals
+        if J is not None:
+            cert = _certified(f2, g2, J, cert_best, tol)
+            if cert.certificate is not None:
+                return Decision(kind="certificate", certificate=cert.certificate,
+                                diagnostics=diagnostics)
+        if M is not None:
+            sep = _separated(f2, g2, M, sep_best, margin, tol, tol_strict)
+            if sep.M is None:
+                continue
             try:
                 ce = builder(f2, g2, sep.M, tol=tol, tol_strict=tol_strict)
             except VerificationFailed as exc:
@@ -457,10 +537,19 @@ def decide(
 
     Requires lambda_min(g(slater)) > tol_strict.  Coefficient dimensions are
     reconciled automatically (pad f, or replace g by repeated blocks).  The
-    certificate search and the separator search alternate in budget slices,
-    certificate side first; the first verified object wins, and only budget
-    exhaustion on both sides yields an inconclusive report.  Reconciled
-    sizes with q^2 or mq above MAX_DIM raise DimensionTooLarge.
+    budget is spent in rounds: round r runs each search afresh with
+    min(budget, r * SLICE) evaluations.  In a round the certificate search
+    and the separator search take one evaluation each in turn, certificate
+    side first, and the round ends once certify finishes at >= -tol or the
+    separator reaches its target; weak duality lets at most one side do
+    so, so the objects returned are those of certify then find_separator
+    run in full.  The first verified object wins, and only budget
+    exhaustion on both sides yields an inconclusive report.
+    ``diagnostics`` holds, for every outcome, the evaluations each side
+    spent (``certify_evals``, ``separator_evals``, summed over rounds) and
+    the best value each reached before its round ended (``certify_best``,
+    ``separator_best``).  Reconciled sizes with q^2 or mq above MAX_DIM
+    raise DimensionTooLarge.
     """
     _check_slater(g, slater, tol_strict, hereditary=False)
     return _decide_common(f, g, budget, tol, tol_strict, seed, hereditary=False)

@@ -44,12 +44,27 @@ def poly_from_matrix(mat, m, q):
     return ns.new_quad_poly(blocks_from_matrix(np.asarray(mat, dtype=float), m, q))
 
 
-def planted_certificate_instance(rng, m, q, noise_margin=0.1):
+def slater_poly(rng, m, q):
+    """(g, x): a random g plus c (x x^T (x) I_q), with c making g(x) >= I at a unit x.
+
+    The 1x1 tuple x is then a Slater point for decide and decide_hereditary.
+    """
+    x = rng.standard_normal(m)
+    x /= np.linalg.norm(x)
+    blocks = random_poly(rng, m, q).blocks
+    at_x = np.einsum("ijab,i,j->ab", blocks, x, x)
+    c = max(0.0, 1.0 - np.linalg.eigvalsh(at_x)[0])
+    return ns.new_quad_poly(blocks + c * np.einsum("i,j,ab->ijab", x, x, np.eye(q))), x
+
+
+def planted_certificate_instance(rng, m, q, noise_margin=0.1, g=None):
     """(f, g, J0): f's coefficient matrix is (1 (x) phi_J0) B plus PSD noise.
 
     The noise gets a definite margin so the planted map is strictly feasible.
+    ``g`` is drawn at random unless given.
     """
-    g = random_poly(rng, m, q)
+    if g is None:
+        g = random_poly(rng, m, q)
     J0 = ns.spectraplex_project(random_sym(rng, q * q))
     L = _map_coefficients(J0, g.blocks, q)
     d = m * q
@@ -60,16 +75,16 @@ def planted_certificate_instance(rng, m, q, noise_margin=0.1):
     return f, g, J0
 
 
-def refutable_instance(rng, m, q, margin=0.5):
+def refutable_instance(rng, m, q, margin=0.5, g=None):
     """(f, g, M*): a planted strict separator M* certifies non-domination.
 
-    M* is kept full rank and g gets enough identity on its diagonal blocks
-    that sum_ij B_ij (x) M*_ij is definitely positive; f is then tilted so
-    <A, M*> is negative with a fixed margin.
+    M* is kept full rank and g (drawn at random unless given) gets enough
+    identity on its diagonal blocks that sum_ij B_ij (x) M*_ij is definitely
+    positive; f is then tilted so <A, M*> is negative with a fixed margin.
     """
     d = m * q
     Mstar = 0.7 * ns.spectraplex_project(random_sym(rng, d)) + 0.3 * np.eye(d) / d
-    blocks = random_poly(rng, m, q).blocks.copy()
+    blocks = (random_poly(rng, m, q) if g is None else g).blocks.copy()
     shift = 1.0
     while True:
         g = ns.new_quad_poly(blocks)
@@ -85,6 +100,17 @@ def refutable_instance(rng, m, q, margin=0.5):
     calA = A0 - ((inner + delta) / float(np.sum(Mstar * Mstar))) * Mstar
     f = poly_from_matrix(calA, m, q)
     return f, g, Mstar
+
+
+def scale_gap_instance(rng, m, q, t=None):
+    """(f, g, x): f = t g with t != 1/q, a Slater point x of g.
+
+    Dominated with phi = t * id, a map outside the trace-one slice the
+    certify search explores.  t is drawn from [0.2, 0.6] / q unless given.
+    """
+    g, x = slater_poly(rng, m, q)
+    t = rng.uniform(0.2, 0.6) / q if t is None else t
+    return ns.new_quad_poly(t * g.blocks), g, x
 
 
 def _b_term(M, g, q):

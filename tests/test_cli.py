@@ -195,6 +195,24 @@ def test_slemma_huge_coefficients_exit_code(capsys, tmp_path):
         assert run(capsys, "verify", str(out), str(path))[0] == 0
 
 
+def test_slemma_inconclusive_reports_the_evaluations_of_each_side(capsys, tmp_path):
+    # f = x1x1, g = 4 x1x1: the multiplier 1/4 lies outside the trace-one slice
+    f = ns.new_quad_poly(np.ones((1, 1, 1, 1)))
+    g = ns.new_quad_poly(4.0 * np.ones((1, 1, 1, 1)))
+    slater = ns.new_tuple([[[1.0]]])
+    path = tmp_path / "scale_gap.json"
+    path.write_text(serialize.dumps({
+        "format": serialize.FORMAT, "kind": "slemma",
+        "f": serialize.poly_to_json(f), "g": serialize.poly_to_json(g),
+        "slater": serialize.tuple_to_json(slater),
+    }))
+    code, doc, _ = run(capsys, "slemma", "--budget", "600", str(path))
+    assert code == cli.EXIT_INCONCLUSIVE
+    expected = ns.decide(f, g, slater, budget=600).diagnostics
+    for key in ("certify_evals", "separator_evals"):
+        assert doc["diagnostics"][key] == expected[key] > 0
+
+
 def test_scalar_slemma_certificate(capsys):
     code, doc, _ = run(capsys, "scalar-slemma", fx("scalar_certificate.json"))
     assert code == 0

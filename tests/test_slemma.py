@@ -397,6 +397,20 @@ def test_decide_huge_coefficients_returns_verified_object(hereditary):
 
 
 @pytest.mark.parametrize("hereditary", [False, True])
+def test_decide_supergradient_norm_near_the_largest_float(hereditary):
+    # The certify supergradient has norm ~1.1e308, so sqrt(k) * norm in the
+    # first step size overflows; the filterwarnings setting turns the
+    # overflow warning into an error.
+    f = ns.new_quad_poly((5e307 * np.diag([-1.0, 0.3])).reshape(1, 1, 2, 2))
+    g = ns.new_quad_poly((5e307 * np.diag([1.0, 0.5])).reshape(1, 1, 2, 2))
+    decider = ns.decide_hereditary if hereditary else ns.decide
+    d = decider(f, g, ns.new_tuple([[[0.5]]]))
+    assert d.kind == "counterexample"
+    assert ns.verify_counterexample(d.counterexample, f, g)
+    assert ns.certify(f, g, budget=200).certificate is None  # the whole certify search
+
+
+@pytest.mark.parametrize("hereditary", [False, True])
 def test_verify_counterexample_rejects_a_2d_witness(hereditary):
     f, g = scalar_embedded_pair()
     decider = ns.decide_hereditary if hereditary else ns.decide

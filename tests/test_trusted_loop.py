@@ -21,25 +21,26 @@ def recorded(run, validating):
     """``run()`` with the argument of every oracle call recorded.
 
     With ``validating``, the loop's eigensolver and projection are swapped
-    for the public ``min_eigpair`` and ``spectraplex_project``.
+    for the public ``min_eigpair`` and ``spectraplex_project`` (the
+    projection core behind ``symmetrize``, which is what the public kernel
+    runs).
     """
     iterates = []
     with pytest.MonkeyPatch.context() as mp:
         for mod in (slemma, linalg):
 
-            def ascent(oracle, x0, budget, *, _ascent=mod.supergradient_ascent,
-                       project=None, **kwargs):
+            def ascent(oracle, *args, _ascent=mod.supergradient_ascent, **kwargs):
                 def recording(x):
                     iterates.append(x.copy())
                     return oracle(x)
 
-                if validating and project is not None:
-                    project = linalg.spectraplex_project
-                return _ascent(recording, x0, budget, project=project, **kwargs)
+                return _ascent(recording, *args, **kwargs)
 
             mp.setattr(mod, "supergradient_ascent", ascent)
         if validating:
             mp.setattr(slemma, "_min_eigpair", linalg.min_eigpair)
+            core = linalg._spectraplex_project
+            mp.setattr(linalg, "_spectraplex_project", lambda S: core(linalg.symmetrize(S)))
         result = run()
     return result, iterates
 
