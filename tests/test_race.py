@@ -8,6 +8,7 @@ counts them, from what every supergradient_ascent call returns."""
 import importlib.util
 import math
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -38,7 +39,7 @@ def evals(monkeypatch):
     for mod in (slemma, linalg):  # restored by monkeypatch at teardown
         monkeypatch.setattr(mod, "supergradient_ascent", mod.supergradient_ascent)
     counter = [0]
-    spans.count_evals(type("Lib", (), {"slemma": slemma, "linalg": linalg}), counter)
+    spans.count_evals(SimpleNamespace(slemma=slemma, linalg=linalg), counter)
     return counter
 
 
