@@ -19,9 +19,14 @@ finite), budget >= 1 and seed >= 0, wherever they come from; anything else
 is exit code 2.  So is any file, or field of a file, that cannot be read as
 what it should hold (sizes that disagree are exit code 3), and any malformed
 command line; every error prints a JSON object with an "error" tag on stdout too.
+
+The argument parser is built on the first ``main`` call and reused by every
+later call in the same process, so a caller that runs many commands in one
+process pays for it once; importing the module does not build it.
 """
 
 import argparse
+import functools
 import sys
 
 import numpy as np
@@ -257,7 +262,10 @@ def _add_common(sub):
     sub.add_argument("--tol-strict", dest="tol_strict", type=float, default=None,
                      help="strict-inequality margin (default 1e-6)")
     sub.add_argument("--budget", type=int, default=None,
-                     help="iteration budget for searches (default 5000)")
+                     help="evaluation budget N for searches (default 5000); slemma and "
+                          "slemma-hereditary run ceil(N/500) rounds, round r giving each "
+                          "of their two searches min(N, 500*r) evaluations from scratch, "
+                          "so up to 27,500 each at the default")
     sub.add_argument("--seed", type=int, default=None,
                      help="seed for all randomized starts (default 42)")
     sub.add_argument("-o", "--output", default=None,
@@ -271,7 +279,14 @@ class _Parser(argparse.ArgumentParser):
         raise ParseError(message)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ``ncslemma`` argument parser, built once per process on the first call.
+
+    Every later call returns the same parser; ``parse_args`` keeps no state
+    from one command line to the next.  The parser holds the ``cmd_*``
+    functions, which look up the library functions they call at call time.
+    """
     parser = _Parser(
         prog="ncslemma",
         description="Positivity and S-lemma certificates for quadratic "

@@ -47,28 +47,36 @@ def _render(obj, indent: int) -> str:
         ]
         return "{\n" + ",\n".join(rows) + "\n" + pad + "}"
     if isinstance(obj, (list, tuple)):
-        seq = list(obj)
-        if not seq:
+        if not obj:
             return "[]"
-        flat = all(isinstance(v, (int, float, np.integer, np.floating)) for v in seq)
-        if flat:
-            return "[" + ", ".join(_render(v, 0) for v in seq) + "]"
-        rows = [f"{pad}  {_render(v, indent + 1)}" for v in seq]
+        if all(isinstance(v, (int, float, np.integer, np.floating)) for v in obj):
+            return "[" + ", ".join(map(_number, obj)) + "]"  # a flat row, on one line
+        rows = [f"{pad}  {_render(v, indent + 1)}" for v in obj]
         return "[\n" + ",\n".join(rows) + "\n" + pad + "]"
     if isinstance(obj, np.ndarray):
         return _render(obj.tolist(), indent)
-    if isinstance(obj, (bool, np.bool_)):
-        return "true" if obj else "false"
-    if isinstance(obj, (int, np.integer)):
-        return str(int(obj))
-    if isinstance(obj, (float, np.floating)):
-        x = float(obj)
-        if not math.isfinite(x):
-            raise InvalidInput(f"{x} has no JSON form")
-        return format(x, ".17g")
+    if isinstance(obj, (bool, np.bool_, int, np.integer, float, np.floating)):
+        return _number(obj)
     if obj is None:
         return "null"
     return json.dumps(obj)
+
+
+def _number(v) -> str:
+    """One bool, integer or finite float as JSON; NaN and infinities raise InvalidInput.
+
+    Floats are tested first, as nearly every number written is one (np.float64
+    is a float too); other numpy floats are converted to a Python float.
+    """
+    if not isinstance(v, float):
+        if isinstance(v, (bool, np.bool_)):
+            return "true" if v else "false"
+        if not isinstance(v, np.floating):
+            return str(int(v))
+        v = float(v)
+    if not math.isfinite(v):
+        raise InvalidInput(f"{v} has no JSON form")
+    return format(v, ".17g")
 
 
 def loads(text: str):

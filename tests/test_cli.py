@@ -2,6 +2,8 @@ import contextlib
 import io
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -12,6 +14,7 @@ from ncslemma import cli, serialize
 from helpers import random_poly
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
 def fx(name):
@@ -351,6 +354,45 @@ def test_reproducible_output(capsys):
     assert code1 == code2 == 0
     assert doc1 == doc2
     assert doc1["options"]["seed"] == 7
+
+
+def test_reused_parser_carries_nothing_between_calls(capsys, tmp_path):
+    # main builds its parser once per process; no option of one command line
+    # may leak into the next
+    assert cli.build_parser() is cli.build_parser()
+    inst = json.loads(open(fx("example62.json")).read())
+    inst["options"] = {"seed": 3}
+    path, out, cert = tmp_path / "example62_seed3.json", tmp_path / "out.json", tmp_path / "cert.json"
+    path.write_text(json.dumps(inst))
+
+    run(capsys, "slemma", "--budget", "3", "--seed", "7", "-o", str(out), str(path))
+    first = out.read_text()
+    assert json.loads(first)["options"]["budget"] == 3
+
+    code, doc, _ = run(capsys, "slemma", str(path))
+    assert code == cli.EXIT_OK
+    assert doc["options"] == serialize.options_from_json(inst)
+    assert doc["options"]["seed"] == 3
+    assert out.read_text() == first
+    cert.write_text(json.dumps(doc))
+
+    code, doc, _ = run(capsys, "slemma", "--budget", "x", str(path))
+    assert code == cli.EXIT_PARSE
+    assert doc["error"] == "parse"
+
+    code, doc, _ = run(capsys, "verify", str(cert), str(path))
+    assert code == cli.EXIT_OK
+    assert doc["verified"] is True
+    assert doc["options"]["budget"] == 5000
+
+
+def test_importing_the_cli_builds_no_parser():
+    code = ("import ncslemma.cli as cli; assert cli.build_parser.cache_info().currsize == 0; "
+            "cli.main(['--help'])")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": SRC})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("usage: ncslemma")
 
 
 # Each of these used to get through: nan and 1e300 turned a residual with

@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -145,3 +146,99 @@ def test_counterexample_roundtrip():
 def test_loads_rejects_garbage():
     with pytest.raises(ParseError):
         serialize.loads("{not json")
+
+
+def _render_per_element(obj, indent):
+    """The renderer as it was before flat rows were joined in one pass: the reference."""
+    pad = "  " * indent
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        rows = [
+            f'{pad}  {json.dumps(str(k))}: {_render_per_element(v, indent + 1)}'
+            for k, v in obj.items()
+        ]
+        return "{\n" + ",\n".join(rows) + "\n" + pad + "}"
+    if isinstance(obj, (list, tuple)):
+        seq = list(obj)
+        if not seq:
+            return "[]"
+        flat = all(isinstance(v, (int, float, np.integer, np.floating)) for v in seq)
+        if flat:
+            return "[" + ", ".join(_render_per_element(v, 0) for v in seq) + "]"
+        rows = [f"{pad}  {_render_per_element(v, indent + 1)}" for v in seq]
+        return "[\n" + ",\n".join(rows) + "\n" + pad + "]"
+    if isinstance(obj, np.ndarray):
+        return _render_per_element(obj.tolist(), indent)
+    if isinstance(obj, (bool, np.bool_)):
+        return "true" if obj else "false"
+    if isinstance(obj, (int, np.integer)):
+        return str(int(obj))
+    if isinstance(obj, (float, np.floating)):
+        x = float(obj)
+        if not math.isfinite(x):
+            raise InvalidInput(f"{x} has no JSON form")
+        return format(x, ".17g")
+    if obj is None:
+        return "null"
+    return json.dumps(obj)
+
+
+EDGE_FLOATS = (-0.0, 5e-324, 1.7976931348623157e308, -1.7976931348623157e308)
+
+
+def _random_number(rng):
+    pick = rng.integers(8)
+    if pick == 0:
+        return float(rng.standard_normal() * 10.0 ** rng.integers(-300, 300))
+    if pick == 1:
+        return int(rng.integers(-10**12, 10**12))
+    if pick == 2:
+        return bool(rng.integers(2))
+    if pick == 3:
+        return np.float64(rng.standard_normal() * 10.0 ** rng.integers(-20, 20))
+    if pick == 4:
+        return np.int64(rng.integers(-10**12, 10**12))
+    if pick == 5:
+        return np.bool_(rng.integers(2))  # not an np.integer: its row is not flat
+    if pick == 6:
+        return np.float32(rng.standard_normal())
+    return EDGE_FLOATS[rng.integers(len(EDGE_FLOATS))]
+
+
+def _random_document(rng, depth=0):
+    pick = rng.integers(7) if depth < 4 else rng.integers(2)
+    if pick == 0:
+        return _random_number(rng)
+    if pick == 1:  # a row of numbers, possibly empty, possibly mixed
+        row = [_random_number(rng) for _ in range(rng.integers(7))]
+        return tuple(row) if rng.integers(4) == 0 else row
+    if pick == 2:
+        return [_random_document(rng, depth + 1) for _ in range(rng.integers(4))]
+    if pick == 3:
+        return {f"k{i}": _random_document(rng, depth + 1) for i in range(rng.integers(4))}
+    if pick == 4:
+        return rng.standard_normal(tuple(rng.integers(1, 4, size=rng.integers(1, 4))))
+    if pick == 5:
+        return [None, "text", _random_number(rng)]
+    return []
+
+
+def test_dumps_is_byte_identical_to_the_per_element_renderer():
+    rng = np.random.default_rng(2024)
+    for _ in range(300):
+        doc = _random_document(rng)
+        assert serialize.dumps(doc) == _render_per_element(doc, 0)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), -np.inf, np.float64("inf"), np.float32("nan")],
+                         ids=["nan", "numpy-minus-inf", "numpy-inf", "float32-nan"])
+@pytest.mark.parametrize("where", ["scalar", "flat-row", "mixed-row"])
+def test_dumps_rejects_non_finite_values_as_the_per_element_renderer(bad, where):
+    doc = {"scalar": {"v": bad}, "flat-row": {"v": [1, 0.5, bad]},
+           "mixed-row": {"v": [np.bool_(True), bad]}}[where]
+    with pytest.raises(InvalidInput) as reference:
+        _render_per_element(doc, 0)
+    with pytest.raises(InvalidInput) as rendered:
+        serialize.dumps(doc)
+    assert str(rendered.value) == str(reference.value)
