@@ -19,6 +19,8 @@ finite), budget >= 1 and seed >= 0, wherever they come from; anything else
 is exit code 2.  So is any file, or field of a file, that cannot be read as
 what it should hold (sizes that disagree are exit code 3), and any malformed
 command line; every error prints a JSON object with an "error" tag on stdout too.
+A reader that closes stdout before the result is written (``| head -1``)
+leaves the exit code as it is.
 
 The argument parser is built on the first ``main`` call and reused by every
 later call in the same process, so a caller that runs many commands in one
@@ -27,6 +29,7 @@ process pays for it once; importing the module does not build it.
 
 import argparse
 import functools
+import os
 import sys
 
 import numpy as np
@@ -107,9 +110,22 @@ def _run(args) -> int:
                 fh.write(text + "\n")
         except OSError as exc:
             raise ParseError(f"cannot write {args.output}: {exc}") from exc
-    print(text)
+    _print_result(text)
     print(summary, file=sys.stderr)
     return code
+
+
+def _print_result(text):
+    """Print the JSON result; a reader that closed stdout early keeps the exit code."""
+    try:
+        print(text)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # As the Python docs advise for SIGPIPE: point stdout at devnull, so the
+        # interpreter's own flush at exit does not raise again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
 
 
 # Each command below returns (JSON document, stderr summary, exit code).
@@ -160,7 +176,7 @@ def cmd_slemma(args, inst, opts):
         "diagnostics": {k: v for k, v in decision.diagnostics.items()},
         "options": opts,
     }
-    return doc, "inconclusive: budget exhausted on both searches", EXIT_INCONCLUSIVE
+    return doc, "inconclusive: neither search found a verified object", EXIT_INCONCLUSIVE
 
 
 def cmd_scalar_slemma(args, inst, opts):
@@ -330,7 +346,7 @@ def main(argv=None) -> int:
         return _run(build_parser().parse_args(argv))
     except tuple(ERRORS) as exc:
         tag, code = next(ERRORS[t] for t in type(exc).__mro__ if t in ERRORS)
-        print(serialize.dumps({"error": tag, "detail": str(exc)}))
+        _print_result(serialize.dumps({"error": tag, "detail": str(exc)}))
         print(f"error: {exc}", file=sys.stderr)
         return code
 

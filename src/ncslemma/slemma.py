@@ -16,7 +16,9 @@ confirms; everything else is reported inconclusive.
 
 The two searches are the two sides of one duality, so at most one can
 reach its target.  decide races them: one oracle evaluation from each in
-turn, and the first side to settle the question ends the round.
+turn, and the first side to settle the question ends the round.  Every
+separator point also bounds the certificate search's values from above,
+and the certificate search stops once that bound rules it out.
 """
 
 import math
@@ -199,17 +201,25 @@ def _certify_oracle(calA: np.ndarray, blocks: np.ndarray, q: int):
 
 
 def _separator_oracle(calA: np.ndarray, blocks: np.ndarray, q: int, c: float):
+    """oracle(M) -> (value, supergradient, bound) of the separator objective.
+
+    ``bound`` is <A, M> - lambda_min(sum B_ij (x) M_ij).  At a trace-one PSD
+    M it is weak duality's upper bound on every certify value: for every
+    trace-one PSD J, lambda_min(A - (1_m (x) phi_J) B) <= <A - (1 (x) phi_J) B, M>
+    = <A, M> - <sum B_ij (x) M_ij, u J u^T> <= bound, u the tensor swap.
+    """
     m = blocks.shape[0]
     rows = blocks.reshape(m * m, q * q)
 
     def oracle(M):
         T = _b_term(M, blocks, q)
         t1, u = _min_eigpair(T)
-        t2 = -float(np.sum(calA * M)) / c
+        a = float(np.sum(calA * M))
+        t2 = -a / c
         if t1 <= t2:
             G = _separator_gradient(u, rows, m, q)
-            return t1, (G + G.T) / 2.0
-        return t2, -calA / c
+            return t1, (G + G.T) / 2.0, a - t1
+        return t2, -calA / c, a - t1
 
     return oracle
 
@@ -303,7 +313,7 @@ def find_separator(
     if f.m != g.m or f.q != g.q:
         raise ShapeMismatch("find_separator requires matching (m, q); reconcile first")
     oracle, search, margin = _separator_side(f, g, budget, tol_strict, seed)
-    M, best_v, _ = supergradient_ascent(oracle, search)
+    M, best_v, _ = supergradient_ascent(lambda M: oracle(M)[:2], search)
     return _separated(f, g, M, best_v, margin, tol, tol_strict)
 
 
@@ -438,18 +448,34 @@ def _check_slater(g: NCQuadPoly, slater: MatTuple, tol_strict: float, hereditary
 
 SLICE = 500
 
+# Roundoff allowance of the duality cut, per unit of 1 + ||A||_F + ||B||_F.
+# Both searches only evaluate outputs of _spectraplex_project, each within
+# O(n u) of a trace-one PSD matrix (n <= MAX_DIM its side, u = 2^-53), and
+# form certify values, <A, M> and lambda_min(sum B_ij (x) M_ij) through
+# GEMMs, sums and eigh whose a-priori errors are also O(n u) times those
+# norms.  Summed, a computed certify value exceeds the computed bound of a
+# separator point by less than about 12 n u times 1 + ||A||_F + ||B||_F,
+# which is 5.5e-12 times it at n = MAX_DIM: 1e-10 leaves a factor of 18.
+CUT_ROUNDOFF = 1e-10
 
-def _race(searches, settles):
+
+def _race(searches, settles, cut):
     """The certify and separator searches of one round, one evaluation each in turn.
 
     A generator for supergradient_ascent: it yields ``(side, point)``, side
-    0 (certify) first, and takes the oracle's output for it back.  A side
-    whose search finishes leaves the turn; the round ends once both have
-    finished, or as soon as one finishes with a best value of at least
-    ``settles[side]``, which cuts the other short.  Returns, per side,
-    ``[best point or None if cut short, best value reached, evaluations]``.
+    0 (certify) first, and takes the oracle's output for it back; the
+    separator's output carries a third element, the bound its point puts on
+    every certify value.  A side whose search finishes leaves the turn; the
+    round ends once both have finished, or as soon as one finishes with a
+    best value of at least ``settles[side]``, which cuts the other short.
+    A separator bound below ``cut`` cuts certify short as well, since
+    certify can then no longer settle.  Returns, per side, ``[best point or
+    None if cut short, best value reached, evaluations]``, and the lowest
+    bound (inf if the separator made no evaluation): a pair, so that
+    supergradient_ascent's evaluation count stays its third element.
     """
     tally = [[None, -np.inf, 0], [None, -np.inf, 0]]
+    bound = np.inf
     live = list(searches)
     points = [search.send(None) for search in live]
     while live[0] or live[1]:
@@ -461,15 +487,19 @@ def _race(searches, settles):
             rec[2] += 1
             if out[0] > rec[1]:
                 rec[1] = out[0]
+            if side and out[2] < bound:
+                bound = out[2]
+                if bound < cut:
+                    live[0] = None
             try:
-                points[side] = live[side].send(out)
+                points[side] = live[side].send(out[:2])
             except StopIteration as done:
                 live[side] = None
                 rec[0] = done.value[0]
                 if done.value[1] >= settles[side]:
                     live[1 - side] = None
                     break
-    return tally
+    return tally, bound
 
 
 def _decide_common(f, g, budget, tol, tol_strict, seed, hereditary):
@@ -481,8 +511,12 @@ def _decide_common(f, g, budget, tol, tol_strict, seed, hereditary):
             f"matrices; the limit is {MAX_DIM}"
         )
     builder = build_counterexample_hereditary if hereditary else build_counterexample
-    diagnostics = {"certify_best": -np.inf, "separator_best": -np.inf,
+    diagnostics = {"certify_best": -np.inf, "certify_bound": None, "separator_best": -np.inf,
                    "certify_evals": 0, "separator_evals": 0}
+    lowest = np.inf
+    # A separator bound below cut puts every certify value below -tol.
+    scale = 1.0 + fro(coefficient_matrix(f2)) + fro(coefficient_matrix(g2))
+    cut = -tol - CUT_ROUNDOFF * scale
     rounds = max(1, math.ceil(budget / SLICE))
     for rnd in range(1, rounds + 1):
         slice_budget = min(budget, rnd * SLICE)
@@ -498,10 +532,12 @@ def _decide_common(f, g, budget, tol, tol_strict, seed, hereditary):
         # at or below -2 tol_strict, so when that is below -tol the separator's
         # target settles the round; certify finishing at >= -tol always does.
         settles = (-tol, 2.0 * margin if 2.0 * tol_strict > tol else np.inf)
-        (J, cert_best, cert_evals), (M, sep_best, sep_evals), _ = supergradient_ascent(
-            oracle, _race((cert_search, sep_search), settles),
+        ((J, cert_best, cert_evals), (M, sep_best, sep_evals)), bound, _ = supergradient_ascent(
+            oracle, _race((cert_search, sep_search), settles, cut),
         )
+        lowest = min(lowest, bound)
         diagnostics["certify_best"] = max(diagnostics["certify_best"], cert_best)
+        diagnostics["certify_bound"] = lowest if lowest < np.inf else None
         diagnostics["separator_best"] = max(diagnostics["separator_best"], sep_best)
         diagnostics["certify_evals"] += cert_evals
         diagnostics["separator_evals"] += sep_evals
@@ -542,14 +578,21 @@ def decide(
     and the separator search take one evaluation each in turn, certificate
     side first, and the round ends once certify finishes at >= -tol or the
     separator reaches its target; weak duality lets at most one side do
-    so, so the objects returned are those of certify then find_separator
-    run in full.  The first verified object wins, and only budget
-    exhaustion on both sides yields an inconclusive report.
+    so.  Each separator point M also bounds every certify value from above
+    by <A, M> - lambda_min(sum B_ij (x) M_ij); once a bound is below -tol
+    by more than a roundoff allowance (CUT_ROUNDOFF), certify can no longer
+    settle and stops, and the separator goes on alone.  So the objects
+    returned are those of certify then find_separator run in full.  The
+    first verified object wins.  The report is inconclusive when no round
+    yields one: certify ended below -tol or was ruled out, and the
+    separator ended without a verified counterexample.
     ``diagnostics`` holds, for every outcome, the evaluations each side
-    spent (``certify_evals``, ``separator_evals``, summed over rounds) and
-    the best value each reached before its round ended (``certify_best``,
-    ``separator_best``).  Reconciled sizes with q^2 or mq above MAX_DIM
-    raise DimensionTooLarge.
+    spent (``certify_evals``, ``separator_evals``, summed over rounds), the
+    best value each reached before its round ended (``certify_best``,
+    ``separator_best``) and ``certify_bound``, the lowest of those bounds
+    over all rounds (None if the separator made no evaluation).  A bound
+    below -tol shows, up to roundoff, that no trace-one certificate exists.
+    Reconciled sizes with q^2 or mq above MAX_DIM raise DimensionTooLarge.
     """
     _check_slater(g, slater, tol_strict, hereditary=False)
     return _decide_common(f, g, budget, tol, tol_strict, seed, hereditary=False)

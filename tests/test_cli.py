@@ -214,6 +214,10 @@ def test_slemma_inconclusive_reports_the_evaluations_of_each_side(capsys, tmp_pa
     expected = ns.decide(f, g, slater, budget=600).diagnostics
     for key in ("certify_evals", "separator_evals"):
         assert doc["diagnostics"][key] == expected[key] > 0
+    # Every separator point bounds every certify value by <A, M> - lambda_min = 1 - 4.
+    keys = list(doc["diagnostics"])
+    assert keys[keys.index("certify_best") + 1] == "certify_bound"
+    assert doc["diagnostics"]["certify_bound"] == expected["certify_bound"] == -3.0
 
 
 def test_scalar_slemma_certificate(capsys):
@@ -393,6 +397,54 @@ def test_importing_the_cli_builds_no_parser():
                           env={**os.environ, "PYTHONPATH": SRC})
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith("usage: ncslemma")
+
+
+class ClosedPipe:
+    """A stdout whose reader has gone: every write and flush raises BrokenPipeError."""
+
+    def __init__(self, fd):
+        self.fd = fd
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    def flush(self):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    def fileno(self):
+        return self.fd
+
+
+@pytest.mark.parametrize("argv,want", [
+    (["evaluate", "--project", fx("example61_f.json"), fx("example61_tuple.json")], cli.EXIT_OK),
+    (["evaluate", fx("missing.json"), fx("example61_tuple.json")], cli.EXIT_PARSE),
+])
+def test_closed_stdout_keeps_the_exit_code(argv, want, monkeypatch, capsys, tmp_path):
+    fd = os.open(tmp_path / "stdout", os.O_WRONLY | os.O_CREAT)
+    try:
+        monkeypatch.setattr(sys, "stdout", ClosedPipe(fd))
+        assert cli.main(argv) == want
+        # stdout now points at devnull, so the flush at exit cannot fail again
+        assert os.path.samestat(os.fstat(fd), os.stat(os.devnull))
+    finally:
+        os.close(fd)
+    assert capsys.readouterr().err.count("\n") == 1  # the one-line summary, no traceback
+
+
+def test_console_run_into_a_closed_pipe_exits_with_the_verdict():
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # every write to the pipe now fails with EPIPE
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "ncslemma.cli", "evaluate", "--project",
+             fx("example61_f.json"), fx("example61_tuple.json")],
+            stdout=write_end, stderr=subprocess.PIPE, text=True,
+            env={**os.environ, "PYTHONPATH": SRC},
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == cli.EXIT_OK, proc.stderr
+    assert proc.stderr.startswith("evaluated f:") and "Error" not in proc.stderr
 
 
 # Each of these used to get through: nan and 1e300 turned a residual with

@@ -131,10 +131,12 @@ def test_separator_oracle_matches_einsum(m, q, branch):
     calA = sign * np.eye(m * q) + 0.01 * ns.coefficient_matrix(f)
     c = 1.0 + np.linalg.norm(calA)
     M = spectraplex_project(random_sym(rng, m * q))
-    val, G = _separator_oracle(calA, g.blocks, q, c)(M)
+    val, G, bound = _separator_oracle(calA, g.blocks, q, c)(M)
 
     w, V = np.linalg.eigh(ref_b_term(M, g.blocks, q))
     t2 = -float(np.sum(calA * M)) / c
+    assert bound == pytest.approx(float(np.sum(calA * M)) - w[0],
+                                  abs=1e-12 * (1.0 + np.linalg.norm(calA) + abs(w[0])))
     assert (w[0] <= t2) == (branch == "b-term")
     if branch == "b-term":
         G_ref = ref_separator_gradient(V[:, 0], g.blocks, q)

@@ -1,9 +1,10 @@
 """decide and decide_hereditary race the certify search against the separator
 search, one evaluation each in turn.  By weak duality at most one side can
-reach its target, so the race must return what the two searches return run
-one after the other: certify, then find_separator, then the builder, round
-by round at the same budget.  Evaluations are counted as bench/spans.py
-counts them, from what every supergradient_ascent call returns."""
+reach its target, and each separator point bounds every certify value from
+above, so the race must return what the two searches return run one after
+the other: certify, then find_separator, then the builder, round by round at
+the same budget.  Evaluations are counted as bench/spans.py counts them,
+from what every supergradient_ascent call returns."""
 
 import importlib.util
 import math
@@ -58,6 +59,31 @@ def instance(kind, rng, m, q):
     return f, g, ns.new_tuple(x.reshape(m, 1, 1))
 
 
+def cut_value(f2, g2, tol=ns.DEFAULT_TOL):
+    """The separator bound below which no certify value reaches -tol."""
+    scale = 1.0 + linalg.fro(ns.coefficient_matrix(f2)) + linalg.fro(ns.coefficient_matrix(g2))
+    return -tol - slemma.CUT_ROUNDOFF * scale
+
+
+def separator_with_bounds(*args, **kwargs):
+    """find_separator's result and the bound the oracle gave at each point it evaluated."""
+    bounds, make = [], slemma._separator_oracle
+
+    def recording(*oracle_args):
+        oracle = make(*oracle_args)
+
+        def recorded(M):
+            out = oracle(M)
+            bounds.append(out[2])
+            return out
+
+        return recorded
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(slemma, "_separator_oracle", recording)
+        return ns.find_separator(*args, **kwargs), bounds
+
+
 def sequential(f, g, budget, seed, hereditary, evals, tol=ns.DEFAULT_TOL,
                tol_strict=ns.DEFAULT_TOL_STRICT):
     """The parent decision: certify, then find_separator, then the builder, per round.
@@ -65,11 +91,14 @@ def sequential(f, g, budget, seed, hereditary, evals, tol=ns.DEFAULT_TOL,
     Returns the kind, the object, the evaluations find_separator used, and
     the evaluations each side makes in the race: one each in turn, certify
     first, until certify finishes at >= -tol or the separator reaches its
-    target, which settles the round only while 2 tol_strict > tol.
+    target, which settles the round only while 2 tol_strict > tol.  Certify
+    also stops after the separator's k-th evaluation when that one's bound
+    is the first below cut_value; in a round certify wins, no bound is.
     """
     f2, g2 = slemma.reconcile(f, g)
     builder = ns.build_counterexample_hereditary if hereditary else ns.build_counterexample
     target = 2.0 * tol_strict / (1.0 + linalg.fro(ns.coefficient_matrix(f2)))
+    cut = cut_value(f2, g2, tol)
     separator_alone, race = 0, [0, 0]
     for rnd in range(1, max(1, math.ceil(budget / slemma.SLICE)) + 1):
         slice_budget = min(budget, rnd * slemma.SLICE)
@@ -77,16 +106,19 @@ def sequential(f, g, budget, seed, hereditary, evals, tol=ns.DEFAULT_TOL,
         cert = ns.certify(f2, g2, budget=slice_budget, tol=tol, seed=seed)
         n_cert = evals[0] - before
         before = evals[0]
-        sep = ns.find_separator(f2, g2, budget=slice_budget, tol=tol, tol_strict=tol_strict,
-                                seed=seed + 1)
+        sep, bounds = separator_with_bounds(f2, g2, budget=slice_budget, tol=tol,
+                                            tol_strict=tol_strict, seed=seed + 1)
         n_sep = evals[0] - before
+        assert len(bounds) == n_sep
+        k = next((i for i, b in enumerate(bounds, 1) if b < cut), math.inf)
         if cert.certificate is not None:
+            assert k == math.inf
             race[0] += n_cert
             race[1] += min(n_cert - 1, n_sep)
             return "certificate", cert.certificate, separator_alone, race
         separator_alone += n_sep
         settled = sep.best_value >= target and 2.0 * tol_strict > tol
-        race[0] += min(n_cert, n_sep) if settled else n_cert
+        race[0] += min(n_cert, n_sep if settled else n_cert, k)
         race[1] += n_sep
         if sep.M is not None:
             try:
@@ -134,6 +166,15 @@ def test_race_returns_the_sequential_decision(evals, kind, m, q, hereditary):
     assert [d["certify_evals"], d["separator_evals"]] == race
     if kind == "counterexample":
         assert raced <= 2 * separator_alone
+    # Weak duality, as computed: no certify value above any separator bound.
+    bound = d["certify_bound"]
+    assert (bound is None) == (d["separator_evals"] == 0)
+    if bound is not None:
+        f2, g2 = slemma.reconcile(f, g)
+        cut = cut_value(f2, g2)
+        assert bound >= d["certify_best"] - (-ns.DEFAULT_TOL - cut)
+        if kind == "certificate":
+            assert bound >= cut  # a planted certificate is never cut
 
 
 @pytest.mark.parametrize("m,q", SIZES)
@@ -150,3 +191,31 @@ def test_race_keeps_certify_going_when_tol_exceeds_twice_tol_strict(evals, m, q)
     same_object(want, decision.certificate, obj)
     d = decision.diagnostics
     assert [d["certify_evals"], d["separator_evals"]] == race
+
+
+@pytest.mark.parametrize("hereditary", [False, True])
+@pytest.mark.parametrize("ratio,kind,certify_evals", [
+    (0.999, "certificate", 498),
+    (1.0, "certificate", 498),
+    (1.001, "inconclusive", 498),  # within the roundoff allowance: not cut
+    (1.1, "inconclusive", 1),  # cut at the separator's first evaluation
+])
+def test_cut_spares_certify_until_the_bound_clears_the_roundoff_allowance(
+        ratio, kind, certify_evals, hereditary):
+    # (m, q) = (1, 1), f = (b - delta) x^2 and g = b x^2: J = 1 is forced, so
+    # every certify value and every separator bound is -delta, exactly at the
+    # first point (b = 2 tol makes b - delta exact).  Without the cut certify
+    # runs 3 starts of 500 // 3 evaluations; the first three rows are also
+    # what the race decides without the cut.
+    tol = ns.DEFAULT_TOL
+    b, delta = 2.0 * tol, ratio * tol
+    f = ns.new_quad_poly(np.full((1, 1, 1, 1), b - delta))
+    g = ns.new_quad_poly(np.full((1, 1, 1, 1), b))
+    slater = ns.new_tuple(np.full((1, 1, 1), 10.0))
+    decider = ns.decide_hereditary if hereditary else ns.decide
+    decision = decider(f, g, slater, budget=slemma.SLICE)
+    d = decision.diagnostics
+    assert (decision.kind, d["certify_evals"]) == (kind, certify_evals)
+    assert d["certify_bound"] == pytest.approx(-delta, rel=1e-12, abs=0.0)
+    assert d["certify_best"] == pytest.approx(-delta, rel=1e-12, abs=0.0)
+    assert d["separator_evals"] == (slemma.SLICE if kind == "inconclusive" else 497)
