@@ -279,9 +279,8 @@ def _add_common(sub):
                      help="strict-inequality margin (default 1e-6)")
     sub.add_argument("--budget", type=int, default=None,
                      help="evaluation budget N for searches (default 5000); slemma and "
-                          "slemma-hereditary run ceil(N/500) rounds, round r giving each "
-                          "of their two searches min(N, 500*r) evaluations from scratch, "
-                          "so up to 27,500 each at the default")
+                          "slemma-hereditary cap each of their two searches at N "
+                          "evaluations, or at one per start (3 and 2) when N is smaller")
     sub.add_argument("--seed", type=int, default=None,
                      help="seed for all randomized starts (default 42)")
     sub.add_argument("-o", "--output", default=None,

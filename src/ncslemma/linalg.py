@@ -11,7 +11,6 @@ public kernel is ``symmetrize`` followed by its core.
 """
 
 import math
-from types import GeneratorType
 from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -261,25 +260,13 @@ def _ascent(
         stage_base, stop = best_v, min(budget, evals + STAGE_LEN)
 
 
-def supergradient_ascent(
-    oracle: Callable,
-    x0,
-    budget: Optional[int] = None,
-    project: Optional[Callable[[np.ndarray], np.ndarray]] = None,
-    target: Optional[float] = None,
-    min_step: float = 1e-14,
-):
+def supergradient_ascent(oracle: Callable, search):
     """Drive a steppable search with ``oracle``; return ``(*its result, evals)``.
 
-    ``x0`` is the start point of one ``_ascent`` (with ``budget``,
-    ``project``, ``target`` and ``min_step``), which then returns
-    ``(best_x, best_value, evals)``.  Or it is a search already built, a
-    generator such as ``_ascent`` or ``spectral_search`` returning a pair:
-    ``oracle`` is called on each point it yields and the output sent back,
-    and the other arguments are unused.  ``evals`` is the number of
-    ``oracle`` calls.
+    ``search`` is a generator such as ``_ascent`` or ``spectral_search``
+    returning a pair: ``oracle`` is called on each point it yields and the
+    output sent back.  ``evals`` is the number of ``oracle`` calls.
     """
-    search = x0 if isinstance(x0, GeneratorType) else _ascent(x0, budget, project, target, min_step)
     evals, out = 0, None
     while True:
         try:

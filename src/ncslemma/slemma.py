@@ -15,10 +15,11 @@ only a verified counterexample refutes, and only a verified certificate
 confirms; everything else is reported inconclusive.
 
 The two searches are the two sides of one duality, so at most one can
-reach its target.  decide races them: one oracle evaluation from each in
-turn, and the first side to settle the question ends the round.  Every
-separator point also bounds the certificate search's values from above,
-and the certificate search stops once that bound rules it out.
+reach its target.  decide races them once, each within the budget: one
+oracle evaluation from each in turn, and the first side to settle the
+question ends the race.  Every separator point also bounds the
+certificate search's values from above, and the certificate search stops
+once that bound rules it out.
 """
 
 import math
@@ -41,6 +42,7 @@ from .linalg import (
     DEFAULT_TOL,
     DEFAULT_TOL_STRICT,
     MAX_DIM,
+    _ascent,
     _min_eigpair,
     fro,
     is_psd,
@@ -446,8 +448,6 @@ def _check_slater(g: NCQuadPoly, slater: MatTuple, tol_strict: float, hereditary
         raise SlaterViolated(f"lambda_min(g(slater)) = {lm:.3e} <= {tol_strict}")
 
 
-SLICE = 500
-
 # Roundoff allowance of the duality cut, per unit of 1 + ||A||_F + ||B||_F.
 # Both searches only evaluate outputs of _spectraplex_project, each within
 # O(n u) of a trace-one PSD matrix (n <= MAX_DIM its side, u = 2^-53), and
@@ -460,13 +460,13 @@ CUT_ROUNDOFF = 1e-10
 
 
 def _race(searches, settles, cut):
-    """The certify and separator searches of one round, one evaluation each in turn.
+    """The certify and separator searches of one decision, one evaluation each in turn.
 
     A generator for supergradient_ascent: it yields ``(side, point)``, side
     0 (certify) first, and takes the oracle's output for it back; the
     separator's output carries a third element, the bound its point puts on
     every certify value.  A side whose search finishes leaves the turn; the
-    round ends once both have finished, or as soon as one finishes with a
+    race ends once both have finished, or as soon as one finishes with a
     best value of at least ``settles[side]``, which cuts the other short.
     A separator bound below ``cut`` cuts certify short as well, since
     certify can then no longer settle.  Returns, per side, ``[best point or
@@ -511,52 +511,38 @@ def _decide_common(f, g, budget, tol, tol_strict, seed, hereditary):
             f"matrices; the limit is {MAX_DIM}"
         )
     builder = build_counterexample_hereditary if hereditary else build_counterexample
-    diagnostics = {"certify_best": -np.inf, "certify_bound": None, "separator_best": -np.inf,
-                   "certify_evals": 0, "separator_evals": 0}
-    lowest = np.inf
     # A separator bound below cut puts every certify value below -tol.
     scale = 1.0 + fro(coefficient_matrix(f2)) + fro(coefficient_matrix(g2))
     cut = -tol - CUT_ROUNDOFF * scale
-    rounds = max(1, math.ceil(budget / SLICE))
-    for rnd in range(1, rounds + 1):
-        slice_budget = min(budget, rnd * SLICE)
-        cert_oracle, cert_search = _certify_side(f2, g2, slice_budget, seed)
-        sep_oracle, sep_search, margin = _separator_side(f2, g2, slice_budget, tol_strict, seed + 1)
-        sides = (cert_oracle, sep_oracle)
+    cert_oracle, cert_search = _certify_side(f2, g2, budget, seed)
+    sep_oracle, sep_search, margin = _separator_side(f2, g2, budget, tol_strict, seed + 1)
+    sides = (cert_oracle, sep_oracle)
 
-        def oracle(step):
-            side, X = step
-            return sides[side](X)
+    def oracle(step):
+        side, X = step
+        return sides[side](X)
 
-        # Weak duality: a separator value >= 2 margin puts every certify value
-        # at or below -2 tol_strict, so when that is below -tol the separator's
-        # target settles the round; certify finishing at >= -tol always does.
-        settles = (-tol, 2.0 * margin if 2.0 * tol_strict > tol else np.inf)
-        ((J, cert_best, cert_evals), (M, sep_best, sep_evals)), bound, _ = supergradient_ascent(
-            oracle, _race((cert_search, sep_search), settles, cut),
-        )
-        lowest = min(lowest, bound)
-        diagnostics["certify_best"] = max(diagnostics["certify_best"], cert_best)
-        diagnostics["certify_bound"] = lowest if lowest < np.inf else None
-        diagnostics["separator_best"] = max(diagnostics["separator_best"], sep_best)
-        diagnostics["certify_evals"] += cert_evals
-        diagnostics["separator_evals"] += sep_evals
-        if J is not None:
-            cert = _certified(f2, g2, J, cert_best, tol)
-            if cert.certificate is not None:
-                return Decision(kind="certificate", certificate=cert.certificate,
-                                diagnostics=diagnostics)
-        if M is not None:
-            sep = _separated(f2, g2, M, sep_best, margin, tol, tol_strict)
-            if sep.M is None:
-                continue
-            try:
-                ce = builder(f2, g2, sep.M, tol=tol, tol_strict=tol_strict)
-            except VerificationFailed as exc:
-                diagnostics["counterexample_error"] = str(exc)
-                continue
-            return Decision(kind="counterexample", counterexample=ce,
+    # Weak duality: a separator value >= 2 margin puts every certify value
+    # at or below -2 tol_strict, so when that is below -tol the separator's
+    # target settles the race; certify finishing at >= -tol always does.
+    settles = (-tol, 2.0 * margin if 2.0 * tol_strict > tol else np.inf)
+    ((J, cert_best, cert_evals), (M, sep_best, sep_evals)), bound, _ = supergradient_ascent(
+        oracle, _race((cert_search, sep_search), settles, cut),
+    )
+    diagnostics = {"certify_best": cert_best, "certify_bound": bound if bound < np.inf else None,
+                   "separator_best": sep_best, "certify_evals": cert_evals,
+                   "separator_evals": sep_evals}
+    if J is not None:
+        cert = _certified(f2, g2, J, cert_best, tol)
+        if cert.certificate is not None:
+            return Decision(kind="certificate", certificate=cert.certificate,
                             diagnostics=diagnostics)
+    if M is not None and _separated(f2, g2, M, sep_best, margin, tol, tol_strict).M is not None:
+        try:
+            ce = builder(f2, g2, M, tol=tol, tol_strict=tol_strict)
+            return Decision(kind="counterexample", counterexample=ce, diagnostics=diagnostics)
+        except VerificationFailed as exc:
+            diagnostics["counterexample_error"] = str(exc)
     return Decision(kind="inconclusive", diagnostics=diagnostics)
 
 
@@ -573,25 +559,26 @@ def decide(
 
     Requires lambda_min(g(slater)) > tol_strict.  Coefficient dimensions are
     reconciled automatically (pad f, or replace g by repeated blocks).  The
-    budget is spent in rounds: round r runs each search afresh with
-    min(budget, r * SLICE) evaluations.  In a round the certificate search
-    and the separator search take one evaluation each in turn, certificate
-    side first, and the round ends once certify finishes at >= -tol or the
-    separator reaches its target; weak duality lets at most one side do
-    so.  Each separator point M also bounds every certify value from above
-    by <A, M> - lambda_min(sum B_ij (x) M_ij); once a bound is below -tol
-    by more than a roundoff allowance (CUT_ROUNDOFF), certify can no longer
-    settle and stops, and the separator goes on alone.  So the objects
-    returned are those of certify then find_separator run in full.  The
-    first verified object wins.  The report is inconclusive when no round
-    yields one: certify ended below -tol or was ruled out, and the
-    separator ended without a verified counterexample.
+    certificate search and the separator search each get ``budget``
+    evaluations, split evenly among their starts (certify 3, separator 2,
+    each start at least one), and take one evaluation each in turn,
+    certificate side first.  The race ends once certify finishes at >= -tol
+    or the separator reaches its target; weak duality lets at most one side
+    do so.  Each separator point M also bounds every certify value from
+    above by <A, M> - lambda_min(sum B_ij (x) M_ij); once a bound is below
+    -tol by more than a roundoff allowance (CUT_ROUNDOFF), certify can no
+    longer settle and stops, and the separator goes on alone.  So the
+    objects returned are those of certify then find_separator run in full.
+    The report is inconclusive when neither yields a verified object:
+    certify ended below -tol or was ruled out, and the separator ended
+    without a verified counterexample (a builder's failure is recorded as
+    ``counterexample_error``).
     ``diagnostics`` holds, for every outcome, the evaluations each side
-    spent (``certify_evals``, ``separator_evals``, summed over rounds), the
-    best value each reached before its round ended (``certify_best``,
-    ``separator_best``) and ``certify_bound``, the lowest of those bounds
-    over all rounds (None if the separator made no evaluation).  A bound
-    below -tol shows, up to roundoff, that no trace-one certificate exists.
+    spent (``certify_evals``, ``separator_evals``), the best value each
+    reached before the race ended (``certify_best``, ``separator_best``)
+    and ``certify_bound``, the lowest of those bounds (None if the
+    separator made no evaluation).  A bound below -tol shows, up to
+    roundoff, that no trace-one certificate exists.
     Reconciled sizes with q^2 or mq above MAX_DIM raise DimensionTooLarge.
     """
     _check_slater(g, slater, tol_strict, hereditary=False)
@@ -678,9 +665,7 @@ def homogenize(
     if n_skew == 0:
         best_x, best_v = x0, oracle(x0)[0]
     else:
-        best_x, best_v, _ = supergradient_ascent(
-            oracle, x0, budget, target=-0.1 * tol
-        )
+        best_x, best_v, _ = supergradient_ascent(oracle, _ascent(x0, budget, target=-0.1 * tol))
     Ks = unpack(best_x)
     C = coeff(Ks)
     lam = lambda_min(C)

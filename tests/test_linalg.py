@@ -192,7 +192,7 @@ def test_supergradient_ascent_unconstrained():
             [-np.sign(x[0] - 1.0), -np.sign(x[1] - 2.0)]
         )
 
-    x, v, _ = supergradient_ascent(oracle, np.zeros(2), 3000)
+    x, v, _ = supergradient_ascent(oracle, linalg._ascent(np.zeros(2), 3000))
     assert v >= -1e-9
     assert np.allclose(x, [1.0, 2.0], atol=1e-8)
 

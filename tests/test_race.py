@@ -2,9 +2,9 @@
 search, one evaluation each in turn.  By weak duality at most one side can
 reach its target, and each separator point bounds every certify value from
 above, so the race must return what the two searches return run one after
-the other: certify, then find_separator, then the builder, round by round at
-the same budget.  Evaluations are counted as bench/spans.py counts them,
-from what every supergradient_ascent call returns."""
+the other at the same budget: certify, then find_separator, then the
+builder.  Evaluations are counted as bench/spans.py counts them, from what
+every supergradient_ascent call returns."""
 
 import importlib.util
 import math
@@ -27,7 +27,7 @@ from helpers import (
 
 SPANS_FILE = Path(__file__).resolve().parent.parent / "bench" / "spans.py"
 SIZES = [(1, 1), (2, 2), (3, 2), (2, 3)]
-BUDGET = 600  # two rounds of slemma.SLICE
+BUDGET = 600
 SEED = 5
 
 
@@ -86,47 +86,40 @@ def separator_with_bounds(*args, **kwargs):
 
 def sequential(f, g, budget, seed, hereditary, evals, tol=ns.DEFAULT_TOL,
                tol_strict=ns.DEFAULT_TOL_STRICT):
-    """The parent decision: certify, then find_separator, then the builder, per round.
+    """The decision run one search after the other: certify, then find_separator, then the builder.
 
     Returns the kind, the object, the evaluations find_separator used, and
     the evaluations each side makes in the race: one each in turn, certify
     first, until certify finishes at >= -tol or the separator reaches its
-    target, which settles the round only while 2 tol_strict > tol.  Certify
+    target, which settles the race only while 2 tol_strict > tol.  Certify
     also stops after the separator's k-th evaluation when that one's bound
-    is the first below cut_value; in a round certify wins, no bound is.
+    is the first below cut_value; when certify wins, no bound is.
     """
     f2, g2 = slemma.reconcile(f, g)
     builder = ns.build_counterexample_hereditary if hereditary else ns.build_counterexample
     target = 2.0 * tol_strict / (1.0 + linalg.fro(ns.coefficient_matrix(f2)))
     cut = cut_value(f2, g2, tol)
-    separator_alone, race = 0, [0, 0]
-    for rnd in range(1, max(1, math.ceil(budget / slemma.SLICE)) + 1):
-        slice_budget = min(budget, rnd * slemma.SLICE)
-        before = evals[0]
-        cert = ns.certify(f2, g2, budget=slice_budget, tol=tol, seed=seed)
-        n_cert = evals[0] - before
-        before = evals[0]
-        sep, bounds = separator_with_bounds(f2, g2, budget=slice_budget, tol=tol,
-                                            tol_strict=tol_strict, seed=seed + 1)
-        n_sep = evals[0] - before
-        assert len(bounds) == n_sep
-        k = next((i for i, b in enumerate(bounds, 1) if b < cut), math.inf)
-        if cert.certificate is not None:
-            assert k == math.inf
-            race[0] += n_cert
-            race[1] += min(n_cert - 1, n_sep)
-            return "certificate", cert.certificate, separator_alone, race
-        separator_alone += n_sep
-        settled = sep.best_value >= target and 2.0 * tol_strict > tol
-        race[0] += min(n_cert, n_sep if settled else n_cert, k)
-        race[1] += n_sep
-        if sep.M is not None:
-            try:
-                return ("counterexample", builder(f2, g2, sep.M, tol=tol, tol_strict=tol_strict),
-                        separator_alone, race)
-            except VerificationFailed:
-                continue
-    return "inconclusive", None, separator_alone, race
+    before = evals[0]
+    cert = ns.certify(f2, g2, budget=budget, tol=tol, seed=seed)
+    n_cert = evals[0] - before
+    before = evals[0]
+    sep, bounds = separator_with_bounds(f2, g2, budget=budget, tol=tol,
+                                        tol_strict=tol_strict, seed=seed + 1)
+    n_sep = evals[0] - before
+    assert len(bounds) == n_sep
+    k = next((i for i, b in enumerate(bounds, 1) if b < cut), math.inf)
+    if cert.certificate is not None:
+        assert k == math.inf
+        return "certificate", cert.certificate, n_sep, [n_cert, min(n_cert - 1, n_sep)]
+    settled = sep.best_value >= target and 2.0 * tol_strict > tol
+    race = [min(n_cert, n_sep if settled else n_cert, k), n_sep]
+    if sep.M is not None:
+        try:
+            ce = builder(f2, g2, sep.M, tol=tol, tol_strict=tol_strict)
+            return "counterexample", ce, n_sep, race
+        except VerificationFailed:
+            pass
+    return "inconclusive", None, n_sep, race
 
 
 def same_object(kind, a, b):
@@ -213,9 +206,9 @@ def test_cut_spares_certify_until_the_bound_clears_the_roundoff_allowance(
     g = ns.new_quad_poly(np.full((1, 1, 1, 1), b))
     slater = ns.new_tuple(np.full((1, 1, 1), 10.0))
     decider = ns.decide_hereditary if hereditary else ns.decide
-    decision = decider(f, g, slater, budget=slemma.SLICE)
+    decision = decider(f, g, slater, budget=500)
     d = decision.diagnostics
     assert (decision.kind, d["certify_evals"]) == (kind, certify_evals)
     assert d["certify_bound"] == pytest.approx(-delta, rel=1e-12, abs=0.0)
     assert d["certify_best"] == pytest.approx(-delta, rel=1e-12, abs=0.0)
-    assert d["separator_evals"] == (slemma.SLICE if kind == "inconclusive" else 497)
+    assert d["separator_evals"] == (500 if kind == "inconclusive" else 497)

@@ -110,8 +110,9 @@ def restart_loop(oracle, starts, budget, target):
     best_v, best = -np.inf, None
     share = max(1, budget // len(starts))
     for x0 in starts:
-        x, v, _ = supergradient_ascent(oracle, linalg.spectraplex_project(x0), share,
-                                       project=linalg._spectraplex_project, target=target)
+        x, v, _ = supergradient_ascent(oracle, linalg._ascent(
+            linalg.spectraplex_project(x0), share, project=linalg._spectraplex_project,
+            target=target))
         if v > best_v:
             best_v, best = v, x
         if best_v >= target:
@@ -182,7 +183,7 @@ def test_ascent_rejects_nan_value():
         return value, -x + 1.0
 
     with pytest.raises(InvalidInput):
-        supergradient_ascent(oracle, np.zeros(3), 100)
+        supergradient_ascent(oracle, linalg._ascent(np.zeros(3), 100))
     assert len(calls) == 5
 
 
@@ -191,4 +192,4 @@ def test_ascent_rejects_infinite_supergradient():
         return 0.0, np.array([np.inf, 0.0])
 
     with pytest.raises(InvalidInput):
-        supergradient_ascent(oracle, np.zeros(2), 100)
+        supergradient_ascent(oracle, linalg._ascent(np.zeros(2), 100))
