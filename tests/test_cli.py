@@ -198,8 +198,7 @@ def test_slemma_huge_coefficients_exit_code(capsys, tmp_path):
         assert run(capsys, "verify", str(out), str(path))[0] == 0
 
 
-@pytest.mark.parametrize("budget", [500, 600, 1000, 5000])
-def test_slemma_inconclusive_reports_the_evaluations_of_each_side(capsys, budget):
+def check_scale_gap_inconclusive(capsys, budget):
     # f = x1x1, g = 4 x1x1: the multiplier 1/4 lies outside the trace-one slice
     f = ns.new_quad_poly(np.ones((1, 1, 1, 1)))
     g = ns.new_quad_poly(4.0 * np.ones((1, 1, 1, 1)))
@@ -213,6 +212,15 @@ def test_slemma_inconclusive_reports_the_evaluations_of_each_side(capsys, budget
     keys = list(doc["diagnostics"])
     assert keys[keys.index("certify_best") + 1] == "certify_bound"
     assert doc["diagnostics"]["certify_bound"] == expected["certify_bound"] == -3.0
+
+
+def test_slemma_inconclusive_reports_the_evaluations_of_each_side(capsys):
+    check_scale_gap_inconclusive(capsys, 600)
+
+
+@pytest.mark.parametrize("budget", [500, 1000, 5000])
+def test_slemma_inconclusive_evaluations_stay_within_the_budget(capsys, budget):
+    check_scale_gap_inconclusive(capsys, budget)
 
 
 def test_scalar_slemma_certificate(capsys):
