@@ -113,10 +113,9 @@ def is_globally_psd(
     z = eig.vectors[:, -1]
     # Coordinates of f(X0) are (q outer) x (m+1 inner); the coefficient-space
     # vector z lives on (m, q) and lands in the blocks 1..m of the inner index.
-    w = np.zeros(q * (m + 1))
-    for i in range(m):
-        for a in range(q):
-            w[a * (m + 1) + (i + 1)] = z[i * q + a]
+    W = np.zeros((q, m + 1))
+    W[:, 1:] = z.reshape(m, q).T
+    w = W.ravel()
     val = float(w @ evaluate(f, X0) @ w)
     if not (val < 0.0 and val <= -0.5 * tol_strict):
         raise WitnessConstructionFailed(

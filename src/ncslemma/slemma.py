@@ -165,38 +165,18 @@ def _b_term(M: np.ndarray, blocks: np.ndarray, q: int) -> np.ndarray:
     return regroup(out, q, q, q, q)
 
 
-def _pair_products(V: np.ndarray) -> np.ndarray:
-    """kron(V, V): the matrix with entry ((i, j), (a, b)) equal to V[i, a] V[j, b]."""
-    r, c = V.shape
-    return (V[:, None, :, None] * V[None, :, None, :]).reshape(r * r, c * c)
-
-
-def _certify_gradient(v: np.ndarray, rows: np.ndarray, m: int, q: int) -> np.ndarray:
-    """-sum_ij W_ij (x) B_ij for W = v v^T as an m x m grid of q x q blocks W_ij.
-
-    ``rows`` holds the blocks B_ij one per row, blocks.reshape(m*m, q*q).
-    The result, indexed ((a, c), (b, d)), is minus the adjoint of
-    J -> (1_m (x) phi_J) B at v v^T.
-    """
-    return -regroup(_pair_products(v.reshape(m, q)).T @ rows, q, q, q, q)
-
-
-def _separator_gradient(u: np.ndarray, rows: np.ndarray, m: int, q: int) -> np.ndarray:
-    """The mq x mq matrix with (i, j) block U^T B_ij U, where U = u.reshape(q, q).
-
-    This is the adjoint of M -> sum_ij B_ij (x) M_ij at u u^T.
-    """
-    return regroup(rows @ _pair_products(u.reshape(q, q)), m, m, q, q)
-
-
 def _certify_oracle(calA: np.ndarray, blocks: np.ndarray, q: int):
+    """oracle(J) -> (value, supergradient) of J -> lambda_min(A - (1_m (x) phi_J) B).
+
+    The supergradient is minus the adjoint block map at v v^T, v the bottom eigenvector.
+    """
     m = blocks.shape[0]
     rows = blocks.reshape(m * m, q * q)
 
     def oracle(J):
         R = calA - _map_coefficients(J, blocks, q)
         val, v = _min_eigpair(R)
-        G = _certify_gradient(v, rows, m, q)
+        G = -regroup(regroup(np.outer(v, v), m, q, m, q).T @ rows, q, q, q, q)
         return val, (G + G.T) / 2.0
 
     return oracle
@@ -205,10 +185,12 @@ def _certify_oracle(calA: np.ndarray, blocks: np.ndarray, q: int):
 def _separator_oracle(calA: np.ndarray, blocks: np.ndarray, q: int, c: float):
     """oracle(M) -> (value, supergradient, bound) of the separator objective.
 
-    ``bound`` is <A, M> - lambda_min(sum B_ij (x) M_ij).  At a trace-one PSD
-    M it is weak duality's upper bound on every certify value: for every
-    trace-one PSD J, lambda_min(A - (1_m (x) phi_J) B) <= <A - (1 (x) phi_J) B, M>
-    = <A, M> - <sum B_ij (x) M_ij, u J u^T> <= bound, u the tensor swap.
+    The B-side supergradient is the adjoint block map at the rank-one point
+    u u^T, u the bottom eigenvector of T = sum B_ij (x) M_ij.  ``bound`` is
+    <A, M> - lambda_min(T).  At a trace-one PSD M it is weak duality's upper
+    bound on every certify value: for every trace-one PSD J,
+    lambda_min(A - (1_m (x) phi_J) B) <= <A - (1 (x) phi_J) B, M>
+    = <A, M> - <T, s J s^T> <= bound, s the tensor swap.
     """
     m = blocks.shape[0]
     rows = blocks.reshape(m * m, q * q)
@@ -219,7 +201,7 @@ def _separator_oracle(calA: np.ndarray, blocks: np.ndarray, q: int, c: float):
         a = float(np.sum(calA * M))
         t2 = -a / c
         if t1 <= t2:
-            G = _separator_gradient(u, rows, m, q)
+            G = regroup(rows @ regroup(np.outer(u, u), q, q, q, q), m, m, q, q)
             return t1, (G + G.T) / 2.0, a - t1
         return t2, -calA / c, a - t1
 
@@ -537,11 +519,11 @@ def _decide_common(f, g, budget, tol, tol_strict, seed, hereditary):
         if cert.certificate is not None:
             return Decision(kind="certificate", certificate=cert.certificate,
                             diagnostics=diagnostics)
-    if M is not None and _separated(f2, g2, M, sep_best, margin, tol, tol_strict).M is not None:
+    if M is not None and sep_best >= margin:
         try:
             ce = builder(f2, g2, M, tol=tol, tol_strict=tol_strict)
             return Decision(kind="counterexample", counterexample=ce, diagnostics=diagnostics)
-        except VerificationFailed as exc:
+        except (PreconditionViolated, VerificationFailed) as exc:
             diagnostics["counterexample_error"] = str(exc)
     return Decision(kind="inconclusive", diagnostics=diagnostics)
 
@@ -571,8 +553,8 @@ def decide(
     objects returned are those of certify then find_separator run in full.
     The report is inconclusive when neither yields a verified object:
     certify ended below -tol or was ruled out, and the separator ended
-    without a verified counterexample (a builder's failure is recorded as
-    ``counterexample_error``).
+    without a verified counterexample (a builder's failure, a rejected
+    separator's PreconditionViolated included, is ``counterexample_error``).
     ``diagnostics`` holds, for every outcome, the evaluations each side
     spent (``certify_evals``, ``separator_evals``), the best value each
     reached before the race ended (``certify_best``, ``separator_best``)
@@ -630,49 +612,31 @@ def homogenize(
 
     iu = np.triu_indices(q, 1)
     n_skew = len(iu[0])
+    quad_coeff = coefficient_matrix(quad)
 
-    def unpack(x):
-        Ks = np.zeros((m, q, q))
-        for i in range(m):
-            Ki = np.zeros((q, q))
-            Ki[iu] = x[i * n_skew : (i + 1) * n_skew]
-            Ks[i] = Ki - Ki.T
-        return Ks
+    def h_blocks(x):
+        K = np.zeros((m, q, q))
+        K[:, iu[0], iu[1]] = x.reshape(m, n_skew)
+        return lin / 2.0 + (K - K.transpose(0, 2, 1))
 
-    def coeff(Ks):
-        d = (m + 1) * q
-        C = np.zeros((d, d))
-        C[:q, :q] = A0
-        for i in range(m):
-            H = lin[i] / 2.0 + Ks[i]
-            C[(i + 1) * q : (i + 2) * q, :q] = H
-            C[:q, (i + 1) * q : (i + 2) * q] = H.T
-        C[q:, q:] = coefficient_matrix(quad)
-        return C
+    def coeff(H):
+        side = H.reshape(m * q, q)
+        return np.block([[A0, side.T], [side, quad_coeff]])
 
     def oracle(x):
-        C = coeff(unpack(x))
-        val, v = _min_eigpair(C)
-        W = np.outer(v, v)
-        G = np.zeros_like(x)
-        for i in range(m):
-            Wi0 = W[(i + 1) * q : (i + 2) * q, :q]
-            skew = Wi0 - Wi0.T
-            G[i * n_skew : (i + 1) * n_skew] = 2.0 * skew[iu]
-        return val, G
+        val, v = _min_eigpair(coeff(h_blocks(x)))
+        W = np.outer(v[q:], v[:q]).reshape(m, q, q)
+        return val, 2.0 * (W - W.transpose(0, 2, 1))[:, iu[0], iu[1]].ravel()
 
-    x0 = np.zeros(m * n_skew)
-    if n_skew == 0:
-        best_x, best_v = x0, oracle(x0)[0]
-    else:
-        best_x, best_v, _ = supergradient_ascent(oracle, _ascent(x0, budget, target=-0.1 * tol))
-    Ks = unpack(best_x)
-    C = coeff(Ks)
+    best_x, _, _ = supergradient_ascent(
+        oracle, _ascent(np.zeros(m * n_skew), budget, target=-0.1 * tol),
+    )
+    H = h_blocks(best_x)
+    C = coeff(H)
     lam = lambda_min(C)
-    h_blocks = np.stack([lin[i] / 2.0 + Ks[i] for i in range(m)])
     return HomogenizationResult(
         feasible=bool(lam >= -tol),
-        h_blocks=h_blocks,
+        h_blocks=H,
         coefficient=C,
         lambda_min=lam,
     )

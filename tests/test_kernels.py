@@ -1,11 +1,13 @@
 """The matrix-product kernels of the search loop and of evaluation, against
-the 4-index einsum formulas they replace, plus the cheaper validation
-primitives against the checks they must keep."""
+the 4-index einsum formulas (for homogenize, the per-variable loops) they
+replace, plus the cheaper validation primitives against the checks they
+must keep."""
 
 import numpy as np
 import pytest
 
 import ncslemma as ns
+from ncslemma import slemma
 from ncslemma.errors import InvalidInput
 from ncslemma.linalg import (
     fro,
@@ -16,10 +18,8 @@ from ncslemma.linalg import (
 )
 from ncslemma.slemma import (
     _b_term,
-    _certify_gradient,
     _certify_oracle,
     _map_coefficients,
-    _separator_gradient,
     _separator_oracle,
 )
 
@@ -59,6 +59,29 @@ def ref_separator_gradient(u, blocks, q):
     return np.einsum("ijab,acbd->icjd", blocks, W).reshape(m * q, m * q)
 
 
+def ref_homogenize_oracle(x, quad, lin, A0):
+    """homogenize's oracle as per-variable loops: value and supergradient at x."""
+    m, q = quad.m, quad.q
+    iu = np.triu_indices(q, 1)
+    n_skew = len(iu[0])
+    C = np.zeros(((m + 1) * q, (m + 1) * q))
+    C[:q, :q] = A0
+    for i in range(m):
+        K = np.zeros((q, q))
+        K[iu] = x[i * n_skew : (i + 1) * n_skew]
+        H = lin[i] / 2.0 + (K - K.T)
+        C[(i + 1) * q : (i + 2) * q, :q] = H
+        C[:q, (i + 1) * q : (i + 2) * q] = H.T
+    C[q:, q:] = ns.coefficient_matrix(quad)
+    val, v = min_eigpair(C)
+    W = np.outer(v, v)
+    G = np.zeros_like(x)
+    for i in range(m):
+        Wi0 = W[(i + 1) * q : (i + 2) * q, :q]
+        G[i * n_skew : (i + 1) * n_skew] = 2.0 * (Wi0 - Wi0.T)[iu]
+    return val, G
+
+
 def ref_evaluate(p, mats, hereditary):
     spec = "iab,jcb->ijac" if hereditary else "iab,jbc->ijac"
     prods = np.einsum(spec, mats, mats)
@@ -70,11 +93,6 @@ def ref_evaluate(p, mats, hereditary):
 def ref_compress(val, q, Q):
     comp = np.kron(np.eye(q), Q.T) @ val @ np.kron(np.eye(q), Q)
     return (comp + comp.T) / 2.0
-
-
-def unit(rng, d):
-    v = rng.standard_normal(d)
-    return v / np.linalg.norm(v)
 
 
 # --- slemma kernels ----------------------------------------------------------
@@ -93,16 +111,6 @@ def test_b_term_matches_einsum(m, q):
     g = random_poly(rng, m, q)
     M = random_sym(rng, m * q)
     close(_b_term(M, g.blocks, q), ref_b_term(M, g.blocks, q))
-
-
-@pytest.mark.parametrize("m,q", SIZES)
-def test_gradients_match_einsum(m, q):
-    rng = np.random.default_rng(30 * m + q)
-    g = random_poly(rng, m, q)
-    rows = g.blocks.reshape(m * m, q * q)
-    v, u = unit(rng, m * q), unit(rng, q * q)
-    close(_certify_gradient(v, rows, m, q), ref_certify_gradient(v, g.blocks, q))
-    close(_separator_gradient(u, rows, m, q), ref_separator_gradient(u, g.blocks, q))
 
 
 @pytest.mark.parametrize("m,q", SIZES)
@@ -145,6 +153,25 @@ def test_separator_oracle_matches_einsum(m, q, branch):
         val_ref, G_ref = t2, -calA / c
     assert val == pytest.approx(val_ref, abs=1e-12 * (1.0 + abs(val_ref)))
     close(G, G_ref)
+
+
+@pytest.mark.parametrize("m,q", SIZES)
+def test_homogenize_oracle_matches_loops(monkeypatch, m, q):
+    # the array expressions do the loops' arithmetic, so the results are equal
+    rng = np.random.default_rng(55 * m + q)
+    quad = random_poly(rng, m, q)
+    lin = np.stack([random_sym(rng, q) for _ in range(m)])
+    A0 = random_sym(rng, q)
+    oracles = []
+    ascent = slemma.supergradient_ascent
+    monkeypatch.setattr(slemma, "supergradient_ascent",
+                        lambda oracle, search: oracles.append(oracle) or ascent(oracle, search))
+    ns.homogenize(quad, lin, A0, budget=1)
+    x = rng.standard_normal(m * (q * (q - 1) // 2))
+    val, G = oracles[0](x)
+    ref_val, ref_G = ref_homogenize_oracle(x, quad, lin, A0)
+    assert val == ref_val
+    assert np.array_equal(G, ref_G)
 
 
 # --- poly kernels ------------------------------------------------------------

@@ -21,8 +21,10 @@ from helpers import (
     random_poly,
     random_sym_tuple,
     refutable_instance,
+    slater_poly,
 )
 from test_poly import example_62_f, example_62_g
+from test_race import evals  # noqa: F401  (the bench's evaluation counter, a fixture)
 
 
 def scalar_embedded_pair():
@@ -166,6 +168,22 @@ def test_decide_counterexample():
     decision = ns.decide(f, g, unit_slater())
     assert decision.kind == "counterexample"
     assert ns.verify_counterexample(decision.counterexample, f, g)
+
+
+def test_decide_records_a_separator_the_builder_rejects(monkeypatch):
+    # the builder's separator checks are the only ones decide applies: their
+    # PreconditionViolated ends the decision inconclusive, with its message kept
+    rng = np.random.default_rng(9)
+    g, x = slater_poly(rng, 2, 2)
+    f, g, _ = refutable_instance(rng, 2, 2, g=g)
+
+    def reject(*args):
+        raise PreconditionViolated("separator rejected")
+
+    monkeypatch.setattr(slemma, "_checked_separator", reject)
+    decision = ns.decide(f, g, ns.new_tuple(x.reshape(2, 1, 1)))
+    assert decision.kind == "inconclusive"
+    assert decision.diagnostics["counterexample_error"] == "separator rejected"
 
 
 def test_decide_self_psd():
@@ -344,6 +362,18 @@ def test_homogenize_trivial_cases():
                         np.zeros((1, 2, 2)), np.diag([1.0, -1.0]))
     assert not bad.feasible
     assert bad.lambda_min == pytest.approx(-1.0)
+
+
+def test_homogenize_q1_is_one_counted_evaluation(evals):
+    # at q = 1 there is no skew freedom: the ascent stops after one
+    # evaluation, on a zero supergradient, and the bench counts it
+    quad = ns.new_quad_poly(np.array([[[[2.0]]]]))
+    res = ns.homogenize(quad, [[[1.0]]], [[1.0]])
+    assert evals == [1]
+    assert res.feasible
+    assert res.h_blocks.tolist() == [[[0.5]]]
+    assert res.coefficient.tolist() == [[1.0, 0.5], [0.5, 2.0]]
+    assert res.lambda_min == pytest.approx((3.0 - np.sqrt(2.0)) / 2.0)
 
 
 def test_verify_certificate_rejects_tampering():
