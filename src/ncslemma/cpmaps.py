@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidInput, ShapeMismatch
-from .linalg import checked_symmetric_part
+from .linalg import checked_symmetric_part, regroup, ungroup
 from .poly import MatTuple, NCQuadPoly
 
 
@@ -78,10 +78,17 @@ def apply_map_blockwise(phi: ChoiMatrix, M) -> np.ndarray:
     d = M.shape[0]
     if d % phi.s:
         raise ShapeMismatch(f"dimension {d} is not a multiple of s={phi.s}")
-    k = d // phi.s
-    M4 = M.reshape(phi.s, k, phi.s, k)
-    out = np.einsum("iajb,axby->ixjy", phi.grid(), M4)
-    return out.reshape(phi.t * k, phi.t * k)
+    return _map_stack(phi.J, M, phi.s, phi.t)[0]
+
+
+def _map_stack(J: np.ndarray, stack: np.ndarray, s: int, t: int) -> np.ndarray:
+    """(phi_J (x) 1_n) on each matrix of a (k, sn, sn) stack, as one matrix product.
+
+    regroup puts the grid index (a, b) of every matrix in the stack on the
+    rows of one matrix, which the regrouped Choi matrix then multiplies.
+    """
+    n = stack.shape[-1] // s
+    return ungroup(regroup(J, t, s, t, s) @ regroup(stack, s, n, s, n), t, n, t, n)
 
 
 def shuffle(q: int, m: int) -> ShuffleMatrix:

@@ -92,8 +92,17 @@ def regroup(x, a: int, b: int, c: int, d: int) -> np.ndarray:
     This is the index shuffle between an assembled block matrix (rows
     (i, k)) and its blocks flattened one per row (rows (i, j)), which turns
     every blockwise contraction into a single matrix product.
+
+    A (k, ab, cd) stack regroups to one ac x kbd matrix whose columns run
+    over (stack index, j, l), so one product serves the whole stack;
+    ``ungroup`` takes such a product back to a stack.
     """
-    return x.reshape(a, b, c, d).transpose(0, 2, 1, 3).reshape(a * c, b * d)
+    return x.reshape(-1, a, b, c, d).transpose(1, 3, 0, 2, 4).reshape(a * c, -1)
+
+
+def ungroup(y, a: int, b: int, c: int, d: int) -> np.ndarray:
+    """Inverse of regroup on a stack: an ac x kbd matrix to the (k, ab, cd) stack."""
+    return y.reshape(a, c, -1, b, d).transpose(2, 0, 3, 1, 4).reshape(-1, a * b, c * d)
 
 
 class EigDecomp(NamedTuple):

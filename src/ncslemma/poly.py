@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import AsymmetricCoefficients, InvalidInput, ShapeMismatch
-from .linalg import checked_symmetric_part, regroup
+from .linalg import checked_symmetric_part, regroup, ungroup
 
 SYMMETRIC = "symmetric"
 GENERAL = "general"
@@ -126,14 +126,19 @@ def _check_point(p: NCQuadPoly, X: MatTuple):
         raise ShapeMismatch(f"polynomial has m={p.m} but tuple has m={X.m}")
 
 
-def _gram_form(p: NCQuadPoly, X: MatTuple) -> np.ndarray:
-    """sum_ij A_ij (x) X_i X_j^T, symmetrized, as two matrix products."""
-    m, q, n = p.m, p.q, X.n
-    stack = X.mats.reshape(m * n, n)
-    prods = regroup(stack @ stack.T, m, n, m, n)  # row (i, j) holds X_i X_j^T
-    out = regroup(p.blocks.reshape(m * m, q * q).T @ prods, q, q, n, n)
+def _gram_form(p: NCQuadPoly, mats: np.ndarray) -> np.ndarray:
+    """sum_ij A_ij (x) X_i X_j^T, symmetrized, as two matrix products.
+
+    mats holds one tuple, shape (m, n, n), or a (k, m, n, n) stack of
+    tuples; the second product then serves the whole stack at once.
+    """
+    m, q, n = p.m, p.q, mats.shape[-1]
+    stack = mats.reshape(-1, m * n, n)
+    prods = regroup(stack @ stack.transpose(0, 2, 1), m, n, m, n)  # row (i, j) holds X_i X_j^T
+    out = ungroup(p.blocks.reshape(m * m, q * q).T @ prods, q, n, q, n)
     out *= 0.5  # halved before the sum, which then cannot overflow
-    return out + out.T
+    out = out + out.transpose(0, 2, 1)
+    return out if mats.ndim == 4 else out[0]
 
 
 def evaluate(p: NCQuadPoly, X: MatTuple) -> np.ndarray:
@@ -142,13 +147,13 @@ def evaluate(p: NCQuadPoly, X: MatTuple) -> np.ndarray:
     if X.kind != SYMMETRIC:
         raise ShapeMismatch("evaluate requires a symmetric tuple; "
                             "use evaluate_hereditary for general ones")
-    return _gram_form(p, X)  # X_j = X_j^T exactly in a symmetric tuple
+    return _gram_form(p, X.mats)  # X_j = X_j^T exactly in a symmetric tuple
 
 
 def evaluate_hereditary(p: NCQuadPoly, X: MatTuple) -> np.ndarray:
     """Evaluate the hereditary form sum_ij A_ij (x) X_i X_j^T (any tuple kind)."""
     _check_point(p, X)
-    return _gram_form(p, X)
+    return _gram_form(p, X.mats)
 
 
 def evaluate_compressed(p: NCQuadPoly, X: MatTuple, Q) -> np.ndarray:

@@ -55,11 +55,12 @@ from .linalg import (
     supergradient_ascent,
     symmetrize,
 )
-from .cpmaps import ChoiMatrix, identity_choi, new_choi
+from .cpmaps import ChoiMatrix, _map_stack, identity_choi, new_choi
 from .poly import (
     GENERAL,
     MatTuple,
     NCQuadPoly,
+    _gram_form,
     coefficient_matrix,
     direct_sum_repeat,
     evaluate,
@@ -653,6 +654,50 @@ def homogenized_poly(quad: NCQuadPoly, result: HomogenizationResult) -> NCQuadPo
 SPOT_CHECKS = 10
 
 
+def _spot_tuples(m: int, seed: int) -> list:
+    """The SPOT_CHECKS seeded symmetric tuples, drawn one by one, stacked by size.
+
+    Each draw takes its size n in 1..4, then its (m, n, n) matrices; the
+    tuples of one size form one (k, m, n, n) stack, in draw order.
+    """
+    rng = np.random.default_rng(seed)
+    by_size = {}
+    for _ in range(SPOT_CHECKS):
+        n = int(rng.integers(1, 5))
+        by_size.setdefault(n, []).append(rng.standard_normal((m, n, n)))
+    stacks = [np.stack(raws) for raws in by_size.values()]
+    return [(raw + raw.transpose(0, 1, 3, 2)) / 2.0 for raw in stacks]
+
+
+def _spot_checks_pass(f: NCQuadPoly, g: NCQuadPoly, J: np.ndarray, tol: float, seed: int) -> bool:
+    """Whether f(X) - (phi_J (x) 1_n) g(X) is PSD at every spot-check tuple X.
+
+    f and g are first divided by 2^e, the least power of two (e >= 0) above
+    both coefficient norms, so no evaluation overflows.  Each gap' = gap / 2^e
+    then passes iff lambda_min(gap') >= -tol (2^-e + ||gap'||_F), which is
+    lambda_min(gap) >= -tol (1 + ||gap||_F) divided by 2^e.  The tuples of
+    one size are tested in one batch: f and g are evaluated on the whole
+    stack, phi is applied as one product, and one stacked eigensolve takes
+    every lambda_min.
+    """
+    e = max(0, math.frexp(max(fro(f.blocks), fro(g.blocks)))[1])
+    f = replace(f, blocks=np.ldexp(f.blocks, -e))
+    g = replace(g, blocks=np.ldexp(g.blocks, -e))
+    floor = math.ldexp(1.0, -e)
+    with np.errstate(over="ignore", invalid="ignore"):  # a gap past the float range is named below
+        for X in _spot_tuples(f.m, seed):
+            gap = _gram_form(f, X) - _map_stack(J, _gram_form(g, X), f.q, f.q)
+            gap *= 0.5  # halved before the symmetrizing sum, which then cannot overflow
+            gap = gap + gap.transpose(0, 2, 1)
+            norm = np.linalg.norm(gap, axis=(1, 2))  # finite only if every entry is
+            if not np.isfinite(norm).all():
+                raise InvalidInput("spot check: a gap or its norm is past the float range")
+            low = np.linalg.eigvalsh(gap)[:, 0]
+            if not (low >= -tol * (floor + norm)).all():  # a NaN fails here
+                return False
+    return True
+
+
 def verify_certificate(
     cert: CPCertificate,
     f: NCQuadPoly,
@@ -662,9 +707,12 @@ def verify_certificate(
 ) -> bool:
     """Independent re-check of a certificate against the instance it claims.
 
-    Recomputes the residual from the inputs, re-runs both PSD tests and the
-    trace normalization, and spot-checks f(X) - (phi (x) 1) g(X) on
-    SPOT_CHECKS seeded random symmetric tuples of size up to 4.
+    Recomputes the residual A - (1_m (x) phi) B from the inputs and re-runs
+    the checks: J PSD with trace one, the residual PSD, and SPOT_CHECKS
+    spot checks of f(X) - (phi (x) 1_n) g(X) PSD at seeded random symmetric
+    tuples X of sizes n in 1..4 (see _spot_checks_pass).  Every PSD test is
+    lambda_min >= -tol (1 + ||.||_F); the spot checks scale f and g by a
+    power of two first, so coefficients near the largest float still verify.
     """
     try:
         f2, g2 = reconcile(f, g)
@@ -678,21 +726,9 @@ def verify_certificate(
         return False
     if not is_psd(J.J, tol):
         return False
-    residual = symmetrize(coefficient_matrix(f2) - _map_coefficients(J.J, g2.blocks, q))
-    if not is_psd(residual, tol):
+    if not is_psd(coefficient_matrix(f2) - _map_coefficients(J.J, g2.blocks, q), tol):
         return False
-
-    from .cpmaps import apply_map_blockwise
-
-    rng = np.random.default_rng(seed)
-    for _ in range(SPOT_CHECKS):
-        n = int(rng.integers(1, 5))
-        raw = rng.standard_normal((f2.m, n, n))
-        X = new_tuple((raw + raw.transpose(0, 2, 1)) / 2.0, kind="symmetric")
-        gap = evaluate(f2, X) - apply_map_blockwise(J, evaluate(g2, X))
-        if not is_psd(gap, tol):
-            return False
-    return True
+    return _spot_checks_pass(f2, g2, J.J, tol, seed)
 
 
 def verify_counterexample(
