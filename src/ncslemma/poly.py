@@ -127,15 +127,18 @@ def _check_point(p: NCQuadPoly, X: MatTuple):
 
 
 def _gram_form(p: NCQuadPoly, mats: np.ndarray) -> np.ndarray:
-    """sum_ij A_ij (x) X_i X_j^T, symmetrized, as two matrix products.
+    """sum_ij A_ij (x) Y_i Y_j^T, symmetrized, as two matrix products.
 
-    mats holds one tuple, shape (m, n, n), or a (k, m, n, n) stack of
-    tuples; the second product then serves the whole stack at once.
+    mats holds one tuple of l x n matrices Y_i, shape (m, l, n), or a
+    (k, m, l, n) stack of tuples; the second product then serves the whole
+    stack at once.  The result is q*l x q*l.  The Y_i may be rectangular:
+    evaluate_compressed passes the compressed rows Q^T X_i.
     """
-    m, q, n = p.m, p.q, mats.shape[-1]
-    stack = mats.reshape(-1, m * n, n)
-    prods = regroup(stack @ stack.transpose(0, 2, 1), m, n, m, n)  # row (i, j) holds X_i X_j^T
-    out = ungroup(p.blocks.reshape(m * m, q * q).T @ prods, q, n, q, n)
+    m, q = p.m, p.q
+    l, n = mats.shape[-2:]
+    stack = mats.reshape(-1, m * l, n)
+    prods = regroup(stack @ stack.transpose(0, 2, 1), m, l, m, l)  # row (i, j) holds Y_i Y_j^T
+    out = ungroup(p.blocks.reshape(m * m, q * q).T @ prods, q, l, q, l)
     out *= 0.5  # halved before the sum, which then cannot overflow
     out = out + out.transpose(0, 2, 1)
     return out if mats.ndim == 4 else out[0]
@@ -157,21 +160,20 @@ def evaluate_hereditary(p: NCQuadPoly, X: MatTuple) -> np.ndarray:
 
 
 def evaluate_compressed(p: NCQuadPoly, X: MatTuple, Q) -> np.ndarray:
-    """Compressed evaluation (Id_q (x) Q^T) f(X) (Id_q (x) Q).
+    """Compressed evaluation (Id_q (x) Q^T) f(X) (Id_q (x) Q), for either tuple kind.
 
     Q must have n rows; it may be a square projection or any rectangular
     matrix, in which case the result is q*l x q*l for Q with l columns.
+    The tuple is compressed first: the result is the Gram form
+    sum_ij A_ij (x) (Q^T X_i)(Q^T X_j)^T, so the qn x qn evaluation is never
+    formed.  For a general tuple that is the compressed hereditary form;
+    for a symmetric one it is the compressed f(X), since X_j = X_j^T.
     """
     Q = np.asarray(Q, dtype=float)
     if Q.ndim != 2 or Q.shape[0] != X.n:
         raise ShapeMismatch(f"Q must have {X.n} rows, got shape {Q.shape}")
-    val = evaluate(p, X) if X.kind == SYMMETRIC else evaluate_hereditary(p, X)
-    q, n, l = p.q, X.n, Q.shape[1]
-    # Q^T on each block row, then Q on each block column
-    comp = np.matmul(Q.T, val.reshape(q, n, q * n))
-    comp = (comp.reshape(q * l * q, n) @ Q).reshape(q * l, q * l)
-    comp *= 0.5  # halved before the sum, which then cannot overflow
-    return comp + comp.T
+    _check_point(p, X)
+    return _gram_form(p, Q.T @ X.mats)
 
 
 def direct_sum_repeat(p: NCQuadPoly, k: int) -> NCQuadPoly:

@@ -318,42 +318,74 @@ def _checked_separator(f, g, M, tol, tol_strict) -> np.ndarray:
 
 
 def _projected_point(rows, r: int, q: int) -> dict:
-    """Bordered symmetric X_i = [[0, V_i^T], [V_i, 0]], P onto the last q coordinates."""
+    """Bordered symmetric X_i = [[0, V_i^T], [V_i, 0]], P onto the last q coordinates.
+
+    rows holds the q x r factor slices V_i, shape (m, q, r).
+    """
     n = r + q
     mats = np.zeros((len(rows), n, n))
-    for i, V in enumerate(rows):
-        mats[i, :r, r:] = V.T
-        mats[i, r:, :r] = V
+    mats[:, :r, r:] = rows.transpose(0, 2, 1)
+    mats[:, r:, :r] = rows
     P = np.zeros((n, n))
     P[r:, r:] = np.eye(q)
     return {"X": new_tuple(mats, kind="symmetric"), "P": P, "E": np.eye(q).reshape(-1)}
 
 
 def _hereditary_point(rows, r: int, q: int) -> dict:
-    """X_i = V_i zero-padded to max(r, q) square, E' = sum_i e_i (x) f_i."""
+    """X_i = V_i zero-padded to max(r, q) square, E' = sum_i e_i (x) f_i; rows as above."""
     n = max(r, q)
     mats = np.zeros((len(rows), n, n))
-    for i, V in enumerate(rows):
-        mats[i, :q, :r] = V
+    mats[:, :q, :r] = rows
     return {"X": new_tuple(mats, kind=GENERAL), "E": np.eye(q, n).reshape(-1)}
+
+
+def _support(nonzero: np.ndarray):
+    """The boolean mask ``nonzero``, or every index when it holds nowhere."""
+    return nonzero if nonzero.any() else slice(None)
 
 
 def _sides(ce, f: NCQuadPoly, g: NCQuadPoly):
     """The g side that must be PSD and the violation E^T (f side) E at ce's stored point.
 
     Both counterexample kinds are accepted through this one computation,
-    by the builders and by verify_counterexample alike.
+    by the builders and by verify_counterexample alike.  Each side is the
+    compressed evaluation on the support of the point, the coordinates
+    where it can be nonzero, so the qn x qn evaluation is never formed:
+
+    * projected kind: g is compressed by the columns of P that are not
+      exactly zero (the last q for the builders' P = 0 (+) I_q), f by the
+      last q columns of P;
+    * hereditary kind: both are compressed by the identity's columns at the
+      rows where some X_i is nonzero, and E is restricted to those rows.
+
+    The rows and columns dropped are exactly zero in the full evaluation,
+    so its lambda_min is min(lambda_min(support), 0) and its norm is the
+    same: lambda_min >= -tol (1 + ||.||_F) gives the same verdict on both,
+    and so does the violation, since E is finite (a non-finite E is
+    InvalidInput).  A point that is zero everywhere keeps every coordinate.
     """
+    E = np.asarray(ce.E, dtype=float)
+    if not np.isfinite(E).all():
+        raise InvalidInput("witness E has non-finite entries")
     if isinstance(ce, HereditaryCounterexample):
-        g_side = evaluate_hereditary(g, ce.X)
-        f_side = evaluate_hereditary(f, ce.X)
+        n = ce.X.n
+        if E.shape != (f.q * n,):
+            raise ShapeMismatch(f"E must have shape ({f.q * n},), got {E.shape}")
+        keep = _support(ce.X.mats.any(axis=(0, 2)))
+        Q = np.eye(n)[:, keep]
+        E = E.reshape(f.q, n)[:, keep].ravel()
+        g_side = evaluate_compressed(g, ce.X, Q)
+        f_side = evaluate_compressed(f, ce.X, Q)
     else:
         r = ce.X.n - f.q
         if r < 0:
             raise ShapeMismatch(f"evaluation point of size {ce.X.n} is below q = {f.q}")
-        g_side = evaluate_compressed(g, ce.X, ce.P)
-        f_side = evaluate_compressed(f, ce.X, ce.P[:, r:])
-    return g_side, float(ce.E @ f_side @ ce.E)
+        P = np.asarray(ce.P, dtype=float)
+        if P.ndim != 2:
+            raise ShapeMismatch(f"P must be a matrix, got shape {P.shape}")
+        g_side = evaluate_compressed(g, ce.X, P[:, _support(P.any(axis=0))])
+        f_side = evaluate_compressed(f, ce.X, P[:, r:])
+    return g_side, float(E @ f_side @ E)
 
 
 def _build(kind, point, f, g, M, tol, tol_strict):
@@ -368,13 +400,10 @@ def _build(kind, point, f, g, M, tol, tol_strict):
     for cutoff in (tol, tol / 10.0):
         V = psd_factor(M, cutoff)
         r = V.shape[1]
-        rows = [V[i * q : (i + 1) * q, :] for i in range(m)]
-        ce = kind(M=M, rank=r, **point(rows, r, q))
+        ce = kind(M=M, rank=r, **point(V.reshape(m, q, r), r, q))
         g_side, violation = _sides(ce, f, g)
-        block_err = max(
-            fro(rows[i] @ rows[j].T - M[i * q : (i + 1) * q, j * q : (j + 1) * q])
-            for i in range(m) for j in range(m)
-        )
+        # the Frobenius norm of every block of V V^T - M in one pass
+        block_err = np.linalg.norm((V @ V.T - M).reshape(m, q, m, q), axis=(1, 3)).max()
         if is_psd(g_side, tol) and violation <= -tol_strict and block_err <= 1e-8:
             return replace(ce, violation=violation)
         last_error = (
@@ -740,8 +769,10 @@ def verify_counterexample(
 ) -> bool:
     """Re-check a counterexample's two inequalities from its stored evaluation point.
 
-    Any structural inconsistency in the stored object (wrong shapes, missing
-    pieces) counts as a failed verification rather than an error.
+    Both are checked on the support of the point (see _sides), which gives
+    the verdict of the whole evaluation.  Any structural inconsistency in
+    the stored object (wrong shapes, missing pieces, a non-finite witness E)
+    counts as a failed verification rather than an error.
     """
     try:
         f2, g2 = reconcile(f, g)

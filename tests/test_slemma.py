@@ -282,14 +282,15 @@ def test_hereditary_counterexample_q1_structure():
 
 @pytest.mark.parametrize("hereditary", [False, True])
 def test_builders_accept_through_the_verifier_evaluations(monkeypatch, hereditary):
-    # the builder evaluates g and f once at its point, as verify_counterexample does
+    # the builder evaluates g and f once at its point, as verify_counterexample does,
+    # both compressed to the point's support
     f, g = scalar_embedded_pair()
     sep = ns.find_separator(f, g)
-    name = "evaluate_hereditary" if hereditary else "evaluate_compressed"
     build = ns.build_counterexample_hereditary if hereditary else ns.build_counterexample
     calls = []
-    evaluate = getattr(slemma, name)
-    monkeypatch.setattr(slemma, name, lambda *args: calls.append(args[0]) or evaluate(*args))
+    evaluate = slemma.evaluate_compressed
+    monkeypatch.setattr(slemma, "evaluate_compressed",
+                        lambda *args: calls.append(args[0]) or evaluate(*args))
     ce = build(f, g, sep.M)
     assert calls == [g, f]
     assert ns.verify_counterexample(ce, f, g)
