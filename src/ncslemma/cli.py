@@ -279,8 +279,9 @@ def _add_common(sub):
                      help="strict-inequality margin (default 1e-6)")
     sub.add_argument("--budget", type=int, default=None,
                      help="evaluation budget N for searches (default 5000); slemma and "
-                          "slemma-hereditary cap each of their two searches at N "
-                          "evaluations, or at one per start (3 and 2) when N is smaller")
+                          "slemma-hereditary cap each of their two searches at N evaluations, "
+                          "or at one per start (3 and 2) when N is smaller; scalar-slemma caps "
+                          "at N the separator search it runs when no multiplier exists")
     sub.add_argument("--seed", type=int, default=None,
                      help="seed for all randomized starts (default 42)")
     sub.add_argument("-o", "--output", default=None,

@@ -213,7 +213,6 @@ def _ascent(
     budget: int,
     project: Optional[Callable[[np.ndarray], np.ndarray]] = None,
     target: Optional[float] = None,
-    min_step: float = 1e-14,
 ):
     """Two-phase projected supergradient ascent for a concave objective, one step at a time.
 
@@ -224,7 +223,8 @@ def _ascent(
     with best-iterate tracking; phase two restarts from the best point and
     takes raw supergradient steps with a constant size that halves whenever
     a stage fails to improve, which converges linearly on sharp maxima and
-    is what pushes boundary-supported optima down to 1e-8 and beyond.
+    is what pushes boundary-supported optima down to 1e-8 and beyond.  The
+    search ends at the budget, at ``target``, or once the step halves to 1e-14.
 
     ``project`` is called on every step without validation: it must accept
     the finite arrays the loop builds.  A step whose value or supergradient
@@ -264,7 +264,7 @@ def _ascent(
         elif best_v < stage_base + 0.01 * s:
             s *= 0.5
             x = best_x.copy()
-        if evals >= budget or s <= min_step:
+        if evals >= budget or s <= 1e-14:
             return best_x, best_v
         stage_base, stop = best_v, min(budget, evals + STAGE_LEN)
 
@@ -292,7 +292,6 @@ def spectral_search(
     seed: int,
     starts: Sequence[np.ndarray] = (),
     target: Optional[float] = None,
-    min_step: float = 1e-14,
 ):
     """maximize_spectral one step at a time: a generator of ``_ascent``s, returning (best, value)."""
     if dim < 1:
@@ -302,9 +301,7 @@ def spectral_search(
     share = max(1, budget // len(starts))
     best, best_v = None, -np.inf
     for M0 in starts:
-        M, v = yield from _ascent(
-            spectraplex_project(M0), share, _spectraplex_project, target, min_step,
-        )
+        M, v = yield from _ascent(spectraplex_project(M0), share, _spectraplex_project, target)
         if v > best_v:
             best, best_v = M, v
         if target is not None and best_v >= target:
@@ -319,7 +316,6 @@ def maximize_spectral(
     seed: int = DEFAULT_SEED,
     starts: Sequence[np.ndarray] = (),
     target: Optional[float] = None,
-    min_step: float = 1e-14,
 ):
     """Maximize a concave spectral objective over the spectraplex, from several starts.
 
@@ -329,12 +325,9 @@ def maximize_spectral(
     of a seeded random symmetric matrix, so runs are deterministic for a
     fixed seed.  Each ascent gets an equal share of ``budget`` (at least one
     evaluation), and the search stops once the best value reaches
-    ``target``.  ``min_step`` is the ascent's step-size floor.  Budget
-    exhaustion is not an error: the best iterate found and its value are
-    always returned.  ``spectral_search`` is the same search, one step at a
-    time.
+    ``target``.  Budget exhaustion is not an error: the best iterate found
+    and its value are always returned.  ``spectral_search`` is the same
+    search, one step at a time.
     """
-    best, best_v, _ = supergradient_ascent(
-        oracle, spectral_search(dim, budget, seed, starts, target, min_step),
-    )
+    best, best_v, _ = supergradient_ascent(oracle, spectral_search(dim, budget, seed, starts, target))
     return best, best_v

@@ -5,7 +5,8 @@ tuples of every size is equivalent to positive semidefiniteness of the
 assembled coefficient matrix.  The equivalence is constructive in both
 directions: a PSD coefficient matrix factors into a sum-of-squares form
 f(x) = L(x)^T L(x) with L linear, and a negative eigenvalue yields an
-explicit evaluation point and witness vector where f fails.
+explicit evaluation point and witness vector where f fails.  The scalar
+S-lemma is the matrix-valued one at q = 1 and refutes through slemma's search.
 """
 
 from dataclasses import dataclass, field
@@ -28,12 +29,14 @@ from .linalg import (
     DEFAULT_TOL_STRICT,
     fro,
     is_psd,
-    maximize_spectral,
+    maximize_spectral,  # unused: slemma searches; bench/spans.py wraps this name here
     psd_factor,
     sym_eig,
     symmetrize,
 )
-from .poly import MatTuple, NCQuadPoly, ScalarQuad, coefficient_matrix, evaluate, new_tuple
+from .poly import (MatTuple, NCQuadPoly, ScalarQuad, coefficient_matrix, evaluate, new_tuple,
+                   scalar_to_nc)
+from .slemma import find_separator
 
 
 @dataclass(frozen=True)
@@ -184,10 +187,11 @@ def scalar_slemma(
     Maximizes the concave function lambda -> lambda_min(A - lambda B) over
     lambda >= 0 (bracket doubling, then golden section).  A maximum above
     -tol yields the certificate multiplier.  A maximum below -tol_strict
-    triggers a separator search over the spectraplex followed by rank-one
-    splitting, producing an explicit x with x^T B x >= -tol and
-    x^T A x <= -tol_strict.  Values between the two tolerances are reported
-    inconclusive rather than forced into either branch.
+    triggers slemma.find_separator on the q = 1 lifts, within ``budget``
+    evaluations (``diagnostics["separator_evals"]``, 0 when it does not run),
+    and rank-one splitting of its separator, producing an explicit x with
+    x^T B x >= -tol and x^T A x <= -tol_strict.  Values between the two
+    tolerances, and refutations that fail, are reported inconclusive.
     """
     if np.any(f.a) or np.any(g.a) or f.a0 or g.a0:
         raise InvalidInput("scalar_slemma handles homogeneous quadratics only")
@@ -213,7 +217,7 @@ def scalar_slemma(
     endpoint = h(0.0)
     if endpoint > val:
         lam_star, val = 0.0, endpoint
-    diagnostics = {"best_value": val, "lambda": lam_star, "bracket_hi": hi}
+    diagnostics = {"best_value": val, "lambda": lam_star, "bracket_hi": hi, "separator_evals": 0}
 
     if val >= -tol:
         return ScalarSLemmaResult(outcome="certificate", lam=max(lam_star, 0.0),
@@ -221,21 +225,11 @@ def scalar_slemma(
     if val > -tol_strict:
         return ScalarSLemmaResult(outcome="inconclusive", diagnostics=diagnostics)
 
-    cA = 1.0 + fro(A)
-    cB = 1.0 + fro(B)
-
-    def oracle(S):
-        t1 = float(np.sum(B * S)) / cB
-        t2 = -float(np.sum(A * S)) / cA
-        if t1 <= t2:
-            return t1, B / cB
-        return t2, -A / cA
-
-    S, margin = maximize_spectral(oracle, f.m, budget, seed, min_step=max(1e-14, tol * 1e-2))
-    diagnostics["separator_margin"] = margin
-    if float(np.sum(A * S)) > -tol_strict or float(np.sum(B * S)) < -tol:
+    sep = find_separator(scalar_to_nc(f), scalar_to_nc(g), budget, tol, tol_strict, seed)
+    diagnostics.update(separator_margin=sep.best_value, separator_evals=sep.evals)
+    if sep.M is None:
         return ScalarSLemmaResult(outcome="inconclusive", diagnostics=diagnostics)
-    x = rank_one_split(S, A, B, tol=tol, tol_strict=tol_strict)
+    x = rank_one_split(sep.M, A, B, tol=tol, tol_strict=tol_strict)
     # Scale so the strict inequality holds with an absolute margin; scaling
     # can only happen when the B-form value is nonnegative.
     ax = float(x @ A @ x)

@@ -129,6 +129,7 @@ class SeparatorSearch:
     best_value: float
     b_margin: float = -np.inf
     a_value: float = np.inf
+    evals: int = 0
 
 
 @dataclass(frozen=True)
@@ -292,14 +293,15 @@ def find_separator(
     """Search for a trace-one PSD M with sum B_ij (x) M_ij PSD and <A, M> < 0.
 
     Maximizes min(lambda_min(sum B_ij (x) M_ij), -<A, M>/c) with
-    c = 1 + ||A||_F; success requires the optimum to clear tol_strict/c so
+    c = 1 + ||A||_F, up to the target 2 tol_strict / c in ``evals``
+    evaluations; success requires the optimum to clear tol_strict/c so
     both separator inequalities hold with a quantitative margin.
     """
     if f.m != g.m or f.q != g.q:
         raise ShapeMismatch("find_separator requires matching (m, q); reconcile first")
     oracle, search, margin = _separator_side(f, g, budget, tol_strict, seed)
-    M, best_v, _ = supergradient_ascent(lambda M: oracle(M)[:2], search)
-    return _separated(f, g, M, best_v, margin, tol, tol_strict)
+    M, best_v, evals = supergradient_ascent(lambda M: oracle(M)[:2], search)
+    return replace(_separated(f, g, M, best_v, margin, tol, tol_strict), evals=evals)
 
 
 def _checked_separator(f, g, M, tol, tol_strict) -> np.ndarray:
@@ -698,21 +700,25 @@ def _spot_tuples(m: int, seed: int) -> list:
     return [(raw + raw.transpose(0, 1, 3, 2)) / 2.0 for raw in stacks]
 
 
-def _spot_checks_pass(f: NCQuadPoly, g: NCQuadPoly, J: np.ndarray, tol: float, seed: int) -> bool:
-    """Whether f(X) - (phi_J (x) 1_n) g(X) is PSD at every spot-check tuple X.
+def _scaled(f: NCQuadPoly, g: NCQuadPoly):
+    """(f / 2^e, g / 2^e, 2^-e), 2^e the least power of two (e >= 0) above both coefficient norms.
 
-    f and g are first divided by 2^e, the least power of two (e >= 0) above
-    both coefficient norms, so no evaluation overflows.  Each gap' = gap / 2^e
-    then passes iff lambda_min(gap') >= -tol (2^-e + ||gap'||_F), which is
-    lambda_min(gap) >= -tol (1 + ||gap||_F) divided by 2^e.  The tuples of
-    one size are tested in one batch: f and g are evaluated on the whole
-    stack, phi is applied as one product, and one stacked eigensolve takes
-    every lambda_min.
+    Exact, and no evaluation of the scaled pair overflows.  On S' = S / 2^e,
+    lambda_min(S') >= -tol (2^-e + ||S'||_F) is the test at tol, divided by 2^e.
     """
     e = max(0, math.frexp(max(fro(f.blocks), fro(g.blocks)))[1])
-    f = replace(f, blocks=np.ldexp(f.blocks, -e))
-    g = replace(g, blocks=np.ldexp(g.blocks, -e))
-    floor = math.ldexp(1.0, -e)
+    return (replace(f, blocks=np.ldexp(f.blocks, -e)), replace(g, blocks=np.ldexp(g.blocks, -e)),
+            math.ldexp(1.0, -e))
+
+
+def _spot_checks_pass(f: NCQuadPoly, g: NCQuadPoly, floor: float, J, tol: float, seed: int) -> bool:
+    """Whether f(X) - (phi_J (x) 1_n) g(X) is PSD at every spot-check tuple X.
+
+    f, g and floor are _scaled's, and each gap passes iff lambda_min(gap) >=
+    -tol (floor + ||gap||_F).  The tuples of one size are tested in one
+    batch: f and g are evaluated on the whole stack, phi is applied as one
+    product, and one stacked eigensolve takes every lambda_min.
+    """
     with np.errstate(over="ignore", invalid="ignore"):  # a gap past the float range is named below
         for X in _spot_tuples(f.m, seed):
             gap = _gram_form(f, X) - _map_stack(J, _gram_form(g, X), f.q, f.q)
@@ -740,8 +746,8 @@ def verify_certificate(
     the checks: J PSD with trace one, the residual PSD, and SPOT_CHECKS
     spot checks of f(X) - (phi (x) 1_n) g(X) PSD at seeded random symmetric
     tuples X of sizes n in 1..4 (see _spot_checks_pass).  Every PSD test is
-    lambda_min >= -tol (1 + ||.||_F); the spot checks scale f and g by a
-    power of two first, so coefficients near the largest float still verify.
+    lambda_min >= -tol (1 + ||.||_F), on f and g scaled by a power of two
+    first (_scaled), so coefficients near the largest float still verify.
     """
     try:
         f2, g2 = reconcile(f, g)
@@ -755,9 +761,11 @@ def verify_certificate(
         return False
     if not is_psd(J.J, tol):
         return False
-    if not is_psd(coefficient_matrix(f2) - _map_coefficients(J.J, g2.blocks, q), tol):
+    f2, g2, floor = _scaled(f2, g2)
+    residual = symmetrize(coefficient_matrix(f2) - _map_coefficients(J.J, g2.blocks, q))
+    if np.linalg.eigvalsh(residual)[0] < -tol * (floor + fro(residual)):
         return False
-    return _spot_checks_pass(f2, g2, J.J, tol, seed)
+    return _spot_checks_pass(f2, g2, floor, J.J, tol, seed)
 
 
 def verify_counterexample(

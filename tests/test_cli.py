@@ -228,12 +228,15 @@ def test_scalar_slemma_certificate(capsys):
     assert code == 0
     assert doc["outcome"] == "certificate"
     assert 0.0 <= doc["lambda"] <= 1.0
+    assert doc["diagnostics"]["separator_evals"] == 0  # no separator search ran
 
 
 def test_scalar_slemma_counterexample(capsys):
     code, doc, _ = run(capsys, "scalar-slemma", fx("scalar_counterexample.json"))
     assert code == 11
     assert doc["outcome"] == "counterexample"
+    # The separator search stops once it reaches its target 2 tol_strict / c.
+    assert doc["diagnostics"]["separator_evals"] <= 10
     x = np.array(doc["x"])
     A = np.array([[0.0, 1.0], [1.0, 0.0]])
     B = np.diag([1.0, 0.0])

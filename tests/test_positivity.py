@@ -11,7 +11,7 @@ from ncslemma.errors import (
 from ncslemma.poly import blocks_from_matrix
 from ncslemma.slemma import _map_coefficients
 
-from helpers import random_poly, random_psd_poly, random_sym, random_sym_tuple
+from helpers import random_poly, random_psd_poly, random_scalar_pair, random_sym, random_sym_tuple
 from test_poly import example_62_f, example_62_g
 
 
@@ -181,6 +181,73 @@ def test_scalar_slemma_requires_homogeneous():
     g = ns.new_scalar_quad(np.eye(2))
     with pytest.raises(InvalidInput):
         ns.scalar_slemma(f, g, [1.0, 0.0])
+
+
+# --- the reference: scalar_slemma's own separator search, before it ran slemma's ---
+
+def reference_scalar_outcome(f, g, best_value, budget, tol=1e-8, tol_strict=1e-6, seed=42):
+    """The outcome scalar_slemma reached from its multiplier search's ``best_value``.
+
+    The refutation is the one scalar_slemma ran with its own oracle
+    min(<B, S>/c_B, -<A, S>/c_A), c_X = 1 + ||X||_F, and no target, through
+    maximize_spectral, followed by the same rank-one split and margin checks.
+    """
+    if best_value >= -tol:
+        return "certificate"
+    if best_value > -tol_strict:
+        return "inconclusive"
+    A, B = f.A, g.A
+    cA, cB = 1.0 + np.linalg.norm(A), 1.0 + np.linalg.norm(B)
+
+    def oracle(S):
+        t1, t2 = float(np.sum(B * S)) / cB, -float(np.sum(A * S)) / cA
+        return (t1, B / cB) if t1 <= t2 else (t2, -A / cA)
+
+    S, _ = ns.maximize_spectral(oracle, f.m, budget, seed)
+    if float(np.sum(A * S)) > -tol_strict or float(np.sum(B * S)) < -tol:
+        return "inconclusive"
+    x = ns.rank_one_split(S, A, B, tol=tol, tol_strict=tol_strict)
+    ax = float(x @ A @ x)
+    if -ax < tol_strict and float(x @ B @ x) >= 0.0:
+        x = x * np.sqrt(2.0 * tol_strict / -ax)
+        ax = float(x @ A @ x)
+    if ax > -tol_strict or float(x @ B @ x) < -tol:
+        return "inconclusive"
+    return "counterexample"
+
+
+def planted_violation(rng, m):
+    """(f, g, x): x^T B x >= 1 and x^T A x <= -(1 + ||A||_F) / 2, so x refutes domination."""
+    x = rng.standard_normal(m)
+    x /= np.linalg.norm(x)
+    B = random_sym(rng, m)
+    B += max(0.0, 1.0 - x @ B @ x) * np.outer(x, x)
+    A = random_sym(rng, m)
+    A -= (x @ A @ x + 0.5 * (1.0 + np.linalg.norm(A))) * np.outer(x, x)
+    return ns.new_scalar_quad(A), ns.new_scalar_quad(B), x
+
+
+def test_scalar_slemma_refutes_as_its_own_separator_search_did():
+    rng = np.random.default_rng(2031)
+    budget, kinds = 100, []
+    for k in range(200):
+        m = 2 + k % 4
+        f, g, slater = planted_violation(rng, m) if k % 2 else random_scalar_pair(rng, m)
+        res = ns.scalar_slemma(f, g, slater, budget=budget)
+        d = res.diagnostics
+        assert res.outcome == reference_scalar_outcome(f, g, d["best_value"], budget), k
+        kinds.append(res.outcome)
+        if "separator_margin" not in d:
+            assert d["separator_evals"] == 0
+            continue
+        sep = ns.find_separator(ns.scalar_to_nc(f), ns.scalar_to_nc(g), budget)
+        assert (d["separator_margin"], d["separator_evals"]) == (sep.best_value, sep.evals)
+        assert 1 <= sep.evals <= budget
+        if res.outcome == "counterexample":
+            x = res.x
+            assert x @ f.A @ x <= -1e-6
+            assert x @ g.A @ x >= -1e-8
+    assert kinds.count("counterexample") >= 100 and "certificate" in kinds
 
 
 def test_rank_one_split_rank_one():

@@ -10,9 +10,9 @@ import numpy as np
 import pytest
 
 import ncslemma as ns
-from ncslemma import cli, slemma
+from ncslemma import cli, serialize, slemma
 from ncslemma.errors import InvalidInput
-from ncslemma.slemma import SPOT_CHECKS, _map_coefficients, _spot_checks_pass, _spot_tuples
+from ncslemma.slemma import SPOT_CHECKS, _map_coefficients, _scaled, _spot_checks_pass, _spot_tuples
 
 from helpers import poly_from_matrix, random_poly
 from test_poly import example_62_f, example_62_g
@@ -52,6 +52,11 @@ def reference_spot_checks(f, g, J, tol, seed):
     return all(ns.is_psd(gap, tol) for gap in reference_gaps(f, g, J, seed))
 
 
+def spot_checks(f, g, J, tol, seed):
+    """The batched checks on f and g as verify_certificate hands them over: scaled."""
+    return _spot_checks_pass(*_scaled(f, g), J, tol, seed)
+
+
 # --- random (f, g, J, tol, seed) triples, about half of them failing -----------
 
 def random_triple(rng, m, q):
@@ -83,7 +88,7 @@ def triples():
 
 def test_batched_spot_checks_match_the_reference_loop(triples):
     want = [reference_spot_checks(*t) for t in triples]
-    got = [_spot_checks_pass(*t) for t in triples]
+    got = [spot_checks(*t) for t in triples]
     assert got == want
     assert 0.3 * len(want) < want.count(False) < 0.7 * len(want)
     for m, q in SIZES:  # every size both passes and fails somewhere
@@ -99,7 +104,7 @@ def test_spot_checks_past_the_reference_range_keep_its_verdicts(triples):
         return ns.new_quad_poly(np.ldexp(p.blocks, e))
 
     for f, g, J, tol, seed in triples[::5]:
-        assert _spot_checks_pass(scaled(f, 1000), scaled(g, 1000), J, tol, seed) == \
+        assert spot_checks(scaled(f, 1000), scaled(g, 1000), J, tol, seed) == \
             reference_spot_checks(scaled(f, 100), scaled(g, 100), J, tol, seed)
 
 
@@ -162,7 +167,7 @@ def test_gap_past_the_float_range_is_invalid_input_before_any_eigensolve(monkeyp
 
     monkeypatch.setattr(np.linalg, "eigvalsh", no_eigensolve)
     with pytest.raises(InvalidInput, match="past the float range"):
-        _spot_checks_pass(f, g, J, 1e-8, 0)
+        spot_checks(f, g, J, 1e-8, 0)
 
 
 def test_a_nan_eigenvalue_fails_the_check(monkeypatch):
@@ -170,9 +175,9 @@ def test_a_nan_eigenvalue_fails_the_check(monkeypatch):
     J = np.eye(4) / 4.0
     calA = _map_coefficients(J, g.blocks, 2) + 5.0 * np.eye(4)
     f = poly_from_matrix(calA, 2, 2)
-    assert _spot_checks_pass(f, g, J, 1e-8, 0)
+    assert spot_checks(f, g, J, 1e-8, 0)
     monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: np.full(a.shape[:-1], np.nan))
-    assert not _spot_checks_pass(f, g, J, 1e-8, 0)
+    assert not spot_checks(f, g, J, 1e-8, 0)
 
 
 # --- the command line ----------------------------------------------------------
@@ -196,6 +201,25 @@ def test_huge_scale_certificate_verifies_without_a_warning(tmp_path):
         code, doc = _run("verify", cert, inst)
     assert code == cli.EXIT_OK
     assert doc["verified"] is True
+
+
+def test_residual_of_opposite_huge_blocks_verifies_at_the_spot_checks_scale(tmp_path):
+    # f = x1x1 + 1.7e308 x2x2, g = x1x1 - 1.7e308 x2x2, phi = 1: the residual
+    # diag(0, 3.4e308) is past the float range unless it is formed from the
+    # scaled f and g the spot checks use.
+    f = ns.scalar_to_nc(ns.new_scalar_quad(np.diag([1.0, 1.7e308])))
+    g = ns.scalar_to_nc(ns.new_scalar_quad(np.diag([1.0, -1.7e308])))
+    J = ns.new_choi(np.eye(1), 1, 1)
+    cert = ns.CPCertificate(J=J, residual=np.zeros((2, 2)))
+    assert ns.verify_certificate(cert, f, g)
+    inst, cert_path = tmp_path / "inst.json", tmp_path / "cert.json"
+    inst.write_text(serialize.dumps({"format": serialize.FORMAT, "kind": "slemma",
+                                     "f": serialize.poly_to_json(f),
+                                     "g": serialize.poly_to_json(g),
+                                     "slater": serialize.tuple_to_json(ns.new_tuple([[[1.0]], [[0.0]]]))}))
+    cert_path.write_text(serialize.dumps(serialize.certificate_to_json(cert, {})))
+    code, doc = _run("verify", str(cert_path), str(inst))
+    assert (code, doc["verified"]) == (cli.EXIT_OK, True)
 
 
 def test_verify_accepts_the_example62_certificate_at_every_seed(tmp_path):
