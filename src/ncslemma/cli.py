@@ -216,7 +216,7 @@ def cmd_homogenize(args, inst, opts):
     if result.feasible:
         return (doc, f"PSD homogenization found (lambda_min = {result.lambda_min:.6e})",
                 EXIT_OK)
-    return (doc, f"no PSD homogenization (best lambda_min = {result.lambda_min:.6e})",
+    return (doc, f"no PSD homogenization (lambda_min = {result.lambda_min:.6e})",
             EXIT_NEGATIVE)
 
 

@@ -631,7 +631,10 @@ def homogenize(
     allowed by H_i0 + H_0i = A_i and symmetry.  The concave function
     K -> lambda_min(coefficient matrix of h) is maximized by supergradient
     ascent over the unconstrained skew parameters; success means the
-    optimum reaches -tol.
+    optimum reaches -tol.  A0 and the quadratic part are principal blocks
+    of every homogenization, so lambda_min(C) is at most the smaller of
+    their lambda_mins (Cauchy interlacing) whatever K is: when that is
+    below -tol no K helps, no search runs, and the result is at K = 0.
     """
     m, q = quad.m, quad.q
     linear = np.asarray(linear, dtype=float)
@@ -660,9 +663,9 @@ def homogenize(
         W = np.outer(v[q:], v[:q]).reshape(m, q, q)
         return val, 2.0 * (W - W.transpose(0, 2, 1))[:, iu[0], iu[1]].ravel()
 
-    best_x, _, _ = supergradient_ascent(
-        oracle, _ascent(np.zeros(m * n_skew), budget, target=-0.1 * tol),
-    )
+    best_x = np.zeros(m * n_skew)
+    if min(lambda_min(A0), lambda_min(quad_coeff)) >= -tol:
+        best_x, _, _ = supergradient_ascent(oracle, _ascent(best_x, budget, target=-0.1 * tol))
     H = h_blocks(best_x)
     C = coeff(H)
     lam = lambda_min(C)

@@ -159,9 +159,10 @@ def test_separator_oracle_matches_einsum(m, q, branch):
 def test_homogenize_oracle_matches_loops(monkeypatch, m, q):
     # the array expressions do the loops' arithmetic, so the results are equal
     rng = np.random.default_rng(55 * m + q)
-    quad = random_poly(rng, m, q)
+    quad = random_psd_poly(rng, m, q)  # PSD principal blocks, so the search runs
     lin = np.stack([random_sym(rng, q) for _ in range(m)])
-    A0 = random_sym(rng, q)
+    R = random_sym(rng, q)
+    A0 = R @ R
     oracles = []
     ascent = slemma.supergradient_ascent
     monkeypatch.setattr(slemma, "supergradient_ascent",

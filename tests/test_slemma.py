@@ -377,6 +377,32 @@ def test_homogenize_q1_is_one_counted_evaluation(evals):
     assert res.lambda_min == pytest.approx((3.0 - np.sqrt(2.0)) / 2.0)
 
 
+@pytest.mark.parametrize("shift,searched", [(-1e-3, False), (-0.5e-9, True)])
+@pytest.mark.parametrize("block", ["constant", "quad"])
+def test_homogenize_searches_only_if_the_principal_blocks_allow(evals, block, shift, searched):
+    # A0 and the quadratic part are principal blocks of every homogenization:
+    # with lambda_min below -tol on either, none is PSD and no evaluation runs
+    from helpers import random_psd_poly, random_sym
+
+    rng = np.random.default_rng(17)
+    m, q, tol = 2, 3, 1e-9
+    linear = np.stack([random_sym(rng, q) for _ in range(m)])
+    quad, constant = random_psd_poly(rng, m, q), np.eye(q)
+    if block == "constant":
+        constant = np.diag([1.0, 2.0, shift])
+    else:
+        calA = ns.coefficient_matrix(quad)
+        shifted = calA - (np.linalg.eigvalsh(calA)[0] - shift) * np.eye(m * q)
+        quad = ns.new_quad_poly(blocks_from_matrix(shifted, m, q))
+    res = ns.homogenize(quad, linear, constant, budget=50, tol=tol)
+    assert (evals[0] > 0) == searched
+    assert res.lambda_min == np.linalg.eigvalsh(res.coefficient)[0]
+    assert res.lambda_min <= shift + 1e-12
+    if not searched:
+        assert not res.feasible
+        assert np.array_equal(res.h_blocks, linear / 2.0)  # K = 0
+
+
 def test_verify_certificate_rejects_tampering():
     f, g = example_62_f(), example_62_g()
     cert = ns.certify(f, g).certificate

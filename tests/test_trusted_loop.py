@@ -80,7 +80,8 @@ def test_homogenize_trusted_equals_validating(m, q):
     rng = np.random.default_rng(200 * m + q)
     quad = random_psd_poly(rng, m, q)
     linear = np.stack([random_sym(rng, q) for _ in range(m)]) * 3.0
-    constant = random_sym(rng, q)
+    R = random_sym(rng, q)
+    constant = R @ R  # PSD, like quad: an indefinite principal block skips the search
     a, b, steps = same_runs(lambda: slemma.homogenize(quad, linear, constant, budget=BUDGET))
     assert steps > 0 or q == 1  # q = 1 leaves no skew freedom, hence no search
     assert (a.feasible, a.lambda_min) == (b.feasible, b.lambda_min)
