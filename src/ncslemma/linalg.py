@@ -36,14 +36,14 @@ _SHIFT_EXACT = 2.0 ** 52  # below this, 1 - u loses no bit of the 1 in _simplex_
 
 
 def checked_symmetric_part(a: np.ndarray, flipped: np.ndarray, what: str,
-                           error=InvalidInput, tol: float = SYM_ATOL) -> np.ndarray:
-    """(a + flipped) / 2, once ``a`` is finite and equals ``flipped`` within ``tol`` (relative).
+                           error=InvalidInput) -> np.ndarray:
+    """(a + flipped) / 2, once ``a`` is finite and equals ``flipped`` within SYM_ATOL (relative).
 
     ``flipped`` is the transpose ``a`` must equal (``a.T`` for a matrix, the
     block transpose for coefficient blocks).  Non-finite entries, and a
     Frobenius norm past the largest float (it would make every relative
     tolerance infinite), raise InvalidInput; asymmetry beyond
-    tol * (1 + ||a||_F) raises ``error``.  No entry exceeds the norm, so below
+    SYM_ATOL * (1 + ||a||_F) raises ``error``.  No entry exceeds the norm, so below
     half the largest float the plain sum cannot overflow and is used; above
     it, each term is halved first.
     """
@@ -54,19 +54,20 @@ def checked_symmetric_part(a: np.ndarray, flipped: np.ndarray, what: str,
         raise InvalidInput(f"{what}: Frobenius norm exceeds the float range")
     # a - flipped is exactly antisymmetric, so its largest entry is its largest magnitude
     gap = (a - flipped).max()
-    if gap > tol * (1.0 + norm):
-        raise error(f"{what}: asymmetry {gap:.3e} beyond tolerance {tol * (1.0 + norm):.3e}")
+    bound = SYM_ATOL * (1.0 + norm)
+    if gap > bound:
+        raise error(f"{what}: asymmetry {gap:.3e} beyond tolerance {bound:.3e}")
     if norm <= _HALF_MAX:
         return (a + flipped) / 2.0
     return a / 2.0 + flipped / 2.0
 
 
-def symmetrize(a, tol: float = SYM_ATOL) -> np.ndarray:
-    """Return the symmetric part of ``a``; reject asymmetry beyond ``tol`` (relative)."""
+def symmetrize(a) -> np.ndarray:
+    """Return the symmetric part of ``a``; reject asymmetry beyond SYM_ATOL (relative)."""
     m = np.asarray(a, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise InvalidInput(f"expected a square matrix, got shape {m.shape}")
-    return checked_symmetric_part(m, m.T, "matrix", tol=tol)
+    return checked_symmetric_part(m, m.T, "matrix")
 
 
 def fro(a) -> float:

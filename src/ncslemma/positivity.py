@@ -27,6 +27,7 @@ from .linalg import (
     DEFAULT_SEED,
     DEFAULT_TOL,
     DEFAULT_TOL_STRICT,
+    _min_eigpair,
     fro,
     is_psd,
     maximize_spectral,  # unused: slemma searches; bench/spans.py wraps this name here
@@ -153,26 +154,6 @@ def evaluate_factor(sf: SOSFactor, X: MatTuple) -> np.ndarray:
     return L.T @ L
 
 
-def _golden_max(h, lo: float, hi: float, iters: int = 300):
-    """Golden-section maximization of a unimodal function on [lo, hi]."""
-    inv_phi = (np.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - inv_phi * (b - a)
-    d = a + inv_phi * (b - a)
-    hc, hd = h(c), h(d)
-    for _ in range(iters):
-        if hc >= hd:
-            b, d, hd = d, c, hc
-            c = b - inv_phi * (b - a)
-            hc = h(c)
-        else:
-            a, c, hc = c, d, hd
-            d = a + inv_phi * (b - a)
-            hd = h(d)
-    x = (a + b) / 2.0
-    return x, h(x)
-
-
 def scalar_slemma(
     f: ScalarQuad,
     g: ScalarQuad,
@@ -184,12 +165,17 @@ def scalar_slemma(
 ) -> ScalarSLemmaResult:
     """Decide x^T B x >= 0 => x^T A x >= 0, with multiplier or counterexample.
 
-    Maximizes the concave function lambda -> lambda_min(A - lambda B) over
-    lambda >= 0 (bracket doubling, then golden section).  A maximum above
-    -tol yields the certificate multiplier.  A maximum below -tol_strict
-    triggers slemma.find_separator on the q = 1 lifts, within ``budget``
-    evaluations (``diagnostics["separator_evals"]``, 0 when it does not run),
-    and rank-one splitting of its separator, producing an explicit x with
+    Maximizes the concave h(lambda) = lambda_min(A - lambda B) over
+    lambda >= 0 by bisection on the sign of its supergradient -v^T B v, v a
+    bottom eigenvector, one eigensolve per step
+    (``diagnostics["multiplier_evals"]``): lambda = 0 if h does not rise at
+    0, else the upper end doubles while h rises (up to 2^60,
+    ``diagnostics["bracket_hi"]``) and [lo, hi] is halved until no float
+    lies between them.  A maximum above -tol yields the
+    certificate multiplier.  A maximum below -tol_strict triggers
+    slemma.find_separator on the q = 1 lifts, within ``budget`` evaluations
+    (``diagnostics["separator_evals"]``, 0 when it does not run), and
+    rank-one splitting of its separator, producing an explicit x with
     x^T B x >= -tol and x^T A x <= -tol_strict.  Values between the two
     tolerances, and refutations that fail, are reported inconclusive.
     """
@@ -207,21 +193,33 @@ def scalar_slemma(
     if not slater_value > tol_strict:  # a NaN value fails too
         raise SlaterViolated(f"slater value {slater_value:.3e} <= {tol_strict}")
 
-    def h(lam):
-        return float(np.linalg.eigvalsh(A - lam * B)[0])
+    evals = 0
 
-    hi = 1.0
-    while hi < 2.0**60 and h(hi) >= h(hi / 2.0):
-        hi *= 2.0
-    lam_star, val = _golden_max(h, 0.0, hi)
-    endpoint = h(0.0)
-    if endpoint > val:
-        lam_star, val = 0.0, endpoint
-    diagnostics = {"best_value": val, "lambda": lam_star, "bracket_hi": hi, "separator_evals": 0}
+    def probe(lam):  # h(lam), and whether h rises at lam: -v^T B v > 0
+        nonlocal evals
+        evals += 1
+        val, v = _min_eigpair(A - lam * B)
+        return val, float(v @ B @ v) < 0.0
+
+    lo = hi = 0.0
+    h_lo, rises = probe(lo)
+    h_hi = h_lo
+    while rises and hi < 2.0**60:  # the upper end doubles from 1 while h rises there
+        lo, h_lo, hi = hi, h_hi, max(2.0 * hi, 1.0)
+        h_hi, rises = probe(hi)
+    bracket_hi = hi
+    while lo < (mid := (lo + hi) / 2.0) < hi:
+        h_mid, rises = probe(mid)
+        if rises:
+            lo, h_lo = mid, h_mid
+        else:
+            hi, h_hi = mid, h_mid
+    lam_star, val = (lo, h_lo) if h_lo >= h_hi else (hi, h_hi)
+    diagnostics = {"best_value": val, "lambda": lam_star, "bracket_hi": bracket_hi,
+                   "multiplier_evals": evals, "separator_evals": 0}
 
     if val >= -tol:
-        return ScalarSLemmaResult(outcome="certificate", lam=max(lam_star, 0.0),
-                                  diagnostics=diagnostics)
+        return ScalarSLemmaResult(outcome="certificate", lam=lam_star, diagnostics=diagnostics)
     if val > -tol_strict:
         return ScalarSLemmaResult(outcome="inconclusive", diagnostics=diagnostics)
 

@@ -227,7 +227,9 @@ def test_scalar_slemma_certificate(capsys):
     code, doc, _ = run(capsys, "scalar-slemma", fx("scalar_certificate.json"))
     assert code == 0
     assert doc["outcome"] == "certificate"
-    assert 0.0 <= doc["lambda"] <= 1.0
+    # h(lambda) = lambda_min(I - lambda diag(1, -1)) falls at 0: one eigensolve, lambda 0
+    assert doc["lambda"] == 0.0
+    assert doc["diagnostics"]["multiplier_evals"] == 1
     assert doc["diagnostics"]["separator_evals"] == 0  # no separator search ran
 
 
@@ -235,7 +237,9 @@ def test_scalar_slemma_counterexample(capsys):
     code, doc, _ = run(capsys, "scalar-slemma", fx("scalar_counterexample.json"))
     assert code == 11
     assert doc["outcome"] == "counterexample"
-    # The separator search stops once it reaches its target 2 tol_strict / c.
+    # h falls at 0, so the multiplier search ends after one eigensolve; the
+    # separator search stops once it reaches its target 2 tol_strict / c.
+    assert doc["diagnostics"]["multiplier_evals"] == 1
     assert doc["diagnostics"]["separator_evals"] <= 10
     x = np.array(doc["x"])
     A = np.array([[0.0, 1.0], [1.0, 0.0]])

@@ -144,6 +144,57 @@ def test_scalar_slemma_certificate():
     assert float(np.linalg.eigvalsh(f.A - lam * g.A)[0]) >= -1e-8
 
 
+def test_scalar_slemma_multiplier_is_exactly_zero_when_h_falls_at_zero():
+    # h(lambda) = min(1 - lambda, 1 + lambda): the search stops at its first eigensolve
+    f = ns.new_scalar_quad(np.eye(2))
+    g = ns.new_scalar_quad(np.diag([1.0, -1.0]))
+    res = ns.scalar_slemma(f, g, [1.0, 0.0])
+    assert res.lam == 0.0
+    d = res.diagnostics
+    assert (d["best_value"], d["bracket_hi"], d["multiplier_evals"]) == (1.0, 0.0, 1)
+
+
+def test_scalar_slemma_bisects_to_an_interior_kink():
+    # h(lambda) = min(3 - lambda, -1 + 2 lambda) peaks at 4/3; the halving ends
+    # when no float lies between its ends
+    f = ns.new_scalar_quad(np.diag([3.0, -1.0]))
+    g = ns.new_scalar_quad(np.diag([1.0, -2.0]))
+    res = ns.scalar_slemma(f, g, [1.0, 0.0])
+    assert res.outcome == "certificate"
+    ulp = np.spacing(4.0 / 3.0)
+    assert abs(res.lam - 4.0 / 3.0) <= 2 * ulp
+    d = res.diagnostics
+    assert d["bracket_hi"] == 2.0  # h rises at 0 and 1, falls at 2
+    assert d["best_value"] == pytest.approx(5.0 / 3.0, abs=1e-14)
+    assert d["multiplier_evals"] <= 2 + 1 + 53
+
+
+def test_scalar_slemma_multiplier_search_steps_stay_bounded():
+    # one eigensolve at 0, at most 61 doublings, then about 53 halvings of a
+    # binade-wide bracket plus one per binade the maximum lies below 1
+    rng = np.random.default_rng(77)
+    steps = []
+    for k in range(200):
+        f, g, slater = random_scalar_pair(rng, m=2 + k % 4)
+        d = ns.scalar_slemma(f, g, slater, budget=100).diagnostics
+        steps.append(d["multiplier_evals"])
+        if d["bracket_hi"] == 0.0:
+            assert d["multiplier_evals"] == 1 and d["lambda"] == 0.0
+    assert max(steps) <= 70, max(steps)
+    assert 1 in steps and max(steps) > 1
+
+
+@pytest.mark.xfail(strict=True, reason="the separator search of min(<B, M>, -<A, M>/c) stalls "
+                   "at -0.00095 on a pair whose multiplier value is -0.00248")
+def test_scalar_slemma_refutes_a_pair_its_multiplier_search_rules_out():
+    rng = np.random.default_rng(12345)
+    for k in range(1059):
+        f, g, slater = random_scalar_pair(rng, m=2 + k % 4)
+    res = ns.scalar_slemma(f, g, slater)
+    assert res.diagnostics["best_value"] == pytest.approx(-0.00248, abs=1e-5)
+    assert res.outcome == "counterexample"
+
+
 def test_scalar_slemma_counterexample():
     f = ns.new_scalar_quad([[0.0, 1.0], [1.0, 0.0]])
     g = ns.new_scalar_quad(np.diag([1.0, 0.0]))

@@ -11,6 +11,7 @@ from ncslemma.errors import (
     PreconditionViolated,
     ShapeMismatch,
     SlaterViolated,
+    VerificationFailed,
 )
 from ncslemma.poly import blocks_from_matrix
 from ncslemma.slemma import _b_term, _map_coefficients
@@ -153,6 +154,38 @@ def test_build_counterexample_preconditions():
         ns.build_counterexample(f, g, np.diag([1.0, -1.0]))  # not PSD
     with pytest.raises(PreconditionViolated):
         ns.build_counterexample(f, g, np.diag([0.0, 1.0]))  # <A, M> = 0
+
+
+def retry_pair():
+    """f = diag(-1, 0) x^2 and g = I_2 x^2: every PSD M with M_00 > 0 separates."""
+    return ns.new_quad_poly([[np.diag([-1.0, 0.0])]]), ns.new_quad_poly([[np.eye(2)]])
+
+
+@pytest.mark.parametrize("hereditary", [False, True])
+@pytest.mark.parametrize("eps, rank, cutoffs", [
+    # 1.5e-8 is below the first cutoff 1e-8 (1 + ||M||_F), so rank 1 leaves a block
+    # error of 1.5e-8 > 1e-8; the retry at a 10x finer cutoff keeps it
+    (1.5e-8, 2, [1e-8, 1e-9]),
+    (1e-12, 1, [1e-8]),
+])
+def test_builders_retry_at_a_finer_rank_cutoff(monkeypatch, hereditary, eps, rank, cutoffs):
+    f, g = retry_pair()
+    build = ns.build_counterexample_hereditary if hereditary else ns.build_counterexample
+    seen = []
+    factor = slemma.psd_factor
+    monkeypatch.setattr(slemma, "psd_factor", lambda S, tol: seen.append(tol) or factor(S, tol))
+    ce = build(f, g, np.diag([1.0 - eps, eps]))
+    assert (ce.rank, seen) == (rank, cutoffs)
+    assert ns.verify_counterexample(ce, f, g)
+
+
+@pytest.mark.parametrize("hereditary", [False, True])
+def test_builders_report_the_block_error_when_both_cutoffs_fail(hereditary):
+    # with ||M||_F = 1000 both cutoffs (~1e-5 and ~1e-6) drop the eigenvalue 5e-7
+    f, g = retry_pair()
+    build = ns.build_counterexample_hereditary if hereditary else ns.build_counterexample
+    with pytest.raises(VerificationFailed, match=r"block error=5\.000e-07"):
+        build(f, g, np.diag([1e3, 5e-7]))
 
 
 def test_decide_example_62():
