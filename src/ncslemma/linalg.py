@@ -7,13 +7,18 @@ asymmetry beyond roundoff.
 
 The cores ``_min_eigpair`` and ``_spectraplex_project`` skip those checks,
 for the matrices the search loops build from inputs validated once; each
-public kernel is ``symmetrize`` followed by its core.
+public kernel is ``symmetrize`` followed by its core.  The cores also skip
+numpy's Python wrapper around LAPACK: ``_eigh`` calls the gufunc that
+``np.linalg.eigh`` calls, on the float64 square matrices the cores always
+pass, so the results are the same bits (``tests/test_linalg.py`` checks
+this) for a fraction of the cost on the small matrices of a search step.
 """
 
 import math
 from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from .errors import InvalidInput, NotPSD
 
@@ -129,10 +134,30 @@ def lambda_min(S) -> float:
     return float(np.linalg.eigvalsh(symmetrize(S))[0])
 
 
-def _min_eigpair(S: np.ndarray):
-    """min_eigpair without validation, for square finite matrices built in the loop."""
+def _eigh(S: np.ndarray):
+    """np.linalg.eigh of a float64 square matrix: the LAPACK gufunc it calls, without its wrapper.
+
+    The wrapper checks the shape and dtype, which the loop's matrices always
+    pass, and turns a LAPACK convergence failure into LinAlgError; here that
+    failure gives NaN and numpy's invalid-value warning, and NaN input gives
+    NaN through either.  The searches reject a NaN value as InvalidInput.
+    """
+    return _umath_linalg.eigh_lo(S, signature="d->dd")
+
+
+def _sym_eigh(S: np.ndarray):
+    """Ascending eigenvalues and eigenvectors of the symmetric part of a square float64 matrix."""
     h = S * 0.5  # halved before the symmetrizing sum, which then cannot overflow
-    w, V = np.linalg.eigh(h + h.T)
+    return _eigh(h + h.T)
+
+
+def _min_eigpair(S: np.ndarray):
+    """min_eigpair without validation, for square finite matrices built in the loop.
+
+    It also skips np.linalg.eigh's Python wrapper: ``_eigh`` calls the same
+    LAPACK gufunc, and a test checks that both give the same bits.
+    """
+    w, V = _sym_eigh(S)
     return float(w[0]), V[:, 0].copy()
 
 
@@ -178,9 +203,12 @@ def simplex_project(v) -> np.ndarray:
 
 
 def _spectraplex_project(S: np.ndarray) -> np.ndarray:
-    """spectraplex_project without validation, for square finite matrices built in the loop."""
-    h = S * 0.5  # halved before the symmetrizing sum, which then cannot overflow
-    w, V = np.linalg.eigh(h + h.T)  # ascending, so w[::-1] is sorted for the shift
+    """spectraplex_project without validation, for square finite matrices built in the loop.
+
+    It also skips np.linalg.eigh's Python wrapper: ``_eigh`` calls the same
+    LAPACK gufunc, and a test checks that both give the same bits.
+    """
+    w, V = _sym_eigh(S)  # ascending, so w[::-1] is sorted for the shift
     if max(w[-1], -w[0]) > _SHIFT_EXACT:
         # The shift would round the 1 away or overflow.  Moving w by its largest
         # entry leaves the projection as it is, and entries below -1 get no weight.

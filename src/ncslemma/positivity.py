@@ -9,6 +9,7 @@ explicit evaluation point and witness vector where f fails.  The scalar
 S-lemma is the matrix-valued one at q = 1 and refutes through slemma's search.
 """
 
+import math
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -27,7 +28,7 @@ from .linalg import (
     DEFAULT_SEED,
     DEFAULT_TOL,
     DEFAULT_TOL_STRICT,
-    _min_eigpair,
+    _sym_eigh,
     fro,
     is_psd,
     maximize_spectral,  # unused: slemma searches; bench/spans.py wraps this name here
@@ -154,6 +155,24 @@ def evaluate_factor(sf: SOSFactor, X: MatTuple) -> np.ndarray:
     return L.T @ L
 
 
+def _probe_point(lo: float, hi: float) -> float:
+    """The next multiplier to probe in [lo, hi]: a power of two while hi > 2 lo, else the midpoint.
+
+    Before that, hi = 2^-b (b >= 0) and lo is 0 or 2^-a.  From lo = 0 the
+    probe is 2^-(2b + 1), so the exponent roughly doubles (2^-1, 2^-3,
+    2^-7, ...) down to the smallest subnormal; from lo = 2^-a it is
+    2^-((a + b) // 2).  Either way the binade [2^-j, 2^-(j-1)] that holds the
+    maximum is found in about 2 log2(j) probes, where halving [0, 1]
+    arithmetically takes j, and it is found with the same two probes at its
+    ends, so the halving inside it goes as before, bit for bit.
+    """
+    if hi <= 2.0 * lo:
+        return (lo + hi) / 2.0
+    b = 1 - math.frexp(hi)[1]
+    e = 2 * b + 1 if lo == 0.0 else (b + 1 - math.frexp(lo)[1]) // 2
+    return math.ldexp(1.0, -min(e, 1074))
+
+
 def scalar_slemma(
     f: ScalarQuad,
     g: ScalarQuad,
@@ -166,12 +185,15 @@ def scalar_slemma(
     """Decide x^T B x >= 0 => x^T A x >= 0, with multiplier or counterexample.
 
     Maximizes the concave h(lambda) = lambda_min(A - lambda B) over
-    lambda >= 0 by bisection on the sign of its supergradient -v^T B v, v a
-    bottom eigenvector, one eigensolve per step
-    (``diagnostics["multiplier_evals"]``): lambda = 0 if h does not rise at
-    0, else the upper end doubles while h rises (up to 2^60,
-    ``diagnostics["bracket_hi"]``) and [lo, hi] is halved until no float
-    lies between them.  A maximum above -tol yields the
+    lambda >= 0 by bisection on the sign of its right derivative,
+    -lambda_max(V^T B V) for V the bottom eigenvectors, one eigensolve per
+    step (``diagnostics["multiplier_evals"]``).  A simple bottom eigenvalue
+    gives the supergradient -v^T B v; an exactly tied one, as at a multiple
+    of the identity, takes a second eigensolve of the small V^T B V.
+    lambda = 0 if h does not rise at 0, else the upper end doubles while h
+    rises (up to 2^60, ``diagnostics["bracket_hi"]``) and [lo, hi] is halved
+    until no float lies between them, at powers of two while it spans more
+    than one binade (``_probe_point``).  A maximum above -tol yields the
     certificate multiplier.  A maximum below -tol_strict triggers
     slemma.find_separator on the q = 1 lifts, within ``budget`` evaluations
     (``diagnostics["separator_evals"]``, 0 when it does not run), and
@@ -195,11 +217,15 @@ def scalar_slemma(
 
     evals = 0
 
-    def probe(lam):  # h(lam), and whether h rises at lam: -v^T B v > 0
+    def probe(lam):  # h(lam), and whether h rises at lam: its right derivative is positive
         nonlocal evals
         evals += 1
-        val, v = _min_eigpair(A - lam * B)
-        return val, float(v @ B @ v) < 0.0
+        w, V = _sym_eigh(A - lam * B)
+        if w.size > 1 and w[1] == w[0]:  # tied: any bottom eigenvector v may come back
+            tied = V[:, w == w[0]]
+            return float(w[0]), _sym_eigh(tied.T @ B @ tied)[0][-1] < 0.0
+        v = V[:, 0].copy()
+        return float(w[0]), float(v @ B @ v) < 0.0
 
     lo = hi = 0.0
     h_lo, rises = probe(lo)
@@ -208,7 +234,7 @@ def scalar_slemma(
         lo, h_lo, hi = hi, h_hi, max(2.0 * hi, 1.0)
         h_hi, rises = probe(hi)
     bracket_hi = hi
-    while lo < (mid := (lo + hi) / 2.0) < hi:
+    while lo < (mid := _probe_point(lo, hi)) < hi:
         h_mid, rises = probe(mid)
         if rises:
             lo, h_lo = mid, h_mid

@@ -178,7 +178,7 @@ def _certify_oracle(calA: np.ndarray, blocks: np.ndarray, q: int):
     def oracle(J):
         R = calA - _map_coefficients(J, blocks, q)
         val, v = _min_eigpair(R)
-        G = -regroup(regroup(np.outer(v, v), m, q, m, q).T @ rows, q, q, q, q)
+        G = -regroup(regroup(v[:, None] * v, m, q, m, q).T @ rows, q, q, q, q)
         return val, (G + G.T) / 2.0
 
     return oracle
@@ -200,10 +200,10 @@ def _separator_oracle(calA: np.ndarray, blocks: np.ndarray, q: int, c: float):
     def oracle(M):
         T = _b_term(M, blocks, q)
         t1, u = _min_eigpair(T)
-        a = float(np.sum(calA * M))
+        a = float((calA * M).sum())
         t2 = -a / c
         if t1 <= t2:
-            G = regroup(rows @ regroup(np.outer(u, u), q, q, q, q), m, m, q, q)
+            G = regroup(rows @ regroup(u[:, None] * u, q, q, q, q), m, m, q, q)
             return t1, (G + G.T) / 2.0, a - t1
         return t2, -calA / c, a - t1
 
@@ -660,7 +660,7 @@ def homogenize(
 
     def oracle(x):
         val, v = _min_eigpair(coeff(h_blocks(x)))
-        W = np.outer(v[q:], v[:q]).reshape(m, q, q)
+        W = (v[q:, None] * v[:q]).reshape(m, q, q)
         return val, 2.0 * (W - W.transpose(0, 2, 1))[:, iu[0], iu[1]].ravel()
 
     best_x = np.zeros(m * n_skew)

@@ -294,3 +294,48 @@ def test_maximize_spectral_budget_shares_and_target():
     evals.clear()
     _, value = ns.maximize_spectral(oracle, 3, budget=300, starts=[np.eye(3)], target=2.0)
     assert len(evals) == 300 and value <= 1.0
+
+
+# --- _eigh: the LAPACK gufunc np.linalg.eigh wraps, called without the wrapper ---
+
+def _same_bits(got, want):
+    return got.dtype == want.dtype and got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def _eigh_inputs():
+    rng = np.random.default_rng(20)
+    for n in (1, 2, 3, 4, 8, 16, 36, 48, 64):
+        raw = rng.standard_normal((n, n))
+        yield pytest.param(raw + raw.T, id=f"random-{n}")
+    yield pytest.param(1e308 * np.eye(2), id="1e308-I")
+    yield pytest.param(-1e308 * np.eye(2), id="-1e308-I")
+    yield pytest.param(np.diag([1e308, 0.0]), id="diag-1e308-0")
+
+
+@pytest.mark.parametrize("S", _eigh_inputs())
+def test_eigh_core_is_numpy_eigh_bit_for_bit(S):
+    # the search loops decide through _eigh: a numpy release that changes the
+    # private gufunc must fail here, not move a decision
+    w, V = linalg._eigh(S)
+    want_w, want_V = np.linalg.eigh(S)
+    assert _same_bits(w, want_w) and _same_bits(V, want_V)
+
+
+def test_eigh_core_gives_nan_on_nan_input_as_numpy_does():
+    S = np.array([[1.0, np.nan], [np.nan, 2.0]])
+    w, V = linalg._eigh(S)  # RuntimeWarnings are errors in this suite
+    want_w, want_V = np.linalg.eigh(S)
+    assert np.isnan(w).all() and np.isnan(want_w).all()
+    assert np.array_equal(V, want_V, equal_nan=True)
+
+
+def test_search_cores_skip_the_numpy_wrapper(monkeypatch):
+    def wrapper(*args, **kwargs):
+        raise AssertionError("np.linalg.eigh called from a search core")
+
+    S = np.array([[2.0, 1.0], [1.0, -1.0]])
+    want = linalg._min_eigpair(S), linalg._spectraplex_project(S)
+    monkeypatch.setattr(np.linalg, "eigh", wrapper)
+    value, v = linalg._min_eigpair(S)
+    assert value == want[0][0] and np.array_equal(v, want[0][1])
+    assert np.array_equal(linalg._spectraplex_project(S), want[1])

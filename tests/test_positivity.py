@@ -184,6 +184,68 @@ def test_scalar_slemma_multiplier_search_steps_stay_bounded():
     assert 1 in steps and max(steps) > 1
 
 
+@pytest.mark.parametrize("theta", [0.0, 0.3, 1.0, 2.0, np.pi / 2])
+@pytest.mark.parametrize("signs", [(1.0, -1.0), (-1.0, 1.0)], ids=["plus-minus", "minus-plus"])
+def test_scalar_slemma_reads_the_whole_tied_bottom_eigenspace(theta, signs):
+    # f = I: h(lambda) = min(1 - lambda, 1 + lambda) falls at 0, but any unit
+    # vector is a bottom eigenvector of A - 0 B, and v^T B v < 0 for some of
+    # them; h's right derivative is -lambda_max(B) = -1 over the whole eigenspace
+    Q = np.array([[np.cos(theta), -np.sin(theta)], [np.sin(theta), np.cos(theta)]])
+    f = ns.new_scalar_quad(np.eye(2))
+    g = ns.new_scalar_quad(Q @ np.diag(signs) @ Q.T)
+    res = ns.scalar_slemma(f, g, Q[:, int(signs[0] < 0)])
+    assert res.outcome == "certificate" and res.lam == 0.0
+    d = res.diagnostics
+    assert (d["best_value"], d["bracket_hi"], d["multiplier_evals"]) == (1.0, 0.0, 1)
+
+
+def test_scalar_slemma_halves_bit_patterns_from_zero():
+    # the maximum sits at 1e-300, about 1000 binades below 1: halving [0, 1]
+    # arithmetically would take one eigensolve per binade
+    f = ns.new_scalar_quad(np.diag([1e-300, -1e-300]))
+    g = ns.new_scalar_quad(np.diag([1.0, -1.0]))
+    res = ns.scalar_slemma(f, g, [1.0, 0.0])
+    assert res.outcome == "certificate"
+    assert abs(res.lam - 1e-300) <= 2 * np.spacing(1e-300)
+    d = res.diagnostics
+    assert d["bracket_hi"] == 1.0 and d["multiplier_evals"] < 80
+
+
+def _halving_multiplier(A, B):
+    """The multiplier search with plain halving from [0, 1]: (lambda, h(lambda), probes)."""
+    def probe(lam):
+        h = (A - lam * B) * 0.5
+        w, V = np.linalg.eigh(h + h.T)
+        v = V[:, 0].copy()
+        return float(w[0]), float(v @ B @ v) < 0.0
+
+    lo = hi = 0.0
+    h_lo, rises = probe(lo)
+    h_hi, probes = h_lo, 1
+    while rises and hi < 2.0**60:
+        lo, h_lo, hi = hi, h_hi, max(2.0 * hi, 1.0)
+        (h_hi, rises), probes = probe(hi), probes + 1
+    while lo < (mid := (lo + hi) / 2.0) < hi:
+        (h_mid, rises), probes = probe(mid), probes + 1
+        if rises:
+            lo, h_lo = mid, h_mid
+        else:
+            hi, h_hi = mid, h_mid
+    return (lo, h_lo, probes) if h_lo >= h_hi else (hi, h_hi, probes)
+
+
+def test_scalar_slemma_power_of_two_probes_end_where_halving_does():
+    # the powers of two find the binade plain halving from [0, 1] would reach,
+    # with the same probes at its ends, so the multiplier is the same bits
+    rng = np.random.default_rng(5)
+    for k in range(200):
+        f, g, slater = random_scalar_pair(rng, m=2 + k % 4)
+        d = ns.scalar_slemma(f, g, slater, budget=1).diagnostics
+        lam, value, probes = _halving_multiplier(f.A, g.A)
+        assert (d["lambda"], d["best_value"]) == (lam, value)
+        assert d["multiplier_evals"] <= probes + 1
+
+
 @pytest.mark.xfail(strict=True, reason="the separator search of min(<B, M>, -<A, M>/c) stalls "
                    "at -0.00095 on a pair whose multiplier value is -0.00248")
 def test_scalar_slemma_refutes_a_pair_its_multiplier_search_rules_out():
