@@ -176,7 +176,7 @@ def cmd_slemma(args, inst, opts):
         "diagnostics": {k: v for k, v in decision.diagnostics.items()},
         "options": opts,
     }
-    return doc, "inconclusive: neither search found a verified object", EXIT_INCONCLUSIVE
+    return doc, "inconclusive: no verified certificate or counterexample", EXIT_INCONCLUSIVE
 
 
 def cmd_scalar_slemma(args, inst, opts):
@@ -280,8 +280,8 @@ def _add_common(sub):
     sub.add_argument("--budget", type=int, default=None,
                      help="evaluation budget N for searches (default 5000); slemma and "
                           "slemma-hereditary cap each of their two searches at N evaluations, "
-                          "or at one per start (3 and 2) when N is smaller; scalar-slemma caps "
-                          "at N the separator search it runs when no multiplier exists")
+                          "or at one per start (3 and 2) when N is smaller; it does not apply "
+                          "at q = 1, where they run no search, nor to scalar-slemma")
     sub.add_argument("--seed", type=int, default=None,
                      help="seed for all randomized starts (default 42)")
     sub.add_argument("-o", "--output", default=None,

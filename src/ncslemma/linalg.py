@@ -360,3 +360,124 @@ def maximize_spectral(
     """
     best, best_v, _ = supergradient_ascent(oracle, spectral_search(dim, budget, seed, starts, target))
     return best, best_v
+
+
+class Multiplier(NamedTuple):
+    """The maximum of h(lambda) = lambda_min(A - lambda B) over lambda >= 0 (see scalar_multiplier)."""
+
+    lam: float
+    value: float  # h(lam)
+    bracket_hi: float  # the upper end the doubling reached, 0 when h falls at 0
+    evals: int  # evaluations of h
+    M: Optional[np.ndarray]  # the bracket separator, None when h still rises at the cap
+
+
+def _scalar_probe(A: np.ndarray, B: np.ndarray):
+    """probe(lam) -> (h(lam), b, v), v a unit bottom eigenvector of A - lam B; h rises at lam iff b < 0.
+
+    -b is h's right derivative at lam.  For a simple bottom eigenvalue b is
+    v^T B v.  At an exactly tied one any unit vector of the tied eigenspace V
+    may come back, so v is the top eigenvector of V^T B V and b its
+    eigenvalue, lambda_max(V^T B V), which takes a second, small eigensolve.
+
+    Call it under np.errstate(over="ignore", invalid="ignore").  An
+    A - lam B or an h(lam) past the float range raises InvalidInput.  No
+    entry of A - lam B exceeds max|A| + lam max|B| as computed (rounding is
+    monotone), so the entries are checked only when that bound is not finite.
+    """
+    amax, bmax = float(np.abs(A).max()), float(np.abs(B).max())
+
+    def probe(lam):
+        S = A - lam * B
+        if not amax + lam * bmax < math.inf and not np.isfinite(S).all():
+            raise InvalidInput(f"A - lambda B is past the float range at lambda = {lam!r}")
+        w, V = _sym_eigh(S)
+        if w.size > 1 and w[1] == w[0]:
+            tied = V[:, w == w[0]]
+            c, U = _sym_eigh(tied.T @ B @ tied)
+            v, b = tied @ U[:, -1], float(c[-1])
+        else:
+            v = V[:, 0].copy()
+            b = float(v @ B @ v)
+        h = float(w[0])
+        if not (math.isfinite(h) and math.isfinite(b)):
+            raise InvalidInput(f"lambda_min(A - lambda B) at lambda = {lam!r} is {h!r}")
+        return h, b, v
+
+    return probe
+
+
+def shifted_lambda_min(A: np.ndarray, B: np.ndarray, lam: float) -> float:
+    """lambda_min(A - lam B), through the probe scalar_multiplier evaluates h with."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _scalar_probe(A, B)(lam)[0]
+
+
+def _probe_point(lo: float, hi: float) -> float:
+    """The next multiplier to probe in [lo, hi]: a power of two while hi > 2 lo, else the midpoint.
+
+    Before that, hi = 2^-b (b >= 0) and lo is 0 or 2^-a.  From lo = 0 the
+    probe is 2^-(2b + 1), so the exponent roughly doubles (2^-1, 2^-3,
+    2^-7, ...) down to the smallest subnormal; from lo = 2^-a it is
+    2^-((a + b) // 2).  Either way the binade [2^-j, 2^-(j-1)] that holds the
+    maximum is found in about 2 log2(j) probes, where halving [0, 1]
+    arithmetically takes j, and it is found with the same two probes at its
+    ends, so the halving inside it goes as before, bit for bit.
+    """
+    if hi <= 2.0 * lo:
+        return (lo + hi) / 2.0
+    b = 1 - math.frexp(hi)[1]
+    e = 2 * b + 1 if lo == 0.0 else (b + 1 - math.frexp(lo)[1]) // 2
+    return math.ldexp(1.0, -min(e, 1074))
+
+
+# theta's relative tilt toward v_hi in the bracket separator.  In exact
+# arithmetic it makes <B, M> = TILT b_hi >= 0 whichever way theta rounds, for
+# a rise in <A, M> of about TILT lambda b_hi.  The computed <B, M> can still
+# be -O(eps ||B||), from the rounding of v and b, which the -tol allowances of
+# the builders and rank_one_split absorb.
+TILT = 2.0 ** -40
+
+
+def scalar_multiplier(A: np.ndarray, B: np.ndarray) -> Multiplier:
+    """Maximize the concave h(lambda) = lambda_min(A - lambda B) over lambda >= 0, with a separator.
+
+    Bisection on the sign of h's right derivative (``_scalar_probe``), one
+    evaluation of h per step: lambda = 0 if h does not rise at 0, else the
+    upper end doubles from 1 while h rises (up to 2^60, ``bracket_hi``)
+    and [lo, hi] is halved until no float lies between them, at powers of
+    two while it spans more than one binade (``_probe_point``).  lam is the
+    better end.
+
+    The last bracket holds a trace-one separator (Sturm and Zhang, 2003):
+    with v_lo, v_hi the probes' vectors at its ends, b_lo < 0 <= b_hi, and
+    theta = b_hi / (b_hi - b_lo) tilted by TILT toward v_hi,
+    M = theta v_lo v_lo^T + (1 - theta) v_hi v_hi^T has, in exact
+    arithmetic, <B, M> >= 0 and <A, M> = theta h(lo) + (1 - theta) h(hi) +
+    theta |b_lo| (hi - lo), which is h's maximum up to one float step of
+    lambda.  When h falls at 0, M is v_0 v_0^T, with <A, M> = h(0); when h
+    still rises at the cap, the bracket holds no separator and M is None.
+    Inputs must be symmetric and finite; a probe past the float range
+    raises InvalidInput.
+    """
+    probe = _scalar_probe(A, B)
+    evals = 1
+    with np.errstate(over="ignore", invalid="ignore"):
+        lo = hi = 0.0
+        h_lo, b_lo, v_lo = h_hi, b_hi, v_hi = probe(lo)
+        while b_hi < 0.0 and hi < 2.0**60:  # the upper end doubles from 1 while h rises there
+            lo, h_lo, b_lo, v_lo, hi = hi, h_hi, b_hi, v_hi, max(2.0 * hi, 1.0)
+            (h_hi, b_hi, v_hi), evals = probe(hi), evals + 1
+        bracket_hi = hi
+        while lo < (mid := _probe_point(lo, hi)) < hi:
+            (h, b, v), evals = probe(mid), evals + 1
+            if b < 0.0:
+                lo, h_lo, b_lo, v_lo = mid, h, b, v
+            else:
+                hi, h_hi, b_hi, v_hi = mid, h, b, v
+    lam, value = (lo, h_lo) if h_lo >= h_hi else (hi, h_hi)
+    M = None
+    if b_hi >= 0.0:
+        theta = b_hi / (b_hi - b_lo) * (1.0 - TILT) if b_lo < 0.0 else 0.0
+        M = theta * (v_lo[:, None] * v_lo) + (1.0 - theta) * (v_hi[:, None] * v_hi)
+    return Multiplier(lam, value, bracket_hi, evals, M)

@@ -6,10 +6,11 @@ assembled coefficient matrix.  The equivalence is constructive in both
 directions: a PSD coefficient matrix factors into a sum-of-squares form
 f(x) = L(x)^T L(x) with L linear, and a negative eigenvalue yields an
 explicit evaluation point and witness vector where f fails.  The scalar
-S-lemma is the matrix-valued one at q = 1 and refutes through slemma's search.
+S-lemma needs no search: its multiplier is the maximizer of a concave
+function of one variable, and the last bracket of its bisection holds the
+separator that rank-one splitting turns into a counterexample.
 """
 
-import math
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -28,17 +29,15 @@ from .linalg import (
     DEFAULT_SEED,
     DEFAULT_TOL,
     DEFAULT_TOL_STRICT,
-    _sym_eigh,
     fro,
     is_psd,
     maximize_spectral,  # unused: slemma searches; bench/spans.py wraps this name here
     psd_factor,
+    scalar_multiplier,
     sym_eig,
     symmetrize,
 )
-from .poly import (MatTuple, NCQuadPoly, ScalarQuad, coefficient_matrix, evaluate, new_tuple,
-                   scalar_to_nc)
-from .slemma import find_separator
+from .poly import MatTuple, NCQuadPoly, ScalarQuad, coefficient_matrix, evaluate, new_tuple
 
 
 @dataclass(frozen=True)
@@ -155,24 +154,6 @@ def evaluate_factor(sf: SOSFactor, X: MatTuple) -> np.ndarray:
     return L.T @ L
 
 
-def _probe_point(lo: float, hi: float) -> float:
-    """The next multiplier to probe in [lo, hi]: a power of two while hi > 2 lo, else the midpoint.
-
-    Before that, hi = 2^-b (b >= 0) and lo is 0 or 2^-a.  From lo = 0 the
-    probe is 2^-(2b + 1), so the exponent roughly doubles (2^-1, 2^-3,
-    2^-7, ...) down to the smallest subnormal; from lo = 2^-a it is
-    2^-((a + b) // 2).  Either way the binade [2^-j, 2^-(j-1)] that holds the
-    maximum is found in about 2 log2(j) probes, where halving [0, 1]
-    arithmetically takes j, and it is found with the same two probes at its
-    ends, so the halving inside it goes as before, bit for bit.
-    """
-    if hi <= 2.0 * lo:
-        return (lo + hi) / 2.0
-    b = 1 - math.frexp(hi)[1]
-    e = 2 * b + 1 if lo == 0.0 else (b + 1 - math.frexp(lo)[1]) // 2
-    return math.ldexp(1.0, -min(e, 1074))
-
-
 def scalar_slemma(
     f: ScalarQuad,
     g: ScalarQuad,
@@ -184,22 +165,18 @@ def scalar_slemma(
 ) -> ScalarSLemmaResult:
     """Decide x^T B x >= 0 => x^T A x >= 0, with multiplier or counterexample.
 
-    Maximizes the concave h(lambda) = lambda_min(A - lambda B) over
-    lambda >= 0 by bisection on the sign of its right derivative,
-    -lambda_max(V^T B V) for V the bottom eigenvectors, one eigensolve per
-    step (``diagnostics["multiplier_evals"]``).  A simple bottom eigenvalue
-    gives the supergradient -v^T B v; an exactly tied one, as at a multiple
-    of the identity, takes a second eigensolve of the small V^T B V.
-    lambda = 0 if h does not rise at 0, else the upper end doubles while h
-    rises (up to 2^60, ``diagnostics["bracket_hi"]``) and [lo, hi] is halved
-    until no float lies between them, at powers of two while it spans more
-    than one binade (``_probe_point``).  A maximum above -tol yields the
-    certificate multiplier.  A maximum below -tol_strict triggers
-    slemma.find_separator on the q = 1 lifts, within ``budget`` evaluations
-    (``diagnostics["separator_evals"]``, 0 when it does not run), and
-    rank-one splitting of its separator, producing an explicit x with
-    x^T B x >= -tol and x^T A x <= -tol_strict.  Values between the two
-    tolerances, and refutations that fail, are reported inconclusive.
+    Runs no search: linalg.scalar_multiplier maximizes the concave
+    h(lambda) = lambda_min(A - lambda B) over lambda >= 0 by bisection on
+    the sign of its right derivative (``diagnostics``: ``best_value``,
+    ``lambda``, ``bracket_hi``, and ``multiplier_evals``, its evaluations
+    of h).  A maximum above -tol yields the certificate multiplier.  A
+    maximum below -tol_strict is refuted from the bisection's last bracket:
+    its separator M goes through rank_one_split, producing an explicit x
+    with x^T B x >= -tol and x^T A x <= -tol_strict.  Values between the
+    two tolerances, a bracket still rising at the 2^60 cap, and refutations
+    that fail (``diagnostics["counterexample_error"]``) are reported
+    inconclusive.  ``budget`` and ``seed`` are accepted for compatibility
+    and unused.
     """
     if np.any(f.a) or np.any(g.a) or f.a0 or g.a0:
         raise InvalidInput("scalar_slemma handles homogeneous quadratics only")
@@ -215,45 +192,18 @@ def scalar_slemma(
     if not slater_value > tol_strict:  # a NaN value fails too
         raise SlaterViolated(f"slater value {slater_value:.3e} <= {tol_strict}")
 
-    evals = 0
-
-    def probe(lam):  # h(lam), and whether h rises at lam: its right derivative is positive
-        nonlocal evals
-        evals += 1
-        w, V = _sym_eigh(A - lam * B)
-        if w.size > 1 and w[1] == w[0]:  # tied: any bottom eigenvector v may come back
-            tied = V[:, w == w[0]]
-            return float(w[0]), _sym_eigh(tied.T @ B @ tied)[0][-1] < 0.0
-        v = V[:, 0].copy()
-        return float(w[0]), float(v @ B @ v) < 0.0
-
-    lo = hi = 0.0
-    h_lo, rises = probe(lo)
-    h_hi = h_lo
-    while rises and hi < 2.0**60:  # the upper end doubles from 1 while h rises there
-        lo, h_lo, hi = hi, h_hi, max(2.0 * hi, 1.0)
-        h_hi, rises = probe(hi)
-    bracket_hi = hi
-    while lo < (mid := _probe_point(lo, hi)) < hi:
-        h_mid, rises = probe(mid)
-        if rises:
-            lo, h_lo = mid, h_mid
-        else:
-            hi, h_hi = mid, h_mid
-    lam_star, val = (lo, h_lo) if h_lo >= h_hi else (hi, h_hi)
-    diagnostics = {"best_value": val, "lambda": lam_star, "bracket_hi": bracket_hi,
-                   "multiplier_evals": evals, "separator_evals": 0}
-
-    if val >= -tol:
-        return ScalarSLemmaResult(outcome="certificate", lam=lam_star, diagnostics=diagnostics)
-    if val > -tol_strict:
+    mult = scalar_multiplier(A, B)
+    diagnostics = {"best_value": mult.value, "lambda": mult.lam, "bracket_hi": mult.bracket_hi,
+                   "multiplier_evals": mult.evals}
+    if mult.value >= -tol:
+        return ScalarSLemmaResult(outcome="certificate", lam=mult.lam, diagnostics=diagnostics)
+    if mult.value > -tol_strict or mult.M is None:
         return ScalarSLemmaResult(outcome="inconclusive", diagnostics=diagnostics)
-
-    sep = find_separator(scalar_to_nc(f), scalar_to_nc(g), budget, tol, tol_strict, seed)
-    diagnostics.update(separator_margin=sep.best_value, separator_evals=sep.evals)
-    if sep.M is None:
+    try:
+        x = rank_one_split(mult.M, A, B, tol=tol, tol_strict=tol_strict)
+    except (PreconditionViolated, SplitFailed) as exc:
+        diagnostics["counterexample_error"] = str(exc)
         return ScalarSLemmaResult(outcome="inconclusive", diagnostics=diagnostics)
-    x = rank_one_split(sep.M, A, B, tol=tol, tol_strict=tol_strict)
     # Scale so the strict inequality holds with an absolute margin; scaling
     # can only happen when the B-form value is nonnegative.
     ax = float(x @ A @ x)

@@ -19,7 +19,8 @@ reach its target.  decide races them once, each within the budget: one
 oracle evaluation from each in turn, and the first side to settle the
 question ends the race.  Every separator point also bounds the
 certificate search's values from above, and the certificate search stops
-once that bound rules it out.
+once that bound rules it out.  At q = 1 there is nothing to race: a CP map
+is a scalar, and one bisection over it (linalg.scalar_multiplier) decides.
 """
 
 import math
@@ -50,6 +51,8 @@ from .linalg import (
     min_eigpair,  # unused: the loop calls _min_eigpair; bench/spans.py wraps this name here
     psd_factor,
     regroup,
+    scalar_multiplier,
+    shifted_lambda_min,
     spectral_search,
     spectraplex_project,  # unused: spectral_search projects; bench/spans.py wraps this name here
     supergradient_ascent,
@@ -516,20 +519,17 @@ def _race(searches, settles, cut):
     return tally, bound
 
 
-def _decide_common(f, g, budget, tol, tol_strict, seed, hereditary):
-    f2, g2 = reconcile(f, g)
-    m, q = f2.m, f2.q
-    if max(q * q, m * q) > MAX_DIM:
-        raise DimensionTooLarge(
-            f"(m, q) = ({m}, {q}) needs {q * q}x{q * q} and {m * q}x{m * q} search "
-            f"matrices; the limit is {MAX_DIM}"
-        )
-    builder = build_counterexample_hereditary if hereditary else build_counterexample
+def _race_sides(f, g, budget, tol, tol_strict, seed):
+    """Race certify against the separator search (q >= 2): (J, certify value, M, diagnostics).
+
+    J is certify's best point, None if it was cut short; M is the separator's,
+    None unless it cleared its margin.
+    """
     # A separator bound below cut puts every certify value below -tol.
-    scale = 1.0 + fro(coefficient_matrix(f2)) + fro(coefficient_matrix(g2))
+    scale = 1.0 + fro(coefficient_matrix(f)) + fro(coefficient_matrix(g))
     cut = -tol - CUT_ROUNDOFF * scale
-    cert_oracle, cert_search = _certify_side(f2, g2, budget, seed)
-    sep_oracle, sep_search, margin = _separator_side(f2, g2, budget, tol_strict, seed + 1)
+    cert_oracle, cert_search = _certify_side(f, g, budget, seed)
+    sep_oracle, sep_search, margin = _separator_side(f, g, budget, tol_strict, seed + 1)
     sides = (cert_oracle, sep_oracle)
 
     def oracle(step):
@@ -546,18 +546,60 @@ def _decide_common(f, g, budget, tol, tol_strict, seed, hereditary):
     diagnostics = {"certify_best": cert_best, "certify_bound": bound if bound < np.inf else None,
                    "separator_best": sep_best, "certify_evals": cert_evals,
                    "separator_evals": sep_evals}
+    return J, cert_best, M if sep_best >= margin else None, diagnostics
+
+
+def _multiplier_sides(f, g, tol, tol_strict):
+    """Decide q = 1 without a search: (J, certify value, M, diagnostics) as _race_sides gives them.
+
+    A CP map is then a scalar lambda >= 0, and the trace-one slice is the
+    point J = [[1]], whose certify value h(1) = lambda_min(A - B) is exact.
+    Below -tol, linalg.scalar_multiplier maximizes h over every lambda, and
+    a maximum at or below -tol_strict hands its bracket separator on.
+    """
+    A, B = coefficient_matrix(f), coefficient_matrix(g)
+    h1 = shifted_lambda_min(A, B, 1.0)
+    diagnostics = {"certify_best": h1, "certify_bound": h1, "separator_best": None,
+                   "certify_evals": 0, "separator_evals": 0,
+                   "multiplier": 1.0, "multiplier_value": h1, "multiplier_evals": 1}
+    if h1 >= -tol:
+        return np.ones((1, 1)), h1, None, diagnostics
+    mult = scalar_multiplier(A, B)
+    diagnostics.update(multiplier=mult.lam, multiplier_value=mult.value,
+                       multiplier_evals=1 + mult.evals)
+    return None, h1, mult.M if mult.value <= -tol_strict else None, diagnostics
+
+
+def _concluded(f, g, J, cert_best, M, diagnostics, tol, tol_strict, hereditary) -> Decision:
+    """The Decision for what the searches returned: a certificate from J, else a counterexample from M."""
     if J is not None:
-        cert = _certified(f2, g2, J, cert_best, tol)
+        cert = _certified(f, g, J, cert_best, tol)
         if cert.certificate is not None:
             return Decision(kind="certificate", certificate=cert.certificate,
                             diagnostics=diagnostics)
-    if M is not None and sep_best >= margin:
+    if M is not None:
+        builder = build_counterexample_hereditary if hereditary else build_counterexample
         try:
-            ce = builder(f2, g2, M, tol=tol, tol_strict=tol_strict)
+            ce = builder(f, g, M, tol=tol, tol_strict=tol_strict)
             return Decision(kind="counterexample", counterexample=ce, diagnostics=diagnostics)
         except (PreconditionViolated, VerificationFailed) as exc:
             diagnostics["counterexample_error"] = str(exc)
     return Decision(kind="inconclusive", diagnostics=diagnostics)
+
+
+def _decide_common(f, g, budget, tol, tol_strict, seed, hereditary):
+    f2, g2 = reconcile(f, g)
+    m, q = f2.m, f2.q
+    if max(q * q, m * q) > MAX_DIM:
+        raise DimensionTooLarge(
+            f"(m, q) = ({m}, {q}) needs {q * q}x{q * q} and {m * q}x{m * q} search "
+            f"matrices; the limit is {MAX_DIM}"
+        )
+    if q == 1:
+        sides = _multiplier_sides(f2, g2, tol, tol_strict)
+    else:
+        sides = _race_sides(f2, g2, budget, tol, tol_strict, seed)
+    return _concluded(f2, g2, *sides, tol, tol_strict, hereditary)
 
 
 def decide(
@@ -593,6 +635,19 @@ def decide(
     and ``certify_bound``, the lowest of those bounds (None if the
     separator made no evaluation).  A bound below -tol shows, up to
     roundoff, that no trace-one certificate exists.
+
+    At a reconciled q = 1 no search runs and ``budget`` and ``seed`` are
+    unused: a CP map is a scalar lambda >= 0 and the trace-one slice is the
+    point J = [[1]].  h(1) = lambda_min(A - B) >= -tol gives the certificate
+    J = [[1]]; below that, linalg.scalar_multiplier maximizes
+    h(lambda) = lambda_min(A - lambda B) over lambda >= 0, and a maximum at
+    or below -tol_strict hands its bracket separator to the builder.
+    ``certify_best`` and ``certify_bound`` are both h(1), exact here,
+    ``certify_evals`` and ``separator_evals`` are 0 and ``separator_best``
+    is None; ``multiplier`` and ``multiplier_value`` are the best lambda
+    evaluated and its h, and ``multiplier_evals`` counts the evaluations
+    of h, h(1) included.  A - lambda B past the float range raises
+    InvalidInput.
     Reconciled sizes with q^2 or mq above MAX_DIM raise DimensionTooLarge.
     """
     _check_slater(g, slater, tol_strict, hereditary=False)

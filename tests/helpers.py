@@ -75,25 +75,24 @@ def planted_certificate_instance(rng, m, q, noise_margin=0.1, g=None):
     return f, g, J0
 
 
-def refutable_instance(rng, m, q, margin=0.5, g=None):
+def refutable_instance(rng, m, q, margin=0.5, g=None, b_margin=0.05):
     """(f, g, M*): a planted strict separator M* certifies non-domination.
 
-    M* is kept full rank and g (drawn at random unless given) gets enough
-    identity on its diagonal blocks that sum_ij B_ij (x) M*_ij is definitely
-    positive; f is then tilted so <A, M*> is negative with a fixed margin.
+    M* is kept full rank, and g (drawn at random unless given) gets s I_q
+    added to each diagonal block.  That adds s (I_q (x) P) to
+    T = sum_ij B_ij (x) M*_ij, with P = sum_i M*_ii positive definite, so
+    s = (b_margin - lambda_min(T)) / lambda_min(P) (or 0 when that is
+    negative) gives lambda_min(T) >= b_margin, up to roundoff.  f is then
+    tilted so <A, M*> is negative with a fixed margin.
     """
     d = m * q
     Mstar = 0.7 * ns.spectraplex_project(random_sym(rng, d)) + 0.3 * np.eye(d) / d
     blocks = (random_poly(rng, m, q) if g is None else g).blocks.copy()
-    shift = 1.0
-    while True:
-        g = ns.new_quad_poly(blocks)
-        term = _b_term(Mstar, g, q)
-        if np.linalg.eigvalsh(term)[0] >= 0.05 * (1.0 + np.linalg.norm(term)):
-            break
-        for i in range(m):
-            blocks[i, i] += shift * np.eye(q)
-        shift *= 2.0
+    low = np.linalg.eigvalsh(_b_term(Mstar, ns.new_quad_poly(blocks), q))[0]
+    P = np.einsum("iaib->ab", Mstar.reshape(m, q, m, q))
+    shift = max(0.0, (b_margin - low) / np.linalg.eigvalsh(P)[0])
+    blocks[np.arange(m), np.arange(m)] += shift * np.eye(q)
+    g = ns.new_quad_poly(blocks)
     A0 = random_sym(rng, d)
     inner = float(np.sum(A0 * Mstar))
     delta = margin * (1.0 + np.linalg.norm(A0))

@@ -198,29 +198,49 @@ def test_slemma_huge_coefficients_exit_code(capsys, tmp_path):
         assert run(capsys, "verify", str(out), str(path))[0] == 0
 
 
-def check_scale_gap_inconclusive(capsys, budget):
-    # f = x1x1, g = 4 x1x1: the multiplier 1/4 lies outside the trace-one slice
-    f = ns.new_quad_poly(np.ones((1, 1, 1, 1)))
-    g = ns.new_quad_poly(4.0 * np.ones((1, 1, 1, 1)))
+def check_scale_gap_inconclusive(capsys, tmp_path, budget):
+    # f = x1x1 (x) I_2, g = 4 x1x1 (x) I_2: every trace-one map phi has
+    # tr phi(I_2) = 1, so A - (1 (x) phi) B = I_2 - 4 phi(I_2) is never PSD,
+    # while phi = id / 4 (trace 1/2) is a certificate.  (At q = 1 no search runs.)
+    f = ns.new_quad_poly(np.eye(2).reshape(1, 1, 2, 2))
+    g = ns.new_quad_poly(4.0 * np.eye(2).reshape(1, 1, 2, 2))
     slater = ns.new_tuple([[[1.0]]])
-    code, doc, _ = run(capsys, "slemma", "--budget", str(budget), fx("scale_gap.json"))
+    path = tmp_path / "scale_gap_q2.json"
+    path.write_text(serialize.dumps({
+        "format": serialize.FORMAT, "kind": "slemma",
+        "f": serialize.poly_to_json(f), "g": serialize.poly_to_json(g),
+        "slater": serialize.tuple_to_json(slater),
+    }))
+    code, doc, _ = run(capsys, "slemma", "--budget", str(budget), str(path))
     assert code == cli.EXIT_INCONCLUSIVE
     expected = ns.decide(f, g, slater, budget=budget).diagnostics
     for key in ("certify_evals", "separator_evals"):
         assert budget >= doc["diagnostics"][key] == expected[key] > 0
-    # Every separator point bounds every certify value by <A, M> - lambda_min = 1 - 4.
+    # The separator's first point, I_2 / 2, bounds every certify value by
+    # <A, M> - lambda_min = 1 - 2.
     keys = list(doc["diagnostics"])
     assert keys[keys.index("certify_best") + 1] == "certify_bound"
-    assert doc["diagnostics"]["certify_bound"] == expected["certify_bound"] == -3.0
+    assert doc["diagnostics"]["certify_bound"] == expected["certify_bound"] == -1.0
 
 
-def test_slemma_inconclusive_reports_the_evaluations_of_each_side(capsys):
-    check_scale_gap_inconclusive(capsys, 600)
+def test_slemma_inconclusive_reports_the_evaluations_of_each_side(capsys, tmp_path):
+    check_scale_gap_inconclusive(capsys, tmp_path, 600)
 
 
 @pytest.mark.parametrize("budget", [500, 1000, 5000])
-def test_slemma_inconclusive_evaluations_stay_within_the_budget(capsys, budget):
-    check_scale_gap_inconclusive(capsys, budget)
+def test_slemma_inconclusive_evaluations_stay_within_the_budget(capsys, tmp_path, budget):
+    check_scale_gap_inconclusive(capsys, tmp_path, budget)
+
+
+def test_slemma_scale_gap_at_q1_runs_no_search(capsys):
+    # f = x1x1, g = 4 x1x1: the trace-one slice is J = [[1]] with h(1) = 1 - 4,
+    # and h(lambda) = 1 - 4 lambda falls at 0, so h is evaluated twice
+    code, doc, _ = run(capsys, "slemma", "--budget", "500", fx("scale_gap.json"))
+    assert code == cli.EXIT_INCONCLUSIVE
+    d = doc["diagnostics"]
+    assert d["certify_bound"] == d["certify_best"] == -3.0
+    assert (d["certify_evals"], d["separator_evals"], d["separator_best"]) == (0, 0, None)
+    assert (d["multiplier"], d["multiplier_value"], d["multiplier_evals"]) == (0.0, 1.0, 2)
 
 
 def test_scalar_slemma_certificate(capsys):
@@ -230,17 +250,17 @@ def test_scalar_slemma_certificate(capsys):
     # h(lambda) = lambda_min(I - lambda diag(1, -1)) falls at 0: one eigensolve, lambda 0
     assert doc["lambda"] == 0.0
     assert doc["diagnostics"]["multiplier_evals"] == 1
-    assert doc["diagnostics"]["separator_evals"] == 0  # no separator search ran
+    assert "separator_evals" not in doc["diagnostics"]  # scalar-slemma runs no search
 
 
 def test_scalar_slemma_counterexample(capsys):
     code, doc, _ = run(capsys, "scalar-slemma", fx("scalar_counterexample.json"))
     assert code == 11
     assert doc["outcome"] == "counterexample"
-    # h falls at 0, so the multiplier search ends after one eigensolve; the
-    # separator search stops once it reaches its target 2 tol_strict / c.
+    # h falls at 0, so the multiplier search ends after one eigensolve, and
+    # its bottom eigenvector v_0 is the separator v_0 v_0^T: no search runs.
     assert doc["diagnostics"]["multiplier_evals"] == 1
-    assert doc["diagnostics"]["separator_evals"] <= 10
+    assert "separator_evals" not in doc["diagnostics"]
     x = np.array(doc["x"])
     A = np.array([[0.0, 1.0], [1.0, 0.0]])
     B = np.diag([1.0, 0.0])

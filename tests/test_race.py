@@ -4,7 +4,8 @@ reach its target, and each separator point bounds every certify value from
 above, so the race must return what the two searches return run one after
 the other at the same budget: certify, then find_separator, then the
 builder.  Evaluations are counted as bench/spans.py counts them, from what
-every supergradient_ascent call returns."""
+every supergradient_ascent call returns.  At q = 1 decide runs no race, so
+the race is driven there through the sides decide builds for q >= 2."""
 
 import importlib.util
 import math
@@ -57,6 +58,21 @@ def instance(kind, rng, m, q):
         make = planted_certificate_instance if kind == "certificate" else refutable_instance
         f, g, _ = make(rng, m, q, g=g)
     return f, g, ns.new_tuple(x.reshape(m, 1, 1))
+
+
+def racing(hereditary, q):
+    """decide or decide_hereditary, or at q = 1, where they run no search, the race they run above it."""
+    decider = ns.decide_hereditary if hereditary else ns.decide
+    if q > 1:
+        return decider
+
+    def race(f, g, slater, budget=ns.DEFAULT_BUDGET, tol=ns.DEFAULT_TOL,
+             tol_strict=ns.DEFAULT_TOL_STRICT, seed=ns.DEFAULT_SEED):
+        f2, g2 = slemma.reconcile(f, g)
+        sides = slemma._race_sides(f2, g2, budget, tol, tol_strict, seed)
+        return slemma._concluded(f2, g2, *sides, tol, tol_strict, hereditary)
+
+    return race
 
 
 def cut_value(f2, g2, tol=ns.DEFAULT_TOL):
@@ -143,16 +159,17 @@ def same_object(kind, a, b):
 def test_race_returns_the_sequential_decision(evals, kind, m, q, hereditary):
     rng = np.random.default_rng(100 * m + 10 * q + len(kind))
     f, g, slater = instance(kind, rng, m, q)
-    decider = ns.decide_hereditary if hereditary else ns.decide
 
     evals[0] = 0
-    decision = decider(f, g, slater, budget=BUDGET, seed=SEED)
+    decision = racing(hereditary, q)(f, g, slater, budget=BUDGET, seed=SEED)
     raced = evals[0]
     want, obj, separator_alone, race = sequential(f, g, BUDGET, SEED, hereditary, evals)
 
     assert decision.kind == want
     if kind in ("certificate", "counterexample"):
         assert want == kind  # the planted answer
+    if q == 1:  # decide runs no race there, and reaches the same kind
+        assert (ns.decide_hereditary if hereditary else ns.decide)(f, g, slater).kind == want
     same_object(want, decision.certificate or decision.counterexample, obj)
     d = decision.diagnostics
     assert d["certify_evals"] + d["separator_evals"] == raced
@@ -178,7 +195,7 @@ def test_race_keeps_certify_going_when_tol_exceeds_twice_tol_strict(evals, m, q)
     rng = np.random.default_rng(100 * m + 10 * q)
     f, g, slater = instance("counterexample", rng, m, q)
     tols = {"tol": 10.0, "tol_strict": ns.DEFAULT_TOL_STRICT}
-    decision = ns.decide(f, g, slater, budget=BUDGET, seed=SEED, **tols)
+    decision = racing(False, q)(f, g, slater, budget=BUDGET, seed=SEED, **tols)
     want, obj, _, race = sequential(f, g, BUDGET, SEED, False, evals, **tols)
     assert decision.kind == want == "certificate"
     same_object(want, decision.certificate, obj)
@@ -199,16 +216,23 @@ def test_cut_spares_certify_until_the_bound_clears_the_roundoff_allowance(
     # every certify value and every separator bound is -delta, exactly at the
     # first point (b = 2 tol makes b - delta exact).  Without the cut certify
     # runs 3 starts of 500 // 3 evaluations; the first three rows are also
-    # what the race decides without the cut.
+    # what the race decides without the cut.  decide itself runs no race at
+    # q = 1: it takes the same kinds from h(1) = -delta, exact, and h(0) > 0.
     tol = ns.DEFAULT_TOL
     b, delta = 2.0 * tol, ratio * tol
     f = ns.new_quad_poly(np.full((1, 1, 1, 1), b - delta))
     g = ns.new_quad_poly(np.full((1, 1, 1, 1), b))
     slater = ns.new_tuple(np.full((1, 1, 1), 10.0))
-    decider = ns.decide_hereditary if hereditary else ns.decide
-    decision = decider(f, g, slater, budget=500)
+    decision = racing(hereditary, 1)(f, g, slater, budget=500)
     d = decision.diagnostics
     assert (decision.kind, d["certify_evals"]) == (kind, certify_evals)
     assert d["certify_bound"] == pytest.approx(-delta, rel=1e-12, abs=0.0)
     assert d["certify_best"] == pytest.approx(-delta, rel=1e-12, abs=0.0)
     assert d["separator_evals"] == (500 if kind == "inconclusive" else 497)
+
+    direct = (ns.decide_hereditary if hereditary else ns.decide)(f, g, slater, budget=500)
+    d = direct.diagnostics
+    assert direct.kind == kind
+    assert d["certify_bound"] == d["certify_best"] == -delta
+    assert (d["certify_evals"], d["separator_evals"]) == (0, 0)
+    same_object(kind, direct.certificate, decision.certificate)

@@ -600,3 +600,104 @@ def test_weak_duality_identity():
         pair1 = float(np.sum(_map_coefficients(J, g.blocks, q) * M))
         pair2 = float(np.sum(_b_term(M, g.blocks, q) * (u @ J @ u.T)))
         assert pair1 == pytest.approx(pair2, abs=1e-10)
+
+
+def test_refutable_instance_builds_the_largest_bench_size():
+    # the diagonal shift is chosen in closed form, so (6, 8) builds, and its
+    # planted separator has the margin asked for
+    rng = np.random.default_rng(68)
+    f, g, Mstar = refutable_instance(rng, 6, 8)
+    assert np.linalg.eigvalsh(_b_term(Mstar, g.blocks, 8))[0] >= 0.05 - 1e-12
+    assert float(np.sum(ns.coefficient_matrix(f) * Mstar)) < 0.0
+    g_at = np.einsum("ijab->ab", g.blocks)  # g at the 1x1 tuple (1, ..., 1)
+    assert np.linalg.eigvalsh(g_at)[0] > 1e-6
+    decision = ns.decide(f, g, ns.new_tuple(np.ones((6, 1, 1))), budget=500)
+    assert decision.kind == "counterexample"
+    assert ns.verify_counterexample(decision.counterexample, f, g)
+
+
+def opposite_huge_pair():
+    """f = x1x1 + 1.7e308 x2x2 against g = x1x1 - 1.7e308 x2x2: A - B is past the float range."""
+    f = ns.scalar_to_nc(ns.new_scalar_quad(np.diag([1.0, 1.7e308])))
+    g = ns.scalar_to_nc(ns.new_scalar_quad(np.diag([1.0, -1.7e308])))
+    return f, g, unit_slater()
+
+
+@pytest.mark.parametrize("hereditary", [False, True])
+def test_decide_at_q1_past_the_float_range_is_invalid_input(hereditary):
+    # h(1) = lambda_min(diag(0, 3.4e308)): no verdict, no NaN and no overflow
+    # warning (a RuntimeWarning fails the test run)
+    f, g, slater = opposite_huge_pair()
+    decider = ns.decide_hereditary if hereditary else ns.decide
+    with pytest.raises(InvalidInput, match="float range"):
+        decider(f, g, slater)
+
+
+def test_slemma_cli_at_q1_past_the_float_range_exits_2(tmp_path, capsys):
+    from ncslemma import cli, serialize
+
+    f, g, slater = opposite_huge_pair()
+    path = tmp_path / "opposite.json"
+    path.write_text(serialize.dumps({
+        "format": serialize.FORMAT, "kind": "slemma", "f": serialize.poly_to_json(f),
+        "g": serialize.poly_to_json(g), "slater": serialize.tuple_to_json(slater),
+    }))
+    assert cli.main(["slemma", str(path)]) == 2
+    capsys.readouterr()
+
+
+def dominated_scalar_pair(rng, m):
+    """(f, g, slater): A = t B + a PSD matrix with t in [0, 2], so t is a multiplier."""
+    B = random_sym_matrix(rng, m)
+    w, V = np.linalg.eigh(B)
+    if w[-1] < 0.5:
+        B += (0.5 - w[-1]) * np.eye(m)
+    W = rng.standard_normal((m, m))
+    A = rng.uniform(0.0, 2.0) * B + W @ W.T / m
+    return ns.new_scalar_quad(A), ns.new_scalar_quad(B), np.linalg.eigh(B)[1][:, -1]
+
+
+def random_sym_matrix(rng, m):
+    raw = rng.standard_normal((m, m))
+    return (raw + raw.T) / 2.0
+
+
+def test_decide_at_q1_agrees_with_scalar_slemma():
+    # on the q = 1 lifts, decide refutes exactly when scalar_slemma does, a
+    # scalar multiplier gives a certificate unless the trace-one slice,
+    # J = [[1]], misses it (certify_bound = h(1) < -tol), and every object
+    # emitted verifies
+    from helpers import random_scalar_pair
+
+    tol = ns.DEFAULT_TOL
+    rng = np.random.default_rng(2718)
+    kinds = []
+    for k in range(300):
+        m = 2 + k % 4
+        f, g, x = dominated_scalar_pair(rng, m) if k % 3 == 0 else random_scalar_pair(rng, m)
+        res = ns.scalar_slemma(f, g, x)
+        F, G = ns.scalar_to_nc(f), ns.scalar_to_nc(g)
+        hereditary = k % 2 == 1
+        decider = ns.decide_hereditary if hereditary else ns.decide
+        dec = decider(F, G, ns.new_tuple(x.reshape(m, 1, 1)))
+        d, s = dec.diagnostics, res.diagnostics
+        assert (dec.kind == "counterexample") == (res.outcome == "counterexample"), k
+        if d["multiplier_evals"] > 1:  # the bisection ran: the same one scalar_slemma runs
+            assert (d["multiplier"], d["multiplier_value"]) == (s["lambda"], s["best_value"])
+            assert d["multiplier_evals"] == 1 + s["multiplier_evals"]
+        if res.outcome == "certificate":
+            h1 = float(np.linalg.eigvalsh(f.A - g.A)[0])
+            assert dec.kind == "certificate" or (
+                dec.kind == "inconclusive" and d["certify_bound"] == pytest.approx(h1, abs=1e-12)
+                and d["certify_bound"] < -tol), k
+            assert res.lam >= 0.0 and ns.is_psd(f.A - res.lam * g.A)
+        if res.outcome == "counterexample":
+            assert res.x @ f.A @ res.x <= -ns.DEFAULT_TOL_STRICT
+            assert res.x @ g.A @ res.x >= -tol
+        if dec.kind == "certificate":
+            assert ns.verify_certificate(dec.certificate, F, G)
+        if dec.kind == "counterexample":
+            assert ns.verify_counterexample(dec.counterexample, F, G)
+        kinds.append((res.outcome, dec.kind))
+    assert {("certificate", "certificate"), ("counterexample", "counterexample"),
+            ("certificate", "inconclusive")} <= set(kinds)

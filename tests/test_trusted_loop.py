@@ -91,7 +91,8 @@ def test_homogenize_trusted_equals_validating(m, q):
 
 @pytest.mark.parametrize("m,q", SIZES)
 def test_scalar_separator_trusted_equals_validating(m, q):
-    # A negative definite: no multiplier exists, so the separator search runs.
+    # A negative definite: no multiplier exists, and the multiplier search's
+    # last bracket is the separator, so no search runs in either loop.
     d = m * q
     rng = np.random.default_rng(300 * m + q)
     A = random_sym(rng, d)
@@ -100,7 +101,7 @@ def test_scalar_separator_trusted_equals_validating(m, q):
     f, g = ns.new_scalar_quad(A), ns.new_scalar_quad(B)
     slater = np.linalg.eigh(B)[1][:, -1]
     a, b, steps = same_runs(lambda: scalar_slemma(f, g, slater, budget=BUDGET))
-    assert steps > 0
+    assert steps == 0
     assert a.outcome == b.outcome == "counterexample"
     assert a.diagnostics == b.diagnostics
     same_array(a.x, b.x)
