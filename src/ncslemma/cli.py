@@ -159,8 +159,7 @@ def cmd_slemma(args, inst, opts):
     decider = decide_hereditary if inst["kind"] == "slemma-hereditary" else decide
     decision = decider(
         inst["f"], inst["g"], inst["slater"],
-        budget=opts["budget"], tol=opts["tol"],
-        tol_strict=opts["tol_strict"], seed=opts["seed"],
+        budget=opts["budget"], tol=opts["tol"], tol_strict=opts["tol_strict"],
     )
     if decision.kind == "certificate":
         doc = serialize.certificate_to_json(decision.certificate, opts)
@@ -181,9 +180,7 @@ def cmd_slemma(args, inst, opts):
 
 def cmd_scalar_slemma(args, inst, opts):
     result = scalar_slemma(
-        inst["f"], inst["g"], inst["slater"],
-        tol=opts["tol"], tol_strict=opts["tol_strict"],
-        budget=opts["budget"], seed=opts["seed"],
+        inst["f"], inst["g"], inst["slater"], tol=opts["tol"], tol_strict=opts["tol_strict"],
     )
     doc = {
         "format": serialize.FORMAT,
@@ -279,11 +276,12 @@ def _add_common(sub):
                      help="strict-inequality margin (default 1e-6)")
     sub.add_argument("--budget", type=int, default=None,
                      help="evaluation budget N for searches (default 5000); slemma and "
-                          "slemma-hereditary cap each of their two searches at N evaluations, "
-                          "or at one per start (3 and 2) when N is smaller; it does not apply "
-                          "at q = 1, where they run no search, nor to scalar-slemma")
+                          "slemma-hereditary run each of their two searches for at most N "
+                          "evaluations; it does not apply at q = 1, where they run no "
+                          "search, nor to scalar-slemma")
     sub.add_argument("--seed", type=int, default=None,
-                     help="seed for all randomized starts (default 42)")
+                     help="seed of the spot-check tuples verify draws (default 42); "
+                          "the searches draw no random numbers")
     sub.add_argument("-o", "--output", default=None,
                      help="also write the result JSON to this file")
 

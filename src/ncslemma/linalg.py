@@ -12,10 +12,16 @@ numpy's Python wrapper around LAPACK: ``_eigh`` calls the gufunc that
 ``np.linalg.eigh`` calls, on the float64 square matrices the cores always
 pass, so the results are the same bits (``tests/test_linalg.py`` checks
 this) for a fraction of the cost on the small matrices of a search step.
+
+Every spectraplex search is one engine, ``spectral_search``: a single
+projected supergradient ascent (``_ascent``) from the center I / dim with
+the whole budget.  The certificate and separator searches are the two
+sides of one concave duality, so an interior start reaches either optimum
+and no search draws a random number.
 """
 
 import math
-from typing import Callable, NamedTuple, Optional, Sequence
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 from numpy.linalg import _umath_linalg
@@ -301,9 +307,11 @@ def _ascent(
 def supergradient_ascent(oracle: Callable, search):
     """Drive a steppable search with ``oracle``; return ``(*its result, evals)``.
 
-    ``search`` is a generator such as ``_ascent`` or ``spectral_search``
-    returning a pair: ``oracle`` is called on each point it yields and the
-    output sent back.  ``evals`` is the number of ``oracle`` calls.
+    ``search`` is a generator returning a pair, such as an ``_ascent`` (the
+    one ``spectral_search`` returns, or homogenize's unconstrained one) or
+    the race of ``slemma.decide``: ``oracle`` is called on each point it
+    yields and the output sent back.  ``evals`` is the number of ``oracle``
+    calls, so every search's evaluations can be counted here.
     """
     evals, out = 0, None
     while True:
@@ -315,50 +323,31 @@ def supergradient_ascent(oracle: Callable, search):
         evals += 1
 
 
-def spectral_search(
-    dim: int,
-    budget: int,
-    seed: int,
-    starts: Sequence[np.ndarray] = (),
-    target: Optional[float] = None,
-):
-    """maximize_spectral one step at a time: a generator of ``_ascent``s, returning (best, value)."""
+def spectral_search(dim: int, budget: int, target: Optional[float] = None):
+    """maximize_spectral one step at a time: the ``_ascent`` from I / dim, returning (best, value)."""
     if dim < 1:
         raise InvalidInput("dim must be positive")
-    raw = np.random.default_rng(seed).standard_normal((dim, dim))
-    starts = [*starts, (raw + raw.T) / 2.0]
-    share = max(1, budget // len(starts))
-    best, best_v = None, -np.inf
-    for M0 in starts:
-        M, v = yield from _ascent(spectraplex_project(M0), share, _spectraplex_project, target)
-        if v > best_v:
-            best, best_v = M, v
-        if target is not None and best_v >= target:
-            break
-    return best, best_v
+    return _ascent(np.eye(dim) / dim, budget, _spectraplex_project, target)
 
 
 def maximize_spectral(
     oracle: Callable[[np.ndarray], tuple],
     dim: int,
     budget: int = DEFAULT_BUDGET,
-    seed: int = DEFAULT_SEED,
-    starts: Sequence[np.ndarray] = (),
+    *,
     target: Optional[float] = None,
 ):
-    """Maximize a concave spectral objective over the spectraplex, from several starts.
+    """Maximize a concave spectral objective over the spectraplex.
 
     ``oracle(M)`` must return the objective value and a symmetric
     supergradient at any trace-one PSD ``M``.  One ascent runs from the
-    spectraplex projection of each of ``starts`` in turn, then one from that
-    of a seeded random symmetric matrix, so runs are deterministic for a
-    fixed seed.  Each ascent gets an equal share of ``budget`` (at least one
-    evaluation), and the search stops once the best value reaches
-    ``target``.  Budget exhaustion is not an error: the best iterate found
-    and its value are always returned.  ``spectral_search`` is the same
-    search, one step at a time.
+    center I / dim, an interior point, with the whole ``budget``, and stops
+    once its best value reaches ``target``; no random number is drawn, so
+    runs are deterministic.  Budget exhaustion is not an error: the best
+    iterate found and its value are always returned.  ``spectral_search``
+    is the same search, one step at a time.
     """
-    best, best_v, _ = supergradient_ascent(oracle, spectral_search(dim, budget, seed, starts, target))
+    best, best_v, _ = supergradient_ascent(oracle, spectral_search(dim, budget, target))
     return best, best_v
 
 

@@ -26,7 +26,6 @@ from .errors import (
 )
 from .linalg import (
     DEFAULT_BUDGET,
-    DEFAULT_SEED,
     DEFAULT_TOL,
     DEFAULT_TOL_STRICT,
     fro,
@@ -161,7 +160,6 @@ def scalar_slemma(
     tol: float = DEFAULT_TOL,
     tol_strict: float = DEFAULT_TOL_STRICT,
     budget: int = DEFAULT_BUDGET,
-    seed: int = DEFAULT_SEED,
 ) -> ScalarSLemmaResult:
     """Decide x^T B x >= 0 => x^T A x >= 0, with multiplier or counterexample.
 
@@ -175,8 +173,7 @@ def scalar_slemma(
     with x^T B x >= -tol and x^T A x <= -tol_strict.  Values between the
     two tolerances, a bracket still rising at the 2^60 cap, and refutations
     that fail (``diagnostics["counterexample_error"]``) are reported
-    inconclusive.  ``budget`` and ``seed`` are accepted for compatibility
-    and unused.
+    inconclusive.  ``budget`` is accepted for compatibility and unused.
     """
     if np.any(f.a) or np.any(g.a) or f.a0 or g.a0:
         raise InvalidInput("scalar_slemma handles homogeneous quadratics only")

@@ -23,6 +23,7 @@ once that bound rules it out.  At q = 1 there is nothing to race: a CP map
 is a scalar, and one bisection over it (linalg.scalar_multiplier) decides.
 """
 
+import functools
 import math
 from dataclasses import dataclass, field, replace
 from typing import Optional
@@ -58,7 +59,7 @@ from .linalg import (
     supergradient_ascent,
     symmetrize,
 )
-from .cpmaps import ChoiMatrix, _map_stack, identity_choi, new_choi
+from .cpmaps import ChoiMatrix, _map_stack, new_choi
 from .poly import (
     GENERAL,
     MatTuple,
@@ -213,12 +214,10 @@ def _separator_oracle(calA: np.ndarray, blocks: np.ndarray, q: int, c: float):
     return oracle
 
 
-def _certify_side(f: NCQuadPoly, g: NCQuadPoly, budget: int, seed: int):
+def _certify_side(f: NCQuadPoly, g: NCQuadPoly, budget: int):
     """certify's oracle and its spectral search, not yet started."""
     q = f.q
-    starts = [identity_choi(q).J / q, np.eye(q * q) / (q * q)]
-    oracle = _certify_oracle(coefficient_matrix(f), g.blocks, q)
-    return oracle, spectral_search(q * q, budget, seed, starts=starts, target=0.0)
+    return _certify_oracle(coefficient_matrix(f), g.blocks, q), spectral_search(q * q, budget, 0.0)
 
 
 def _certified(f: NCQuadPoly, g: NCQuadPoly, best_J, best_v: float, tol: float) -> CertifySearch:
@@ -243,23 +242,22 @@ def certify(
     g: NCQuadPoly,
     budget: int = DEFAULT_BUDGET,
     tol: float = DEFAULT_TOL,
-    seed: int = DEFAULT_SEED,
 ) -> CertifySearch:
     """Search for a trace-one PSD Choi matrix J with A - (1_m (x) phi_J) B PSD.
 
     Maximizes the concave objective J -> lambda_min(A - (1 (x) phi_J) B)
-    over the spectraplex, starting from the scaled identity map, then the
-    maximally mixed point, then a seeded random point.  A best value >= -tol
-    yields a certificate; otherwise the best value is returned as a
+    over the spectraplex, in one ascent of ``budget`` evaluations from the
+    maximally mixed point I / q^2 (linalg.spectral_search).  A best value
+    >= -tol yields a certificate; otherwise the best value is returned as a
     (one-sided) diagnostic; it is not a proof that no certificate exists.
     """
     if f.m != g.m or f.q != g.q:
         raise ShapeMismatch("certify requires matching (m, q); reconcile first")
-    best_J, best_v, _ = supergradient_ascent(*_certify_side(f, g, budget, seed))
+    best_J, best_v, _ = supergradient_ascent(*_certify_side(f, g, budget))
     return _certified(f, g, best_J, best_v, tol)
 
 
-def _separator_side(f: NCQuadPoly, g: NCQuadPoly, budget: int, tol_strict: float, seed: int):
+def _separator_side(f: NCQuadPoly, g: NCQuadPoly, budget: int, tol_strict: float):
     """find_separator's oracle, its spectral search (not yet started) and its margin.
 
     The margin tol_strict / c is the value a separator must clear; the
@@ -269,9 +267,7 @@ def _separator_side(f: NCQuadPoly, g: NCQuadPoly, budget: int, tol_strict: float
     calA = coefficient_matrix(f)
     c = 1.0 + fro(calA)
     margin = tol_strict / c
-    search = spectral_search(
-        m * q, budget, seed, starts=[np.eye(m * q) / (m * q)], target=2.0 * margin,
-    )
+    search = spectral_search(m * q, budget, 2.0 * margin)
     return _separator_oracle(calA, g.blocks, q, c), search, margin
 
 
@@ -291,18 +287,19 @@ def find_separator(
     budget: int = DEFAULT_BUDGET,
     tol: float = DEFAULT_TOL,
     tol_strict: float = DEFAULT_TOL_STRICT,
-    seed: int = DEFAULT_SEED,
 ) -> SeparatorSearch:
     """Search for a trace-one PSD M with sum B_ij (x) M_ij PSD and <A, M> < 0.
 
     Maximizes min(lambda_min(sum B_ij (x) M_ij), -<A, M>/c) with
-    c = 1 + ||A||_F, up to the target 2 tol_strict / c in ``evals``
-    evaluations; success requires the optimum to clear tol_strict/c so
-    both separator inequalities hold with a quantitative margin.
+    c = 1 + ||A||_F, in one ascent from the maximally mixed point I / mq
+    (linalg.spectral_search), up to the target 2 tol_strict / c in ``evals``
+    evaluations, at most ``budget``; success requires the optimum to clear
+    tol_strict/c so both separator inequalities hold with a quantitative
+    margin.
     """
     if f.m != g.m or f.q != g.q:
         raise ShapeMismatch("find_separator requires matching (m, q); reconcile first")
-    oracle, search, margin = _separator_side(f, g, budget, tol_strict, seed)
+    oracle, search, margin = _separator_side(f, g, budget, tol_strict)
     M, best_v, evals = supergradient_ascent(lambda M: oracle(M)[:2], search)
     return replace(_separated(f, g, M, best_v, margin, tol, tol_strict), evals=evals)
 
@@ -519,7 +516,7 @@ def _race(searches, settles, cut):
     return tally, bound
 
 
-def _race_sides(f, g, budget, tol, tol_strict, seed):
+def _race_sides(f, g, budget, tol, tol_strict):
     """Race certify against the separator search (q >= 2): (J, certify value, M, diagnostics).
 
     J is certify's best point, None if it was cut short; M is the separator's,
@@ -528,8 +525,8 @@ def _race_sides(f, g, budget, tol, tol_strict, seed):
     # A separator bound below cut puts every certify value below -tol.
     scale = 1.0 + fro(coefficient_matrix(f)) + fro(coefficient_matrix(g))
     cut = -tol - CUT_ROUNDOFF * scale
-    cert_oracle, cert_search = _certify_side(f, g, budget, seed)
-    sep_oracle, sep_search, margin = _separator_side(f, g, budget, tol_strict, seed + 1)
+    cert_oracle, cert_search = _certify_side(f, g, budget)
+    sep_oracle, sep_search, margin = _separator_side(f, g, budget, tol_strict)
     sides = (cert_oracle, sep_oracle)
 
     def oracle(step):
@@ -587,7 +584,7 @@ def _concluded(f, g, J, cert_best, M, diagnostics, tol, tol_strict, hereditary) 
     return Decision(kind="inconclusive", diagnostics=diagnostics)
 
 
-def _decide_common(f, g, budget, tol, tol_strict, seed, hereditary):
+def _decide_common(f, g, budget, tol, tol_strict, hereditary):
     f2, g2 = reconcile(f, g)
     m, q = f2.m, f2.q
     if max(q * q, m * q) > MAX_DIM:
@@ -598,7 +595,7 @@ def _decide_common(f, g, budget, tol, tol_strict, seed, hereditary):
     if q == 1:
         sides = _multiplier_sides(f2, g2, tol, tol_strict)
     else:
-        sides = _race_sides(f2, g2, budget, tol, tol_strict, seed)
+        sides = _race_sides(f2, g2, budget, tol, tol_strict)
     return _concluded(f2, g2, *sides, tol, tol_strict, hereditary)
 
 
@@ -609,15 +606,15 @@ def decide(
     budget: int = DEFAULT_BUDGET,
     tol: float = DEFAULT_TOL,
     tol_strict: float = DEFAULT_TOL_STRICT,
-    seed: int = DEFAULT_SEED,
 ) -> Decision:
     """Full decision for the projected domination question.
 
     Requires lambda_min(g(slater)) > tol_strict.  Coefficient dimensions are
     reconciled automatically (pad f, or replace g by repeated blocks).  The
-    certificate search and the separator search each get ``budget``
-    evaluations, split evenly among their starts (certify 3, separator 2,
-    each start at least one), and take one evaluation each in turn,
+    certificate search and the separator search each run one ascent of at
+    most ``budget`` evaluations from the center of their spectraplex
+    (linalg.spectral_search), so no random number is drawn and the same
+    inputs give the same decision, and take one evaluation each in turn,
     certificate side first.  The race ends once certify finishes at >= -tol
     or the separator reaches its target; weak duality lets at most one side
     do so.  Each separator point M also bounds every certify value from
@@ -636,9 +633,9 @@ def decide(
     separator made no evaluation).  A bound below -tol shows, up to
     roundoff, that no trace-one certificate exists.
 
-    At a reconciled q = 1 no search runs and ``budget`` and ``seed`` are
-    unused: a CP map is a scalar lambda >= 0 and the trace-one slice is the
-    point J = [[1]].  h(1) = lambda_min(A - B) >= -tol gives the certificate
+    At a reconciled q = 1 no search runs and ``budget`` is unused: a CP
+    map is a scalar lambda >= 0 and the trace-one slice is the point
+    J = [[1]].  h(1) = lambda_min(A - B) >= -tol gives the certificate
     J = [[1]]; below that, linalg.scalar_multiplier maximizes
     h(lambda) = lambda_min(A - lambda B) over lambda >= 0, and a maximum at
     or below -tol_strict hands its bracket separator to the builder.
@@ -651,7 +648,7 @@ def decide(
     Reconciled sizes with q^2 or mq above MAX_DIM raise DimensionTooLarge.
     """
     _check_slater(g, slater, tol_strict, hereditary=False)
-    return _decide_common(f, g, budget, tol, tol_strict, seed, hereditary=False)
+    return _decide_common(f, g, budget, tol, tol_strict, hereditary=False)
 
 
 def decide_hereditary(
@@ -661,7 +658,6 @@ def decide_hereditary(
     budget: int = DEFAULT_BUDGET,
     tol: float = DEFAULT_TOL,
     tol_strict: float = DEFAULT_TOL_STRICT,
-    seed: int = DEFAULT_SEED,
 ) -> Decision:
     """Decision for hereditary domination (general, not-necessarily-symmetric tuples).
 
@@ -669,7 +665,7 @@ def decide_hereditary(
     counterexample uses the rectangular construction without projection.
     """
     _check_slater(g, slater, tol_strict, hereditary=True)
-    return _decide_common(f, g, budget, tol, tol_strict, seed, hereditary=True)
+    return _decide_common(f, g, budget, tol, tol_strict, hereditary=True)
 
 
 def homogenize(
@@ -743,19 +739,27 @@ def homogenized_poly(quad: NCQuadPoly, result: HomogenizationResult) -> NCQuadPo
 SPOT_CHECKS = 10
 
 
-def _spot_tuples(m: int, seed: int) -> list:
+@functools.lru_cache(maxsize=32)
+def _spot_tuples(m: int, seed: int) -> tuple:
     """The SPOT_CHECKS seeded symmetric tuples, drawn one by one, stacked by size.
 
     Each draw takes its size n in 1..4, then its (m, n, n) matrices; the
-    tuples of one size form one (k, m, n, n) stack, in draw order.
+    tuples of one size form one (k, m, n, n) stack, in draw order.  The
+    stacks are cached per (m, seed) and read-only, since every certificate
+    verified at that seed is checked at the same tuples.
     """
     rng = np.random.default_rng(seed)
     by_size = {}
     for _ in range(SPOT_CHECKS):
         n = int(rng.integers(1, 5))
         by_size.setdefault(n, []).append(rng.standard_normal((m, n, n)))
-    stacks = [np.stack(raws) for raws in by_size.values()]
-    return [(raw + raw.transpose(0, 1, 3, 2)) / 2.0 for raw in stacks]
+    stacks = []
+    for raws in by_size.values():
+        raw = np.stack(raws)
+        stack = (raw + raw.transpose(0, 1, 3, 2)) / 2.0
+        stack.flags.writeable = False
+        stacks.append(stack)
+    return tuple(stacks)
 
 
 def _scaled(f: NCQuadPoly, g: NCQuadPoly):

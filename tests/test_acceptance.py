@@ -163,7 +163,7 @@ def test_criterion_6_planted_certificates():
     for trial in range(50):
         m, q = shapes[int(rng.integers(0, len(shapes)))]
         f, g, _ = planted_certificate_instance(rng, m, q)
-        out = ns.certify(f, g, budget=5000, seed=trial)
+        out = ns.certify(f, g, budget=5000)
         assert out.certificate is not None, f"trial {trial} ({m},{q}): {out.best_value}"
         assert out.certificate.residual_lambda_min >= -1e-6
         assert ns.verify_certificate(out.certificate, f, g, seed=trial)
@@ -187,7 +187,7 @@ def test_criterion_7_counterexamples():
         instances.append((f, g))
     for f, g in instances:
         trial += 1
-        sep = ns.find_separator(f, g, budget=4000, seed=trial)
+        sep = ns.find_separator(f, g, budget=4000)
         assert sep.M is not None, f"separator search failed on trial {trial}"
         ce = ns.build_counterexample(f, g, sep.M)
         assert ns.verify_counterexample(ce, f, g)
@@ -215,8 +215,8 @@ def test_criterion_8_mutual_exclusion():
             f, g, _ = refutable_instance(rng, m, q)
         else:
             f, g = random_poly(rng, m, q), random_poly(rng, m, q)
-        cert = ns.certify(f, g, budget=900, seed=trial)
-        sep = ns.find_separator(f, g, budget=900, seed=trial + 1)
+        cert = ns.certify(f, g, budget=900)
+        sep = ns.find_separator(f, g, budget=900)
         cert_ok = cert.certificate is not None and cert.best_value >= 1e-6
         sep_ok = (sep.M is not None and sep.b_margin >= 1e-6
                   and sep.a_value <= -1e-6)

@@ -136,7 +136,7 @@ def _linear_oracle(C):
 
 def test_maximize_spectral_linear_objective():
     C = np.diag([1.0, 0.0])
-    M, value = ns.maximize_spectral(_linear_oracle(C), 2, budget=2000, seed=0)
+    M, value = ns.maximize_spectral(_linear_oracle(C), 2, budget=2000)
     assert abs(value - 1.0) <= 1e-8
     assert np.linalg.norm(M - np.diag([1.0, 0.0])) <= 1e-6
 
@@ -148,7 +148,7 @@ def test_maximize_spectral_lambda_min_objective():
         val, v = min_eigpair(M)
         return val, np.outer(v, v)
 
-    M, value = ns.maximize_spectral(oracle, 2, budget=2000, seed=0)
+    M, value = ns.maximize_spectral(oracle, 2, budget=2000)
     assert abs(value - 0.5) <= 1e-6
     assert np.linalg.norm(M - np.eye(2) / 2) <= 1e-4
 
@@ -157,12 +157,9 @@ def test_maximize_spectral_constant_objective():
     def oracle(M):
         return 7.5, np.zeros_like(M)
 
-    M, value = ns.maximize_spectral(oracle, 3, budget=100, seed=11)
-    rng = np.random.default_rng(11)
-    raw = rng.standard_normal((3, 3))
-    expected = ns.spectraplex_project((raw + raw.T) / 2)
+    M, value = ns.maximize_spectral(oracle, 3, budget=100)
     assert value == 7.5
-    assert np.allclose(M, expected, atol=1e-12)
+    assert np.allclose(M, np.eye(3) / 3, atol=1e-12)
 
 
 def test_maximize_spectral_attains_top_eigenvalue():
@@ -170,7 +167,7 @@ def test_maximize_spectral_attains_top_eigenvalue():
     for d in (2, 5, 10, 20):
         Q, _ = np.linalg.qr(rng.standard_normal((d, d)))
         C = Q @ np.diag(np.arange(d, dtype=float)) @ Q.T
-        _, value = ns.maximize_spectral(_linear_oracle(C), d, budget=5000, seed=1)
+        _, value = ns.maximize_spectral(_linear_oracle(C), d, budget=5000)
         top = float(np.linalg.eigvalsh(C)[-1])
         assert abs(value - top) <= 1e-6
 
@@ -179,8 +176,8 @@ def test_maximize_spectral_deterministic():
     rng = np.random.default_rng(9)
     C = rng.standard_normal((4, 4))
     C = (C + C.T) / 2
-    M1, v1 = ns.maximize_spectral(_linear_oracle(C), 4, budget=500, seed=3)
-    M2, v2 = ns.maximize_spectral(_linear_oracle(C), 4, budget=500, seed=3)
+    M1, v1 = ns.maximize_spectral(_linear_oracle(C), 4, budget=500)
+    M2, v2 = ns.maximize_spectral(_linear_oracle(C), 4, budget=500)
     assert v1 == v2
     assert np.array_equal(M1, M2)
 
@@ -262,21 +259,17 @@ def test_is_psd_validates_once(monkeypatch):
 
 
 def test_maximize_spectral_start_schedule():
-    # one ascent per given start, then the seeded random start, in that order
+    # one ascent, from the center I / dim of the spectraplex
     seen = []
 
     def oracle(M):
         seen.append(M.copy())
-        return 1.0, np.zeros_like(M)  # constant: each ascent stops after one step
+        return 1.0, np.zeros_like(M)  # constant: the ascent stops after one step
 
-    starts = [np.diag([1.0, 0.0]), np.diag([0.0, 1.0])]
-    M, value = ns.maximize_spectral(oracle, 2, budget=90, seed=4, starts=starts)
-    raw = np.random.default_rng(4).standard_normal((2, 2))
-    expected = starts + [ns.spectraplex_project((raw + raw.T) / 2.0)]
-    assert len(seen) == 3
-    for got, want in zip(seen, expected):
-        assert np.allclose(got, want, atol=1e-15)
-    assert value == 1.0 and np.array_equal(M, seen[0])  # ties keep the earliest
+    M, value = ns.maximize_spectral(oracle, 2, budget=90)
+    assert len(seen) == 1
+    assert np.allclose(seen[0], np.eye(2) / 2.0, atol=1e-15)
+    assert value == 1.0 and np.array_equal(M, seen[0])
 
 
 def test_maximize_spectral_budget_shares_and_target():
@@ -287,13 +280,19 @@ def test_maximize_spectral_budget_shares_and_target():
         evals.append(1)
         return float(np.sum(C * M)), C
 
-    # the first start is already optimal: the target stops the search there
-    _, value = ns.maximize_spectral(oracle, 3, budget=300, starts=[C], target=1.0)
-    assert value == 1.0 and len(evals) == 1
-    # an unreachable target: two ascents of budget // 2 each, no more
+    # the center reaches a low target: the search stops at its first evaluation
+    _, value = ns.maximize_spectral(oracle, 3, budget=300, target=0.25)
+    assert value == pytest.approx(1.0 / 3.0) and len(evals) == 1
+    # an unreachable target: one ascent of the whole budget, no more
     evals.clear()
-    _, value = ns.maximize_spectral(oracle, 3, budget=300, starts=[np.eye(3)], target=2.0)
+    _, value = ns.maximize_spectral(oracle, 3, budget=300, target=2.0)
     assert len(evals) == 300 and value <= 1.0
+
+
+def test_maximize_spectral_takes_target_by_keyword_only():
+    # a fourth positional argument was the seed; it must not become the target
+    with pytest.raises(TypeError):
+        ns.maximize_spectral(_linear_oracle(np.eye(2)), 2, 100, 42)
 
 
 # --- _eigh: the LAPACK gufunc np.linalg.eigh wraps, called without the wrapper ---

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import ncslemma as ns
+from ncslemma import linalg
 from ncslemma.errors import (
     InvalidInput,
     NotGloballyPSD,
@@ -340,9 +341,10 @@ def reference_scalar_outcome(f, g, best_value, budget, tol=1e-8, tol_strict=1e-6
     """The outcome scalar_slemma reached from its multiplier search's ``best_value`` by a search.
 
     The refutation is the one scalar_slemma ran with its own oracle
-    min(<B, S>/c_B, -<A, S>/c_A), c_X = 1 + ||X||_F, and no target, through
-    maximize_spectral, followed by the same rank-one split and margin
-    checks.  On the draws below, the separator search scalar_slemma ran
+    min(<B, S>/c_B, -<A, S>/c_A), c_X = 1 + ||X||_F, and no target: one
+    projected ascent of the whole budget from the spectraplex projection of
+    a seeded random symmetric matrix, as maximize_spectral then ran it,
+    followed by the same rank-one split and margin checks.  On the draws below, the separator search scalar_slemma ran
     afterwards (find_separator on the q = 1 lifts) reached the same outcomes.
     """
     if best_value >= -tol:
@@ -356,7 +358,9 @@ def reference_scalar_outcome(f, g, best_value, budget, tol=1e-8, tol_strict=1e-6
         t1, t2 = float(np.sum(B * S)) / cB, -float(np.sum(A * S)) / cA
         return (t1, B / cB) if t1 <= t2 else (t2, -A / cA)
 
-    S, _ = ns.maximize_spectral(oracle, f.m, budget, seed)
+    raw = np.random.default_rng(seed).standard_normal((f.m, f.m))
+    S, _, _ = linalg.supergradient_ascent(oracle, linalg._ascent(
+        ns.spectraplex_project((raw + raw.T) / 2.0), budget, linalg._spectraplex_project))
     if float(np.sum(A * S)) > -tol_strict or float(np.sum(B * S)) < -tol:
         return "inconclusive"
     x = ns.rank_one_split(S, A, B, tol=tol, tol_strict=tol_strict)

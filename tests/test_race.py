@@ -29,7 +29,6 @@ from helpers import (
 SPANS_FILE = Path(__file__).resolve().parent.parent / "bench" / "spans.py"
 SIZES = [(1, 1), (2, 2), (3, 2), (2, 3)]
 BUDGET = 600
-SEED = 5
 
 
 @pytest.fixture
@@ -67,9 +66,9 @@ def racing(hereditary, q):
         return decider
 
     def race(f, g, slater, budget=ns.DEFAULT_BUDGET, tol=ns.DEFAULT_TOL,
-             tol_strict=ns.DEFAULT_TOL_STRICT, seed=ns.DEFAULT_SEED):
+             tol_strict=ns.DEFAULT_TOL_STRICT):
         f2, g2 = slemma.reconcile(f, g)
-        sides = slemma._race_sides(f2, g2, budget, tol, tol_strict, seed)
+        sides = slemma._race_sides(f2, g2, budget, tol, tol_strict)
         return slemma._concluded(f2, g2, *sides, tol, tol_strict, hereditary)
 
     return race
@@ -100,7 +99,7 @@ def separator_with_bounds(*args, **kwargs):
         return ns.find_separator(*args, **kwargs), bounds
 
 
-def sequential(f, g, budget, seed, hereditary, evals, tol=ns.DEFAULT_TOL,
+def sequential(f, g, budget, hereditary, evals, tol=ns.DEFAULT_TOL,
                tol_strict=ns.DEFAULT_TOL_STRICT):
     """The decision run one search after the other: certify, then find_separator, then the builder.
 
@@ -116,11 +115,11 @@ def sequential(f, g, budget, seed, hereditary, evals, tol=ns.DEFAULT_TOL,
     target = 2.0 * tol_strict / (1.0 + linalg.fro(ns.coefficient_matrix(f2)))
     cut = cut_value(f2, g2, tol)
     before = evals[0]
-    cert = ns.certify(f2, g2, budget=budget, tol=tol, seed=seed)
+    cert = ns.certify(f2, g2, budget=budget, tol=tol)
     n_cert = evals[0] - before
     before = evals[0]
     sep, bounds = separator_with_bounds(f2, g2, budget=budget, tol=tol,
-                                        tol_strict=tol_strict, seed=seed + 1)
+                                        tol_strict=tol_strict)
     n_sep = evals[0] - before
     assert len(bounds) == n_sep
     k = next((i for i, b in enumerate(bounds, 1) if b < cut), math.inf)
@@ -161,9 +160,9 @@ def test_race_returns_the_sequential_decision(evals, kind, m, q, hereditary):
     f, g, slater = instance(kind, rng, m, q)
 
     evals[0] = 0
-    decision = racing(hereditary, q)(f, g, slater, budget=BUDGET, seed=SEED)
+    decision = racing(hereditary, q)(f, g, slater, budget=BUDGET)
     raced = evals[0]
-    want, obj, separator_alone, race = sequential(f, g, BUDGET, SEED, hereditary, evals)
+    want, obj, separator_alone, race = sequential(f, g, BUDGET, hereditary, evals)
 
     assert decision.kind == want
     if kind in ("certificate", "counterexample"):
@@ -195,8 +194,8 @@ def test_race_keeps_certify_going_when_tol_exceeds_twice_tol_strict(evals, m, q)
     rng = np.random.default_rng(100 * m + 10 * q)
     f, g, slater = instance("counterexample", rng, m, q)
     tols = {"tol": 10.0, "tol_strict": ns.DEFAULT_TOL_STRICT}
-    decision = racing(False, q)(f, g, slater, budget=BUDGET, seed=SEED, **tols)
-    want, obj, _, race = sequential(f, g, BUDGET, SEED, False, evals, **tols)
+    decision = racing(False, q)(f, g, slater, budget=BUDGET, **tols)
+    want, obj, _, race = sequential(f, g, BUDGET, False, evals, **tols)
     assert decision.kind == want == "certificate"
     same_object(want, decision.certificate, obj)
     d = decision.diagnostics
@@ -205,9 +204,9 @@ def test_race_keeps_certify_going_when_tol_exceeds_twice_tol_strict(evals, m, q)
 
 @pytest.mark.parametrize("hereditary", [False, True])
 @pytest.mark.parametrize("ratio,kind,certify_evals", [
-    (0.999, "certificate", 498),
-    (1.0, "certificate", 498),
-    (1.001, "inconclusive", 498),  # within the roundoff allowance: not cut
+    (0.999, "certificate", 500),
+    (1.0, "certificate", 500),
+    (1.001, "inconclusive", 500),  # within the roundoff allowance: not cut
     (1.1, "inconclusive", 1),  # cut at the separator's first evaluation
 ])
 def test_cut_spares_certify_until_the_bound_clears_the_roundoff_allowance(
@@ -215,7 +214,7 @@ def test_cut_spares_certify_until_the_bound_clears_the_roundoff_allowance(
     # (m, q) = (1, 1), f = (b - delta) x^2 and g = b x^2: J = 1 is forced, so
     # every certify value and every separator bound is -delta, exactly at the
     # first point (b = 2 tol makes b - delta exact).  Without the cut certify
-    # runs 3 starts of 500 // 3 evaluations; the first three rows are also
+    # runs one ascent of all 500 evaluations; the first three rows are also
     # what the race decides without the cut.  decide itself runs no race at
     # q = 1: it takes the same kinds from h(1) = -delta, exact, and h(0) > 0.
     tol = ns.DEFAULT_TOL
@@ -228,7 +227,7 @@ def test_cut_spares_certify_until_the_bound_clears_the_roundoff_allowance(
     assert (decision.kind, d["certify_evals"]) == (kind, certify_evals)
     assert d["certify_bound"] == pytest.approx(-delta, rel=1e-12, abs=0.0)
     assert d["certify_best"] == pytest.approx(-delta, rel=1e-12, abs=0.0)
-    assert d["separator_evals"] == (500 if kind == "inconclusive" else 497)
+    assert d["separator_evals"] == (500 if kind == "inconclusive" else 499)
 
     direct = (ns.decide_hereditary if hereditary else ns.decide)(f, g, slater, budget=500)
     d = direct.diagnostics

@@ -203,6 +203,30 @@ def test_decide_counterexample():
     assert ns.verify_counterexample(decision.counterexample, f, g)
 
 
+def test_searches_draw_no_random_numbers(monkeypatch):
+    # Each search is one ascent from the center of its spectraplex: no seed,
+    # no random start, so no generator is ever built.
+    rng = np.random.default_rng(23)
+    g, x = slater_poly(rng, 2, 2)
+    slater = ns.new_tuple(x.reshape(2, 1, 1))
+    f_cert, _, _ = planted_certificate_instance(rng, 2, 2, g=g)
+    f_ref, _, _ = refutable_instance(rng, 2, 2, g=g)
+
+    def no_rng(*args, **kwargs):
+        raise AssertionError("a search drew random numbers")
+
+    monkeypatch.setattr(np.random, "default_rng", no_rng)
+    monkeypatch.setattr(np.random, "RandomState", no_rng)
+    for f, kind in ((f_cert, "certificate"), (f_ref, "counterexample")):
+        assert ns.decide(f, g, slater, budget=300).kind == kind
+        assert ns.decide_hereditary(f, g, slater, budget=300).kind == kind
+    assert ns.certify(f_cert, g, budget=300).certificate is not None
+    assert ns.find_separator(f_ref, g, budget=300).M is not None
+    _, value = ns.maximize_spectral(lambda M: (float(M[0, 0]), np.diag([1.0, 0.0])), 2,
+                                    budget=300)
+    assert value == pytest.approx(1.0)
+
+
 def test_decide_records_a_separator_the_builder_rejects(monkeypatch):
     # the builder's separator checks are the only ones decide applies: their
     # PreconditionViolated ends the decision inconclusive, with its message kept
@@ -556,8 +580,8 @@ def test_mutual_exclusion_sample():
             f, g, _ = refutable_instance(rng, m, q)
         else:
             f, g = random_poly(rng, m, q), random_poly(rng, m, q)
-        cert = ns.certify(f, g, budget=1200, seed=trial)
-        sep = ns.find_separator(f, g, budget=1200, seed=trial + 1)
+        cert = ns.certify(f, g, budget=1200)
+        sep = ns.find_separator(f, g, budget=1200)
         cert_ok = cert.certificate is not None and cert.best_value >= 1e-6
         sep_ok = (sep.M is not None and sep.b_margin >= 1e-6
                   and sep.a_value <= -1e-6)

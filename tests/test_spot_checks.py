@@ -124,6 +124,7 @@ def test_spot_tuples_are_the_reference_draws_grouped_by_size(m):
         assert len(got) == len(want)
         for stack, ref in zip(got, want):
             np.testing.assert_array_equal(stack, ref)
+            assert not stack.flags.writeable  # cached: shared by every later check
 
 
 def test_verify_certificate_evaluates_at_the_reference_draws(monkeypatch):
