@@ -396,12 +396,6 @@ def _scalar_probe(A: np.ndarray, B: np.ndarray):
     return probe
 
 
-def shifted_lambda_min(A: np.ndarray, B: np.ndarray, lam: float) -> float:
-    """lambda_min(A - lam B), through the probe scalar_multiplier evaluates h with."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        return _scalar_probe(A, B)(lam)[0]
-
-
 def _probe_point(lo: float, hi: float) -> float:
     """The next multiplier to probe in [lo, hi]: a power of two while hi > 2 lo, else the midpoint.
 

@@ -4,7 +4,7 @@ Given symmetric quadratic homogeneous matrix-valued polynomials f and g with
 a strict feasibility point for g, the domination question "compressions of
 g(X) PSD imply compressions of f(X) PSD" has exactly two verifiable answers:
 
-* a completely positive map phi (a trace-normalized PSD Choi matrix) whose
+* a completely positive map phi (its PSD Choi matrix, of any trace) whose
   residual coefficient matrix A - (1_m (x) phi) B is PSD, or
 * a separator M (trace-one PSD) with sum_ij B_ij (x) M_ij PSD and
   <A, M> < 0, from which an explicit evaluation point, projection and
@@ -33,6 +33,7 @@ import numpy as np
 from .errors import (
     DimensionTooLarge,
     InvalidInput,
+    NotPSD,
     PreconditionViolated,
     ShapeMismatch,
     SlaterViolated,
@@ -53,7 +54,6 @@ from .linalg import (
     psd_factor,
     regroup,
     scalar_multiplier,
-    shifted_lambda_min,
     spectral_search,
     spectraplex_project,  # unused: spectral_search projects; bench/spans.py wraps this name here
     supergradient_ascent,
@@ -78,7 +78,7 @@ from .poly import (
 
 @dataclass(frozen=True)
 class CPCertificate:
-    """Trace-normalized Choi matrix whose residual coefficient matrix is PSD."""
+    """PSD Choi matrix of a CP map (any trace) whose residual coefficient matrix is PSD."""
 
     J: ChoiMatrix
     residual: np.ndarray = field(repr=False)
@@ -221,15 +221,14 @@ def _certify_side(f: NCQuadPoly, g: NCQuadPoly, budget: int):
 
 
 def _certified(f: NCQuadPoly, g: NCQuadPoly, best_J, best_v: float, tol: float) -> CertifySearch:
-    """certify's answer for the best point its search reached."""
+    """certify's answer for the best point its search reached, the certificate J as given."""
     if best_v < -tol:
         return CertifySearch(certificate=None, best_value=best_v)
     q = f.q
-    J = best_J / np.trace(best_J)
-    residual = symmetrize(coefficient_matrix(f) - _map_coefficients(J, g.blocks, q))
+    residual = symmetrize(coefficient_matrix(f) - _map_coefficients(best_J, g.blocks, q))
     return CertifySearch(
         certificate=CPCertificate(
-            J=new_choi(J, q, q),
+            J=new_choi(best_J, q, q),
             residual=residual,
             residual_lambda_min=lambda_min(residual),
         ),
@@ -243,13 +242,14 @@ def certify(
     budget: int = DEFAULT_BUDGET,
     tol: float = DEFAULT_TOL,
 ) -> CertifySearch:
-    """Search for a trace-one PSD Choi matrix J with A - (1_m (x) phi_J) B PSD.
+    """Search the trace-one slice for a PSD Choi matrix J with A - (1_m (x) phi_J) B PSD.
 
     Maximizes the concave objective J -> lambda_min(A - (1 (x) phi_J) B)
     over the spectraplex, in one ascent of ``budget`` evaluations from the
     maximally mixed point I / q^2 (linalg.spectral_search).  A best value
-    >= -tol yields a certificate; otherwise the best value is returned as a
-    (one-sided) diagnostic; it is not a proof that no certificate exists.
+    >= -tol yields a certificate, the search's point as it is; otherwise the
+    best value is returned as a (one-sided) diagnostic: it is not a proof
+    that no certificate exists, since a certificate may have any trace.
     """
     if f.m != g.m or f.q != g.q:
         raise ShapeMismatch("certify requires matching (m, q); reconcile first")
@@ -394,13 +394,18 @@ def _build(kind, point, f, g, M, tol, tol_strict):
     """Factor a checked separator M = V V^T and accept the ``kind`` built at ``point``.
 
     Accepts through _sides, requires the factor to reproduce every block
-    M_ij, and retries once at a 10x finer rank cutoff.
+    M_ij, and retries once at a 10x finer rank cutoff; an M that is not PSD
+    there fails as a check does, with VerificationFailed.
     """
     M = _checked_separator(f, g, M, tol, tol_strict)
     q, m = f.q, f.m
     last_error = None
     for cutoff in (tol, tol / 10.0):
-        V = psd_factor(M, cutoff)
+        try:
+            V = psd_factor(M, cutoff)
+        except NotPSD as exc:
+            last_error = f"rank cutoff {cutoff:.1e}: {exc}"
+            continue
         r = V.shape[1]
         ce = kind(M=M, rank=r, **point(V.reshape(m, q, r), r, q))
         g_side, violation = _sides(ce, f, g)
@@ -549,22 +554,19 @@ def _race_sides(f, g, budget, tol, tol_strict):
 def _multiplier_sides(f, g, tol, tol_strict):
     """Decide q = 1 without a search: (J, certify value, M, diagnostics) as _race_sides gives them.
 
-    A CP map is then a scalar lambda >= 0, and the trace-one slice is the
-    point J = [[1]], whose certify value h(1) = lambda_min(A - B) is exact.
-    Below -tol, linalg.scalar_multiplier maximizes h over every lambda, and
-    a maximum at or below -tol_strict hands its bracket separator on.
+    A CP map is then a scalar lambda >= 0, and linalg.scalar_multiplier
+    maximizes h(lambda) = lambda_min(A - lambda B) over all of them, read as
+    positivity.scalar_slemma reads it: a maximum >= -tol gives the
+    certificate J = [[lambda]], one <= -tol_strict hands its bracket
+    separator on, and anything else is inconclusive.
     """
-    A, B = coefficient_matrix(f), coefficient_matrix(g)
-    h1 = shifted_lambda_min(A, B, 1.0)
-    diagnostics = {"certify_best": h1, "certify_bound": h1, "separator_best": None,
-                   "certify_evals": 0, "separator_evals": 0,
-                   "multiplier": 1.0, "multiplier_value": h1, "multiplier_evals": 1}
-    if h1 >= -tol:
-        return np.ones((1, 1)), h1, None, diagnostics
-    mult = scalar_multiplier(A, B)
-    diagnostics.update(multiplier=mult.lam, multiplier_value=mult.value,
-                       multiplier_evals=1 + mult.evals)
-    return None, h1, mult.M if mult.value <= -tol_strict else None, diagnostics
+    mult = scalar_multiplier(coefficient_matrix(f), coefficient_matrix(g))
+    diagnostics = {"certify_best": mult.value, "certify_bound": mult.value, "separator_best": None,
+                   "certify_evals": 0, "separator_evals": 0, "multiplier": mult.lam,
+                   "multiplier_value": mult.value, "multiplier_evals": mult.evals}
+    if mult.value >= -tol:
+        return np.full((1, 1), mult.lam), mult.value, None, diagnostics
+    return None, mult.value, mult.M if mult.value <= -tol_strict else None, diagnostics
 
 
 def _concluded(f, g, J, cert_best, M, diagnostics, tol, tol_strict, hereditary) -> Decision:
@@ -634,16 +636,16 @@ def decide(
     roundoff, that no trace-one certificate exists.
 
     At a reconciled q = 1 no search runs and ``budget`` is unused: a CP
-    map is a scalar lambda >= 0 and the trace-one slice is the point
-    J = [[1]].  h(1) = lambda_min(A - B) >= -tol gives the certificate
-    J = [[1]]; below that, linalg.scalar_multiplier maximizes
-    h(lambda) = lambda_min(A - lambda B) over lambda >= 0, and a maximum at
-    or below -tol_strict hands its bracket separator to the builder.
-    ``certify_best`` and ``certify_bound`` are both h(1), exact here,
-    ``certify_evals`` and ``separator_evals`` are 0 and ``separator_best``
-    is None; ``multiplier`` and ``multiplier_value`` are the best lambda
-    evaluated and its h, and ``multiplier_evals`` counts the evaluations
-    of h, h(1) included.  A - lambda B past the float range raises
+    map is a scalar lambda >= 0, and linalg.scalar_multiplier maximizes
+    h(lambda) = lambda_min(A - lambda B) over all of them, read by
+    positivity.scalar_slemma's rule.  A maximum at or above -tol gives the
+    certificate J = [[lambda]] (J = [[0]] when f alone is PSD), one at or
+    below -tol_strict hands its bracket separator to the builder, and one
+    between is inconclusive.  ``certify_best`` and ``certify_bound`` are
+    both that maximum, ``certify_evals`` and ``separator_evals`` are 0,
+    ``separator_best`` is None, and ``multiplier``, ``multiplier_value``
+    and ``multiplier_evals`` are lambda, h(lambda) and the evaluations of
+    h.  A - lambda B past the float range at a probed lambda raises
     InvalidInput.
     Reconciled sizes with q^2 or mq above MAX_DIM raise DimensionTooLarge.
     """
@@ -805,11 +807,12 @@ def verify_certificate(
     """Independent re-check of a certificate against the instance it claims.
 
     Recomputes the residual A - (1_m (x) phi) B from the inputs and re-runs
-    the checks: J PSD with trace one, the residual PSD, and SPOT_CHECKS
-    spot checks of f(X) - (phi (x) 1_n) g(X) PSD at seeded random symmetric
-    tuples X of sizes n in 1..4 (see _spot_checks_pass).  Every PSD test is
-    lambda_min >= -tol (1 + ||.||_F), on f and g scaled by a power of two
-    first (_scaled), so coefficients near the largest float still verify.
+    the checks: J PSD, of any trace since nothing fixes phi's scale, the
+    residual PSD, and SPOT_CHECKS spot checks of f(X) - (phi (x) 1_n) g(X)
+    PSD at seeded random symmetric tuples X of sizes n in 1..4 (see
+    _spot_checks_pass).  Every PSD test is lambda_min >= -tol (1 + ||.||_F),
+    on f and g scaled by a power of two first (_scaled), so coefficients
+    near the largest float still verify.
     """
     try:
         f2, g2 = reconcile(f, g)
@@ -818,8 +821,6 @@ def verify_certificate(
     q = f2.q
     J = cert.J
     if J.s != q or J.t != q:
-        return False
-    if abs(np.trace(J.J) - 1.0) > 1e-6:
         return False
     if not is_psd(J.J, tol):
         return False

@@ -198,22 +198,18 @@ def test_slemma_huge_coefficients_exit_code(capsys, tmp_path):
         assert run(capsys, "verify", str(out), str(path))[0] == 0
 
 
-def check_scale_gap_inconclusive(capsys, tmp_path, budget):
+def check_scale_gap_inconclusive(capsys, budget):
     # f = x1x1 (x) I_2, g = 4 x1x1 (x) I_2: every trace-one map phi has
     # tr phi(I_2) = 1, so A - (1 (x) phi) B = I_2 - 4 phi(I_2) is never PSD,
     # while phi = id / 4 (trace 1/2) is a certificate.  (At q = 1 no search runs.)
-    f = ns.new_quad_poly(np.eye(2).reshape(1, 1, 2, 2))
-    g = ns.new_quad_poly(4.0 * np.eye(2).reshape(1, 1, 2, 2))
-    slater = ns.new_tuple([[[1.0]]])
-    path = tmp_path / "scale_gap_q2.json"
-    path.write_text(serialize.dumps({
-        "format": serialize.FORMAT, "kind": "slemma",
-        "f": serialize.poly_to_json(f), "g": serialize.poly_to_json(g),
-        "slater": serialize.tuple_to_json(slater),
-    }))
-    code, doc, _ = run(capsys, "slemma", "--budget", str(budget), str(path))
+    path = fx("scale_gap_q2.json")
+    code, doc, _ = run(capsys, "slemma", "--budget", str(budget), path)
     assert code == cli.EXIT_INCONCLUSIVE
-    expected = ns.decide(f, g, slater, budget=budget).diagnostics
+    with open(path) as fh:
+        inst = serialize.instance_from_json(json.load(fh))
+    assert np.array_equal(ns.coefficient_matrix(inst["f"]), np.eye(2))
+    assert np.array_equal(ns.coefficient_matrix(inst["g"]), 4.0 * np.eye(2))
+    expected = ns.decide(inst["f"], inst["g"], inst["slater"], budget=budget).diagnostics
     for key in ("certify_evals", "separator_evals"):
         assert budget >= doc["diagnostics"][key] == expected[key] > 0
     # The separator's first point, I_2 / 2, bounds every certify value by
@@ -223,24 +219,31 @@ def check_scale_gap_inconclusive(capsys, tmp_path, budget):
     assert doc["diagnostics"]["certify_bound"] == expected["certify_bound"] == -1.0
 
 
-def test_slemma_inconclusive_reports_the_evaluations_of_each_side(capsys, tmp_path):
-    check_scale_gap_inconclusive(capsys, tmp_path, 600)
+def test_slemma_inconclusive_reports_the_evaluations_of_each_side(capsys):
+    check_scale_gap_inconclusive(capsys, 600)
 
 
 @pytest.mark.parametrize("budget", [500, 1000, 5000])
-def test_slemma_inconclusive_evaluations_stay_within_the_budget(capsys, tmp_path, budget):
-    check_scale_gap_inconclusive(capsys, tmp_path, budget)
+def test_slemma_inconclusive_evaluations_stay_within_the_budget(capsys, budget):
+    check_scale_gap_inconclusive(capsys, budget)
 
 
-def test_slemma_scale_gap_at_q1_runs_no_search(capsys):
-    # f = x1x1, g = 4 x1x1: the trace-one slice is J = [[1]] with h(1) = 1 - 4,
-    # and h(lambda) = 1 - 4 lambda falls at 0, so h is evaluated twice
-    code, doc, _ = run(capsys, "slemma", "--budget", "500", fx("scale_gap.json"))
-    assert code == cli.EXIT_INCONCLUSIVE
-    d = doc["diagnostics"]
-    assert d["certify_bound"] == d["certify_best"] == -3.0
+def test_slemma_scale_gap_at_q1_runs_no_search(capsys, tmp_path):
+    # f = x1x1, g = 4 x1x1: every multiplier in [0, 1/4] certifies, and
+    # h(lambda) = 1 - 4 lambda falls at 0, so one evaluation of h gives the
+    # certificate J = [[0]], whose residual is f's coefficient matrix [[1]]
+    out = tmp_path / "cert.json"
+    code, doc, _ = run(capsys, "slemma", "--budget", "500", "-o", str(out), fx("scale_gap.json"))
+    assert code == cli.EXIT_OK
+    assert doc["J"] == {"s": 1, "t": 1, "J": [[0.0]]}
+    assert doc["residual_lambda_min"] == 1.0 and doc["residual"] == [[1.0]]
+    assert run(capsys, "verify", str(out), fx("scale_gap.json"))[0] == cli.EXIT_OK
+    with open(fx("scale_gap.json")) as fh:
+        inst = serialize.instance_from_json(json.load(fh))
+    d = ns.decide(inst["f"], inst["g"], inst["slater"], budget=500).diagnostics
+    assert d["certify_bound"] == d["certify_best"] == 1.0
     assert (d["certify_evals"], d["separator_evals"], d["separator_best"]) == (0, 0, None)
-    assert (d["multiplier"], d["multiplier_value"], d["multiplier_evals"]) == (0.0, 1.0, 2)
+    assert (d["multiplier"], d["multiplier_value"], d["multiplier_evals"]) == (0.0, 1.0, 1)
 
 
 def test_scalar_slemma_certificate(capsys):

@@ -167,8 +167,16 @@ def test_race_returns_the_sequential_decision(evals, kind, m, q, hereditary):
     assert decision.kind == want
     if kind in ("certificate", "counterexample"):
         assert want == kind  # the planted answer
-    if q == 1:  # decide runs no race there, and reaches the same kind
-        assert (ns.decide_hereditary if hereditary else ns.decide)(f, g, slater).kind == want
+    if q == 1:  # decide runs no race there; it reaches the race's kind, and also
+        # certifies f = t g, which at m = q = 1 is t b x^2 with b > 0: f alone is
+        # PSD, so h falls at 0 and J = [[0]], off the trace-one slice
+        direct = (ns.decide_hereditary if hereditary else ns.decide)(f, g, slater)
+        if kind in ("scale-gap", "zero-f"):
+            assert (want, direct.kind) == ("inconclusive", "certificate")
+            assert direct.certificate.J.J.tolist() == [[0.0]]
+            assert ns.verify_certificate(direct.certificate, f, g)
+        else:
+            assert direct.kind == want
     same_object(want, decision.certificate or decision.counterexample, obj)
     d = decision.diagnostics
     assert d["certify_evals"] + d["separator_evals"] == raced
@@ -216,7 +224,8 @@ def test_cut_spares_certify_until_the_bound_clears_the_roundoff_allowance(
     # first point (b = 2 tol makes b - delta exact).  Without the cut certify
     # runs one ascent of all 500 evaluations; the first three rows are also
     # what the race decides without the cut.  decide itself runs no race at
-    # q = 1: it takes the same kinds from h(1) = -delta, exact, and h(0) > 0.
+    # q = 1, and no multiplier is forced: f = (b - delta) x^2 is PSD alone,
+    # so h falls at 0 and every row is the certificate J = [[0]], residual f.
     tol = ns.DEFAULT_TOL
     b, delta = 2.0 * tol, ratio * tol
     f = ns.new_quad_poly(np.full((1, 1, 1, 1), b - delta))
@@ -231,7 +240,9 @@ def test_cut_spares_certify_until_the_bound_clears_the_roundoff_allowance(
 
     direct = (ns.decide_hereditary if hereditary else ns.decide)(f, g, slater, budget=500)
     d = direct.diagnostics
-    assert direct.kind == kind
-    assert d["certify_bound"] == d["certify_best"] == -delta
-    assert (d["certify_evals"], d["separator_evals"]) == (0, 0)
-    same_object(kind, direct.certificate, decision.certificate)
+    assert direct.kind == "certificate"
+    assert direct.certificate.J.J.tolist() == [[0.0]]
+    assert d["certify_bound"] == d["certify_best"] == direct.certificate.residual_lambda_min
+    assert d["certify_bound"] == b - delta
+    assert (d["certify_evals"], d["separator_evals"], d["multiplier_evals"]) == (0, 0, 1)
+    assert ns.verify_certificate(direct.certificate, f, g)

@@ -188,6 +188,18 @@ def test_builders_report_the_block_error_when_both_cutoffs_fail(hereditary):
         build(f, g, np.diag([1e3, 5e-7]))
 
 
+@pytest.mark.parametrize("hereditary", [False, True])
+def test_builders_fail_verification_when_the_finer_cutoff_rejects_m(hereditary):
+    # lambda_min(M) = -5e-9 passes the separator checks at tol (2e-8 here), but
+    # rank 1 leaves a block error of 1.6e-8, and at tol / 10 M is not PSD: that
+    # retry fails as a check does, not with linalg's NotPSD
+    f = ns.new_quad_poly([[np.diag([-1.0, 0.0, 0.0])]])
+    g = ns.new_quad_poly([[np.eye(3)]])
+    build = ns.build_counterexample_hereditary if hereditary else ns.build_counterexample
+    with pytest.raises(VerificationFailed, match=r"rank cutoff 1\.0e-09: lambda_min = -5\.000e-09"):
+        build(f, g, np.diag([1.0 - 1.5e-8, 1.5e-8, -5e-9]))
+
+
 def test_decide_example_62():
     f, g = example_62_f(), example_62_g()
     slater = unit_slater()
@@ -590,15 +602,30 @@ def test_mutual_exclusion_sample():
     assert both == 0
 
 
-def test_decide_inconclusive_scale_gap():
-    # f = x1x1, g = 4 x1x1: dominated with multiplier 1/4, but the trace-one
-    # normalization pins lambda = 1 at q = 1 and no separator exists either,
-    # so the honest outcome is inconclusive
+def test_decide_certifies_the_scale_gap_at_q1():
+    # f = x1x1, g = 4 x1x1: every multiplier in [0, 1/4] certifies, none of
+    # them on the trace-one slice J = [[1]].  A certificate's scale is not
+    # fixed, and f alone is PSD, so h(lambda) = 1 - 4 lambda falls at 0 and
+    # the certificate is J = [[0]]
     f = ns.new_quad_poly(np.ones((1, 1, 1, 1)))
     g = ns.new_quad_poly(4.0 * np.ones((1, 1, 1, 1)))
     decision = ns.decide(f, g, ns.new_tuple([[[1.0]]]), budget=1500)
-    assert decision.kind == "inconclusive"
-    assert decision.diagnostics["certify_best"] == pytest.approx(-3.0)
+    assert decision.kind == "certificate"
+    assert decision.certificate.J.J.tolist() == [[0.0]]
+    assert decision.diagnostics["certify_best"] == decision.certificate.residual_lambda_min == 1.0
+    assert ns.verify_certificate(decision.certificate, f, g)
+
+
+def test_verify_accepts_a_certificate_of_any_trace():
+    # f = x1x1 (x) I_2, g = 4 x1x1 (x) I_2: phi = id / 4, of trace 1/2, leaves
+    # the residual I_2 - 4 phi(I_2) = 0, and every f(X) - (phi (x) 1) g(X) is 0
+    f = ns.new_quad_poly(np.eye(2).reshape(1, 1, 2, 2))
+    g = ns.new_quad_poly(4.0 * np.eye(2).reshape(1, 1, 2, 2))
+    J = ns.new_choi(ns.identity_choi(2).J / 4.0, 2, 2)
+    residual = ns.coefficient_matrix(f) - _map_coefficients(J.J, g.blocks, 2)
+    cert = ns.CPCertificate(J=J, residual=residual, residual_lambda_min=0.0)
+    assert np.trace(J.J) == 0.5 and not residual.any()
+    assert ns.verify_certificate(cert, f, g)
 
 
 def test_weak_duality_identity():
@@ -640,18 +667,36 @@ def test_refutable_instance_builds_the_largest_bench_size():
     assert ns.verify_counterexample(decision.counterexample, f, g)
 
 
-def opposite_huge_pair():
-    """f = x1x1 + 1.7e308 x2x2 against g = x1x1 - 1.7e308 x2x2: A - B is past the float range."""
+@pytest.mark.parametrize("hereditary", [False, True])
+def test_decide_at_q1_certifies_opposite_huge_blocks(hereditary):
+    # f = x1x1 + 1.7e308 x2x2 against g = x1x1 - 1.7e308 x2x2, where A - B is
+    # past the float range: f alone is PSD, so h falls at 0, A - B is never
+    # formed, and the certificate is J = [[0]], with residual f
     f = ns.scalar_to_nc(ns.new_scalar_quad(np.diag([1.0, 1.7e308])))
     g = ns.scalar_to_nc(ns.new_scalar_quad(np.diag([1.0, -1.7e308])))
-    return f, g, unit_slater()
+    decision = (ns.decide_hereditary if hereditary else ns.decide)(f, g, unit_slater())
+    assert decision.kind == "certificate"
+    assert decision.certificate.J.J.tolist() == [[0.0]]
+    assert decision.certificate.residual_lambda_min == 1.0
+    assert ns.verify_certificate(decision.certificate, f, g)
+
+
+def past_the_float_range_pair():
+    """f = -1.7e308 x1x1 against g = -1e300 x1x1 + x2x2, with the Slater point (0, 1).
+
+    h rises while -1.7e308 + 1e300 lambda is its bottom eigenvalue, and the
+    doubling reaches lambda = 2^28, where 1e300 lambda is past the float range.
+    """
+    f = ns.scalar_to_nc(ns.new_scalar_quad(np.diag([-1.7e308, 0.0])))
+    g = ns.scalar_to_nc(ns.new_scalar_quad(np.diag([-1e300, 1.0])))
+    return f, g, ns.new_tuple([[[0.0]], [[1.0]]])
 
 
 @pytest.mark.parametrize("hereditary", [False, True])
 def test_decide_at_q1_past_the_float_range_is_invalid_input(hereditary):
-    # h(1) = lambda_min(diag(0, 3.4e308)): no verdict, no NaN and no overflow
-    # warning (a RuntimeWarning fails the test run)
-    f, g, slater = opposite_huge_pair()
+    # no verdict, no NaN and no overflow warning (a RuntimeWarning fails the
+    # test run)
+    f, g, slater = past_the_float_range_pair()
     decider = ns.decide_hereditary if hereditary else ns.decide
     with pytest.raises(InvalidInput, match="float range"):
         decider(f, g, slater)
@@ -660,7 +705,7 @@ def test_decide_at_q1_past_the_float_range_is_invalid_input(hereditary):
 def test_slemma_cli_at_q1_past_the_float_range_exits_2(tmp_path, capsys):
     from ncslemma import cli, serialize
 
-    f, g, slater = opposite_huge_pair()
+    f, g, slater = past_the_float_range_pair()
     path = tmp_path / "opposite.json"
     path.write_text(serialize.dumps({
         "format": serialize.FORMAT, "kind": "slemma", "f": serialize.poly_to_json(f),
@@ -687,10 +732,9 @@ def random_sym_matrix(rng, m):
 
 
 def test_decide_at_q1_agrees_with_scalar_slemma():
-    # on the q = 1 lifts, decide refutes exactly when scalar_slemma does, a
-    # scalar multiplier gives a certificate unless the trace-one slice,
-    # J = [[1]], misses it (certify_bound = h(1) < -tol), and every object
-    # emitted verifies
+    # on the q = 1 lifts, decide reads the multiplier bisection by the rule
+    # scalar_slemma reads it with: the same kind, the same probes, the
+    # certificate J = [[lambda]], and every object emitted verifies
     from helpers import random_scalar_pair
 
     tol = ns.DEFAULT_TOL
@@ -705,15 +749,11 @@ def test_decide_at_q1_agrees_with_scalar_slemma():
         decider = ns.decide_hereditary if hereditary else ns.decide
         dec = decider(F, G, ns.new_tuple(x.reshape(m, 1, 1)))
         d, s = dec.diagnostics, res.diagnostics
-        assert (dec.kind == "counterexample") == (res.outcome == "counterexample"), k
-        if d["multiplier_evals"] > 1:  # the bisection ran: the same one scalar_slemma runs
-            assert (d["multiplier"], d["multiplier_value"]) == (s["lambda"], s["best_value"])
-            assert d["multiplier_evals"] == 1 + s["multiplier_evals"]
+        assert dec.kind == res.outcome, k
+        assert (d["multiplier"], d["multiplier_value"], d["multiplier_evals"]) == (
+            s["lambda"], s["best_value"], s["multiplier_evals"]), k
         if res.outcome == "certificate":
-            h1 = float(np.linalg.eigvalsh(f.A - g.A)[0])
-            assert dec.kind == "certificate" or (
-                dec.kind == "inconclusive" and d["certify_bound"] == pytest.approx(h1, abs=1e-12)
-                and d["certify_bound"] < -tol), k
+            assert dec.certificate.J.J.tolist() == [[res.lam]], k
             assert res.lam >= 0.0 and ns.is_psd(f.A - res.lam * g.A)
         if res.outcome == "counterexample":
             assert res.x @ f.A @ res.x <= -ns.DEFAULT_TOL_STRICT
@@ -722,6 +762,6 @@ def test_decide_at_q1_agrees_with_scalar_slemma():
             assert ns.verify_certificate(dec.certificate, F, G)
         if dec.kind == "counterexample":
             assert ns.verify_counterexample(dec.counterexample, F, G)
-        kinds.append((res.outcome, dec.kind))
-    assert {("certificate", "certificate"), ("counterexample", "counterexample"),
-            ("certificate", "inconclusive")} <= set(kinds)
+        kinds.append((res.outcome, res.lam is not None and res.lam > 0.0))
+    # certificates at lambda = 0 and at lambda > 0, and counterexamples
+    assert {("certificate", False), ("certificate", True), ("counterexample", False)} <= set(kinds)
