@@ -775,25 +775,29 @@ def _scaled(f: NCQuadPoly, g: NCQuadPoly):
             math.ldexp(1.0, -e))
 
 
+def _slack(tol: float, floor: float, f: NCQuadPoly, g: NCQuadPoly, J) -> float:
+    """f's tolerance tol (floor + ||A||_F) on _scaled's f and g, less the roundoff bound of applying
+    phi_J (q^2 products an entry) and of an eigensolve of side at most 4mq: no J widens it."""
+    return tol * (floor + fro(f.blocks)) - 2.0 ** -52 * f.q * (f.q + 4 * f.m) * fro(J) * fro(g.blocks)
+
+
 def _spot_checks_pass(f: NCQuadPoly, g: NCQuadPoly, floor: float, J, tol: float, seed: int) -> bool:
     """Whether f(X) - (phi_J (x) 1_n) g(X) is PSD at every spot-check tuple X.
 
-    f, g and floor are _scaled's, and each gap passes iff lambda_min(gap) >=
-    -tol (floor + ||gap||_F).  The tuples of one size are tested in one
-    batch: f and g are evaluated on the whole stack, phi is applied as one
-    product, and one stacked eigensolve takes every lambda_min.
+    f, g and floor are _scaled's.  A gap passes iff lambda_min(gap) >= -s _slack, s = sum_i ||X_i||_F^2:
+    lambda_min(gap) >= s lambda_min(residual) when that is negative, so a residual that passes passes
+    here too.  Each size is one batch: one evaluation of f and g, one product for phi, one eigensolve.
     """
+    slack = _slack(tol, floor, f, g, J)
     with np.errstate(over="ignore", invalid="ignore"):  # a gap past the float range is named below
         for X in _spot_tuples(f.m, seed):
             gap = _gram_form(f, X) - _map_stack(J, _gram_form(g, X), f.q, f.q)
             gap *= 0.5  # halved before the symmetrizing sum, which then cannot overflow
             gap = gap + gap.transpose(0, 2, 1)
-            norm = np.linalg.norm(gap, axis=(1, 2))  # finite only if every entry is
-            if not np.isfinite(norm).all():
+            if not np.isfinite(np.linalg.norm(gap, axis=(1, 2))).all():  # finite only if every entry is
                 raise InvalidInput("spot check: a gap or its norm is past the float range")
-            low = np.linalg.eigvalsh(gap)[:, 0]
-            if not (low >= -tol * (floor + norm)).all():  # a NaN fails here
-                return False
+            if not (np.linalg.eigvalsh(gap)[:, 0] >= -slack * (X * X).sum(axis=(1, 2, 3))).all():
+                return False  # a NaN fails as well
     return True
 
 
@@ -807,28 +811,28 @@ def verify_certificate(
     """Independent re-check of a certificate against the instance it claims.
 
     Recomputes the residual A - (1_m (x) phi) B from the inputs and re-runs
-    the checks: J PSD, of any trace since nothing fixes phi's scale, the
+    the checks: J PSD (of any trace: nothing fixes phi's scale), the
     residual PSD, and SPOT_CHECKS spot checks of f(X) - (phi (x) 1_n) g(X)
-    PSD at seeded random symmetric tuples X of sizes n in 1..4 (see
-    _spot_checks_pass).  Every PSD test is lambda_min >= -tol (1 + ||.||_F),
-    on f and g scaled by a power of two first (_scaled), so coefficients
-    near the largest float still verify.
+    PSD at seeded random symmetric tuples X of sizes n in 1..4.  The last two
+    take phi from J + |lambda_min(J)| I when J is not PSD, and f's tolerance
+    (_slack), so neither J's own tolerance nor its scale loosens them.  f and
+    g are scaled by a power of two first (_scaled): no evaluation overflows.
     """
     try:
         f2, g2 = reconcile(f, g)
     except ShapeMismatch:
         return False
-    q = f2.q
-    J = cert.J
-    if J.s != q or J.t != q:
+    low = lambda_min(cert.J.J)
+    if (cert.J.s, cert.J.t) != (f2.q, f2.q) or not low >= -tol * (1.0 + fro(cert.J.J)):
         return False
-    if not is_psd(J.J, tol):
-        return False
+    J = cert.J.J - min(low, 0.0) * np.eye(len(cert.J.J))  # PSD, so phi_J is CP
     f2, g2, floor = _scaled(f2, g2)
-    residual = symmetrize(coefficient_matrix(f2) - _map_coefficients(J.J, g2.blocks, q))
-    if np.linalg.eigvalsh(residual)[0] < -tol * (floor + fro(residual)):
+    with np.errstate(over="ignore", invalid="ignore"):  # a residual past the float range fails here
+        residual = coefficient_matrix(f2) - _map_coefficients(J, g2.blocks, f2.q)
+    slack = _slack(tol, floor, f2, g2, J)
+    if not math.isfinite(fro(residual) - slack) or np.linalg.eigvalsh(symmetrize(residual))[0] < -slack:
         return False
-    return _spot_checks_pass(f2, g2, floor, J.J, tol, seed)
+    return _spot_checks_pass(f2, g2, floor, J, tol, seed)
 
 
 def verify_counterexample(

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -244,6 +245,23 @@ def test_slemma_scale_gap_at_q1_runs_no_search(capsys, tmp_path):
     assert d["certify_bound"] == d["certify_best"] == 1.0
     assert (d["certify_evals"], d["separator_evals"], d["separator_best"]) == (0, 0, None)
     assert (d["multiplier"], d["multiplier_value"], d["multiplier_evals"]) == (0.0, 1.0, 1)
+
+
+@pytest.mark.parametrize("sign,code", [(1.0, cli.EXIT_NEGATIVE), (-1.0, cli.EXIT_PARSE)])
+def test_verify_of_a_choi_matrix_near_the_float_range_exits_without_a_traceback(capsys, tmp_path, sign, code):
+    # phi = 4e307 id against g = +-4 x1x1 (x) I_2: the residual check fails
+    # for +, the spot-check gaps are past the float range for -
+    f = ns.new_quad_poly(np.eye(2).reshape(1, 1, 2, 2))
+    g = ns.new_quad_poly(sign * 4.0 * np.eye(2).reshape(1, 1, 2, 2))
+    cert = ns.CPCertificate(J=ns.new_choi(4e307 * ns.identity_choi(2).J, 2, 2), residual=np.zeros((2, 2)))
+    inst, cert_path = tmp_path / "inst.json", tmp_path / "cert.json"
+    inst.write_text(serialize.dumps({"format": serialize.FORMAT, "kind": "slemma",
+                                     "f": serialize.poly_to_json(f), "g": serialize.poly_to_json(g),
+                                     "slater": serialize.tuple_to_json(ns.new_tuple([[[1.0]]]))}))
+    cert_path.write_text(serialize.dumps(serialize.certificate_to_json(cert, {})))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(capsys, "verify", str(cert_path), str(inst))[0] == code
 
 
 def test_scalar_slemma_certificate(capsys):

@@ -1,4 +1,5 @@
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -626,6 +627,51 @@ def test_verify_accepts_a_certificate_of_any_trace():
     cert = ns.CPCertificate(J=J, residual=residual, residual_lambda_min=0.0)
     assert np.trace(J.J) == 0.5 and not residual.any()
     assert ns.verify_certificate(cert, f, g)
+
+
+def test_verify_rejects_a_residual_however_large_phi_is():
+    # f = -1e-6 x1x1, g = -x2x2 is not dominated: X = (1, 0) gives g = 0, f < 0.
+    # The residual diag(-1e-6, lambda) is not PSD for any lambda, and a large
+    # lambda must not widen the tolerance it is held to.
+    f = ns.scalar_to_nc(ns.new_scalar_quad(np.diag([-1e-6, 0.0])))
+    g = ns.scalar_to_nc(ns.new_scalar_quad(np.diag([0.0, -1.0])))
+    for lam in [0.0, 1.0, 1e4, 1e12, 1e300]:
+        J = ns.new_choi(np.full((1, 1), lam), 1, 1)
+        cert = ns.CPCertificate(J=J, residual=np.diag([-1e-6, lam]))
+        assert not ns.verify_certificate(cert, f, g)
+
+
+def test_verify_checks_the_map_of_the_psd_part_of_j():
+    # f = -1e-6 x1x1 (x) I_2, g = x1x1 (x) diag(1, 0) is not dominated: X = 1
+    # gives g = diag(1, 0), f < 0.  J = 1e4 k k^T - 1e-6 (l1 l1^T + l2 l2^T)
+    # passes J's own PSD test at 1e-8 (1 + ||J||_F), and its negative part
+    # cancels the residual exactly; the CP map of J's PSD part leaves f's
+    # -1e-6 I_2, which fails.
+    f = ns.new_quad_poly(-1e-6 * np.eye(2).reshape(1, 1, 2, 2))
+    g = ns.new_quad_poly(np.diag([1.0, 0.0]).reshape(1, 1, 2, 2))
+    k, l1, l2 = np.array([0.0, 1.0, 0.0, 1.0]) / np.sqrt(2.0), np.eye(4)[0], np.eye(4)[2]
+    J = 1e4 * np.outer(k, k) - 1e-6 * (np.outer(l1, l1) + np.outer(l2, l2))
+    residual = ns.coefficient_matrix(f) - _map_coefficients(J, g.blocks, 2)
+    assert ns.is_psd(J) and not residual.any()
+    assert not ns.verify_certificate(ns.CPCertificate(J=ns.new_choi(J, 2, 2), residual=residual), f, g)
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_verify_of_a_choi_matrix_near_the_float_range_fails_or_is_invalid_input(sign):
+    # phi = 4e307 id on x1x1 (x) I_2 against +-4 x1x1 (x) I_2: the residual is
+    # about -+1.6e308 I_2, so the residual check fails for +, and for - the
+    # spot-check gaps are past the float range; neither warns nor reaches
+    # an eigensolve error
+    f = ns.new_quad_poly(np.eye(2).reshape(1, 1, 2, 2))
+    g = ns.new_quad_poly(sign * 4.0 * np.eye(2).reshape(1, 1, 2, 2))
+    cert = ns.CPCertificate(J=ns.new_choi(4e307 * ns.identity_choi(2).J, 2, 2), residual=np.zeros((2, 2)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        if sign > 0:
+            assert not ns.verify_certificate(cert, f, g)
+        else:
+            with pytest.raises(InvalidInput, match="past the float range"):
+                ns.verify_certificate(cert, f, g)
 
 
 def test_weak_duality_identity():

@@ -44,12 +44,16 @@ def reference_map(J, M, q):
 
 
 def reference_gaps(f, g, J, seed):
+    """(gap, margin) at each tuple X: the margin (1 + ||A||_F) sum_i ||X_i||_F^2 is tol's unit."""
     for X in reference_tuples(f.m, seed):
-        yield ns.evaluate(f, X) - reference_map(J, ns.evaluate(g, X), f.q)
+        margin = (1.0 + np.linalg.norm(f.blocks)) * sum(np.linalg.norm(Xi) ** 2 for Xi in X.mats)
+        yield ns.evaluate(f, X) - reference_map(J, ns.evaluate(g, X), f.q), margin
 
 
 def reference_spot_checks(f, g, J, tol, seed):
-    return all(ns.is_psd(gap, tol) for gap in reference_gaps(f, g, J, seed))
+    """Each gap PSD up to tol times its margin: the instance sets it, not phi."""
+    return all(np.linalg.eigvalsh(gap)[0] >= -tol * margin
+               for gap, margin in reference_gaps(f, g, J, seed))
 
 
 def spot_checks(f, g, J, tol, seed):
@@ -62,9 +66,10 @@ def spot_checks(f, g, J, tol, seed):
 def random_triple(rng, m, q):
     """f = (1 (x) phi_J) g + R, R = P P^T / 2d - s I: the gap at X is R(X), often indefinite.
 
-    tol puts the worst tuple's -lambda_min / (1 + ||gap||_F) at a log-uniform
+    tol puts the worst tuple's -lambda_min(gap) / margin at a log-uniform
     factor in [1/2, 2] of it, so a case with an indefinite gap fails iff the
-    factor is below one, and its verdict turns on the norm of each gap alone.
+    factor is below one.  J has trace one, so the roundoff the batched
+    checks charge (about 1e-15 of the margin) cannot turn a verdict.
     """
     d = m * q
     g = random_poly(rng, m, q)
@@ -74,8 +79,7 @@ def random_triple(rng, m, q):
     R = P @ P.T / (2 * d) - rng.uniform(0.0, 2.5) * np.eye(d)
     f = poly_from_matrix(_map_coefficients(J, g.blocks, q) + R, m, q)
     seed = int(rng.integers(0, 2 ** 31))
-    worst = min(np.linalg.eigvalsh(gap)[0] / (1.0 + np.linalg.norm(gap))
-                for gap in reference_gaps(f, g, J, seed))
+    worst = min(np.linalg.eigvalsh(gap)[0] / margin for gap, margin in reference_gaps(f, g, J, seed))
     tol = -worst * 2.0 ** rng.uniform(-1.0, 1.0) if worst < 0 else 1e-8
     return f, g, J, tol, seed
 
@@ -96,9 +100,23 @@ def test_batched_spot_checks_match_the_reference_loop(triples):
         assert True in mine and False in mine
 
 
+def test_a_residual_that_passes_passes_every_spot_check():
+    # lambda_min(gap) >= s(X) lambda_min(R), so a tol at which the residual R
+    # of (f, g, J) just passes lets every spot check pass as well
+    rng = np.random.default_rng(7)
+    for m, q in SIZES:
+        for _ in range(5):
+            f, g, J, _, seed = random_triple(rng, m, q)
+            low = np.linalg.eigvalsh(ns.coefficient_matrix(f) - _map_coefficients(J, g.blocks, q))[0]
+            tol = -1.01 * low / (1.0 + np.linalg.norm(f.blocks)) if low < 0 else 1e-8
+            cert = ns.CPCertificate(J=ns.new_choi(J, q, q), residual=np.zeros((m * q, m * q)))
+            assert ns.verify_certificate(cert, f, g, tol=tol, seed=seed)
+            assert spot_checks(f, g, J, tol, seed)
+
+
 def test_spot_checks_past_the_reference_range_keep_its_verdicts(triples):
     # At 2^1000 every evaluation of the reference loop overflows.  At 2^100
-    # it does not, and there, as at 2^1000, the 1 in -tol (1 + ||gap||_F) is
+    # it does not, and there, as at 2^1000, the 1 in -tol (1 + ||A||_F) s(X) is
     # below the roundoff of the norm term, so both scales must agree.
     def scaled(p, e):
         return ns.new_quad_poly(np.ldexp(p.blocks, e))
