@@ -17,7 +17,12 @@ Every spectraplex search is one engine, ``spectral_search``: a single
 projected supergradient ascent (``_ascent``) from the center I / dim with
 the whole budget.  The certificate and separator searches are the two
 sides of one concave duality, so an interior start reaches either optimum
-and no search draws a random number.
+and no search draws a random number.  An ascent is a generator driven by
+``next``, which yields the point to evaluate, and ``send``, which takes the
+oracle's output and is the only call that ends it.  It starts at its given
+point (for ``spectral_search``, the center as ``_spectraplex_project``
+rounds it, formed without an eigensolve) and projects a step only when
+``next`` asks for its point, so every projection it makes is evaluated.
 """
 
 import math
@@ -251,15 +256,20 @@ def _ascent(
 ):
     """Two-phase projected supergradient ascent for a concave objective, one step at a time.
 
-    A generator: it yields each point to evaluate and takes back the
-    oracle's ``(value, supergradient)`` for it; it returns
-    ``(best_x, best_value)``.  ``supergradient_ascent`` drives it.  Phase one
-    runs the classic diminishing 1/sqrt(k) schedule (normalized directions)
-    with best-iterate tracking; phase two restarts from the best point and
-    takes raw supergradient steps with a constant size that halves whenever
-    a stage fails to improve, which converges linearly on sharp maxima and
-    is what pushes boundary-supported optima down to 1e-8 and beyond.  The
-    search ends at the budget, at ``target``, or once the step halves to 1e-14.
+    A generator driven by ``next`` and ``send``: ``next`` yields the point
+    to evaluate, ``x0`` first, taken as given (it must be feasible), then
+    each step projected; ``send`` takes the oracle's ``(value,
+    supergradient)`` for it and returns None, or ends the search, returning
+    ``(best_x, best_value)``.  Only ``send`` ends a search, so a step is
+    projected only when its point is asked for.  ``supergradient_ascent``
+    drives it.  Phase one runs the classic diminishing 1/sqrt(k) schedule
+    (normalized directions) with best-iterate tracking; phase two restarts
+    from the best point and takes raw supergradient steps with a constant
+    size that halves whenever a stage fails to improve, which converges
+    linearly on sharp maxima and is what pushes boundary-supported optima
+    down to 1e-8 and beyond.  A restart drops the step it replaces.  The
+    search ends at the budget, at ``target``, or once the step halves to
+    1e-14.
 
     ``project`` is called on every step without validation: it must accept
     the finite arrays the loop builds.  A step whose value or supergradient
@@ -268,40 +278,39 @@ def _ascent(
     """
     if project is None:
         project = lambda x: x
-    x = project(np.array(x0, dtype=float))
+    x, step = x0, None  # step is None while x needs no projection
     best_x, best_v, evals = None, -np.inf, 0
     s, stop = None, max(1, budget // 4)  # s is None in phase one
     while True:
-        k = 0
-        while evals < stop:
-            v, G = yield x
-            norm = fro(G)
-            if not (math.isfinite(v) and math.isfinite(norm)):
-                raise InvalidInput(
-                    f"search step {evals + 1}: value {v!r}, supergradient norm {norm!r}"
-                )
-            evals += 1
-            if v > best_v:
-                best_v, best_x = v, x.copy()
-                if target is not None and best_v >= target:
-                    return best_x, best_v
-            if norm < 1e-15:  # constant objective: nothing to ascend
-                return best_x, best_v
-            k += 1
-            if s is None:  # 1 / (sqrt(k) norm), split where the product overflows
-                d = math.sqrt(k) * norm
-                step = 1.0 / d if d < math.inf else 1.0 / math.sqrt(k) / norm
-            else:
-                step = s
+        if step is not None:
             x = project(x + step * G)
-        if s is None:
-            s, x = 1.0, best_x.copy()
-        elif best_v < stage_base + 0.01 * s:
-            s *= 0.5
-            x = best_x.copy()
-        if evals >= budget or s <= 1e-14:
+        v, G = yield x
+        norm = fro(G)
+        if not (math.isfinite(v) and math.isfinite(norm)):
+            raise InvalidInput(
+                f"search step {evals + 1}: value {v!r}, supergradient norm {norm!r}"
+            )
+        evals += 1
+        if v > best_v:
+            best_v, best_x = v, x.copy()
+            if target is not None and best_v >= target:
+                return best_x, best_v
+        if norm < 1e-15:  # constant objective: nothing to ascend
             return best_x, best_v
-        stage_base, stop = best_v, min(budget, evals + STAGE_LEN)
+        if s is None:  # 1 / (sqrt(k) norm), split where the product overflows
+            d = math.sqrt(evals) * norm
+            step = 1.0 / d if d < math.inf else 1.0 / math.sqrt(evals) / norm
+        else:
+            step = s
+        if evals >= stop:  # the stage ends
+            if s is None:
+                s, x, step = 1.0, best_x.copy(), None
+            elif best_v < stage_base + 0.01 * s:
+                s, x, step = 0.5 * s, best_x.copy(), None
+            if evals >= budget or s <= 1e-14:
+                return best_x, best_v
+            stage_base, stop = best_v, min(budget, evals + STAGE_LEN)
+        yield
 
 
 def supergradient_ascent(oracle: Callable, search):
@@ -309,25 +318,33 @@ def supergradient_ascent(oracle: Callable, search):
 
     ``search`` is a generator returning a pair, such as an ``_ascent`` (the
     one ``spectral_search`` returns, or homogenize's unconstrained one) or
-    the race of ``slemma.decide``: ``oracle`` is called on each point it
-    yields and the output sent back.  ``evals`` is the number of ``oracle``
-    calls, so every search's evaluations can be counted here.
+    the race of ``slemma.decide``: each ``next`` gives a point, ``oracle``
+    is called on it, and ``send`` hands the output back, until a ``send``
+    ends the search.  ``evals`` is the number of ``oracle`` calls, so every
+    search's evaluations can be counted here.
     """
-    evals, out = 0, None
+    evals = 0
     while True:
+        out = oracle(next(search))
+        evals += 1
         try:
-            x = search.send(out)
+            search.send(out)
         except StopIteration as done:
             return (*done.value, evals)
-        out = oracle(x)
-        evals += 1
 
 
 def spectral_search(dim: int, budget: int, target: Optional[float] = None):
-    """maximize_spectral one step at a time: the ``_ascent`` from I / dim, returning (best, value)."""
+    """maximize_spectral one step at a time: the ``_ascent`` from the center, returning (best, value).
+
+    The center is I / dim as ``_spectraplex_project`` rounds it, formed
+    without the eigensolve: c + _simplex_shift of dim copies of c = 1 / dim
+    on the diagonal, the same bits.
+    """
     if dim < 1:
         raise InvalidInput("dim must be positive")
-    return _ascent(np.eye(dim) / dim, budget, _spectraplex_project, target)
+    c = 1.0 / dim
+    return _ascent(np.eye(dim) * (c + _simplex_shift(np.full(dim, c))), budget,
+                   _spectraplex_project, target)
 
 
 def maximize_spectral(

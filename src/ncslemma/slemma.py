@@ -305,13 +305,11 @@ def find_separator(
 
 
 def _checked_separator(f, g, M, tol, tol_strict) -> np.ndarray:
-    """M, symmetrized, once it is a separator: PSD, sum B_ij (x) M_ij PSD, <A, M> < 0."""
+    """M, symmetrized, once sum B_ij (x) M_ij is PSD and <A, M> < 0; _build tests M itself."""
     M = symmetrize(M)
     q, m = f.q, f.m
     if M.shape != (m * q, m * q):
         raise ShapeMismatch(f"separator must be {(m * q, m * q)}, got {M.shape}")
-    if not is_psd(M, tol):
-        raise PreconditionViolated("separator is not PSD")
     if not is_psd(_b_term(M, g.blocks, q), tol):
         raise PreconditionViolated("sum B_ij (x) M_ij is not PSD")
     if float(np.sum(coefficient_matrix(f) * M)) > -tol_strict:
@@ -393,9 +391,12 @@ def _sides(ce, f: NCQuadPoly, g: NCQuadPoly):
 def _build(kind, point, f, g, M, tol, tol_strict):
     """Factor a checked separator M = V V^T and accept the ``kind`` built at ``point``.
 
-    Accepts through _sides, requires the factor to reproduce every block
-    M_ij, and retries once at a 10x finer rank cutoff; an M that is not PSD
-    there fails as a check does, with VerificationFailed.
+    The factoring at cutoff ``tol`` is also the test that M is PSD, the
+    one eigensolve of M: an M it rejects is not a separator
+    (PreconditionViolated).  Accepts through _sides, requires the factor to
+    reproduce every block M_ij, and retries once at a 10x finer rank
+    cutoff; an M that is not PSD there fails as a check does, with
+    VerificationFailed.
     """
     M = _checked_separator(f, g, M, tol, tol_strict)
     q, m = f.q, f.m
@@ -404,6 +405,8 @@ def _build(kind, point, f, g, M, tol, tol_strict):
         try:
             V = psd_factor(M, cutoff)
         except NotPSD as exc:
+            if cutoff == tol:
+                raise PreconditionViolated("separator is not PSD") from exc
             last_error = f"rank cutoff {cutoff:.1e}: {exc}"
             continue
         r = V.shape[1]
@@ -468,11 +471,11 @@ def _check_slater(g: NCQuadPoly, slater: MatTuple, tol_strict: float, hereditary
 
 
 # Roundoff allowance of the duality cut, per unit of 1 + ||A||_F + ||B||_F.
-# Both searches only evaluate outputs of _spectraplex_project, each within
-# O(n u) of a trace-one PSD matrix (n <= MAX_DIM its side, u = 2^-53), and
-# form certify values, <A, M> and lambda_min(sum B_ij (x) M_ij) through
-# GEMMs, sums and eigh whose a-priori errors are also O(n u) times those
-# norms.  Summed, a computed certify value exceeds the computed bound of a
+# Both searches only evaluate outputs of _spectraplex_project (the start is
+# the center as it rounds it), each within O(n u) of a trace-one PSD matrix
+# (n <= MAX_DIM its side, u = 2^-53), and form certify values, <A, M> and
+# lambda_min(sum B_ij (x) M_ij) through GEMMs, sums and eigh whose a-priori
+# errors are also O(n u) times those norms.  Summed, a computed certify value exceeds the computed bound of a
 # separator point by less than about 12 n u times 1 + ||A||_F + ||B||_F,
 # which is 5.5e-12 times it at n = MAX_DIM: 1e-10 leaves a factor of 18.
 CUT_ROUNDOFF = 1e-10
@@ -481,27 +484,29 @@ CUT_ROUNDOFF = 1e-10
 def _race(searches, settles, cut):
     """The certify and separator searches of one decision, one evaluation each in turn.
 
-    A generator for supergradient_ascent: it yields ``(side, point)``, side
-    0 (certify) first, and takes the oracle's output for it back; the
-    separator's output carries a third element, the bound its point puts on
-    every certify value.  A side whose search finishes leaves the turn; the
-    race ends once both have finished, or as soon as one finishes with a
-    best value of at least ``settles[side]``, which cuts the other short.
-    A separator bound below ``cut`` cuts certify short as well, since
-    certify can then no longer settle.  Returns, per side, ``[best point or
-    None if cut short, best value reached, evaluations]``, and the lowest
-    bound (inf if the separator made no evaluation): a pair, so that
-    supergradient_ascent's evaluation count stays its third element.
+    A generator for supergradient_ascent, driven as each search is: ``next``
+    yields ``(side, point)``, side 0 (certify) first, and ``send`` takes the
+    oracle's output for it back; the separator's output carries a third
+    element, the bound its point puts on every certify value.  A side's
+    next point is asked of its search only when its turn comes, so a side
+    cut short forms no point it would not evaluate.  A side whose search
+    finishes leaves the turn; the race ends once both have finished, or as
+    soon as one finishes with a best value of at least ``settles[side]``,
+    which cuts the other short.  A separator bound below ``cut`` cuts
+    certify short as well, since certify can then no longer settle.
+    Returns, per side, ``[best point or None if cut short, best value
+    reached, evaluations]``, and the lowest bound (inf if the separator
+    made no evaluation): a pair, so that supergradient_ascent's evaluation
+    count stays its third element.
     """
     tally = [[None, -np.inf, 0], [None, -np.inf, 0]]
     bound = np.inf
     live = list(searches)
-    points = [search.send(None) for search in live]
-    while live[0] or live[1]:
+    while True:
         for side in (0, 1):
             if live[side] is None:
                 continue
-            out = yield side, points[side]
+            out = yield side, next(live[side])
             rec = tally[side]
             rec[2] += 1
             if out[0] > rec[1]:
@@ -511,14 +516,15 @@ def _race(searches, settles, cut):
                 if bound < cut:
                     live[0] = None
             try:
-                points[side] = live[side].send(out[:2])
+                live[side].send(out[:2])
             except StopIteration as done:
                 live[side] = None
                 rec[0] = done.value[0]
                 if done.value[1] >= settles[side]:
                     live[1 - side] = None
-                    break
-    return tally, bound
+            if not (live[0] or live[1]):
+                return tally, bound
+            yield
 
 
 def _race_sides(f, g, budget, tol, tol_strict):

@@ -208,11 +208,14 @@ def test_builder_tests_the_g_side_on_the_support(monkeypatch, kind):
     # at (6, 8) the separator has rank 48: the full evaluation would be 448 x 448
     # (projected) or 384 x 384 (hereditary), its support is q * q = 64 square
     f, g, M = planted_refutation(np.random.default_rng(0), 6, 8)
-    shapes = []
-    is_psd = slemma.is_psd
+    shapes, factored = [], []
+    is_psd, psd_factor = slemma.is_psd, slemma.psd_factor
     monkeypatch.setattr(slemma, "is_psd", lambda S, *a: shapes.append(np.shape(S)) or is_psd(S, *a))
+    monkeypatch.setattr(slemma, "psd_factor",
+                        lambda S, *a: factored.append(np.shape(S)) or psd_factor(S, *a))
     ce = BUILDERS[kind](f, g, M)
     assert ce.rank == 48
-    assert shapes == [(48, 48), (64, 64), (64, 64)]  # M, sum B_ij (x) M_ij, the g side
+    assert shapes == [(64, 64), (64, 64)]  # sum B_ij (x) M_ij, the g side
+    assert factored == [(48, 48)]  # M is tested by the factoring, its one eigensolve
     assert ns.verify_counterexample(ce, f, g)
-    assert shapes[3:] == [(64, 64)]
+    assert shapes[2:] == [(64, 64)]

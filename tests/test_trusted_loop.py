@@ -108,9 +108,13 @@ def test_scalar_separator_trusted_equals_validating(m, q):
 
 
 def reference_loop(oracle, d, budget, target):
-    """The search certify and find_separator each run: one ascent from I / d with the whole budget."""
+    """The search certify and find_separator each run: one ascent from I / d with the whole budget.
+
+    The ascent takes its start as given, so it starts at I / d as the projection rounds it.
+    """
     x, v, _ = supergradient_ascent(oracle, linalg._ascent(
-        np.eye(d) / d, budget, project=linalg._spectraplex_project, target=target))
+        linalg._spectraplex_project(np.eye(d) / d), budget, project=linalg._spectraplex_project,
+        target=target))
     return x, v
 
 
