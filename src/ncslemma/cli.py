@@ -161,18 +161,22 @@ def cmd_slemma(args, inst, opts):
         inst["f"], inst["g"], inst["slater"],
         budget=opts["budget"], tol=opts["tol"], tol_strict=opts["tol_strict"],
     )
+    # every document carries what the decision did; the readers of the two object
+    # kinds skip the key, as they skip "options"
     if decision.kind == "certificate":
         doc = serialize.certificate_to_json(decision.certificate, opts)
+        doc["diagnostics"] = decision.diagnostics
         return (doc, f"certificate found (residual lambda_min = "
                      f"{decision.certificate.residual_lambda_min:.6e})", EXIT_OK)
     if decision.kind == "counterexample":
         doc = serialize.counterexample_to_json(decision.counterexample, opts)
+        doc["diagnostics"] = decision.diagnostics
         return (doc, f"counterexample found (violation = "
                      f"{decision.counterexample.violation:.6e})", EXIT_COUNTEREXAMPLE)
     doc = {
         "format": serialize.FORMAT,
         "type": "inconclusive",
-        "diagnostics": {k: v for k, v in decision.diagnostics.items()},
+        "diagnostics": decision.diagnostics,
         "options": opts,
     }
     return doc, "inconclusive: no verified certificate or counterexample", EXIT_INCONCLUSIVE

@@ -334,7 +334,7 @@ def supergradient_ascent(oracle: Callable, search):
 
 
 def spectral_search(dim: int, budget: int, target: Optional[float] = None):
-    """maximize_spectral one step at a time: the ``_ascent`` from the center, returning (best, value).
+    """maximize_spectral one step at a time: ``_ascent`` from the center, returning (best, value).
 
     The center is I / dim as ``_spectraplex_project`` rounds it, formed
     without the eigensolve: c + _simplex_shift of dim copies of c = 1 / dim

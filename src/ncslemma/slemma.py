@@ -475,9 +475,10 @@ def _check_slater(g: NCQuadPoly, slater: MatTuple, tol_strict: float, hereditary
 # the center as it rounds it), each within O(n u) of a trace-one PSD matrix
 # (n <= MAX_DIM its side, u = 2^-53), and form certify values, <A, M> and
 # lambda_min(sum B_ij (x) M_ij) through GEMMs, sums and eigh whose a-priori
-# errors are also O(n u) times those norms.  Summed, a computed certify value exceeds the computed bound of a
-# separator point by less than about 12 n u times 1 + ||A||_F + ||B||_F,
-# which is 5.5e-12 times it at n = MAX_DIM: 1e-10 leaves a factor of 18.
+# errors are also O(n u) times those norms.  Summed, a computed certify
+# value exceeds the computed bound of a separator point by less than about
+# 12 n u times 1 + ||A||_F + ||B||_F, which is 5.5e-12 times it at
+# n = MAX_DIM: 1e-10 leaves a factor of 18.
 CUT_ROUNDOFF = 1e-10
 
 
@@ -552,7 +553,7 @@ def _race_sides(f, g, budget, tol, tol_strict):
         oracle, _race((cert_search, sep_search), settles, cut),
     )
     diagnostics = {"certify_best": cert_best, "certify_bound": bound if bound < np.inf else None,
-                   "separator_best": sep_best, "certify_evals": cert_evals,
+                   "separator_best": sep_best if sep_evals else None, "certify_evals": cert_evals,
                    "separator_evals": sep_evals}
     return J, cert_best, M if sep_best >= margin else None, diagnostics
 
@@ -637,9 +638,10 @@ def decide(
     ``diagnostics`` holds, for every outcome, the evaluations each side
     spent (``certify_evals``, ``separator_evals``), the best value each
     reached before the race ended (``certify_best``, ``separator_best``)
-    and ``certify_bound``, the lowest of those bounds (None if the
-    separator made no evaluation).  A bound below -tol shows, up to
-    roundoff, that no trace-one certificate exists.
+    and ``certify_bound``, the lowest of those bounds; ``separator_best``
+    and ``certify_bound`` are None if the separator made no evaluation.  A
+    bound below -tol shows, up to roundoff, that no trace-one certificate
+    exists.
 
     At a reconciled q = 1 no search runs and ``budget`` is unused: a CP
     map is a scalar lambda >= 0, and linalg.scalar_multiplier maximizes
@@ -787,20 +789,34 @@ def _slack(tol: float, floor: float, f: NCQuadPoly, g: NCQuadPoly, J) -> float:
     return tol * (floor + fro(f.blocks)) - 2.0 ** -52 * f.q * (f.q + 4 * f.m) * fro(J) * fro(g.blocks)
 
 
+def _spot_gaps(f: NCQuadPoly, g: NCQuadPoly, J, X):
+    """f(X) - (phi_J (x) 1_n) g(X) at a (k, m, n, n) stack of tuples, and whether every norm is finite."""
+    gap = _gram_form(f, X) - _map_stack(J, _gram_form(g, X), f.q, f.q)
+    gap *= 0.5  # halved before the symmetrizing sum, which then cannot overflow
+    gap = gap + gap.transpose(0, 2, 1)
+    return gap, np.isfinite(np.linalg.norm(gap, axis=(1, 2))).all()  # finite only if every entry is
+
+
 def _spot_checks_pass(f: NCQuadPoly, g: NCQuadPoly, floor: float, J, tol: float, seed: int) -> bool:
     """Whether f(X) - (phi_J (x) 1_n) g(X) is PSD at every spot-check tuple X.
 
     f, g and floor are _scaled's.  A gap passes iff lambda_min(gap) >= -s _slack, s = sum_i ||X_i||_F^2:
     lambda_min(gap) >= s lambda_min(residual) when that is negative, so a residual that passes passes
     here too.  Each size is one batch: one evaluation of f and g, one product for phi, one eigensolve.
+    A batch whose gaps or norms are past the float range is recomputed at X / 2^k: the gap and s are
+    both of degree 2 in X, so the verdict is the same, and ||gap||_F <= (1 + ||J||_F) s, since
+    ||f||_F, ||g||_F < 1, falls below 2^500 there.
     """
     slack = _slack(tol, floor, f, g, J)
     with np.errstate(over="ignore", invalid="ignore"):  # a gap past the float range is named below
         for X in _spot_tuples(f.m, seed):
-            gap = _gram_form(f, X) - _map_stack(J, _gram_form(g, X), f.q, f.q)
-            gap *= 0.5  # halved before the symmetrizing sum, which then cannot overflow
-            gap = gap + gap.transpose(0, 2, 1)
-            if not np.isfinite(np.linalg.norm(gap, axis=(1, 2))).all():  # finite only if every entry is
+            gap, finite = _spot_gaps(f, g, J, X)
+            if not finite:
+                s = float((X * X).sum(axis=(1, 2, 3)).max())
+                k = max(0, (math.frexp(1.0 + fro(J))[1] + math.frexp(s)[1] - 499) // 2)
+                X = np.ldexp(X, -k)
+                gap, finite = _spot_gaps(f, g, J, X)
+            if not finite:
                 raise InvalidInput("spot check: a gap or its norm is past the float range")
             if not (np.linalg.eigvalsh(gap)[:, 0] >= -slack * (X * X).sum(axis=(1, 2, 3))).all():
                 return False  # a NaN fails as well

@@ -12,7 +12,7 @@ import pytest
 import ncslemma as ns
 from ncslemma import cli, serialize
 
-from helpers import random_poly
+from helpers import planted_certificate_instance, random_poly, slater_poly
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
@@ -97,6 +97,9 @@ def test_slemma_example62_certificate(capsys, tmp_path):
     assert doc["residual_lambda_min"] >= -1e-6
     assert doc["options"]["seed"] == 42
     assert "certificate found" in err
+    d = doc["diagnostics"]
+    assert type(d["certify_evals"]) is int and type(d["separator_evals"]) is int
+    assert json.loads(out.read_text()) == doc
 
     # round trip through the verifier
     code2, doc2, _ = run(capsys, "verify", str(out), fx("example62.json"))
@@ -111,6 +114,8 @@ def test_slemma_counterexample(capsys, tmp_path):
     assert doc["type"] == "counterexample"
     assert doc["refutes"] == "projected-domination"
     assert doc["violation"] <= -1e-6
+    assert doc["diagnostics"]["multiplier_evals"] >= 1  # q = 1: the multiplier's bracket
+    assert json.loads(out.read_text()) == doc
 
     code2, doc2, _ = run(capsys, "verify", str(out), fx("slemma_counterexample.json"))
     assert code2 == 0
@@ -239,18 +244,36 @@ def test_slemma_scale_gap_at_q1_runs_no_search(capsys, tmp_path):
     assert doc["J"] == {"s": 1, "t": 1, "J": [[0.0]]}
     assert doc["residual_lambda_min"] == 1.0 and doc["residual"] == [[1.0]]
     assert run(capsys, "verify", str(out), fx("scale_gap.json"))[0] == cli.EXIT_OK
-    with open(fx("scale_gap.json")) as fh:
-        inst = serialize.instance_from_json(json.load(fh))
-    d = ns.decide(inst["f"], inst["g"], inst["slater"], budget=500).diagnostics
+    d = doc["diagnostics"]
     assert d["certify_bound"] == d["certify_best"] == 1.0
     assert (d["certify_evals"], d["separator_evals"], d["separator_best"]) == (0, 0, None)
     assert (d["multiplier"], d["multiplier_value"], d["multiplier_evals"]) == (0.0, 1.0, 1)
 
 
-@pytest.mark.parametrize("sign,code", [(1.0, cli.EXIT_NEGATIVE), (-1.0, cli.EXIT_PARSE)])
+def test_certificate_at_certifys_first_point_reports_no_separator_value(capsys, tmp_path):
+    # the separator makes no evaluation, so its best value is null, not -inf,
+    # which has no JSON form
+    rng = np.random.default_rng(3)
+    g, x = slater_poly(rng, 2, 3)
+    f, g, _ = planted_certificate_instance(rng, 2, 3, noise_margin=2.0, g=g)
+    inst, out = tmp_path / "inst.json", tmp_path / "cert.json"
+    inst.write_text(serialize.dumps({"format": serialize.FORMAT, "kind": "slemma",
+                                     "f": serialize.poly_to_json(f), "g": serialize.poly_to_json(g),
+                                     "slater": serialize.tuple_to_json(ns.new_tuple(x.reshape(2, 1, 1)))}))
+    code, doc, _ = run(capsys, "slemma", "-o", str(out), str(inst))
+    assert code == cli.EXIT_OK
+    d = doc["diagnostics"]
+    assert (d["certify_evals"], d["separator_evals"]) == (1, 0)
+    assert d["separator_best"] is None and d["certify_bound"] is None
+    assert json.loads(out.read_text()) == doc
+    assert run(capsys, "verify", str(out), str(inst))[0] == cli.EXIT_OK
+
+
+@pytest.mark.parametrize("sign,code", [(1.0, cli.EXIT_NEGATIVE), (-1.0, cli.EXIT_OK)])
 def test_verify_of_a_choi_matrix_near_the_float_range_exits_without_a_traceback(capsys, tmp_path, sign, code):
     # phi = 4e307 id against g = +-4 x1x1 (x) I_2: the residual check fails
-    # for +, the spot-check gaps are past the float range for -
+    # for +; for - phi is a certificate, whose spot-check gaps, past the float
+    # range at the seeded tuples, are recomputed at the tuples scaled down
     f = ns.new_quad_poly(np.eye(2).reshape(1, 1, 2, 2))
     g = ns.new_quad_poly(sign * 4.0 * np.eye(2).reshape(1, 1, 2, 2))
     cert = ns.CPCertificate(J=ns.new_choi(4e307 * ns.identity_choi(2).J, 2, 2), residual=np.zeros((2, 2)))

@@ -657,21 +657,37 @@ def test_verify_checks_the_map_of_the_psd_part_of_j():
 
 
 @pytest.mark.parametrize("sign", [1.0, -1.0])
-def test_verify_of_a_choi_matrix_near_the_float_range_fails_or_is_invalid_input(sign):
+def test_verify_of_a_choi_matrix_near_the_float_range_fails_or_verifies(sign):
     # phi = 4e307 id on x1x1 (x) I_2 against +-4 x1x1 (x) I_2: the residual is
-    # about -+1.6e308 I_2, so the residual check fails for +, and for - the
-    # spot-check gaps are past the float range; neither warns nor reaches
-    # an eigensolve error
+    # about -+1.6e308 I_2, so the residual check fails for +; for - phi is a
+    # certificate, and the spot-check gaps, past the float range at the
+    # seeded tuples, are recomputed at the tuples scaled down.  Neither
+    # warns nor reaches an eigensolve error.
     f = ns.new_quad_poly(np.eye(2).reshape(1, 1, 2, 2))
     g = ns.new_quad_poly(sign * 4.0 * np.eye(2).reshape(1, 1, 2, 2))
     cert = ns.CPCertificate(J=ns.new_choi(4e307 * ns.identity_choi(2).J, 2, 2), residual=np.zeros((2, 2)))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        if sign > 0:
-            assert not ns.verify_certificate(cert, f, g)
-        else:
-            with pytest.raises(InvalidInput, match="past the float range"):
-                ns.verify_certificate(cert, f, g)
+        assert ns.verify_certificate(cert, f, g) == (sign < 0)
+
+
+@pytest.mark.parametrize("scale", [1e160, 1e200, 4e307])
+def test_spot_checks_past_the_float_range_keep_their_verdict(scale):
+    # the gaps of phi = scale id against -4 x1x1 (x) I_2 overflow at the
+    # seeded tuples; recomputed at X / 2^k they pass, as the residual does, and
+    # a map that is not PSD in one direction still fails there
+    f, g2 = ns.new_quad_poly(np.eye(2).reshape(1, 1, 2, 2)), -4.0 * np.eye(2)
+    f2, g, floor = slemma._scaled(f, ns.new_quad_poly(g2.reshape(1, 1, 2, 2)))
+    J = scale * ns.identity_choi(2).J
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert any(not slemma._spot_gaps(f2, g, J, X)[1] for X in slemma._spot_tuples(1, 42))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert slemma._spot_checks_pass(f2, g, floor, J, ns.DEFAULT_TOL, 42)
+        # phi(E_11) = -scale E_11: the gap at X has -4 scale x^2 on its (1, 1) entry
+        flipped = J.copy()
+        flipped[0, 0] = -scale
+        assert not slemma._spot_checks_pass(f2, g, floor, flipped, ns.DEFAULT_TOL, 42)
 
 
 def test_weak_duality_identity():

@@ -173,10 +173,10 @@ def _instance(q=2, m=2):
     return random_poly(rng, m, q), random_poly(rng, m, q)
 
 
-@pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan, 1e200])
+@pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
 def test_gap_past_the_float_range_is_invalid_input_before_any_eigensolve(monkeypatch, value):
-    # 1e200 keeps every entry finite, but the sum of squares in the norm
-    # overflows, and an infinite norm would pass any lambda_min.
+    # an infinite or NaN gap would pass any lambda_min; no scaling of the
+    # tuples makes it finite
     f, g = _instance()
     J = np.eye(4) / 4.0
     J[1, 1] = value
@@ -187,6 +187,29 @@ def test_gap_past_the_float_range_is_invalid_input_before_any_eigensolve(monkeyp
     monkeypatch.setattr(np.linalg, "eigvalsh", no_eigensolve)
     with pytest.raises(InvalidInput, match="past the float range"):
         spot_checks(f, g, J, 1e-8, 0)
+
+
+def test_gap_norm_past_the_float_range_is_recomputed_at_scaled_tuples(monkeypatch):
+    # 1e200 keeps every entry finite, but the sum of squares in the norm
+    # overflows; the batch is recomputed at X / 2^k, and the eigensolves see
+    # only finite gaps and give the reference loop's verdict
+    f, g = _instance()
+    J = np.eye(4) / 4.0
+    J[1, 1] = 1e200
+    with np.errstate(over="ignore"):
+        assert not all(slemma._spot_gaps(*_scaled(f, g)[:2], J, X)[1] for X in _spot_tuples(2, 0))
+    eigvalsh = np.linalg.eigvalsh
+
+    def finite_only(a):
+        assert np.isfinite(a).all()
+        return eigvalsh(a)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", finite_only)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = spot_checks(f, g, J, 1e-8, 0)
+    monkeypatch.setattr(np.linalg, "eigvalsh", eigvalsh)
+    assert got == reference_spot_checks(f, g, J, 1e-8, 0)
 
 
 def test_a_nan_eigenvalue_fails_the_check(monkeypatch):
