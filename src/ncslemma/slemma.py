@@ -553,8 +553,8 @@ def _race_sides(f, g, budget, tol, tol_strict):
         oracle, _race((cert_search, sep_search), settles, cut),
     )
     diagnostics = {"certify_best": cert_best, "certify_bound": bound if bound < np.inf else None,
-                   "separator_best": sep_best if sep_evals else None, "certify_evals": cert_evals,
-                   "separator_evals": sep_evals}
+                   "separator_best": sep_best if sep_evals else None,
+                   "certify_evals": cert_evals, "separator_evals": sep_evals}
     return J, cert_best, M if sep_best >= margin else None, diagnostics
 
 
@@ -790,7 +790,7 @@ def _slack(tol: float, floor: float, f: NCQuadPoly, g: NCQuadPoly, J) -> float:
 
 
 def _spot_gaps(f: NCQuadPoly, g: NCQuadPoly, J, X):
-    """f(X) - (phi_J (x) 1_n) g(X) at a (k, m, n, n) stack of tuples, and whether every norm is finite."""
+    """f(X) - (phi_J (x) 1_n) g(X) at a (k, m, n, n) stack of tuples, and whether all norms are finite."""
     gap = _gram_form(f, X) - _map_stack(J, _gram_form(g, X), f.q, f.q)
     gap *= 0.5  # halved before the symmetrizing sum, which then cannot overflow
     gap = gap + gap.transpose(0, 2, 1)

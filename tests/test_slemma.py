@@ -684,7 +684,7 @@ def test_spot_checks_past_the_float_range_keep_their_verdict(scale):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert slemma._spot_checks_pass(f2, g, floor, J, ns.DEFAULT_TOL, 42)
-        # phi(E_11) = -scale E_11: the gap at X has -4 scale x^2 on its (1, 1) entry
+        # phi(E_11) = -scale E_11 puts about -scale X^2 / 2 in the first diagonal block of each gap
         flipped = J.copy()
         flipped[0, 0] = -scale
         assert not slemma._spot_checks_pass(f2, g, floor, flipped, ns.DEFAULT_TOL, 42)
