@@ -89,18 +89,32 @@ def symmetrize(a) -> np.ndarray:
 def fro(a) -> float:
     """Frobenius norm of an array of any shape (the value np.linalg.norm gives).
 
-    When the plain sum of squares overflows, the entries are first scaled by
-    their largest magnitude, so the norm stays finite up to the largest float;
-    every other result is the plain one, bit for bit.
+    When the plain sum of squares overflows, or the norm is below 2^-480, where squares may have
+    underflowed, the entries are first divided by the power of two above their largest magnitude:
+    then fro(2^k a) = 2^k fro(a) exactly; every other result is the plain one, bit for bit.
     """
     flat = np.asarray(a, dtype=float).ravel(order="K")
     norm = math.sqrt(np.vdot(flat, flat))  # the sum flat @ flat forms, minus its overflow warning
-    if norm == math.inf:
+    if (norm == math.inf or norm < 2.0 ** -480) and flat.size:
         big = float(np.abs(flat).max())
-        if big < math.inf:
-            scaled = flat / big
-            return big * math.sqrt(np.vdot(scaled, scaled))
+        if 0.0 < big < math.inf:
+            e = math.frexp(big)[1]
+            scaled = np.ldexp(flat, -e)
+            return times_pow2(math.sqrt(np.vdot(scaled, scaled)), e)
     return norm
+
+
+def binade(*arrays) -> int:
+    """The e with 2^(e-1) <= max ||a||_F < 2^e (0 for zeros): the scale every entry point divides by."""
+    return math.frexp(max(map(fro, arrays)))[1]
+
+
+def times_pow2(x: float, e: int) -> float:
+    """x 2^e, exact unless it leaves the float range: +-inf above it (math.ldexp raises there)."""
+    try:
+        return math.ldexp(x, e)
+    except OverflowError:
+        return math.copysign(math.inf, x)
 
 
 def regroup(x, a: int, b: int, c: int, d: int) -> np.ndarray:
@@ -378,26 +392,16 @@ class Multiplier(NamedTuple):
     M: Optional[np.ndarray]  # the bracket separator, None when h still rises at the cap
 
 
-def _scalar_probe(A: np.ndarray, B: np.ndarray):
-    """probe(lam) -> (h(lam), b, v), v a unit bottom eigenvector of A - lam B; h rises at lam iff b < 0.
+def _scalar_probe(A: np.ndarray, B: np.ndarray, k: int):
+    """probe(mu) -> (h(lam), b, v) at lam = mu 2^k, v a unit bottom eigenvector of A - lam B.
 
-    -b is h's right derivative at lam.  For a simple bottom eigenvalue b is
+    h rises at lam iff b < 0: -b is h's right derivative at lam.  For a simple bottom eigenvalue b is
     v^T B v.  At an exactly tied one any unit vector of the tied eigenspace V
     may come back, so v is the top eigenvector of V^T B V and b its
     eigenvalue, lambda_max(V^T B V), which takes a second, small eigensolve.
-
-    Call it under np.errstate(over="ignore", invalid="ignore").  An
-    A - lam B or an h(lam) past the float range raises InvalidInput.  No
-    entry of A - lam B exceeds max|A| + lam max|B| as computed (rounding is
-    monotone), so the entries are checked only when that bound is not finite.
     """
-    amax, bmax = float(np.abs(A).max()), float(np.abs(B).max())
-
-    def probe(lam):
-        S = A - lam * B
-        if not amax + lam * bmax < math.inf and not np.isfinite(S).all():
-            raise InvalidInput(f"A - lambda B is past the float range at lambda = {lam!r}")
-        w, V = _sym_eigh(S)
+    def probe(mu):
+        w, V = _sym_eigh(A - math.ldexp(mu, k) * B)
         if w.size > 1 and w[1] == w[0]:
             tied = V[:, w == w[0]]
             c, U = _sym_eigh(tied.T @ B @ tied)
@@ -405,10 +409,7 @@ def _scalar_probe(A: np.ndarray, B: np.ndarray):
         else:
             v = V[:, 0].copy()
             b = float(v @ B @ v)
-        h = float(w[0])
-        if not (math.isfinite(h) and math.isfinite(b)):
-            raise InvalidInput(f"lambda_min(A - lambda B) at lambda = {lam!r} is {h!r}")
-        return h, b, v
+        return float(w[0]), b, v
 
     return probe
 
@@ -442,12 +443,14 @@ TILT = 2.0 ** -40
 def scalar_multiplier(A: np.ndarray, B: np.ndarray) -> Multiplier:
     """Maximize the concave h(lambda) = lambda_min(A - lambda B) over lambda >= 0, with a separator.
 
+    B is first moved into A's binade: the search runs over mu = lambda / 2^k, k = binade(A) -
+    binade(B) (at most 1023), as on B 2^k, so the cap below bounds lambda B relative to A.
     Bisection on the sign of h's right derivative (``_scalar_probe``), one
-    evaluation of h per step: lambda = 0 if h does not rise at 0, else the
-    upper end doubles from 1 while h rises (up to 2^60, ``bracket_hi``)
-    and [lo, hi] is halved until no float lies between them, at powers of
-    two while it spans more than one binade (``_probe_point``).  lam is the
-    better end.
+    evaluation of h per step: mu = 0 if h does not rise at 0, else the
+    upper end doubles from 1 while h rises, up to 2^60 or as far as lambda
+    is a float (``bracket_hi``, times 2^k), and [lo, hi] is halved until no
+    float lies between them, at powers of two while it spans more than one
+    binade (``_probe_point``).  lam is the better end, times 2^k.
 
     The last bracket holds a trace-one separator (Sturm and Zhang, 2003):
     with v_lo, v_hi the probes' vectors at its ends, b_lo < 0 <= b_hi, and
@@ -456,28 +459,28 @@ def scalar_multiplier(A: np.ndarray, B: np.ndarray) -> Multiplier:
     arithmetic, <B, M> >= 0 and <A, M> = theta h(lo) + (1 - theta) h(hi) +
     theta |b_lo| (hi - lo), which is h's maximum up to one float step of
     lambda.  When h falls at 0, M is v_0 v_0^T, with <A, M> = h(0); when h
-    still rises at the cap, the bracket holds no separator and M is None.
-    Inputs must be symmetric and finite; a probe past the float range
-    raises InvalidInput.
+    still rises at the cap, the bracket holds no separator and M is None.  Inputs must be
+    symmetric, finite and of norm below 1, as the entry points leave them: no probe overflows.
     """
-    probe = _scalar_probe(A, B)
+    k = min(binade(A) - binade(B), 1023)
+    cap = math.ldexp(1.0, min(60, 1023 - k))
+    probe = _scalar_probe(A, B, k)
     evals = 1
-    with np.errstate(over="ignore", invalid="ignore"):
-        lo = hi = 0.0
-        h_lo, b_lo, v_lo = h_hi, b_hi, v_hi = probe(lo)
-        while b_hi < 0.0 and hi < 2.0**60:  # the upper end doubles from 1 while h rises there
-            lo, h_lo, b_lo, v_lo, hi = hi, h_hi, b_hi, v_hi, max(2.0 * hi, 1.0)
-            (h_hi, b_hi, v_hi), evals = probe(hi), evals + 1
-        bracket_hi = hi
-        while lo < (mid := _probe_point(lo, hi)) < hi:
-            (h, b, v), evals = probe(mid), evals + 1
-            if b < 0.0:
-                lo, h_lo, b_lo, v_lo = mid, h, b, v
-            else:
-                hi, h_hi, b_hi, v_hi = mid, h, b, v
+    lo = hi = 0.0
+    h_lo, b_lo, v_lo = h_hi, b_hi, v_hi = probe(lo)
+    while b_hi < 0.0 and hi < cap:  # the upper end doubles from 1 while h rises there
+        lo, h_lo, b_lo, v_lo, hi = hi, h_hi, b_hi, v_hi, max(2.0 * hi, 1.0)
+        (h_hi, b_hi, v_hi), evals = probe(hi), evals + 1
+    bracket_hi = hi
+    while lo < (mid := _probe_point(lo, hi)) < hi:
+        (h, b, v), evals = probe(mid), evals + 1
+        if b < 0.0:
+            lo, h_lo, b_lo, v_lo = mid, h, b, v
+        else:
+            hi, h_hi, b_hi, v_hi = mid, h, b, v
     lam, value = (lo, h_lo) if h_lo >= h_hi else (hi, h_hi)
     M = None
     if b_hi >= 0.0:
         theta = b_hi / (b_hi - b_lo) * (1.0 - TILT) if b_lo < 0.0 else 0.0
         M = theta * (v_lo[:, None] * v_lo) + (1.0 - theta) * (v_hi[:, None] * v_hi)
-    return Multiplier(lam, value, bracket_hi, evals, M)
+    return Multiplier(math.ldexp(lam, k), value, math.ldexp(bracket_hi, k), evals, M)

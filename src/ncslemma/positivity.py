@@ -28,6 +28,7 @@ from .linalg import (
     DEFAULT_BUDGET,
     DEFAULT_TOL,
     DEFAULT_TOL_STRICT,
+    binade,
     fro,
     is_psd,
     maximize_spectral,  # unused: slemma searches; bench/spans.py wraps this name here
@@ -35,6 +36,7 @@ from .linalg import (
     scalar_multiplier,
     sym_eig,
     symmetrize,
+    times_pow2,
 )
 from .poly import MatTuple, NCQuadPoly, ScalarQuad, coefficient_matrix, evaluate, new_tuple
 
@@ -98,13 +100,13 @@ def is_globally_psd(
     at least tol_strict, the report carries the witness evaluation: the
     bottom eigenvector of the coefficient matrix is re-indexed (zero block
     first, then the tensor-factor swap) into the coordinates of f(X0), and
-    the negativity of w^T f(X0) w is verified before returning.
+    the negativity of w^T f(X0) w is verified before returning.  Thresholds are relative to 2^e > ||A||_F.
     """
     calA = coefficient_matrix(f)
     eig = sym_eig(calA)
-    lam_min = float(eig.values[-1])
-    scale = 1.0 + fro(calA)
-    if lam_min >= -tol * scale:
+    e = binade(calA)
+    lam_min = times_pow2(float(eig.values[-1]), -e)  # relative to 2^e, so below 1 in magnitude
+    if lam_min >= -tol * (1.0 + times_pow2(fro(calA), -e)):
         return PositivityReport(verdict="psd", eigenvalues=eig.values)
 
     if lam_min > -tol_strict:
@@ -120,9 +122,9 @@ def is_globally_psd(
     W[:, 1:] = z.reshape(m, q).T
     w = W.ravel()
     val = float(w @ evaluate(f, X0) @ w)
-    if not (val < 0.0 and val <= -0.5 * tol_strict):
+    if not (val < 0.0 and times_pow2(val, -e) <= -0.5 * tol_strict):
         raise WitnessConstructionFailed(
-            f"witness value {val:.3e} inconsistent with lambda_min {lam_min:.3e}"
+            f"witness value {val:.3e} inconsistent with lambda_min {lam_min:.3e} (over 2^{e})"
         )
     return PositivityReport(
         verdict="not-psd",
@@ -173,25 +175,29 @@ def scalar_slemma(
     with x^T B x >= -tol and x^T A x <= -tol_strict.  Values between the
     two tolerances, a bracket still rising at the 2^60 cap, and refutations
     that fail (``diagnostics["counterexample_error"]``) are reported
-    inconclusive.  ``budget`` is accepted for compatibility and unused.
+    inconclusive.  ``budget`` is accepted for compatibility and unused.  The Slater test is in the
+    caller's units; the others are relative to the 2^e above ||A||_F, ||B||_F (best_value is times 2^e).
     """
     if np.any(f.a) or np.any(g.a) or f.a0 or g.a0:
         raise InvalidInput("scalar_slemma handles homogeneous quadratics only")
     if f.m != g.m:
         raise InvalidInput("f and g must have the same number of variables")
-    A, B = f.A, g.A
     s = np.asarray(slater, dtype=float)
     if s.shape != (f.m,):
         raise InvalidInput(f"slater point must be a vector of length {f.m}")
     if not np.isfinite(s).all():
         raise InvalidInput("slater point has non-finite entries")
-    slater_value = float(s @ B @ s)
-    if not slater_value > tol_strict:  # a NaN value fails too
-        raise SlaterViolated(f"slater value {slater_value:.3e} <= {tol_strict}")
+    b = binade(s)
+    s = np.ldexp(s, -b)
+    slater_value = float(s @ g.A @ s)  # at most ||B||_F, as ||s||_2 < 1
+    if not slater_value > times_pow2(tol_strict, -2 * b):
+        raise SlaterViolated(f"slater value {times_pow2(slater_value, 2 * b):.3e} <= {tol_strict}")
 
+    e = binade(f.A, g.A)
+    A, B = np.ldexp(f.A, -e), np.ldexp(g.A, -e)
     mult = scalar_multiplier(A, B)
-    diagnostics = {"best_value": mult.value, "lambda": mult.lam, "bracket_hi": mult.bracket_hi,
-                   "multiplier_evals": mult.evals}
+    diagnostics = {"best_value": times_pow2(mult.value, e), "lambda": mult.lam,
+                   "bracket_hi": mult.bracket_hi, "multiplier_evals": mult.evals}
     if mult.value >= -tol:
         return ScalarSLemmaResult(outcome="certificate", lam=mult.lam, diagnostics=diagnostics)
     if mult.value > -tol_strict or mult.M is None:

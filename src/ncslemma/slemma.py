@@ -47,6 +47,7 @@ from .linalg import (
     MAX_DIM,
     _ascent,
     _min_eigpair,
+    binade,
     fro,
     is_psd,
     lambda_min,
@@ -58,6 +59,7 @@ from .linalg import (
     spectraplex_project,  # unused: spectral_search projects; bench/spans.py wraps this name here
     supergradient_ascent,
     symmetrize,
+    times_pow2,
 )
 from .cpmaps import ChoiMatrix, _map_stack, new_choi
 from .poly import (
@@ -65,6 +67,7 @@ from .poly import (
     MatTuple,
     NCQuadPoly,
     _gram_form,
+    blocks_from_matrix,
     coefficient_matrix,
     direct_sum_repeat,
     evaluate,
@@ -157,6 +160,18 @@ def reconcile(f: NCQuadPoly, g: NCQuadPoly):
     return pad_coefficients(f, g2.q), g2
 
 
+def _times(p: NCQuadPoly, e: int) -> NCQuadPoly:
+    """p 2^e, built directly: p's blocks were validated when p was built."""
+    return NCQuadPoly(m=p.m, q=p.q, blocks=np.ldexp(p.blocks, e))
+
+
+def _scaled(f: NCQuadPoly, g: NCQuadPoly):
+    """(f / 2^e, g / 2^e, e), 2^e = 2^binade(A, B), e of either sign: the one scale rule of every
+    entry point taking (f, g).  One 2^e for both: apart, they would move certify's trace-one slice."""
+    e = binade(f.blocks, g.blocks)
+    return _times(f, -e), _times(g, -e), e
+
+
 def _map_coefficients(J: np.ndarray, blocks: np.ndarray, q: int) -> np.ndarray:
     """(1_m (x) phi_J) applied to coefficient blocks, assembled as an mq x mq matrix."""
     m = blocks.shape[0]
@@ -220,19 +235,19 @@ def _certify_side(f: NCQuadPoly, g: NCQuadPoly, budget: int):
     return _certify_oracle(coefficient_matrix(f), g.blocks, q), spectral_search(q * q, budget, 0.0)
 
 
-def _certified(f: NCQuadPoly, g: NCQuadPoly, best_J, best_v: float, tol: float) -> CertifySearch:
-    """certify's answer for the best point its search reached, the certificate J as given."""
+def _certified(f: NCQuadPoly, g: NCQuadPoly, e: int, best_J, best_v: float, tol: float):
+    """certify's answer for the best point it reached on _scaled's f and g, in the caller's units."""
     if best_v < -tol:
-        return CertifySearch(certificate=None, best_value=best_v)
+        return CertifySearch(certificate=None, best_value=times_pow2(best_v, e))
     q = f.q
     residual = symmetrize(coefficient_matrix(f) - _map_coefficients(best_J, g.blocks, q))
     return CertifySearch(
         certificate=CPCertificate(
             J=new_choi(best_J, q, q),
-            residual=residual,
-            residual_lambda_min=lambda_min(residual),
+            residual=np.ldexp(residual, e),
+            residual_lambda_min=times_pow2(lambda_min(residual), e),
         ),
-        best_value=best_v,
+        best_value=times_pow2(best_v, e),
     )
 
 
@@ -250,11 +265,13 @@ def certify(
     >= -tol yields a certificate, the search's point as it is; otherwise the
     best value is returned as a (one-sided) diagnostic: it is not a proof
     that no certificate exists, since a certificate may have any trace.
+    The search runs on _scaled's f and g: tol is relative to their 2^e.
     """
     if f.m != g.m or f.q != g.q:
         raise ShapeMismatch("certify requires matching (m, q); reconcile first")
+    f, g, e = _scaled(f, g)
     best_J, best_v, _ = supergradient_ascent(*_certify_side(f, g, budget))
-    return _certified(f, g, best_J, best_v, tol)
+    return _certified(f, g, e, best_J, best_v, tol)
 
 
 def _separator_side(f: NCQuadPoly, g: NCQuadPoly, budget: int, tol_strict: float):
@@ -271,16 +288,6 @@ def _separator_side(f: NCQuadPoly, g: NCQuadPoly, budget: int, tol_strict: float
     return _separator_oracle(calA, g.blocks, q, c), search, margin
 
 
-def _separated(f, g, M, best_v, margin, tol, tol_strict) -> SeparatorSearch:
-    """find_separator's answer for the best point its search reached."""
-    T = _b_term(M, g.blocks, f.q)
-    b_margin = lambda_min(T)
-    a_value = float(np.sum(coefficient_matrix(f) * M))
-    if best_v < margin or not is_psd(T, tol) or a_value > -tol_strict:
-        M = None
-    return SeparatorSearch(M=M, best_value=best_v, b_margin=b_margin, a_value=a_value)
-
-
 def find_separator(
     f: NCQuadPoly,
     g: NCQuadPoly,
@@ -295,13 +302,20 @@ def find_separator(
     (linalg.spectral_search), up to the target 2 tol_strict / c in ``evals``
     evaluations, at most ``budget``; success requires the optimum to clear
     tol_strict/c so both separator inequalities hold with a quantitative
-    margin.
+    margin.  As in certify, the tolerances are relative to _scaled's 2^e.
     """
     if f.m != g.m or f.q != g.q:
         raise ShapeMismatch("find_separator requires matching (m, q); reconcile first")
+    f, g, e = _scaled(f, g)
     oracle, search, margin = _separator_side(f, g, budget, tol_strict)
     M, best_v, evals = supergradient_ascent(lambda M: oracle(M)[:2], search)
-    return replace(_separated(f, g, M, best_v, margin, tol, tol_strict), evals=evals)
+    T = _b_term(M, g.blocks, f.q)
+    b_margin = lambda_min(T)
+    a_value = float(np.sum(coefficient_matrix(f) * M))
+    if best_v < margin or not is_psd(T, tol) or a_value > -tol_strict:
+        M = None
+    return SeparatorSearch(M=M, best_value=times_pow2(best_v, e), b_margin=times_pow2(b_margin, e),
+                           a_value=times_pow2(a_value, e), evals=evals)
 
 
 def _checked_separator(f, g, M, tol, tol_strict) -> np.ndarray:
@@ -344,8 +358,8 @@ def _support(nonzero: np.ndarray):
     return nonzero if nonzero.any() else slice(None)
 
 
-def _sides(ce, f: NCQuadPoly, g: NCQuadPoly):
-    """The g side that must be PSD and the violation E^T (f side) E at ce's stored point.
+def _sides(ce, f: NCQuadPoly, g: NCQuadPoly, e: int = 0):
+    """The g side that must be PSD and the violation E^T (f side) E at ce's stored point, over 2^e.
 
     Both counterexample kinds are accepted through this one computation,
     by the builders and by verify_counterexample alike.  Each side is the
@@ -355,8 +369,8 @@ def _sides(ce, f: NCQuadPoly, g: NCQuadPoly):
     * projected kind: g is compressed by the columns of P that are not
       exactly zero (the last q for the builders' P = 0 (+) I_q), f by the
       last q columns of P;
-    * hereditary kind: both are compressed by the identity's columns at the
-      rows where some X_i is nonzero, and E is restricted to those rows.
+    * hereditary kind: both are evaluated at the rows where some X_i is
+      nonzero, and E is restricted to those rows.
 
     The rows and columns dropped are exactly zero in the full evaluation,
     so its lambda_min is min(lambda_min(support), 0) and its norm is the
@@ -372,10 +386,10 @@ def _sides(ce, f: NCQuadPoly, g: NCQuadPoly):
         if E.shape != (f.q * n,):
             raise ShapeMismatch(f"E must have shape ({f.q * n},), got {E.shape}")
         keep = _support(ce.X.mats.any(axis=(0, 2)))
-        Q = np.eye(n)[:, keep]
+        rows = ce.X.mats[:, keep]
         E = E.reshape(f.q, n)[:, keep].ravel()
-        g_side = evaluate_compressed(g, ce.X, Q)
-        f_side = evaluate_compressed(f, ce.X, Q)
+        g_side = _gram_form(g, rows)
+        f_side = _gram_form(f, rows)
     else:
         r = ce.X.n - f.q
         if r < 0:
@@ -385,12 +399,15 @@ def _sides(ce, f: NCQuadPoly, g: NCQuadPoly):
             raise ShapeMismatch(f"P must be a matrix, got shape {P.shape}")
         g_side = evaluate_compressed(g, ce.X, P[:, _support(P.any(axis=0))])
         f_side = evaluate_compressed(f, ce.X, P[:, r:])
+    if e:  # both sides, before the violation's sum of q^2 entries can overflow
+        g_side, f_side = np.ldexp(g_side, -e), np.ldexp(f_side, -e)
     return g_side, float(E @ f_side @ E)
 
 
-def _build(kind, point, f, g, M, tol, tol_strict):
+def _build(kind, point, f, g, e, M, tol, tol_strict):
     """Factor a checked separator M = V V^T and accept the ``kind`` built at ``point``.
 
+    f and g are _scaled's; the violation is the caller's, times 2^e.
     The factoring at cutoff ``tol`` is also the test that M is PSD, the
     one eigensolve of M: an M it rejects is not a separator
     (PreconditionViolated).  Accepts through _sides, requires the factor to
@@ -415,7 +432,7 @@ def _build(kind, point, f, g, M, tol, tol_strict):
         # the Frobenius norm of every block of V V^T - M in one pass
         block_err = np.linalg.norm((V @ V.T - M).reshape(m, q, m, q), axis=(1, 3)).max()
         if is_psd(g_side, tol) and violation <= -tol_strict and block_err <= 1e-8:
-            return replace(ce, violation=violation)
+            return replace(ce, violation=times_pow2(violation, e))
         last_error = (
             f"lambda_min(g side)={lambda_min(g_side):.3e}, "
             f"violation={violation:.3e}, block error={block_err:.3e}"
@@ -438,9 +455,9 @@ def build_counterexample(
     the compressed g is then PSD by the separator inequality while the
     witness E = sum_i e_i (x) e_i evaluates the compressed f to <A, M> < 0.
     All three facts are re-verified from scratch before returning, with one
-    retry at a 10x finer rank cutoff.
+    retry at a 10x finer rank cutoff, on _scaled's f and g (tolerances relative to their 2^e).
     """
-    return _build(Counterexample, _projected_point, f, g, M, tol, tol_strict)
+    return _build(Counterexample, _projected_point, *_scaled(f, g), M, tol, tol_strict)
 
 
 def build_counterexample_hereditary(
@@ -454,20 +471,22 @@ def build_counterexample_hereditary(
 
     The variables are the zero-padded q x r factor slices of M, so
     X_i X_j^T embeds M_ij directly and g(X) is PSD outright; the witness
-    E' = sum_i e_i (x) f_i evaluates f(X) to <A, M> < 0.
+    E' = sum_i e_i (x) f_i evaluates f(X) to <A, M> < 0.  Checked as build_counterexample is.
     """
-    return _build(HereditaryCounterexample, _hereditary_point, f, g, M, tol, tol_strict)
+    return _build(HereditaryCounterexample, _hereditary_point, *_scaled(f, g), M, tol, tol_strict)
 
 
 def _check_slater(g: NCQuadPoly, slater: MatTuple, tol_strict: float, hereditary: bool):
+    """SlaterViolated unless lambda_min(g(slater)) > tol_strict: g / 2^a at slater / 2^b against
+    2^-(a + 2b) tol_strict, a and b their own binades (the instance's 2^e can make g 2^-1024)."""
     if slater.m != g.m:
         raise ShapeMismatch(f"slater tuple has m={slater.m}, g has m={g.m}")
-    val = evaluate_hereditary(g, slater) if hereditary else evaluate(g, slater)
-    if not np.isfinite(val).all():
-        raise InvalidInput("g(slater) overflows the float range; rescale g or the slater tuple")
-    lm = lambda_min(val)
-    if lm <= tol_strict:
-        raise SlaterViolated(f"lambda_min(g(slater)) = {lm:.3e} <= {tol_strict}")
+    a, b = binade(g.blocks), binade(slater.mats)
+    X = MatTuple(m=slater.m, n=slater.n, mats=np.ldexp(slater.mats, -b), kind=slater.kind)
+    val = (evaluate_hereditary if hereditary else evaluate)(_times(g, -a), X)
+    lm = float(np.linalg.eigvalsh(val)[0])  # val is finite and exactly symmetric: no validation
+    if not lm > times_pow2(tol_strict, -(a + 2 * b)):
+        raise SlaterViolated(f"lambda_min(g(slater)) = {times_pow2(lm, a + 2 * b):.3e} <= {tol_strict}")
 
 
 # Roundoff allowance of the duality cut, per unit of 1 + ||A||_F + ||B||_F.
@@ -528,12 +547,11 @@ def _race(searches, settles, cut):
             yield
 
 
-def _race_sides(f, g, budget, tol, tol_strict):
+def _race_sides(f, g, e, budget, tol, tol_strict):
     """Race certify against the separator search (q >= 2): (J, certify value, M, diagnostics).
 
-    J is certify's best point, None if it was cut short; M is the separator's,
-    None unless it cleared its margin.
-    """
+    f and g are _scaled's.  J is certify's best point, None if it was cut short; M is the
+    separator's, None unless it cleared its margin; the diagnostics are the caller's (times 2^e)."""
     # A separator bound below cut puts every certify value below -tol.
     scale = 1.0 + fro(coefficient_matrix(f)) + fro(coefficient_matrix(g))
     cut = -tol - CUT_ROUNDOFF * scale
@@ -552,48 +570,49 @@ def _race_sides(f, g, budget, tol, tol_strict):
     ((J, cert_best, cert_evals), (M, sep_best, sep_evals)), bound, _ = supergradient_ascent(
         oracle, _race((cert_search, sep_search), settles, cut),
     )
-    diagnostics = {"certify_best": cert_best, "certify_bound": bound if bound < np.inf else None,
-                   "separator_best": sep_best if sep_evals else None,
+    diagnostics = {"certify_best": times_pow2(cert_best, e),
+                   "certify_bound": times_pow2(bound, e) if bound < np.inf else None,
+                   "separator_best": times_pow2(sep_best, e) if sep_evals else None,
                    "certify_evals": cert_evals, "separator_evals": sep_evals}
     return J, cert_best, M if sep_best >= margin else None, diagnostics
 
 
-def _multiplier_sides(f, g, tol, tol_strict):
+def _multiplier_sides(f, g, e, tol, tol_strict):
     """Decide q = 1 without a search: (J, certify value, M, diagnostics) as _race_sides gives them.
 
-    A CP map is then a scalar lambda >= 0, and linalg.scalar_multiplier
-    maximizes h(lambda) = lambda_min(A - lambda B) over all of them, read as
-    positivity.scalar_slemma reads it: a maximum >= -tol gives the
-    certificate J = [[lambda]], one <= -tol_strict hands its bracket
-    separator on, and anything else is inconclusive.
+    A CP map is then a scalar lambda >= 0: linalg.scalar_multiplier maximizes h(lambda) =
+    lambda_min(A - lambda B) over all of them, read by decide's q = 1 rule.
     """
     mult = scalar_multiplier(coefficient_matrix(f), coefficient_matrix(g))
-    diagnostics = {"certify_best": mult.value, "certify_bound": mult.value, "separator_best": None,
+    value = times_pow2(mult.value, e)
+    diagnostics = {"certify_best": value, "certify_bound": value, "separator_best": None,
                    "certify_evals": 0, "separator_evals": 0, "multiplier": mult.lam,
-                   "multiplier_value": mult.value, "multiplier_evals": mult.evals}
+                   "multiplier_value": value, "multiplier_evals": mult.evals}
     if mult.value >= -tol:
         return np.full((1, 1), mult.lam), mult.value, None, diagnostics
     return None, mult.value, mult.M if mult.value <= -tol_strict else None, diagnostics
 
 
-def _concluded(f, g, J, cert_best, M, diagnostics, tol, tol_strict, hereditary) -> Decision:
-    """The Decision for what the searches returned: a certificate from J, else a counterexample from M."""
+def _concluded(f, g, e, J, cert_best, M, diagnostics, tol, tol_strict, hereditary) -> Decision:
+    """The Decision on _scaled's f and g: a certificate from J, else a counterexample from M."""
     if J is not None:
-        cert = _certified(f, g, J, cert_best, tol)
+        cert = _certified(f, g, e, J, cert_best, tol)
         if cert.certificate is not None:
             return Decision(kind="certificate", certificate=cert.certificate,
                             diagnostics=diagnostics)
     if M is not None:
-        builder = build_counterexample_hereditary if hereditary else build_counterexample
+        kind, point = ((HereditaryCounterexample, _hereditary_point) if hereditary
+                       else (Counterexample, _projected_point))
         try:
-            ce = builder(f, g, M, tol=tol, tol_strict=tol_strict)
+            ce = _build(kind, point, f, g, e, M, tol, tol_strict)
             return Decision(kind="counterexample", counterexample=ce, diagnostics=diagnostics)
         except (PreconditionViolated, VerificationFailed) as exc:
             diagnostics["counterexample_error"] = str(exc)
     return Decision(kind="inconclusive", diagnostics=diagnostics)
 
 
-def _decide_common(f, g, budget, tol, tol_strict, hereditary):
+def _decide_common(f, g, slater, budget, tol, tol_strict, hereditary):
+    _check_slater(g, slater, tol_strict, hereditary)
     f2, g2 = reconcile(f, g)
     m, q = f2.m, f2.q
     if max(q * q, m * q) > MAX_DIM:
@@ -601,11 +620,12 @@ def _decide_common(f, g, budget, tol, tol_strict, hereditary):
             f"(m, q) = ({m}, {q}) needs {q * q}x{q * q} and {m * q}x{m * q} search "
             f"matrices; the limit is {MAX_DIM}"
         )
+    f2, g2, e = _scaled(f2, g2)
     if q == 1:
-        sides = _multiplier_sides(f2, g2, tol, tol_strict)
+        sides = _multiplier_sides(f2, g2, e, tol, tol_strict)
     else:
-        sides = _race_sides(f2, g2, budget, tol, tol_strict)
-    return _concluded(f2, g2, *sides, tol, tol_strict, hereditary)
+        sides = _race_sides(f2, g2, e, budget, tol, tol_strict)
+    return _concluded(f2, g2, e, *sides, tol, tol_strict, hereditary)
 
 
 def decide(
@@ -653,12 +673,11 @@ def decide(
     both that maximum, ``certify_evals`` and ``separator_evals`` are 0,
     ``separator_best`` is None, and ``multiplier``, ``multiplier_value``
     and ``multiplier_evals`` are lambda, h(lambda) and the evaluations of
-    h.  A - lambda B past the float range at a probed lambda raises
-    InvalidInput.
+    h.  Past the Slater test, in the caller's units, f and g are divided by their 2^e (_scaled):
+    tol and tol_strict are relative to 2^e, and the values come back times 2^e; J, M, X, P, E do not.
     Reconciled sizes with q^2 or mq above MAX_DIM raise DimensionTooLarge.
     """
-    _check_slater(g, slater, tol_strict, hereditary=False)
-    return _decide_common(f, g, budget, tol, tol_strict, hereditary=False)
+    return _decide_common(f, g, slater, budget, tol, tol_strict, hereditary=False)
 
 
 def decide_hereditary(
@@ -674,8 +693,7 @@ def decide_hereditary(
     The certificate condition is the same coefficient-matrix inequality; the
     counterexample uses the rectangular construction without projection.
     """
-    _check_slater(g, slater, tol_strict, hereditary=True)
-    return _decide_common(f, g, budget, tol, tol_strict, hereditary=True)
+    return _decide_common(f, g, slater, budget, tol, tol_strict, hereditary=True)
 
 
 def homogenize(
@@ -740,10 +758,7 @@ def homogenize(
 
 def homogenized_poly(quad: NCQuadPoly, result: HomogenizationResult) -> NCQuadPoly:
     """The homogenization as a polynomial in m+1 variables (x_0 first)."""
-    m, q = quad.m, quad.q
-    from .poly import blocks_from_matrix
-
-    return new_quad_poly(blocks_from_matrix(result.coefficient, m + 1, q))
+    return new_quad_poly(blocks_from_matrix(result.coefficient, quad.m + 1, quad.q))
 
 
 SPOT_CHECKS = 10
@@ -772,54 +787,26 @@ def _spot_tuples(m: int, seed: int) -> tuple:
     return tuple(stacks)
 
 
-def _scaled(f: NCQuadPoly, g: NCQuadPoly):
-    """(f / 2^e, g / 2^e, 2^-e), 2^e the least power of two (e >= 0) above both coefficient norms.
-
-    Exact, and no evaluation of the scaled pair overflows.  On S' = S / 2^e,
-    lambda_min(S') >= -tol (2^-e + ||S'||_F) is the test at tol, divided by 2^e.
-    """
-    e = max(0, math.frexp(max(fro(f.blocks), fro(g.blocks)))[1])
-    return (replace(f, blocks=np.ldexp(f.blocks, -e)), replace(g, blocks=np.ldexp(g.blocks, -e)),
-            math.ldexp(1.0, -e))
-
-
 def _slack(tol: float, floor: float, f: NCQuadPoly, g: NCQuadPoly, J) -> float:
-    """f's tolerance tol (floor + ||A||_F) on _scaled's f and g, less the roundoff bound of applying
-    phi_J (q^2 products an entry) and of an eigensolve of side at most 4mq: no J widens it."""
+    """f's tolerance tol (floor + ||A||_F) on verify's scaled f, g and J, less the roundoff bound of
+    applying phi_J (q^2 products an entry) and of an eigensolve of side at most 4mq: no J widens it."""
     return tol * (floor + fro(f.blocks)) - 2.0 ** -52 * f.q * (f.q + 4 * f.m) * fro(J) * fro(g.blocks)
-
-
-def _spot_gaps(f: NCQuadPoly, g: NCQuadPoly, J, X):
-    """f(X) - (phi_J (x) 1_n) g(X) at a (k, m, n, n) stack of tuples, and whether all norms are finite."""
-    gap = _gram_form(f, X) - _map_stack(J, _gram_form(g, X), f.q, f.q)
-    gap *= 0.5  # halved before the symmetrizing sum, which then cannot overflow
-    gap = gap + gap.transpose(0, 2, 1)
-    return gap, np.isfinite(np.linalg.norm(gap, axis=(1, 2))).all()  # finite only if every entry is
 
 
 def _spot_checks_pass(f: NCQuadPoly, g: NCQuadPoly, floor: float, J, tol: float, seed: int) -> bool:
     """Whether f(X) - (phi_J (x) 1_n) g(X) is PSD at every spot-check tuple X.
 
-    f, g and floor are _scaled's.  A gap passes iff lambda_min(gap) >= -s _slack, s = sum_i ||X_i||_F^2:
-    lambda_min(gap) >= s lambda_min(residual) when that is negative, so a residual that passes passes
-    here too.  Each size is one batch: one evaluation of f and g, one product for phi, one eigensolve.
-    A batch whose gaps or norms are past the float range is recomputed at X / 2^k: the gap and s are
-    both of degree 2 in X, so the verdict is the same, and ||gap||_F <= (1 + ||J||_F) s, since
-    ||f||_F, ||g||_F < 1, falls below 2^500 there.
+    f, g, J and floor are verify_certificate's, all of norm below 1, so no gap leaves the float
+    range.  A gap passes iff lambda_min(gap) >= -s _slack, s = sum_i ||X_i||_F^2: lambda_min(gap)
+    >= s lambda_min(residual) when that is negative, so a residual that passes passes here too.
+    Each size is one batch: one evaluation of f and g, one product for phi, one eigensolve.
     """
     slack = _slack(tol, floor, f, g, J)
-    with np.errstate(over="ignore", invalid="ignore"):  # a gap past the float range is named below
-        for X in _spot_tuples(f.m, seed):
-            gap, finite = _spot_gaps(f, g, J, X)
-            if not finite:
-                s = float((X * X).sum(axis=(1, 2, 3)).max())
-                k = max(0, (math.frexp(1.0 + fro(J))[1] + math.frexp(s)[1] - 499) // 2)
-                X = np.ldexp(X, -k)
-                gap, finite = _spot_gaps(f, g, J, X)
-            if not finite:
-                raise InvalidInput("spot check: a gap or its norm is past the float range")
-            if not (np.linalg.eigvalsh(gap)[:, 0] >= -slack * (X * X).sum(axis=(1, 2, 3))).all():
-                return False  # a NaN fails as well
+    for X in _spot_tuples(f.m, seed):
+        gap = _gram_form(f, X) - _map_stack(J, _gram_form(g, X), f.q, f.q)
+        gap = 0.5 * (gap + gap.transpose(0, 2, 1))
+        if not (np.linalg.eigvalsh(gap)[:, 0] >= -slack * (X * X).sum(axis=(1, 2, 3))).all():
+            return False  # a NaN fails as well
     return True
 
 
@@ -837,22 +824,26 @@ def verify_certificate(
     residual PSD, and SPOT_CHECKS spot checks of f(X) - (phi (x) 1_n) g(X)
     PSD at seeded random symmetric tuples X of sizes n in 1..4.  The last two
     take phi from J + |lambda_min(J)| I when J is not PSD, and f's tolerance
-    (_slack), so neither J's own tolerance nor its scale loosens them.  f and
-    g are scaled by a power of two first (_scaled): no evaluation overflows.
+    (_slack), so neither J's own tolerance nor its scale loosens them.
+    f and g are _scaled as decide scales them, and J and f further divided by J's 2^j (j >= 0), so
+    no gap leaves the float range; the residual passes at lambda_min >= -tol (2^e + ||A||_F).
     """
     try:
         f2, g2 = reconcile(f, g)
     except ShapeMismatch:
         return False
-    low = lambda_min(cert.J.J)
-    if (cert.J.s, cert.J.t) != (f2.q, f2.q) or not low >= -tol * (1.0 + fro(cert.J.J)):
+    j = max(0, binade(cert.J.J))
+    floor = math.ldexp(1.0, -j)  # the 1 of tol (1 + ||.||_F), divided by 2^j
+    J = np.ldexp(cert.J.J, -j)
+    low = lambda_min(J)
+    if (cert.J.s, cert.J.t) != (f2.q, f2.q) or not low >= -tol * (floor + fro(J)):
         return False
-    J = cert.J.J - min(low, 0.0) * np.eye(len(cert.J.J))  # PSD, so phi_J is CP
-    f2, g2, floor = _scaled(f2, g2)
-    with np.errstate(over="ignore", invalid="ignore"):  # a residual past the float range fails here
-        residual = coefficient_matrix(f2) - _map_coefficients(J, g2.blocks, f2.q)
+    J = J - min(low, 0.0) * np.eye(len(J))  # PSD, so phi_J is CP
+    e = binade(f2.blocks, g2.blocks)  # _scaled's 2^e, with f further divided by 2^j in one step
+    f2, g2 = _times(f2, -e - j), _times(g2, -e)
+    residual = coefficient_matrix(f2) - _map_coefficients(J, g2.blocks, f2.q)
     slack = _slack(tol, floor, f2, g2, J)
-    if not math.isfinite(fro(residual) - slack) or np.linalg.eigvalsh(symmetrize(residual))[0] < -slack:
+    if np.linalg.eigvalsh(symmetrize(residual))[0] < -slack:
         return False
     return _spot_checks_pass(f2, g2, floor, J, tol, seed)
 
@@ -866,16 +857,16 @@ def verify_counterexample(
 ) -> bool:
     """Re-check a counterexample's two inequalities from its stored evaluation point.
 
-    Both are checked on the support of the point (see _sides), which gives
-    the verdict of the whole evaluation.  Any structural inconsistency in
-    the stored object (wrong shapes, missing pieces, a non-finite witness E)
-    counts as a failed verification rather than an error.
+    Both are checked on the support of the point (see _sides), which gives the verdict of the
+    whole evaluation, with both sides over the instance's 2^e, as the builders check them.  Any
+    structural inconsistency in the stored object (wrong shapes, missing pieces, a non-finite
+    witness E) counts as a failed verification rather than an error.
     """
     try:
         f2, g2 = reconcile(f, g)
         if ce.X is None or ce.X.m != f2.m:
             return False
-        g_side, violation = _sides(ce, f2, g2)
+        g_side, violation = _sides(ce, f2, g2, binade(f2.blocks, g2.blocks))
         return bool(is_psd(g_side, tol) and violation <= -tol_strict)
     except (ShapeMismatch, ValueError, TypeError):  # TypeError: e.g. a 2-D E
         return False

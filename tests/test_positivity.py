@@ -204,14 +204,43 @@ def test_scalar_slemma_reads_the_whole_tied_bottom_eigenspace(theta, signs):
 
 def test_scalar_slemma_halves_bit_patterns_from_zero():
     # the maximum sits at 1e-300, about 1000 binades below 1: halving [0, 1]
-    # arithmetically would take one eigensolve per binade
+    # arithmetically would take one eigensolve per binade.  B is moved into
+    # A's binade first, by 2^k with k = -996, so the bracket is [0, 1] in
+    # lambda / 2^k and bracket_hi is 2^-996
     f = ns.new_scalar_quad(np.diag([1e-300, -1e-300]))
     g = ns.new_scalar_quad(np.diag([1.0, -1.0]))
     res = ns.scalar_slemma(f, g, [1.0, 0.0])
     assert res.outcome == "certificate"
     assert abs(res.lam - 1e-300) <= 2 * np.spacing(1e-300)
     d = res.diagnostics
-    assert d["bracket_hi"] == 1.0 and d["multiplier_evals"] < 80
+    assert d["bracket_hi"] == 2.0 ** -996 and d["multiplier_evals"] < 80
+
+
+def test_scalar_slemma_certifies_a_multiplier_far_above_the_cap():
+    # lambda = 1e300 is far above the 2^60 cap on the doubling, but B moved
+    # into A's binade puts it at 1.49 2^996; the q = 1 decision reads the
+    # same bisection, and its certificate verifies
+    f = ns.new_scalar_quad(np.diag([1e300, -1e300]))
+    g = ns.new_scalar_quad(np.diag([1.0, -1.0]))
+    res = ns.scalar_slemma(f, g, [1.0, 0.0])
+    assert (res.outcome, res.lam, res.diagnostics["multiplier_evals"]) == ("certificate", 1e300, 55)
+    f, g = ns.scalar_to_nc(f), ns.scalar_to_nc(g)
+    d = ns.decide(f, g, ns.new_tuple([[[1.0]], [[0.0]]]))
+    assert d.kind == "certificate" and d.certificate.J.J.tolist() == [[1e300]]
+    assert ns.verify_certificate(d.certificate, f, g)
+
+
+def balanced(f, g):
+    """(A', B', e, k): the pair scalar_multiplier bisects on for scalar_slemma's (f, g).
+
+    A' = A / 2^e and B' = B 2^k / 2^e, 2^e the power of two above both
+    norms and B' moved into A's binade; lambda is then 2^k times the
+    multiplier of (A', B'), and h(lambda) 2^e times its value.
+    """
+    e = linalg.binade(f.A, g.A)
+    A, B = np.ldexp(f.A, -e), np.ldexp(g.A, -e)
+    k = linalg.binade(A) - linalg.binade(B)
+    return A, np.ldexp(B, k), e, k
 
 
 def _halving_multiplier(A, B):
@@ -244,8 +273,9 @@ def test_scalar_slemma_power_of_two_probes_end_where_halving_does():
     for k in range(200):
         f, g, slater = random_scalar_pair(rng, m=2 + k % 4)
         d = ns.scalar_slemma(f, g, slater, budget=1).diagnostics
-        lam, value, probes = _halving_multiplier(f.A, g.A)
-        assert (d["lambda"], d["best_value"]) == (lam, value)
+        A, B, e, shift = balanced(f, g)
+        lam, value, probes = _halving_multiplier(A, B)
+        assert (d["lambda"], d["best_value"]) == (math.ldexp(lam, shift), math.ldexp(value, e))
         assert d["multiplier_evals"] <= probes + 1
 
 
@@ -394,9 +424,14 @@ def test_scalar_slemma_refutes_as_its_own_separator_search_did():
         f, g, slater = planted_violation(rng, m) if k % 2 else random_scalar_pair(rng, m)
         res = ns.scalar_slemma(f, g, slater, budget=budget)
         d = res.diagnostics
-        assert (d["lambda"], d["best_value"], d["multiplier_evals"]) == reference_multiplier(f.A, g.A)
+        A, B, e, shift = balanced(f, g)
+        lam, value, probes = reference_multiplier(A, B)
+        assert (d["lambda"], d["best_value"], d["multiplier_evals"]) == \
+            (math.ldexp(lam, shift), math.ldexp(value, e), probes)
         assert "separator_evals" not in d
-        want = reference_scalar_outcome(f, g, d["best_value"], budget)
+        # the outcome the searches reached on the instance scalar_slemma reads, A and B over 2^e
+        want = reference_scalar_outcome(ns.new_scalar_quad(A), ns.new_scalar_quad(np.ldexp(B, -shift)),
+                                        value, budget)
         assert res.outcome == want or (want, res.outcome) == ("inconclusive", "counterexample"), k
         kinds.append(res.outcome)
         if res.outcome == "counterexample":
@@ -406,13 +441,15 @@ def test_scalar_slemma_refutes_as_its_own_separator_search_did():
     assert kinds.count("counterexample") >= 100 and "certificate" in kinds
 
 
-def test_scalar_slemma_past_the_float_range_is_invalid_input():
-    # h rises while -1.7e308 + 1e300 lambda is the bottom eigenvalue, and the
-    # doubling reaches lambda = 2^28, where 1e300 lambda is past the float range
+def test_scalar_slemma_past_the_float_range_is_a_certificate():
+    # h rises while -1.7e308 + 1e300 lambda is the bottom eigenvalue; on A and
+    # B over 2^1024 the bisection never leaves the float range, and the maximum
+    # -1.7e8 at lambda = 1.7e8 is -1e-300 relative to 2^1024, a certificate
     f = ns.new_scalar_quad(np.diag([-1.7e308, 0.0]))
     g = ns.new_scalar_quad(np.diag([-1e300, 1.0]))
-    with pytest.raises(InvalidInput, match="float range"):
-        ns.scalar_slemma(f, g, [0.0, 1.0])
+    res = ns.scalar_slemma(f, g, [0.0, 1.0])
+    assert (res.outcome, res.lam) == ("certificate", 1.7e8)
+    assert res.diagnostics["best_value"] == -1.7e8
 
 
 def test_rank_one_split_rank_one():

@@ -67,15 +67,15 @@ def racing(hereditary, q):
 
     def race(f, g, slater, budget=ns.DEFAULT_BUDGET, tol=ns.DEFAULT_TOL,
              tol_strict=ns.DEFAULT_TOL_STRICT):
-        f2, g2 = slemma.reconcile(f, g)
-        sides = slemma._race_sides(f2, g2, budget, tol, tol_strict)
-        return slemma._concluded(f2, g2, *sides, tol, tol_strict, hereditary)
+        f2, g2, e = slemma._scaled(*slemma.reconcile(f, g))
+        sides = slemma._race_sides(f2, g2, e, budget, tol, tol_strict)
+        return slemma._concluded(f2, g2, e, *sides, tol, tol_strict, hereditary)
 
     return race
 
 
 def cut_value(f2, g2, tol=ns.DEFAULT_TOL):
-    """The separator bound below which no certify value reaches -tol."""
+    """The separator bound below which no certify value reaches -tol, for f2 and g2 as scaled."""
     scale = 1.0 + linalg.fro(ns.coefficient_matrix(f2)) + linalg.fro(ns.coefficient_matrix(g2))
     return -tol - slemma.CUT_ROUNDOFF * scale
 
@@ -112,8 +112,11 @@ def sequential(f, g, budget, hereditary, evals, tol=ns.DEFAULT_TOL,
     """
     f2, g2 = slemma.reconcile(f, g)
     builder = ns.build_counterexample_hereditary if hereditary else ns.build_counterexample
-    target = 2.0 * tol_strict / (1.0 + linalg.fro(ns.coefficient_matrix(f2)))
-    cut = cut_value(f2, g2, tol)
+    # the searches run on the scaled pair, where the target, the cut and the
+    # oracle's bounds live; find_separator's best value comes back times 2^e
+    s2, t2, e = slemma._scaled(f2, g2)
+    target = math.ldexp(2.0 * tol_strict / (1.0 + linalg.fro(ns.coefficient_matrix(s2))), e)
+    cut = cut_value(s2, t2, tol)
     before = evals[0]
     cert = ns.certify(f2, g2, budget=budget, tol=tol)
     n_cert = evals[0] - before
@@ -187,9 +190,9 @@ def test_race_returns_the_sequential_decision(evals, kind, m, q, hereditary):
     bound = d["certify_bound"]
     assert (bound is None) == (d["separator_evals"] == 0)
     if bound is not None:
-        f2, g2 = slemma.reconcile(f, g)
-        cut = cut_value(f2, g2)
-        assert bound >= d["certify_best"] - (-ns.DEFAULT_TOL - cut)
+        f2, g2, e = slemma._scaled(*slemma.reconcile(f, g))
+        cut = math.ldexp(cut_value(f2, g2), e)
+        assert bound >= d["certify_best"] - (math.ldexp(-ns.DEFAULT_TOL, e) - cut)
         if kind == "certificate":
             assert bound >= cut  # a planted certificate is never cut
 
@@ -212,37 +215,39 @@ def test_race_keeps_certify_going_when_tol_exceeds_twice_tol_strict(evals, m, q)
 
 @pytest.mark.parametrize("hereditary", [False, True])
 @pytest.mark.parametrize("ratio,kind,certify_evals", [
-    (0.999, "certificate", 500),
+    (1.0 - 2.0 ** -10, "certificate", 500),
     (1.0, "certificate", 500),
-    (1.001, "inconclusive", 500),  # within the roundoff allowance: not cut
-    (1.1, "inconclusive", 1),  # cut at the separator's first evaluation
+    (1.0 + 2.0 ** -10, "inconclusive", 500),  # within the roundoff allowance: not cut
+    (1.125, "inconclusive", 1),  # cut at the separator's first evaluation
 ])
 def test_cut_spares_certify_until_the_bound_clears_the_roundoff_allowance(
         ratio, kind, certify_evals, hereditary):
     # (m, q) = (1, 1), f = (b - delta) x^2 and g = b x^2: J = 1 is forced, so
     # every certify value and every separator bound is -delta, exactly at the
-    # first point (b = 2 tol makes b - delta exact).  Without the cut certify
+    # first point.  b = 1/2 is its own scale (2^e = 1), so tol is not
+    # rescaled, and with tol = 2^-27 and a dyadic ratio b - delta is exact;
+    # the roundoff allowance is 2e-10, 2.7% of tol.  Without the cut certify
     # runs one ascent of all 500 evaluations; the first three rows are also
     # what the race decides without the cut.  decide itself runs no race at
     # q = 1, and no multiplier is forced: f = (b - delta) x^2 is PSD alone,
     # so h falls at 0 and every row is the certificate J = [[0]], residual f.
-    tol = ns.DEFAULT_TOL
-    b, delta = 2.0 * tol, ratio * tol
+    tol = 2.0 ** -27
+    b, delta = 0.5, ratio * tol
     f = ns.new_quad_poly(np.full((1, 1, 1, 1), b - delta))
     g = ns.new_quad_poly(np.full((1, 1, 1, 1), b))
     slater = ns.new_tuple(np.full((1, 1, 1), 10.0))
-    decision = racing(hereditary, 1)(f, g, slater, budget=500)
+    decision = racing(hereditary, 1)(f, g, slater, budget=500, tol=tol)
     d = decision.diagnostics
     assert (decision.kind, d["certify_evals"]) == (kind, certify_evals)
     assert d["certify_bound"] == pytest.approx(-delta, rel=1e-12, abs=0.0)
     assert d["certify_best"] == pytest.approx(-delta, rel=1e-12, abs=0.0)
     assert d["separator_evals"] == (500 if kind == "inconclusive" else 499)
 
-    direct = (ns.decide_hereditary if hereditary else ns.decide)(f, g, slater, budget=500)
+    direct = (ns.decide_hereditary if hereditary else ns.decide)(f, g, slater, budget=500, tol=tol)
     d = direct.diagnostics
     assert direct.kind == "certificate"
     assert direct.certificate.J.J.tolist() == [[0.0]]
     assert d["certify_bound"] == d["certify_best"] == direct.certificate.residual_lambda_min
     assert d["certify_bound"] == b - delta
     assert (d["certify_evals"], d["separator_evals"], d["multiplier_evals"]) == (0, 0, 1)
-    assert ns.verify_certificate(direct.certificate, f, g)
+    assert ns.verify_certificate(direct.certificate, f, g, tol=tol)

@@ -281,16 +281,19 @@ def test_decide_slater_violation():
         ns.decide(f, g, bad)
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered")
 @pytest.mark.parametrize("hereditary", [False, True])
-def test_decide_slater_overflow_is_named(hereditary):
-    # valid at 3e307, but g(slater) = 3e307 * (2 + 1 + 1 + 2) is past the largest float
+def test_decide_with_g_slater_past_the_float_range_refutes(hereditary):
+    # valid at 3e307, but g(slater) = 3e307 * (2 + 1 + 1 + 2) is past the largest
+    # float: the Slater test evaluates g / 2^a at slater / 2^b instead, and f
+    # is not PSD at x = (0, 1), where g is, so the verdict is a counterexample
+    # that verifies, without an overflow warning
     f = ns.new_quad_poly(3e307 * np.array([[1.0, 0.5], [0.5, -1.0]]).reshape(2, 2, 1, 1))
     g = ns.new_quad_poly(3e307 * np.array([[2.0, 1.0], [1.0, 2.0]]).reshape(2, 2, 1, 1))
     slater = ns.new_tuple(np.ones((2, 1, 1)), kind="general" if hereditary else "symmetric")
     decider = ns.decide_hereditary if hereditary else ns.decide
-    with pytest.raises(InvalidInput, match=r"g\(slater\) overflows"):
-        decider(f, g, slater)
+    d = decider(f, g, slater)
+    assert d.kind == "counterexample"
+    assert ns.verify_counterexample(d.counterexample, f, g)
 
 
 @pytest.mark.parametrize("hereditary", [False, True])
@@ -352,19 +355,34 @@ def test_hereditary_counterexample_q1_structure():
 
 @pytest.mark.parametrize("hereditary", [False, True])
 def test_builders_accept_through_the_verifier_evaluations(monkeypatch, hereditary):
-    # the builder evaluates g and f once at its point, as verify_counterexample does,
-    # both compressed to the point's support
-    f, g = scalar_embedded_pair()
+    # the builder evaluates g and f once at its point, on f and g over their
+    # 2^e; verify_counterexample evaluates the caller's g and f there once
+    # each and divides both sides by 2^e, which gives the builder's sides, bit
+    # for bit.  Both compress to the point's support.
+    from ncslemma import poly
+
+    f, g = (ns.new_quad_poly(3.0 * p.blocks) for p in scalar_embedded_pair())
     sep = ns.find_separator(f, g)
     build = ns.build_counterexample_hereditary if hereditary else ns.build_counterexample
     calls = []
-    evaluate = slemma.evaluate_compressed
-    monkeypatch.setattr(slemma, "evaluate_compressed",
-                        lambda *args: calls.append(args[0]) or evaluate(*args))
+    gram_form = poly._gram_form
+
+    def recording(p, mats):
+        calls.append(p.blocks)
+        return gram_form(p, mats)
+
+    for mod in (poly, slemma):  # evaluate_compressed calls poly's, the hereditary side slemma's
+        monkeypatch.setattr(mod, "_gram_form", recording)
+    f2, g2, e = slemma._scaled(f, g)
+    assert e == 3  # ||A||_F = 3 sqrt(2)
     ce = build(f, g, sep.M)
-    assert calls == [g, f]
     assert ns.verify_counterexample(ce, f, g)
-    assert calls == [g, f, g, f]
+    assert len(calls) == 4
+    for got, want in zip(calls, [g2, f2, g, f]):
+        np.testing.assert_array_equal(got, want.blocks)
+    built, verified = slemma._sides(ce, f2, g2), slemma._sides(ce, f, g, e)
+    np.testing.assert_array_equal(built[0], verified[0])
+    assert built[1] == verified[1] == ce.violation / 2.0 ** e
 
 
 def test_decide_hereditary_certificate():
@@ -671,23 +689,32 @@ def test_verify_of_a_choi_matrix_near_the_float_range_fails_or_verifies(sign):
         assert ns.verify_certificate(cert, f, g) == (sign < 0)
 
 
+@pytest.mark.parametrize("sign", [1.0, -1.0])
 @pytest.mark.parametrize("scale", [1e160, 1e200, 4e307])
-def test_spot_checks_past_the_float_range_keep_their_verdict(scale):
-    # the gaps of phi = scale id against -4 x1x1 (x) I_2 overflow at the
-    # seeded tuples; recomputed at X / 2^k they pass, as the residual does, and
-    # a map that is not PSD in one direction still fails there
-    f, g2 = ns.new_quad_poly(np.eye(2).reshape(1, 1, 2, 2)), -4.0 * np.eye(2)
-    f2, g, floor = slemma._scaled(f, ns.new_quad_poly(g2.reshape(1, 1, 2, 2)))
+def test_verify_divides_a_huge_choi_matrix_by_its_own_power_of_two(scale, sign):
+    # phi = scale id against +-4 x1x1 (x) I_2: the gaps at the seeded tuples
+    # would be past the float range, but verify divides J and f by J's 2^j,
+    # so every gap it forms is finite.  For - phi is a certificate and passes
+    # the residual and every spot check; for + the residual fails, and so do
+    # the spot checks.  No warning either way.
+    f = ns.new_quad_poly(np.eye(2).reshape(1, 1, 2, 2))
+    g = ns.new_quad_poly(sign * 4.0 * np.eye(2).reshape(1, 1, 2, 2))
     J = scale * ns.identity_choi(2).J
-    with np.errstate(over="ignore", invalid="ignore"):
-        assert any(not slemma._spot_gaps(f2, g, J, X)[1] for X in slemma._spot_tuples(1, 42))
+    cert = ns.CPCertificate(J=ns.new_choi(J, 2, 2), residual=np.zeros((2, 2)))
+    f2, g2, e = slemma._scaled(f, g)
+    j = ns.linalg.binade(J)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert slemma._spot_checks_pass(f2, g, floor, J, ns.DEFAULT_TOL, 42)
-        # phi(E_11) = -scale E_11 puts about -scale X^2 / 2 in the first diagonal block of each gap
+        assert ns.verify_certificate(cert, f, g) == (sign < 0)
+        spot = slemma._spot_checks_pass(slemma._times(f2, -j), g2, 2.0 ** -j, np.ldexp(J, -j),
+                                        ns.DEFAULT_TOL, 42)
+        assert spot == (sign < 0)
+        # phi(E_11) = -scale E_11 puts about -scale X^2 / 2 in the first diagonal block
+        # of each gap; J's own PSD test rejects it before any gap is formed
         flipped = J.copy()
         flipped[0, 0] = -scale
-        assert not slemma._spot_checks_pass(f2, g, floor, flipped, ns.DEFAULT_TOL, 42)
+        assert not ns.verify_certificate(ns.CPCertificate(J=ns.new_choi(flipped, 2, 2),
+                                                          residual=np.zeros((2, 2))), f, g)
 
 
 def test_weak_duality_identity():
@@ -746,8 +773,9 @@ def test_decide_at_q1_certifies_opposite_huge_blocks(hereditary):
 def past_the_float_range_pair():
     """f = -1.7e308 x1x1 against g = -1e300 x1x1 + x2x2, with the Slater point (0, 1).
 
-    h rises while -1.7e308 + 1e300 lambda is its bottom eigenvalue, and the
-    doubling reaches lambda = 2^28, where 1e300 lambda is past the float range.
+    h rises while -1.7e308 + 1e300 lambda is its bottom eigenvalue, so on the
+    caller's scale the doubling would reach lambda = 2^28, where 1e300 lambda
+    is past the float range.
     """
     f = ns.scalar_to_nc(ns.new_scalar_quad(np.diag([-1.7e308, 0.0])))
     g = ns.scalar_to_nc(ns.new_scalar_quad(np.diag([-1e300, 1.0])))
@@ -755,25 +783,31 @@ def past_the_float_range_pair():
 
 
 @pytest.mark.parametrize("hereditary", [False, True])
-def test_decide_at_q1_past_the_float_range_is_invalid_input(hereditary):
-    # no verdict, no NaN and no overflow warning (a RuntimeWarning fails the
-    # test run)
+def test_decide_at_q1_past_the_float_range_certifies(hereditary):
+    # on f and g over 2^1024 no probe leaves the float range: h's maximum is
+    # -1.7e8 at lambda = 1.7e8, which is -1e-300 relative to 2^1024, so J =
+    # [[1.7e8]] is a certificate, and verify accepts it under the same rule;
+    # no NaN and no overflow warning (a RuntimeWarning fails the test run)
     f, g, slater = past_the_float_range_pair()
     decider = ns.decide_hereditary if hereditary else ns.decide
-    with pytest.raises(InvalidInput, match="float range"):
-        decider(f, g, slater)
+    d = decider(f, g, slater)
+    assert d.kind == "certificate"
+    assert d.certificate.J.J.tolist() == [[1.7e8]]
+    assert d.certificate.residual_lambda_min == d.diagnostics["certify_best"] == -1.7e8
+    assert ns.verify_certificate(d.certificate, f, g)
 
 
-def test_slemma_cli_at_q1_past_the_float_range_exits_2(tmp_path, capsys):
+def test_slemma_cli_at_q1_past_the_float_range_certifies_and_verifies(tmp_path, capsys):
     from ncslemma import cli, serialize
 
     f, g, slater = past_the_float_range_pair()
-    path = tmp_path / "opposite.json"
+    path, cert = tmp_path / "opposite.json", tmp_path / "cert.json"
     path.write_text(serialize.dumps({
         "format": serialize.FORMAT, "kind": "slemma", "f": serialize.poly_to_json(f),
         "g": serialize.poly_to_json(g), "slater": serialize.tuple_to_json(slater),
     }))
-    assert cli.main(["slemma", str(path)]) == 2
+    assert cli.main(["slemma", "-o", str(cert), str(path)]) == 0
+    assert cli.main(["verify", str(cert), str(path)]) == 0
     capsys.readouterr()
 
 

@@ -120,18 +120,20 @@ def reference_loop(oracle, d, budget, target):
 
 @pytest.mark.parametrize("m,q", SIZES)
 def test_searches_keep_their_start_schedules(m, q):
+    # the searches run on f and g over their 2^e, and report values times 2^e
     rng = np.random.default_rng(400 * m + q)
     f, g, _ = refutable_instance(rng, m, q)
-    calA = ns.coefficient_matrix(f)
-    _, best_v = reference_loop(slemma._certify_oracle(calA, g.blocks, q), q * q, BUDGET, 0.0)
-    assert slemma.certify(f, g, budget=BUDGET).best_value == best_v
+    f2, g2, e = slemma._scaled(f, g)
+    calA = ns.coefficient_matrix(f2)
+    _, best_v = reference_loop(slemma._certify_oracle(calA, g2.blocks, q), q * q, BUDGET, 0.0)
+    assert slemma.certify(f, g, budget=BUDGET).best_value == np.ldexp(best_v, e)
 
     c = 1.0 + linalg.fro(calA)
-    oracle = slemma._separator_oracle(calA, g.blocks, q, c)
+    oracle = slemma._separator_oracle(calA, g2.blocks, q, c)
     M, best_v = reference_loop(lambda M: oracle(M)[:2], m * q, BUDGET,
                                2.0 * ns.DEFAULT_TOL_STRICT / c)
     sep = slemma.find_separator(f, g, budget=BUDGET)
-    assert sep.best_value == best_v
+    assert sep.best_value == np.ldexp(best_v, e)
     assert sep.M is not None and np.array_equal(sep.M, M)
 
 
