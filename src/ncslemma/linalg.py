@@ -253,6 +253,8 @@ def psd_factor(S, tol: float = DEFAULT_TOL) -> np.ndarray:
     of eigenvalues above tol * (1 + ||S||_F).  Raises NotPSD when the input
     fails the is_psd test at the same tolerance.
     """
+    if tol < 0:
+        raise InvalidInput("tol must be nonnegative")
     S = symmetrize(S)
     w, V = np.linalg.eigh(S)
     scale = 1.0 + fro(S)

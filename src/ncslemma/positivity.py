@@ -19,6 +19,7 @@ import numpy as np
 from .errors import (
     InvalidInput,
     NotGloballyPSD,
+    NotPSD,
     PreconditionViolated,
     SlaterViolated,
     SplitFailed,
@@ -137,10 +138,10 @@ def is_globally_psd(
 
 def sos_factor(f: NCQuadPoly, tol: float = DEFAULT_TOL) -> SOSFactor:
     """Sum-of-squares factorization of a globally PSD polynomial."""
-    calA = coefficient_matrix(f)
-    if not is_psd(calA, tol):
-        raise NotGloballyPSD("coefficient matrix has a negative eigenvalue")
-    V = psd_factor(calA, tol)  # mq x r, calA = V V^T
+    try:
+        V = psd_factor(coefficient_matrix(f), tol)  # mq x r, calA = V V^T
+    except NotPSD as exc:  # psd_factor's test is is_psd's, at the same tolerance
+        raise NotGloballyPSD("coefficient matrix has a negative eigenvalue") from exc
     r = V.shape[1]
     factors = np.stack([V[i * f.q : (i + 1) * f.q, :].T for i in range(f.m)])
     return SOSFactor(rank=r, factors=factors)

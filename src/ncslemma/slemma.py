@@ -203,8 +203,8 @@ def _certify_oracle(calA: np.ndarray, blocks: np.ndarray, q: int):
     return oracle
 
 
-def _separator_oracle(calA: np.ndarray, blocks: np.ndarray, q: int, c: float):
-    """oracle(M) -> (value, supergradient, bound) of the separator objective.
+def _separator_oracle(calA: np.ndarray, blocks: np.ndarray, q: int):
+    """oracle(M) -> (value, supergradient, bound) of min(lambda_min(T), -<A, M>).
 
     The B-side supergradient is the adjoint block map at the rank-one point
     u u^T, u the bottom eigenvector of T = sum B_ij (x) M_ij.  ``bound`` is
@@ -220,11 +220,10 @@ def _separator_oracle(calA: np.ndarray, blocks: np.ndarray, q: int, c: float):
         T = _b_term(M, blocks, q)
         t1, u = _min_eigpair(T)
         a = float((calA * M).sum())
-        t2 = -a / c
-        if t1 <= t2:
+        if t1 <= -a:
             G = regroup(rows @ regroup(u[:, None] * u, q, q, q, q), m, m, q, q)
             return t1, (G + G.T) / 2.0, a - t1
-        return t2, -calA / c, a - t1
+        return -a, -calA, a - t1
 
     return oracle
 
@@ -275,17 +274,10 @@ def certify(
 
 
 def _separator_side(f: NCQuadPoly, g: NCQuadPoly, budget: int, tol_strict: float):
-    """find_separator's oracle, its spectral search (not yet started) and its margin.
-
-    The margin tol_strict / c is the value a separator must clear; the
-    search stops at twice that.
-    """
-    q, m = f.q, f.m
-    calA = coefficient_matrix(f)
-    c = 1.0 + fro(calA)
-    margin = tol_strict / c
-    search = spectral_search(m * q, budget, 2.0 * margin)
-    return _separator_oracle(calA, g.blocks, q, c), search, margin
+    """find_separator's oracle and its spectral search, not yet started: the target is 2 tol_strict."""
+    q = f.q
+    return (_separator_oracle(coefficient_matrix(f), g.blocks, q),
+            spectral_search(f.m * q, budget, 2.0 * tol_strict))
 
 
 def find_separator(
@@ -297,25 +289,24 @@ def find_separator(
 ) -> SeparatorSearch:
     """Search for a trace-one PSD M with sum B_ij (x) M_ij PSD and <A, M> < 0.
 
-    Maximizes min(lambda_min(sum B_ij (x) M_ij), -<A, M>/c) with
-    c = 1 + ||A||_F, in one ascent from the maximally mixed point I / mq
-    (linalg.spectral_search), up to the target 2 tol_strict / c in ``evals``
-    evaluations, at most ``budget``; success requires the optimum to clear
-    tol_strict/c so both separator inequalities hold with a quantitative
-    margin.  As in certify, the tolerances are relative to _scaled's 2^e.
+    Maximizes min(lambda_min(sum B_ij (x) M_ij), -<A, M>) in one ascent
+    from the maximally mixed point I / mq (linalg.spectral_search), up to
+    the target 2 tol_strict in ``evals`` evaluations, at most ``budget``.
+    A best value >= tol_strict is the separator: both inequalities then
+    hold with margin tol_strict.  As in certify, the search runs on
+    _scaled's f and g, so tol_strict is relative to their 2^e; ``tol`` is
+    unused, kept for the signature the other entry points share.
     """
     if f.m != g.m or f.q != g.q:
         raise ShapeMismatch("find_separator requires matching (m, q); reconcile first")
     f, g, e = _scaled(f, g)
-    oracle, search, margin = _separator_side(f, g, budget, tol_strict)
+    oracle, search = _separator_side(f, g, budget, tol_strict)
     M, best_v, evals = supergradient_ascent(lambda M: oracle(M)[:2], search)
-    T = _b_term(M, g.blocks, f.q)
-    b_margin = lambda_min(T)
+    b_margin = lambda_min(_b_term(M, g.blocks, f.q))
     a_value = float(np.sum(coefficient_matrix(f) * M))
-    if best_v < margin or not is_psd(T, tol) or a_value > -tol_strict:
-        M = None
-    return SeparatorSearch(M=M, best_value=times_pow2(best_v, e), b_margin=times_pow2(b_margin, e),
-                           a_value=times_pow2(a_value, e), evals=evals)
+    return SeparatorSearch(M=M if best_v >= tol_strict else None, best_value=times_pow2(best_v, e),
+                           b_margin=times_pow2(b_margin, e), a_value=times_pow2(a_value, e),
+                           evals=evals)
 
 
 def _checked_separator(f, g, M, tol, tol_strict) -> np.ndarray:
@@ -358,13 +349,14 @@ def _support(nonzero: np.ndarray):
     return nonzero if nonzero.any() else slice(None)
 
 
-def _sides(ce, f: NCQuadPoly, g: NCQuadPoly, e: int = 0):
-    """The g side that must be PSD and the violation E^T (f side) E at ce's stored point, over 2^e.
+def _sides(ce, f: NCQuadPoly, g: NCQuadPoly):
+    """The g side that must be PSD and the violation E^T (f side) E at ce's stored point.
 
     Both counterexample kinds are accepted through this one computation,
-    by the builders and by verify_counterexample alike.  Each side is the
-    compressed evaluation on the support of the point, the coordinates
-    where it can be nonzero, so the qn x qn evaluation is never formed:
+    by the builders and by verify_counterexample alike, on _scaled's f and
+    g.  Each side is the compressed evaluation on the support of the point,
+    the coordinates where it can be nonzero, so the qn x qn evaluation is
+    never formed:
 
     * projected kind: g is compressed by the columns of P that are not
       exactly zero (the last q for the builders' P = 0 (+) I_q), f by the
@@ -399,8 +391,6 @@ def _sides(ce, f: NCQuadPoly, g: NCQuadPoly, e: int = 0):
             raise ShapeMismatch(f"P must be a matrix, got shape {P.shape}")
         g_side = evaluate_compressed(g, ce.X, P[:, _support(P.any(axis=0))])
         f_side = evaluate_compressed(f, ce.X, P[:, r:])
-    if e:  # both sides, before the violation's sum of q^2 entries can overflow
-        g_side, f_side = np.ldexp(g_side, -e), np.ldexp(f_side, -e)
     return g_side, float(E @ f_side @ E)
 
 
@@ -489,19 +479,20 @@ def _check_slater(g: NCQuadPoly, slater: MatTuple, tol_strict: float, hereditary
         raise SlaterViolated(f"lambda_min(g(slater)) = {times_pow2(lm, a + 2 * b):.3e} <= {tol_strict}")
 
 
-# Roundoff allowance of the duality cut, per unit of 1 + ||A||_F + ||B||_F.
-# Both searches only evaluate outputs of _spectraplex_project (the start is
-# the center as it rounds it), each within O(n u) of a trace-one PSD matrix
-# (n <= MAX_DIM its side, u = 2^-53), and form certify values, <A, M> and
-# lambda_min(sum B_ij (x) M_ij) through GEMMs, sums and eigh whose a-priori
-# errors are also O(n u) times those norms.  Summed, a computed certify
-# value exceeds the computed bound of a separator point by less than about
-# 12 n u times 1 + ||A||_F + ||B||_F, which is 5.5e-12 times it at
-# n = MAX_DIM: 1e-10 leaves a factor of 18.
+# Roundoff allowance of the duality cut.  Both searches run on _scaled's f
+# and g, so ||A||_F and ||B||_F are below 1, and only evaluate outputs of
+# _spectraplex_project (the start is the center as it rounds it), each
+# within O(n u) of a trace-one PSD matrix (n <= MAX_DIM its side,
+# u = 2^-53); they form certify values, <A, M> and
+# lambda_min(sum B_ij (x) M_ij) through GEMMs, sums and eigh whose
+# a-priori errors are also O(n u) times those norms.  Summed, a computed
+# certify value exceeds the computed bound of a separator point by less
+# than about 12 n u (1 + ||A||_F + ||B||_F) < 12 n u 3, which is 1.6e-11 at
+# n = MAX_DIM: 1e-10 leaves a factor of 6.
 CUT_ROUNDOFF = 1e-10
 
 
-def _race(searches, settles, cut):
+def _race(searches, settle, cut):
     """The certify and separator searches of one decision, one evaluation each in turn.
 
     A generator for supergradient_ascent, driven as each search is: ``next``
@@ -511,9 +502,10 @@ def _race(searches, settles, cut):
     next point is asked of its search only when its turn comes, so a side
     cut short forms no point it would not evaluate.  A side whose search
     finishes leaves the turn; the race ends once both have finished, or as
-    soon as one finishes with a best value of at least ``settles[side]``,
-    which cuts the other short.  A separator bound below ``cut`` cuts
-    certify short as well, since certify can then no longer settle.
+    soon as certify finishes with a best value of at least ``settle``,
+    which cuts the separator short.  A separator bound below ``cut`` cuts
+    certify short, since certify can then no longer settle; so does a
+    separator at its target, whose bound is below the cut (see _race_sides).
     Returns, per side, ``[best point or None if cut short, best value
     reached, evaluations]``, and the lowest bound (inf if the separator
     made no evaluation): a pair, so that supergradient_ascent's evaluation
@@ -540,8 +532,8 @@ def _race(searches, settles, cut):
             except StopIteration as done:
                 live[side] = None
                 rec[0] = done.value[0]
-                if done.value[1] >= settles[side]:
-                    live[1 - side] = None
+                if not side and done.value[1] >= settle:
+                    live[1] = None
             if not (live[0] or live[1]):
                 return tally, bound
             yield
@@ -551,30 +543,28 @@ def _race_sides(f, g, e, budget, tol, tol_strict):
     """Race certify against the separator search (q >= 2): (J, certify value, M, diagnostics).
 
     f and g are _scaled's.  J is certify's best point, None if it was cut short; M is the
-    separator's, None unless it cleared its margin; the diagnostics are the caller's (times 2^e)."""
-    # A separator bound below cut puts every certify value below -tol.
-    scale = 1.0 + fro(coefficient_matrix(f)) + fro(coefficient_matrix(g))
-    cut = -tol - CUT_ROUNDOFF * scale
+    separator's, None unless it cleared tol_strict; the diagnostics are the caller's (times 2^e).
+    A separator at its target 2 tol_strict has lambda_min(T) >= 2 tol_strict and <A, M> <=
+    -2 tol_strict, so its bound is at most -4 tol_strict: below the cut -tol - CUT_ROUNDOFF
+    whenever tol <= tol_strict and tol_strict > CUT_ROUNDOFF / 3, and certify stops there.
+    """
     cert_oracle, cert_search = _certify_side(f, g, budget)
-    sep_oracle, sep_search, margin = _separator_side(f, g, budget, tol_strict)
+    sep_oracle, sep_search = _separator_side(f, g, budget, tol_strict)
     sides = (cert_oracle, sep_oracle)
 
     def oracle(step):
         side, X = step
         return sides[side](X)
 
-    # Weak duality: a separator value >= 2 margin puts every certify value
-    # at or below -2 tol_strict, so when that is below -tol the separator's
-    # target settles the race; certify finishing at >= -tol always does.
-    settles = (-tol, 2.0 * margin if 2.0 * tol_strict > tol else np.inf)
+    # A separator bound below the cut puts every certify value below -tol.
     ((J, cert_best, cert_evals), (M, sep_best, sep_evals)), bound, _ = supergradient_ascent(
-        oracle, _race((cert_search, sep_search), settles, cut),
+        oracle, _race((cert_search, sep_search), -tol, -tol - CUT_ROUNDOFF),
     )
     diagnostics = {"certify_best": times_pow2(cert_best, e),
                    "certify_bound": times_pow2(bound, e) if bound < np.inf else None,
                    "separator_best": times_pow2(sep_best, e) if sep_evals else None,
                    "certify_evals": cert_evals, "separator_evals": sep_evals}
-    return J, cert_best, M if sep_best >= margin else None, diagnostics
+    return J, cert_best, M if sep_best >= tol_strict else None, diagnostics
 
 
 def _multiplier_sides(f, g, e, tol, tol_strict):
@@ -644,12 +634,12 @@ def decide(
     most ``budget`` evaluations from the center of their spectraplex
     (linalg.spectral_search), so no random number is drawn and the same
     inputs give the same decision, and take one evaluation each in turn,
-    certificate side first.  The race ends once certify finishes at >= -tol
-    or the separator reaches its target; weak duality lets at most one side
-    do so.  Each separator point M also bounds every certify value from
-    above by <A, M> - lambda_min(sum B_ij (x) M_ij); once a bound is below
-    -tol by more than a roundoff allowance (CUT_ROUNDOFF), certify can no
-    longer settle and stops, and the separator goes on alone.  So the
+    certificate side first.  The race ends once certify finishes at >= -tol.
+    Each separator point M bounds every certify value from above by
+    <A, M> - lambda_min(sum B_ij (x) M_ij) (weak duality); once a bound is
+    below -tol by more than a roundoff allowance (CUT_ROUNDOFF), certify
+    can no longer settle and stops, as it has once the separator reaches
+    its target (see _race_sides), and the separator goes on alone.  So the
     objects returned are those of certify then find_separator run in full.
     The report is inconclusive when neither yields a verified object:
     certify ended below -tol or was ruled out, and the separator ended
@@ -858,15 +848,15 @@ def verify_counterexample(
     """Re-check a counterexample's two inequalities from its stored evaluation point.
 
     Both are checked on the support of the point (see _sides), which gives the verdict of the
-    whole evaluation, with both sides over the instance's 2^e, as the builders check them.  Any
+    whole evaluation, on _scaled's f and g, as the builders check them.  Any
     structural inconsistency in the stored object (wrong shapes, missing pieces, a non-finite
     witness E) counts as a failed verification rather than an error.
     """
     try:
-        f2, g2 = reconcile(f, g)
+        f2, g2, _ = _scaled(*reconcile(f, g))
         if ce.X is None or ce.X.m != f2.m:
             return False
-        g_side, violation = _sides(ce, f2, g2, binade(f2.blocks, g2.blocks))
+        g_side, violation = _sides(ce, f2, g2)
         return bool(is_psd(g_side, tol) and violation <= -tol_strict)
     except (ShapeMismatch, ValueError, TypeError):  # TypeError: e.g. a 2-D E
         return False

@@ -154,6 +154,8 @@ def test_slemma_slater_violated(capsys, tmp_path):
     code, out, _ = run(capsys, "slemma", str(path))
     assert code == 4
     assert out["error"] == "slater-violated"
+    # the same instance as a fixture, for the console script's one-shot run
+    assert json.loads(open(fx("slater_violated.json")).read()) == doc
 
 
 def test_verify_rejects_bogus_certificate_on_huge_coefficients(capsys, tmp_path):
@@ -297,6 +299,19 @@ def test_scalar_slemma_certificate(capsys):
     assert "separator_evals" not in doc["diagnostics"]  # scalar-slemma runs no search
 
 
+def test_scalar_slemma_dead_zone_exits_inconclusive(capsys, tmp_path):
+    # max h = -1e-7 lies between -tol_strict and -tol: no verdict either way
+    doc = {"format": "ncslemma/1", "kind": "scalar-slemma", "f": {"A": [[0.5, 0.0], [0.0, -1e-7]]},
+           "g": {"A": [[1.0, 0.0], [0.0, 0.0]]}, "slater": [1.0, 0.0]}
+    path = tmp_path / "dead_zone.json"
+    path.write_text(serialize.dumps(doc))
+    code, out, _ = run(capsys, "scalar-slemma", str(path))
+    assert code == cli.EXIT_INCONCLUSIVE == 12
+    assert out["outcome"] == "inconclusive"
+    assert out["diagnostics"]["best_value"] == -1e-7
+    assert "lambda" not in out and "x" not in out
+
+
 def test_scalar_slemma_counterexample(capsys):
     code, doc, _ = run(capsys, "scalar-slemma", fx("scalar_counterexample.json"))
     assert code == 11
@@ -395,6 +410,18 @@ def test_evaluate_unprojected(capsys):
                        fx("example61_f.json"), fx("example61_tuple.json"))
     assert code == 0
     assert np.array(doc["value"]).shape == (24, 24)
+
+
+def test_evaluate_general_tuple_is_hereditary(capsys, tmp_path):
+    # a general (not symmetric) tuple is evaluated as sum A_ij (x) X_i X_j^T
+    mats = [[[1.0, 2.0], [0.0, -1.0]], [[0.0, 1.0], [3.0, 0.5]]]
+    path = tmp_path / "general.json"
+    path.write_text(serialize.dumps({"n": 2, "kind": "general", "mats": mats}))
+    code, doc, _ = run(capsys, "evaluate", fx("example62.json"), str(path))
+    assert code == 0
+    f = serialize.instance_from_json(json.loads(open(fx("example62.json")).read()))["f"]
+    want = ns.evaluate_hereditary(f, ns.new_tuple(np.array(mats), kind="general"))
+    np.testing.assert_array_equal(np.array(doc["value"]), want)
 
 
 def test_evaluate_project_requires_projection(capsys, tmp_path):

@@ -137,6 +137,40 @@ def test_sos_factor_rejects_indefinite():
         ns.sos_factor(p)
 
 
+def test_sos_factor_takes_one_eigensolve(monkeypatch):
+    # psd_factor's eigensolve is also the PSD test
+    calls = []
+    for name in ("eigh", "eigvalsh"):
+        solver = getattr(np.linalg, name)
+        monkeypatch.setattr(np.linalg, name, lambda S, *a, _s=solver, **k: calls.append(1) or _s(S, *a, **k))
+    sf = ns.sos_factor(ns.new_quad_poly(blocks_from_matrix(np.eye(6), 3, 2)))
+    assert (sf.rank, len(calls)) == (6, 1)
+
+
+def test_sos_factor_rejects_a_negative_tol():
+    with pytest.raises(InvalidInput):
+        ns.sos_factor(ns.new_quad_poly(np.ones((1, 1, 1, 1))), tol=-1e-8)
+
+
+def test_is_globally_psd_dead_zone_has_no_witness():
+    # lambda_min = -1e-7 (||A||_F < 1, so 2^e = 1): below -tol (1 + ||A||_F), above -tol_strict
+    report = ns.is_globally_psd(ns.new_quad_poly([[np.diag([0.5, -1e-7])]]))
+    assert report.verdict == "not-psd"
+    assert report.eigenvalues[-1] == -1e-7
+    assert (report.witness_point, report.witness_vector, report.witness_value) == (None, None, None)
+
+
+def test_scalar_slemma_dead_zone_is_inconclusive():
+    # h(lambda) = min(1/2 - lambda, -1e-7) peaks at -1e-7 on [0, 1/2]; over 2^e = 2
+    # that is -5e-8, between -tol_strict and -tol: neither a multiplier nor a refutation
+    A = ns.new_scalar_quad(np.diag([0.5, -1e-7]))
+    B = ns.new_scalar_quad(np.diag([1.0, 0.0]))
+    res = ns.scalar_slemma(A, B, [1.0, 0.0])
+    assert (res.outcome, res.lam, res.x) == ("inconclusive", None, None)
+    assert res.diagnostics["best_value"] == -1e-7
+    assert "counterexample_error" not in res.diagnostics
+
+
 def test_scalar_slemma_certificate():
     f = ns.new_scalar_quad(np.eye(2))
     g = ns.new_scalar_quad(np.diag([1.0, -1.0]))

@@ -74,10 +74,9 @@ def racing(hereditary, q):
     return race
 
 
-def cut_value(f2, g2, tol=ns.DEFAULT_TOL):
-    """The separator bound below which no certify value reaches -tol, for f2 and g2 as scaled."""
-    scale = 1.0 + linalg.fro(ns.coefficient_matrix(f2)) + linalg.fro(ns.coefficient_matrix(g2))
-    return -tol - slemma.CUT_ROUNDOFF * scale
+def cut_value(tol=ns.DEFAULT_TOL):
+    """The separator bound below which no certify value reaches -tol, on the scaled pair."""
+    return -tol - slemma.CUT_ROUNDOFF
 
 
 def separator_with_bounds(*args, **kwargs):
@@ -105,18 +104,16 @@ def sequential(f, g, budget, hereditary, evals, tol=ns.DEFAULT_TOL,
 
     Returns the kind, the object, the evaluations find_separator used, and
     the evaluations each side makes in the race: one each in turn, certify
-    first, until certify finishes at >= -tol or the separator reaches its
-    target, which settles the race only while 2 tol_strict > tol.  Certify
-    also stops after the separator's k-th evaluation when that one's bound
-    is the first below cut_value; when certify wins, no bound is.
+    first, until certify finishes at >= -tol, which settles the race, or
+    certify stops after the separator's k-th evaluation, the first whose
+    bound is below cut_value; when certify wins, no bound is.  A separator
+    at its target has a bound below the cut, so it stops certify too.
     """
     f2, g2 = slemma.reconcile(f, g)
     builder = ns.build_counterexample_hereditary if hereditary else ns.build_counterexample
-    # the searches run on the scaled pair, where the target, the cut and the
-    # oracle's bounds live; find_separator's best value comes back times 2^e
-    s2, t2, e = slemma._scaled(f2, g2)
-    target = math.ldexp(2.0 * tol_strict / (1.0 + linalg.fro(ns.coefficient_matrix(s2))), e)
-    cut = cut_value(s2, t2, tol)
+    # the searches run on the scaled pair, where the cut and the oracle's
+    # bounds live; find_separator's best value comes back times 2^e
+    cut = cut_value(tol)
     before = evals[0]
     cert = ns.certify(f2, g2, budget=budget, tol=tol)
     n_cert = evals[0] - before
@@ -129,8 +126,7 @@ def sequential(f, g, budget, hereditary, evals, tol=ns.DEFAULT_TOL,
     if cert.certificate is not None:
         assert k == math.inf
         return "certificate", cert.certificate, n_sep, [n_cert, min(n_cert - 1, n_sep)]
-    settled = sep.best_value >= target and 2.0 * tol_strict > tol
-    race = [min(n_cert, n_sep if settled else n_cert, k), n_sep]
+    race = [min(n_cert, k), n_sep]
     if sep.M is not None:
         try:
             ce = builder(f2, g2, sep.M, tol=tol, tol_strict=tol_strict)
@@ -190,8 +186,8 @@ def test_race_returns_the_sequential_decision(evals, kind, m, q, hereditary):
     bound = d["certify_bound"]
     assert (bound is None) == (d["separator_evals"] == 0)
     if bound is not None:
-        f2, g2, e = slemma._scaled(*slemma.reconcile(f, g))
-        cut = math.ldexp(cut_value(f2, g2), e)
+        e = slemma._scaled(*slemma.reconcile(f, g))[2]
+        cut = math.ldexp(cut_value(), e)
         assert bound >= d["certify_best"] - (math.ldexp(-ns.DEFAULT_TOL, e) - cut)
         if kind == "certificate":
             assert bound >= cut  # a planted certificate is never cut
@@ -226,7 +222,7 @@ def test_cut_spares_certify_until_the_bound_clears_the_roundoff_allowance(
     # every certify value and every separator bound is -delta, exactly at the
     # first point.  b = 1/2 is its own scale (2^e = 1), so tol is not
     # rescaled, and with tol = 2^-27 and a dyadic ratio b - delta is exact;
-    # the roundoff allowance is 2e-10, 2.7% of tol.  Without the cut certify
+    # the roundoff allowance is 1e-10, 1.3% of tol.  Without the cut certify
     # runs one ascent of all 500 evaluations; the first three rows are also
     # what the race decides without the cut.  decide itself runs no race at
     # q = 1, and no multiplier is forced: f = (b - delta) x^2 is PSD alone,

@@ -99,7 +99,10 @@ def outcome(kind, f, g, slater):
     if kind == "scalar-slemma":
         return ns.scalar_slemma(f, g, slater), None
     decider = ns.decide_hereditary if kind == "slemma-hereditary" else ns.decide
-    d = decider(f, g, slater, budget=BUDGET)
+    try:
+        d = decider(f, g, slater, budget=BUDGET)
+    except ns.SlaterViolated:  # slater_violated.json, at every scale: g(slater) does not move
+        return ns.Decision(kind="slater-violated"), None
     if d.kind == "certificate":
         return d, ns.verify_certificate(d.certificate, f, g)
     if d.kind == "counterexample":

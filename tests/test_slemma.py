@@ -157,6 +157,28 @@ def test_build_counterexample_preconditions():
         ns.build_counterexample(f, g, np.diag([0.0, 1.0]))  # <A, M> = 0
 
 
+@pytest.mark.parametrize("hereditary", [False, True])
+def test_builders_reject_a_separator_whose_b_term_is_not_psd(hereditary):
+    # f = -x1x1, g = x1x1 - x2x2: at M = e2 e2^T the B-term B_22 M_22 = -1 is
+    # rejected first (<A, M> = 0 would fail too)
+    f = ns.scalar_to_nc(ns.new_scalar_quad([[-1.0, 0.0], [0.0, 0.0]]))
+    g = ns.scalar_to_nc(ns.new_scalar_quad([[1.0, 0.0], [0.0, -1.0]]))
+    build = ns.build_counterexample_hereditary if hereditary else ns.build_counterexample
+    with pytest.raises(PreconditionViolated, match=r"sum B_ij \(x\) M_ij is not PSD"):
+        build(f, g, np.diag([0.0, 1.0]))
+
+
+@pytest.mark.parametrize("hereditary", [False, True])
+def test_builders_reject_a_separator_that_is_not_psd(hereditary):
+    # f = -I, g = I: M = diag(1, -0.5) passes both separator inequalities
+    # (B-term 0.5, <A, M> = -0.5 before the scale), but M itself is not PSD
+    f = ns.scalar_to_nc(ns.new_scalar_quad(-np.eye(2)))
+    g = ns.scalar_to_nc(ns.new_scalar_quad(np.eye(2)))
+    build = ns.build_counterexample_hereditary if hereditary else ns.build_counterexample
+    with pytest.raises(PreconditionViolated, match="separator is not PSD"):
+        build(f, g, np.diag([1.0, -0.5]))
+
+
 def retry_pair():
     """f = diag(-1, 0) x^2 and g = I_2 x^2: every PSD M with M_00 > 0 separates."""
     return ns.new_quad_poly([[np.diag([-1.0, 0.0])]]), ns.new_quad_poly([[np.eye(2)]])
@@ -355,10 +377,9 @@ def test_hereditary_counterexample_q1_structure():
 
 @pytest.mark.parametrize("hereditary", [False, True])
 def test_builders_accept_through_the_verifier_evaluations(monkeypatch, hereditary):
-    # the builder evaluates g and f once at its point, on f and g over their
-    # 2^e; verify_counterexample evaluates the caller's g and f there once
-    # each and divides both sides by 2^e, which gives the builder's sides, bit
-    # for bit.  Both compress to the point's support.
+    # the builder and verify_counterexample each evaluate g and f once at the
+    # point, both on f and g over their 2^e, so verify sees the builder's
+    # sides, bit for bit.  Both compress to the point's support.
     from ncslemma import poly
 
     f, g = (ns.new_quad_poly(3.0 * p.blocks) for p in scalar_embedded_pair())
@@ -378,11 +399,9 @@ def test_builders_accept_through_the_verifier_evaluations(monkeypatch, hereditar
     ce = build(f, g, sep.M)
     assert ns.verify_counterexample(ce, f, g)
     assert len(calls) == 4
-    for got, want in zip(calls, [g2, f2, g, f]):
+    for got, want in zip(calls, [g2, f2, g2, f2]):
         np.testing.assert_array_equal(got, want.blocks)
-    built, verified = slemma._sides(ce, f2, g2), slemma._sides(ce, f, g, e)
-    np.testing.assert_array_equal(built[0], verified[0])
-    assert built[1] == verified[1] == ce.violation / 2.0 ** e
+    assert slemma._sides(ce, f2, g2)[1] == ce.violation / 2.0 ** e
 
 
 def test_decide_hereditary_certificate():
@@ -563,6 +582,25 @@ def test_verify_counterexample_rejects_a_2d_witness(hereditary):
     assert ns.verify_counterexample(ce, f, g)
     for E in (ce.E.reshape(-1, 1), ce.E.reshape(1, -1)):
         assert ns.verify_counterexample(dataclasses.replace(ce, E=E), f, g) is False
+
+
+@pytest.mark.parametrize("hereditary", [False, True])
+def test_verify_counterexample_rejects_a_missing_or_mismatched_point(hereditary):
+    f, g = scalar_embedded_pair()
+    decider = ns.decide_hereditary if hereditary else ns.decide
+    ce = decider(f, g, unit_slater()).counterexample
+    assert ns.verify_counterexample(ce, f, g)
+    other_m = ns.new_tuple(ce.X.mats[:1], kind=ce.X.kind)  # one variable where f has two
+    for X in (None, other_m):
+        assert ns.verify_counterexample(dataclasses.replace(ce, X=X), f, g) is False
+
+
+def test_verify_certificate_rejects_instances_of_different_m():
+    f, g = example_62_f(), example_62_g()
+    cert = ns.certify(f, g).certificate
+    assert ns.verify_certificate(cert, f, g)
+    g3 = ns.new_quad_poly(np.zeros((3, 3, g.q, g.q)))  # m = 3 against f's 2: reconcile refuses
+    assert ns.verify_certificate(cert, f, g3) is False
 
 
 def test_verify_certificate_wrong_instance():
