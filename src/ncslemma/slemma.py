@@ -284,7 +284,6 @@ def find_separator(
     f: NCQuadPoly,
     g: NCQuadPoly,
     budget: int = DEFAULT_BUDGET,
-    tol: float = DEFAULT_TOL,
     tol_strict: float = DEFAULT_TOL_STRICT,
 ) -> SeparatorSearch:
     """Search for a trace-one PSD M with sum B_ij (x) M_ij PSD and <A, M> < 0.
@@ -294,8 +293,7 @@ def find_separator(
     the target 2 tol_strict in ``evals`` evaluations, at most ``budget``.
     A best value >= tol_strict is the separator: both inequalities then
     hold with margin tol_strict.  As in certify, the search runs on
-    _scaled's f and g, so tol_strict is relative to their 2^e; ``tol`` is
-    unused, kept for the signature the other entry points share.
+    _scaled's f and g, so tol_strict is relative to their 2^e.
     """
     if f.m != g.m or f.q != g.q:
         raise ShapeMismatch("find_separator requires matching (m, q); reconcile first")

@@ -118,8 +118,7 @@ def sequential(f, g, budget, hereditary, evals, tol=ns.DEFAULT_TOL,
     cert = ns.certify(f2, g2, budget=budget, tol=tol)
     n_cert = evals[0] - before
     before = evals[0]
-    sep, bounds = separator_with_bounds(f2, g2, budget=budget, tol=tol,
-                                        tol_strict=tol_strict)
+    sep, bounds = separator_with_bounds(f2, g2, budget=budget, tol_strict=tol_strict)
     n_sep = evals[0] - before
     assert len(bounds) == n_sep
     k = next((i for i, b in enumerate(bounds, 1) if b < cut), math.inf)
@@ -214,6 +213,7 @@ def test_race_keeps_certify_going_when_tol_exceeds_twice_tol_strict(evals, m, q)
     (1.0 - 2.0 ** -10, "certificate", 500),
     (1.0, "certificate", 500),
     (1.0 + 2.0 ** -10, "inconclusive", 500),  # within the roundoff allowance: not cut
+    (1.0 + 2.0 ** -6, "inconclusive", 1),  # 1.16e-10 past -tol: just past the allowance
     (1.125, "inconclusive", 1),  # cut at the separator's first evaluation
 ])
 def test_cut_spares_certify_until_the_bound_clears_the_roundoff_allowance(
