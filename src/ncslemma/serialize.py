@@ -1,12 +1,13 @@
 """JSON serialization for instances, tuples, certificates and counterexamples.
 
 All files carry the format tag "ncslemma/1".  Matrices are nested row-major
-lists and every real is written with 17 significant digits so doubles
-round-trip losslessly.
+lists.  Documents are written on one line, every real in the shortest text
+that reads back as the same double, so doubles round-trip losslessly.
 """
 
 import json
 import math
+from itertools import chain
 
 import numpy as np
 
@@ -29,54 +30,23 @@ KINDS = ("positivity", "slemma", "slemma-hereditary", "scalar-slemma", "homogeni
 
 
 def dumps(obj) -> str:
-    """Serialize to JSON with all floats at 17 significant digits.
+    """Serialize to one line of JSON; numpy arrays and scalars become plain values.
 
-    A NaN or infinite float has no JSON form and raises InvalidInput.
+    Floats are written as Python's repr, the shortest text that reads back
+    as the same double.  A NaN or infinite float has no JSON form and
+    raises InvalidInput.
     """
-    return _render(obj, 0)
+    try:
+        return json.dumps(obj, allow_nan=False, default=_plain)
+    except ValueError as exc:
+        raise InvalidInput(f"no JSON form: {exc}") from exc
 
 
-def _render(obj, indent: int) -> str:
-    pad = "  " * indent
-    if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        rows = [
-            f'{pad}  {json.dumps(str(k))}: {_render(v, indent + 1)}'
-            for k, v in obj.items()
-        ]
-        return "{\n" + ",\n".join(rows) + "\n" + pad + "}"
-    if isinstance(obj, (list, tuple)):
-        if not obj:
-            return "[]"
-        if all(isinstance(v, (int, float, np.integer, np.floating)) for v in obj):
-            return "[" + ", ".join(map(_number, obj)) + "]"  # a flat row, on one line
-        rows = [f"{pad}  {_render(v, indent + 1)}" for v in obj]
-        return "[\n" + ",\n".join(rows) + "\n" + pad + "]"
-    if isinstance(obj, np.ndarray):
-        return _render(obj.tolist(), indent)
-    if isinstance(obj, (bool, np.bool_, int, np.integer, float, np.floating)):
-        return _number(obj)
-    if obj is None:
-        return "null"
-    return json.dumps(obj)
-
-
-def _number(v) -> str:
-    """One bool, integer or finite float as JSON; NaN and infinities raise InvalidInput.
-
-    Floats are tested first, as nearly every number written is one (np.float64
-    is a float too); other numpy floats are converted to a Python float.
-    """
-    if not isinstance(v, float):
-        if isinstance(v, (bool, np.bool_)):
-            return "true" if v else "false"
-        if not isinstance(v, np.floating):
-            return str(int(v))
-        v = float(v)
-    if not math.isfinite(v):
-        raise InvalidInput(f"{v} has no JSON form")
-    return format(v, ".17g")
+def _plain(obj):
+    """A numpy array or scalar as the Python list or value it holds."""
+    if isinstance(obj, (np.ndarray, np.generic)):
+        return obj.tolist()
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
 def loads(text: str):
@@ -110,17 +80,41 @@ def _read(doc: dict, key: str, convert, what: str, default=_REQUIRED):
         raise ParseError(f"{key} is not {what}: {exc}") from exc
 
 
+def _integer(value) -> int:
+    """A JSON integer; an integral float such as 2.0 passes, strings and booleans do not."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or value != int(value):
+        raise TypeError(f"{value!r} is not an integer")
+    return int(value)
+
+
+def _real(value) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"{value!r} is not a number")
+    return float(value)
+
+
+def _numbers(value) -> np.ndarray:
+    """``value`` as a float array; entries that are not JSON numbers, or ragged nesting, raise."""
+    arr = np.asarray(value, dtype=float)  # ragged nesting raises here
+    entries = [value]
+    for _ in range(arr.ndim):
+        entries = chain.from_iterable(entries)
+    if not set(map(type, entries)) <= {int, float}:  # numpy reads "1.5", true and null too
+        raise TypeError("entries must be numbers")
+    return arr
+
+
 def _int(doc: dict, key: str, default=_REQUIRED) -> int:
-    return _read(doc, key, int, "an integer", default)
+    return _read(doc, key, _integer, "an integer", default)
 
 
 def _float(doc: dict, key: str, default=_REQUIRED) -> float:
-    return _read(doc, key, float, "a number", default)
+    return _read(doc, key, _real, "a number", default)
 
 
 def _array(doc: dict, key: str, ndim=None) -> np.ndarray:
     """A float array; a wrong ``ndim`` is a ParseError, any other shape is the caller's check."""
-    arr = _read(doc, key, lambda v: np.asarray(v, dtype=float), "a numeric array")
+    arr = _read(doc, key, _numbers, "a numeric array")
     if ndim is not None and arr.ndim != ndim:
         raise ParseError(f"{key} must be a {ndim}-D array")
     return arr

@@ -687,21 +687,52 @@ MALFORMED = {
 }
 
 
-@pytest.mark.parametrize("case", sorted(MALFORMED))
-def test_malformed_field_exits_2_with_json(capsys, tmp_path, results, case):
-    source, argv, where, value = MALFORMED[case]
-    with open(results.get(source) or fx(f"{source}.json")) as fh:
+# Each field read as a number must hold a JSON number of its kind: numpy and
+# int() used to read "2" and "1e-8", true as 1 and a budget of 2.7 as 2 (so
+# example62 with all of these ran at budget 2 and exited 12).  A fractional
+# value is a number, so it stays valid where a real is read.
+WRONG_TYPE = [
+    ("dimension", "example62", "slemma", ("f", "m"), ("2", 2.5, True)),
+    ("option-budget", "example62", "slemma", ("options", "budget"), ("200", 2.7, True)),
+    ("option-tol", "example62", "slemma", ("options", "tol"), ("1e-8", True)),
+    ("scalar-a0", "scalar_certificate", "scalar-slemma", ("f", "a0"), ("0", True)),
+    ("array-entry", "example62", "slemma", ("f", "blocks", 0, 0, 0, 0), ("1", True)),
+    ("slater-entry", "example62", "slemma", ("slater", "mats", 0, 0, 0), ("1", True)),
+    ("scalar-slater-entry", "scalar_certificate", "scalar-slemma", ("slater", 0), ("1", True)),
+]
+MALFORMED.update({f"{field}-{value!r}": (source, [command, "FILE"], where, value)
+                  for field, source, command, where, values in WRONG_TYPE for value in values})
+
+
+def edit(source, where, value, path):
+    """Write ``source`` with the field at ``where`` (made if absent) set to ``value`` to ``path``."""
+    with open(source) as fh:
         doc = json.load(fh)
     target = doc
     for key in where[:-1]:
-        target = target[key]
+        target = target.setdefault(key, {}) if isinstance(target, dict) else target[key]
     target[where[-1]] = value
-    path = tmp_path / "edited.json"
     path.write_text(json.dumps(doc))
-    code, out, err = run(capsys, *[str(path) if a == "FILE" else a for a in argv])
+    return str(path)
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_field_exits_2_with_json(capsys, tmp_path, results, case):
+    source, argv, where, value = MALFORMED[case]
+    path = edit(results.get(source) or fx(f"{source}.json"), where, value, tmp_path / "edited.json")
+    code, out, err = run(capsys, *[path if a == "FILE" else a for a in argv])
     assert code == cli.EXIT_PARSE
     assert out["error"] == "parse"
     assert err.startswith("error:")
+
+
+def test_integral_floats_are_read_as_integers(capsys, tmp_path):
+    path = tmp_path / "edited.json"
+    edit(fx("example62.json"), ("options",), {"budget": 200.0, "seed": 7.0}, path)
+    edit(str(path), ("f", "m"), 2.0, path)
+    code, out, _ = run(capsys, "slemma", str(path))
+    assert code == cli.EXIT_OK
+    assert out["options"]["budget"] == 200 and type(out["options"]["budget"]) is int
 
 
 @pytest.mark.parametrize("content", [

@@ -86,6 +86,7 @@ HOSTILE = st.one_of(
     st.dictionaries(st.text(max_size=3), st.integers(-3, 3), max_size=2),
     st.sampled_from([1e308, -1e308, 1e300, float("inf"), float("-inf")]),
     st.integers(max_value=-1),
+    st.sampled_from(["2", "1e-8", 2.7, 0.5, True, False]),  # numeric strings, fractions, booleans
 )
 
 

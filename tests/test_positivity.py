@@ -4,12 +4,13 @@ import numpy as np
 import pytest
 
 import ncslemma as ns
-from ncslemma import linalg
+from ncslemma import linalg, positivity
 from ncslemma.errors import (
     InvalidInput,
     NotGloballyPSD,
     PreconditionViolated,
     SlaterViolated,
+    SplitFailed,
 )
 from ncslemma.poly import blocks_from_matrix
 from ncslemma.slemma import _map_coefficients
@@ -330,6 +331,56 @@ def test_scalar_slemma_counterexample():
     x = res.x
     assert x @ f.A @ x <= -1e-6
     assert x @ g.A @ x >= -1e-8
+
+
+# h(lambda) = lambda_min([[-lambda, 1], [1, lambda]]) = -sqrt(1 + lambda^2) peaks at -1,
+# far below -tol_strict, so every refutation goes through rank_one_split.
+SPLIT_F = ns.new_scalar_quad([[0.0, 1.0], [1.0, 0.0]])
+SPLIT_G = ns.new_scalar_quad(np.diag([1.0, -1.0]))
+
+
+def split_returning(monkeypatch, outcome):
+    """Make scalar_slemma's rank_one_split raise ``outcome`` or return it; record its calls."""
+    calls = []
+
+    def split(S, A, B, **kw):
+        calls.append(S)
+        if isinstance(outcome, Exception):
+            raise outcome
+        return np.array(outcome)
+
+    monkeypatch.setattr(positivity, "rank_one_split", split)
+    return calls
+
+
+def test_scalar_slemma_failed_split_is_inconclusive_with_its_error(monkeypatch):
+    calls = split_returning(monkeypatch, SplitFailed("no sign vector passes"))
+    res = ns.scalar_slemma(SPLIT_F, SPLIT_G, [1.0, 0.0])
+    assert len(calls) == 1
+    assert (res.outcome, res.x) == ("inconclusive", None)
+    assert res.diagnostics["counterexample_error"] == "no sign vector passes"
+
+
+def test_scalar_slemma_rescales_a_split_short_of_tol_strict(monkeypatch):
+    # x^T A x = -2e-7 is within tol_strict of 0 and x^T B x > 0: scaled up, it refutes
+    x0 = [1.0, -1e-7]
+    calls = split_returning(monkeypatch, x0)
+    res = ns.scalar_slemma(SPLIT_F, SPLIT_G, [1.0, 0.0])
+    assert len(calls) == 1
+    assert res.outcome == "counterexample"
+    x = res.x
+    assert x[0] > 1.0 and x[1] / x[0] == pytest.approx(-1e-7, rel=1e-12)
+    assert x @ SPLIT_F.A @ x <= -1e-6
+    assert x @ SPLIT_G.A @ x >= 0.0
+
+
+def test_scalar_slemma_split_with_negative_b_value_is_inconclusive(monkeypatch):
+    # x^T A x = -4 refutes by itself, but x^T B x = -3 breaks the hypothesis
+    calls = split_returning(monkeypatch, [1.0, -2.0])
+    res = ns.scalar_slemma(SPLIT_F, SPLIT_G, [1.0, 0.0])
+    assert len(calls) == 1
+    assert (res.outcome, res.x) == ("inconclusive", None)
+    assert "counterexample_error" not in res.diagnostics
 
 
 def test_scalar_slemma_self():
