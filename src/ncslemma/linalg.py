@@ -385,13 +385,14 @@ def maximize_spectral(
 
 
 class Multiplier(NamedTuple):
-    """The maximum of h(lambda) = lambda_min(A - lambda B) over lambda >= 0 (see scalar_multiplier)."""
+    """Where scalar_multiplier's bisection of h(lambda) = lambda_min(A - lambda B) stopped."""
 
     lam: float
-    value: float  # h(lam)
-    bracket_hi: float  # the upper end the doubling reached, 0 when h falls at 0
+    value: float  # h(lam), the best probe's
+    bracket_hi: float  # the upper end the doubling reached, 0 when it did not leave 0
     evals: int  # evaluations of h
-    M: Optional[np.ndarray]  # the bracket separator, None when h still rises at the cap
+    M: Optional[np.ndarray]  # the bracket separator, None while the upper end still rises
+    bound: Optional[float]  # <A, M>: in exact arithmetic, at least every h(lambda); None with M
 
 
 def _scalar_probe(A: np.ndarray, B: np.ndarray, k: int):
@@ -442,47 +443,70 @@ def _probe_point(lo: float, hi: float) -> float:
 TILT = 2.0 ** -40
 
 
-def scalar_multiplier(A: np.ndarray, B: np.ndarray) -> Multiplier:
-    """Maximize the concave h(lambda) = lambda_min(A - lambda B) over lambda >= 0, with a separator.
+def scalar_multiplier(A: np.ndarray, B: np.ndarray, tol_strict: float) -> Multiplier:
+    """Bisect the concave h(lambda) = lambda_min(A - lambda B) over lambda >= 0 until it decides.
 
     B is first moved into A's binade: the search runs over mu = lambda / 2^k, k = binade(A) -
     binade(B) (at most 1023), as on B 2^k, so the cap below bounds lambda B relative to A.
     Bisection on the sign of h's right derivative (``_scalar_probe``), one
     evaluation of h per step: mu = 0 if h does not rise at 0, else the
     upper end doubles from 1 while h rises, up to 2^60 or as far as lambda
-    is a float (``bracket_hi``, times 2^k), and [lo, hi] is halved until no
-    float lies between them, at powers of two while it spans more than one
-    binade (``_probe_point``).  lam is the better end, times 2^k.
+    is a float (``bracket_hi``, times 2^k), and [lo, hi] is halved, at
+    powers of two while it spans more than one binade (``_probe_point``).
+    lam is the better end, times 2^k.
 
-    The last bracket holds a trace-one separator (Sturm and Zhang, 2003):
-    with v_lo, v_hi the probes' vectors at its ends, b_lo < 0 <= b_hi, and
-    theta = b_hi / (b_hi - b_lo) tilted by TILT toward v_hi,
-    M = theta v_lo v_lo^T + (1 - theta) v_hi v_hi^T has, in exact
-    arithmetic, <B, M> >= 0 and <A, M> = theta h(lo) + (1 - theta) h(hi) +
-    theta |b_lo| (hi - lo), which is h's maximum up to one float step of
-    lambda.  When h falls at 0, M is v_0 v_0^T, with <A, M> = h(0); when h
-    still rises at the cap, the bracket holds no separator and M is None.  Inputs must be
-    symmetric, finite and of norm below 1, as the entry points leave them: no probe overflows.
+    Once the upper end falls, the bracket holds a trace-one separator (Sturm
+    and Zhang, 2003): with v_lo, v_hi the probes' vectors at its ends,
+    b_lo < 0 <= b_hi, and theta = b_hi / (b_hi - b_lo) tilted by TILT toward
+    v_hi, M = theta v_lo v_lo^T + (1 - theta) v_hi v_hi^T has, in exact
+    arithmetic, <B, M> >= 0, so every h(lambda) <= <A - lambda B, M> <= <A, M>:
+    ``bound`` is <A, M> = theta (h_lo + lam_lo b_lo) + (1 - theta) (h_hi +
+    lam_hi b_hi), as v^T A v = h + lam b at each end, lam = mu 2^k.  When h
+    falls at 0, M is v_0 v_0^T and the bound h(0); while the upper end
+    still rises (at the cap, or settled during the doubling), M and the
+    bound are None.
+
+    The bisection stops as soon as it decides, by the two rules that end the
+    q >= 2 race: it settles at the first probe with h >= 0, certify's target,
+    which is then lam; and it is cut once the bound is at most -2 tol_strict,
+    the separator's target, when every h is too.  Otherwise (a maximum
+    between -2 tol_strict and 0) it runs until no float lies between the
+    ends, when the bound is h's maximum up to one float step of lambda.
+    Inputs must be symmetric, finite and of norm below 1, as the entry
+    points leave them: no probe overflows.
     """
     k = min(binade(A) - binade(B), 1023)
     cap = math.ldexp(1.0, min(60, 1023 - k))
+    cut = -2.0 * tol_strict
     probe = _scalar_probe(A, B, k)
     evals = 1
-    lo = hi = 0.0
+    lo = hi = bracket_hi = 0.0
     h_lo, b_lo, v_lo = h_hi, b_hi, v_hi = probe(lo)
-    while b_hi < 0.0 and hi < cap:  # the upper end doubles from 1 while h rises there
-        lo, h_lo, b_lo, v_lo, hi = hi, h_hi, b_hi, v_hi, max(2.0 * hi, 1.0)
-        (h_hi, b_hi, v_hi), evals = probe(hi), evals + 1
-    bracket_hi = hi
-    while lo < (mid := _probe_point(lo, hi)) < hi:
-        (h, b, v), evals = probe(mid), evals + 1
-        if b < 0.0:
-            lo, h_lo, b_lo, v_lo = mid, h, b, v
+    bound = None
+    while True:
+        if b_hi >= 0.0:  # a bracket
+            theta = b_hi / (b_hi - b_lo) * (1.0 - TILT) if b_lo < 0.0 else 0.0
+            bound = (theta * (h_lo + math.ldexp(lo, k) * b_lo)
+                     + (1.0 - theta) * (h_hi + math.ldexp(hi, k) * b_hi))
+            if bound <= cut:
+                break
+        if max(h_lo, h_hi) >= 0.0:  # settled at the last probe, the better end
+            break
+        if b_hi < 0.0 and hi < cap:  # the upper end doubles from 1 while h rises there
+            lo, h_lo, b_lo, v_lo, hi = hi, h_hi, b_hi, v_hi, max(2.0 * hi, 1.0)
+            h_hi, b_hi, v_hi = probe(hi)
+            bracket_hi = hi
+        elif lo < (mid := _probe_point(lo, hi)) < hi:
+            h, b, v = probe(mid)
+            if b < 0.0:
+                lo, h_lo, b_lo, v_lo = mid, h, b, v
+            else:
+                hi, h_hi, b_hi, v_hi = mid, h, b, v
         else:
-            hi, h_hi, b_hi, v_hi = mid, h, b, v
+            break
+        evals += 1
     lam, value = (lo, h_lo) if h_lo >= h_hi else (hi, h_hi)
     M = None
-    if b_hi >= 0.0:
-        theta = b_hi / (b_hi - b_lo) * (1.0 - TILT) if b_lo < 0.0 else 0.0
+    if bound is not None:
         M = theta * (v_lo[:, None] * v_lo) + (1.0 - theta) * (v_hi[:, None] * v_hi)
-    return Multiplier(math.ldexp(lam, k), value, math.ldexp(bracket_hi, k), evals, M)
+    return Multiplier(math.ldexp(lam, k), value, math.ldexp(bracket_hi, k), evals, M, bound)

@@ -6,8 +6,9 @@ assembled coefficient matrix.  The equivalence is constructive in both
 directions: a PSD coefficient matrix factors into a sum-of-squares form
 f(x) = L(x)^T L(x) with L linear, and a negative eigenvalue yields an
 explicit evaluation point and witness vector where f fails.  The scalar
-S-lemma needs no search: its multiplier is the maximizer of a concave
-function of one variable, and the last bracket of its bisection holds the
+S-lemma needs no search: a multiplier is any point where a concave
+function of one variable is nonnegative, a bisection toward its maximizer
+stops at the first one, and a bracket of that bisection holds the
 separator that rank-one splitting turns into a counterexample.
 """
 
@@ -166,18 +167,22 @@ def scalar_slemma(
 ) -> ScalarSLemmaResult:
     """Decide x^T B x >= 0 => x^T A x >= 0, with multiplier or counterexample.
 
-    Runs no search: linalg.scalar_multiplier maximizes the concave
-    h(lambda) = lambda_min(A - lambda B) over lambda >= 0 by bisection on
-    the sign of its right derivative (``diagnostics``: ``best_value``,
-    ``lambda``, ``bracket_hi``, and ``multiplier_evals``, its evaluations
-    of h).  A maximum above -tol yields the certificate multiplier.  A
-    maximum below -tol_strict is refuted from the bisection's last bracket:
-    its separator M goes through rank_one_split, producing an explicit x
-    with x^T B x >= -tol and x^T A x <= -tol_strict.  Values between the
-    two tolerances, a bracket still rising at the 2^60 cap, and refutations
+    Runs no search: linalg.scalar_multiplier bisects the concave
+    h(lambda) = lambda_min(A - lambda B) over lambda >= 0 on the sign of its
+    right derivative until it decides: it settles at the first lambda with
+    h >= 0, and is cut once its bracket bounds every h by -2 tol_strict
+    (``diagnostics``: ``best_value``, ``lambda``, ``bracket_hi``,
+    ``multiplier_evals``, its evaluations of h, and ``bound``, that upper
+    bound on every h, None when no bracket formed).  A best value at or
+    above -tol yields the certificate multiplier.  One at or below
+    -tol_strict is refuted from the bisection's last bracket: its separator
+    M goes through rank_one_split, producing an explicit x with
+    x^T B x >= -tol and x^T A x <= -tol_strict.  Values between the two
+    tolerances, a bracket still rising at the 2^60 cap, and refutations
     that fail (``diagnostics["counterexample_error"]``) are reported
     inconclusive.  ``budget`` is accepted for compatibility and unused.  The Slater test is in the
-    caller's units; the others are relative to the 2^e above ||A||_F, ||B||_F (best_value is times 2^e).
+    caller's units; the others are relative to the 2^e above ||A||_F, ||B||_F (best_value and
+    bound are times 2^e).
     """
     if np.any(f.a) or np.any(g.a) or f.a0 or g.a0:
         raise InvalidInput("scalar_slemma handles homogeneous quadratics only")
@@ -196,9 +201,10 @@ def scalar_slemma(
 
     e = binade(f.A, g.A)
     A, B = np.ldexp(f.A, -e), np.ldexp(g.A, -e)
-    mult = scalar_multiplier(A, B)
+    mult = scalar_multiplier(A, B, tol_strict)
     diagnostics = {"best_value": times_pow2(mult.value, e), "lambda": mult.lam,
-                   "bracket_hi": mult.bracket_hi, "multiplier_evals": mult.evals}
+                   "bracket_hi": mult.bracket_hi, "multiplier_evals": mult.evals,
+                   "bound": None if mult.bound is None else times_pow2(mult.bound, e)}
     if mult.value >= -tol:
         return ScalarSLemmaResult(outcome="certificate", lam=mult.lam, diagnostics=diagnostics)
     if mult.value > -tol_strict or mult.M is None:

@@ -568,12 +568,14 @@ def _race_sides(f, g, e, budget, tol, tol_strict):
 def _multiplier_sides(f, g, e, tol, tol_strict):
     """Decide q = 1 without a search: (J, certify value, M, diagnostics) as _race_sides gives them.
 
-    A CP map is then a scalar lambda >= 0: linalg.scalar_multiplier maximizes h(lambda) =
-    lambda_min(A - lambda B) over all of them, read by decide's q = 1 rule.
+    A CP map is then a scalar lambda >= 0: linalg.scalar_multiplier bisects h(lambda) =
+    lambda_min(A - lambda B) over all of them, with the race's settle and cut targets, read by
+    decide's q = 1 rule.  Its bracket's bound on every h is the certify bound.
     """
-    mult = scalar_multiplier(coefficient_matrix(f), coefficient_matrix(g))
+    mult = scalar_multiplier(coefficient_matrix(f), coefficient_matrix(g), tol_strict)
     value = times_pow2(mult.value, e)
-    diagnostics = {"certify_best": value, "certify_bound": value, "separator_best": None,
+    bound = None if mult.bound is None else times_pow2(mult.bound, e)
+    diagnostics = {"certify_best": value, "certify_bound": bound, "separator_best": None,
                    "certify_evals": 0, "separator_evals": 0, "multiplier": mult.lam,
                    "multiplier_value": value, "multiplier_evals": mult.evals}
     if mult.value >= -tol:
@@ -652,13 +654,16 @@ def decide(
     exists.
 
     At a reconciled q = 1 no search runs and ``budget`` is unused: a CP
-    map is a scalar lambda >= 0, and linalg.scalar_multiplier maximizes
-    h(lambda) = lambda_min(A - lambda B) over all of them, read by
-    positivity.scalar_slemma's rule.  A maximum at or above -tol gives the
+    map is a scalar lambda >= 0, and linalg.scalar_multiplier bisects
+    h(lambda) = lambda_min(A - lambda B) over all of them, stopping at the
+    race's targets: the first h >= 0, or a bracket whose separator M bounds
+    every h by <A, M> <= -2 tol_strict.  It is read by
+    positivity.scalar_slemma's rule.  A best h at or above -tol gives the
     certificate J = [[lambda]] (J = [[0]] when f alone is PSD), one at or
     below -tol_strict hands its bracket separator to the builder, and one
-    between is inconclusive.  ``certify_best`` and ``certify_bound`` are
-    both that maximum, ``certify_evals`` and ``separator_evals`` are 0,
+    between is inconclusive.  ``certify_best`` is that h and
+    ``certify_bound`` the bracket's <A, M>, None when no bracket formed;
+    ``certify_evals`` and ``separator_evals`` are 0,
     ``separator_best`` is None, and ``multiplier``, ``multiplier_value``
     and ``multiplier_evals`` are lambda, h(lambda) and the evaluations of
     h.  Past the Slater test, in the caller's units, f and g are divided by their 2^e (_scaled):

@@ -296,7 +296,24 @@ def test_scalar_slemma_certificate(capsys):
     # h(lambda) = lambda_min(I - lambda diag(1, -1)) falls at 0: one eigensolve, lambda 0
     assert doc["lambda"] == 0.0
     assert doc["diagnostics"]["multiplier_evals"] == 1
+    assert doc["diagnostics"]["bound"] == 1.0  # h falls at 0: the bound is h(0)
     assert "separator_evals" not in doc["diagnostics"]  # scalar-slemma runs no search
+
+
+def test_scalar_slemma_settled_during_the_doubling_prints_a_null_bound(capsys, tmp_path):
+    # h(lambda) = min(3 - lambda, -1 + 2 lambda) rises at 0 and is 1 at lambda = 1,
+    # where it still rises: the bisection settles there with no bracket, so
+    # there is no bound, and JSON has null for it
+    doc = {"format": "ncslemma/1", "kind": "scalar-slemma", "f": {"A": [[3.0, 0.0], [0.0, -1.0]]},
+           "g": {"A": [[1.0, 0.0], [0.0, -2.0]]}, "slater": [1.0, 0.0]}
+    path = tmp_path / "settled.json"
+    path.write_text(serialize.dumps(doc))
+    code, out, _ = run(capsys, "scalar-slemma", str(path))
+    assert code == cli.EXIT_OK == 0
+    assert (out["outcome"], out["lambda"]) == ("certificate", 1.0)
+    d = out["diagnostics"]
+    assert "bound" in d and d["bound"] is None
+    assert (d["best_value"], d["bracket_hi"], d["multiplier_evals"]) == (1.0, 1.0, 2)
 
 
 def test_scalar_slemma_dead_zone_exits_inconclusive(capsys, tmp_path):

@@ -192,10 +192,23 @@ def test_scalar_slemma_multiplier_is_exactly_zero_when_h_falls_at_zero():
     assert (d["best_value"], d["bracket_hi"], d["multiplier_evals"]) == (1.0, 0.0, 1)
 
 
-def test_scalar_slemma_bisects_to_an_interior_kink():
-    # h(lambda) = min(3 - lambda, -1 + 2 lambda) peaks at 4/3; the halving ends
-    # when no float lies between its ends
+def test_scalar_slemma_settles_at_the_first_probe_past_zero():
+    # h(lambda) = min(3 - lambda, -1 + 2 lambda) peaks at 4/3, but h(1) = 1 is
+    # already >= 0: the bisection settles there, during the doubling, where h
+    # still rises, so no bracket formed and there is no bound
     f = ns.new_scalar_quad(np.diag([3.0, -1.0]))
+    g = ns.new_scalar_quad(np.diag([1.0, -2.0]))
+    res = ns.scalar_slemma(f, g, [1.0, 0.0])
+    assert (res.outcome, res.lam) == ("certificate", 1.0)
+    d = res.diagnostics
+    assert (d["best_value"], d["bracket_hi"], d["multiplier_evals"], d["bound"]) == (1.0, 1.0, 2, None)
+
+
+def test_scalar_slemma_bisects_to_an_interior_kink():
+    # h(lambda) = min(4/3 - lambda, -8/3 + 2 lambda) peaks at 0 at 4/3: no
+    # probe but c, the float nearest 4/3, reaches 0, and the bound stays above
+    # the cut, so the halving runs until it probes c, whose last bit is 2^-52
+    f = ns.new_scalar_quad(np.diag([4.0 / 3.0, -8.0 / 3.0]))
     g = ns.new_scalar_quad(np.diag([1.0, -2.0]))
     res = ns.scalar_slemma(f, g, [1.0, 0.0])
     assert res.outcome == "certificate"
@@ -203,8 +216,9 @@ def test_scalar_slemma_bisects_to_an_interior_kink():
     assert abs(res.lam - 4.0 / 3.0) <= 2 * ulp
     d = res.diagnostics
     assert d["bracket_hi"] == 2.0  # h rises at 0 and 1, falls at 2
-    assert d["best_value"] == pytest.approx(5.0 / 3.0, abs=1e-14)
-    assert d["multiplier_evals"] <= 2 + 1 + 53
+    assert d["best_value"] == pytest.approx(0.0, abs=1e-14)
+    assert d["multiplier_evals"] == 3 + 52
+    assert d["best_value"] <= d["bound"] <= 1e-11  # the bracket separator, tilted by TILT
 
 
 def test_scalar_slemma_multiplier_search_steps_stay_bounded():
@@ -220,6 +234,21 @@ def test_scalar_slemma_multiplier_search_steps_stay_bounded():
             assert d["multiplier_evals"] == 1 and d["lambda"] == 0.0
     assert max(steps) <= 70, max(steps)
     assert 1 in steps and max(steps) > 1
+
+
+def test_scalar_slemma_settles_at_zero_when_f_alone_is_psd():
+    # f = Q (2 I) Q^T is PSD, but roundoff splits its tied bottom eigenvalue,
+    # so the probe at 0 may read one vector of the eigenspace on which h
+    # rises; h(0) >= 0 settles the search there all the same
+    rng = np.random.default_rng(2026)
+    for k in range(300):
+        m = 2 + k % 3
+        Q = np.linalg.qr(rng.standard_normal((m, m)))[0]
+        f = ns.new_scalar_quad(Q @ (2.0 * np.eye(m)) @ Q.T)
+        _, g, slater = random_scalar_pair(rng, m)
+        res = ns.scalar_slemma(f, g, slater)
+        assert (res.outcome, res.lam, res.diagnostics["multiplier_evals"]) == ("certificate", 0.0, 1), k
+        assert res.diagnostics["best_value"] >= 0.0, k
 
 
 @pytest.mark.parametrize("theta", [0.0, 0.3, 1.0, 2.0, np.pi / 2])
@@ -253,12 +282,13 @@ def test_scalar_slemma_halves_bit_patterns_from_zero():
 
 def test_scalar_slemma_certifies_a_multiplier_far_above_the_cap():
     # lambda = 1e300 is far above the 2^60 cap on the doubling, but B moved
-    # into A's binade puts it at 1.49 2^996; the q = 1 decision reads the
-    # same bisection, and its certificate verifies
+    # into A's binade puts it at 1.49 2^996; h is 0 there, and the bisection
+    # settles when it probes it; the q = 1 decision reads the same
+    # bisection, and its certificate verifies
     f = ns.new_scalar_quad(np.diag([1e300, -1e300]))
     g = ns.new_scalar_quad(np.diag([1.0, -1.0]))
     res = ns.scalar_slemma(f, g, [1.0, 0.0])
-    assert (res.outcome, res.lam, res.diagnostics["multiplier_evals"]) == ("certificate", 1e300, 55)
+    assert (res.outcome, res.lam, res.diagnostics["multiplier_evals"]) == ("certificate", 1e300, 53)
     f, g = ns.scalar_to_nc(f), ns.scalar_to_nc(g)
     d = ns.decide(f, g, ns.new_tuple([[[1.0]], [[0.0]]]))
     assert d.kind == "certificate" and d.certificate.J.J.tolist() == [[1e300]]
@@ -278,32 +308,60 @@ def balanced(f, g):
     return A, np.ldexp(B, k), e, k
 
 
+def _bisection(probe, point, decide=True, tol_strict=ns.DEFAULT_TOL_STRICT):
+    """The multiplier bisection over probe(lam) -> (h, b) and point(lo, hi): (lambda, h, probes).
+
+    The upper end doubles from 1 while h rises there (b < 0), then [lo, hi]
+    is split at point(lo, hi) until no float lies between them.  With
+    ``decide`` it stops at the first h >= 0, or once the bracket separator's
+    <A, M> = theta (h_lo + lo b_lo) + (1 - theta) (h_hi + hi b_hi) is at most
+    -2 tol_strict; without, it is the full bisection, whose best end is h's
+    maximum up to one float step.
+    """
+    lo = hi = 0.0
+    (h_lo, b_lo), probes = probe(lo), 1
+    h_hi, b_hi = h_lo, b_lo
+
+    def decided():
+        if not decide:
+            return False
+        if max(h_lo, h_hi) >= 0.0:
+            return True
+        if b_hi < 0.0:
+            return False
+        theta = b_hi / (b_hi - b_lo) * (1.0 - linalg.TILT) if b_lo < 0.0 else 0.0
+        return theta * (h_lo + lo * b_lo) + (1.0 - theta) * (h_hi + hi * b_hi) <= -2.0 * tol_strict
+
+    while not decided() and b_hi < 0.0 and hi < 2.0**60:
+        lo, h_lo, b_lo, hi = hi, h_hi, b_hi, max(2.0 * hi, 1.0)
+        (h_hi, b_hi), probes = probe(hi), probes + 1
+    while not decided() and lo < (mid := point(lo, hi)) < hi:
+        (h_mid, b_mid), probes = probe(mid), probes + 1
+        if b_mid < 0.0:
+            lo, h_lo, b_lo = mid, h_mid, b_mid
+        else:
+            hi, h_hi, b_hi = mid, h_mid, b_mid
+    return (lo, h_lo, probes) if h_lo >= h_hi else (hi, h_hi, probes)
+
+
 def _halving_multiplier(A, B):
     """The multiplier search with plain halving from [0, 1]: (lambda, h(lambda), probes)."""
     def probe(lam):
         h = (A - lam * B) * 0.5
         w, V = np.linalg.eigh(h + h.T)
         v = V[:, 0].copy()
-        return float(w[0]), float(v @ B @ v) < 0.0
+        return float(w[0]), float(v @ B @ v)
 
-    lo = hi = 0.0
-    h_lo, rises = probe(lo)
-    h_hi, probes = h_lo, 1
-    while rises and hi < 2.0**60:
-        lo, h_lo, hi = hi, h_hi, max(2.0 * hi, 1.0)
-        (h_hi, rises), probes = probe(hi), probes + 1
-    while lo < (mid := (lo + hi) / 2.0) < hi:
-        (h_mid, rises), probes = probe(mid), probes + 1
-        if rises:
-            lo, h_lo = mid, h_mid
-        else:
-            hi, h_hi = mid, h_mid
-    return (lo, h_lo, probes) if h_lo >= h_hi else (hi, h_hi, probes)
+    return _bisection(probe, lambda lo, hi: (lo + hi) / 2.0)
 
 
 def test_scalar_slemma_power_of_two_probes_end_where_halving_does():
     # the powers of two find the binade plain halving from [0, 1] would reach,
-    # with the same probes at its ends, so the multiplier is the same bits
+    # with the same probes at its ends, so the multiplier is the same bits,
+    # here on every draw, stop rules included.  Where h >= 0 on a range the
+    # two probe sequences enter at different points the two settle apart
+    # (f = diag(1, -0.01, 4) against g = diag(1, -1, 0): 0.5 here, 1 by
+    # halving), each at a multiplier
     rng = np.random.default_rng(5)
     for k in range(200):
         f, g, slater = random_scalar_pair(rng, m=2 + k % 4)
@@ -414,11 +472,13 @@ def test_scalar_slemma_requires_homogeneous():
 
 # --- the references: the multiplier search and the separator search scalar_slemma ran before ---
 
-def reference_multiplier(A, B):
-    """The multiplier search as scalar_slemma ran it before its bracket refuted: (lambda, h, probes).
+def reference_multiplier(A, B, decide=True):
+    """The multiplier search as scalar_slemma runs it: (lambda, h, probes).
 
     The same bisection, written out with np.linalg.eigh and its own copy of
-    the probe rule: powers of two while hi > 2 lo, then midpoints.
+    the probe rule: powers of two while hi > 2 lo, then midpoints.  Without
+    ``decide`` it runs as scalar_slemma ran it before it stopped on a
+    decision, to adjacent floats.
     """
     def probe(lam):
         h = (A - lam * B) * 0.5
@@ -426,9 +486,9 @@ def reference_multiplier(A, B):
         if w.size > 1 and w[1] == w[0]:
             tied = V[:, w == w[0]]
             t = (tied.T @ B @ tied) * 0.5
-            return float(w[0]), np.linalg.eigh(t + t.T)[0][-1] < 0.0
+            return float(w[0]), float(np.linalg.eigh(t + t.T)[0][-1])
         v = V[:, 0].copy()
-        return float(w[0]), float(v @ B @ v) < 0.0
+        return float(w[0]), float(v @ B @ v)
 
     def point(lo, hi):
         if hi <= 2.0 * lo:
@@ -437,19 +497,7 @@ def reference_multiplier(A, B):
         e = 2 * b + 1 if lo == 0.0 else (b + 1 - math.frexp(lo)[1]) // 2
         return math.ldexp(1.0, -min(e, 1074))
 
-    lo = hi = 0.0
-    (h_lo, rises), probes = probe(lo), 1
-    h_hi = h_lo
-    while rises and hi < 2.0**60:
-        lo, h_lo, hi = hi, h_hi, max(2.0 * hi, 1.0)
-        (h_hi, rises), probes = probe(hi), probes + 1
-    while lo < (mid := point(lo, hi)) < hi:
-        (h_mid, rises), probes = probe(mid), probes + 1
-        if rises:
-            lo, h_lo = mid, h_mid
-        else:
-            hi, h_hi = mid, h_mid
-    return (lo, h_lo, probes) if h_lo >= h_hi else (hi, h_hi, probes)
+    return _bisection(probe, point, decide)
 
 
 def reference_scalar_outcome(f, g, best_value, budget, tol=1e-8, tol_strict=1e-6, seed=42):
@@ -500,8 +548,9 @@ def planted_violation(rng, m):
 
 
 def test_scalar_slemma_refutes_as_its_own_separator_search_did():
-    # the multiplier search is unchanged, bit for bit; the bracket separator
-    # refutes every pair the searches refuted, and maybe more
+    # the multiplier search is the reference's, stop rules included, bit for
+    # bit; the bracket separator refutes every pair the searches refuted,
+    # and maybe more
     rng = np.random.default_rng(2031)
     budget, kinds = 100, []
     for k in range(200):
@@ -524,6 +573,55 @@ def test_scalar_slemma_refutes_as_its_own_separator_search_did():
             assert x @ f.A @ x <= -1e-6
             assert x @ g.A @ x >= -1e-8
     assert kinds.count("counterexample") >= 100 and "certificate" in kinds
+
+
+def test_scalar_slemma_bracket_bounds_the_maximum():
+    # best_value <= max h <= bound, max h from the full bisection, on random
+    # pairs, dominated ones (A = t B + PSD) and ones whose maximum is moved
+    # just below 0 (f - c I shifts h by -c), which the bisection runs to
+    # adjacent floats.  h and the bound
+    # are computed, so each side allows eigensolver roundoff: 2^-40 relative to
+    # ||A - lambda B||.  q = 1 decide reads the same bisection: its certify
+    # bound is this bound, and every object it returns verifies.
+    rng = np.random.default_rng(909)
+    kinds = []
+    for k in range(200):
+        m = 2 + k % 4
+        f, g, slater = random_scalar_pair(rng, m)
+        if k % 3 == 1:
+            W = rng.standard_normal((m, m))
+            f = ns.new_scalar_quad(rng.uniform(0.0, 2.0) * g.A + W @ W.T / m)
+        if k % 3 == 2:
+            A, B, e, _ = balanced(f, g)
+            top = math.ldexp(reference_multiplier(A, B, decide=False)[1], e)
+            f = ns.new_scalar_quad(f.A - (top + rng.choice([1e-9, 1e-7, 1.5e-6, 3e-6])) * np.eye(m))
+        res = ns.scalar_slemma(f, g, slater)
+        d = res.diagnostics
+        A, B, e, shift = balanced(f, g)
+        lam, value, probes = reference_multiplier(A, B, decide=False)
+        top = math.ldexp(value, e)
+        allow = 2.0 ** -40 * (np.linalg.norm(f.A) + math.ldexp(lam, shift) * np.linalg.norm(g.A))
+        assert d["best_value"] <= top + allow, k
+        assert d["multiplier_evals"] <= probes, k
+        if d["bound"] is not None:
+            assert top <= d["bound"] + allow, k
+        kinds.append((res.outcome, d["bound"] is None, d["multiplier_evals"] < probes))
+
+        F, G = ns.scalar_to_nc(f), ns.scalar_to_nc(g)
+        for decider in (ns.decide, ns.decide_hereditary):
+            dec = decider(F, G, ns.new_tuple(slater.reshape(m, 1, 1)))
+            assert dec.kind == res.outcome, k
+            assert dec.diagnostics["certify_bound"] == d["bound"], k
+            if dec.kind == "certificate":
+                assert ns.verify_certificate(dec.certificate, F, G), k
+            if dec.kind == "counterexample":
+                assert ns.verify_counterexample(dec.counterexample, F, G), k
+    # settled with and without a bracket, cut short, and bisected in full to
+    # each of the three outcomes
+    for want in [("certificate", True, True), ("certificate", False, True),
+                 ("counterexample", False, True), ("certificate", False, False),
+                 ("counterexample", False, False), ("inconclusive", False, False)]:
+        assert want in kinds, want
 
 
 def test_scalar_slemma_past_the_float_range_is_a_certificate():

@@ -27,7 +27,8 @@ KS = [-900, -300, -40, -2, 0, 2, 40, 300, 900]
 BUDGET = 200
 
 # diagnostics values in the caller's units; every other key is a count or lambda
-SCALED_KEYS = {"certify_best", "certify_bound", "separator_best", "multiplier_value", "best_value"}
+SCALED_KEYS = {"certify_best", "certify_bound", "separator_best", "multiplier_value", "best_value",
+               "bound"}
 
 
 def fixture_instances():
