@@ -13,6 +13,15 @@ numpy's Python wrapper around LAPACK: ``_eigh`` calls the gufunc that
 pass, so the results are the same bits (``tests/test_linalg.py`` checks
 this) for a fraction of the cost on the small matrices of a search step.
 
+Every search oracle reads only the bottom eigenpair of its matrix, so
+from side SELECTIVE_MIN_SIDE on ``_min_eigpair`` asks LAPACK's selective
+eigensolver dsyevr for that one pair (bisection and inverse iteration on
+the tridiagonal form) instead of every pair: about a third of a full
+``eigh`` at sides 48 and 64.  The routine is numpy's own LAPACK, bound
+through ctypes from the library numpy's linalg extension loads
+(``_dsyevr``); where that library does not export it, ``_min_eigpair``
+is ``_eigh`` at every side.
+
 Every spectraplex search is one engine, ``spectral_search``: a single
 projected supergradient ascent (``_ascent``) from the center I / dim with
 the whole budget.  The certificate and separator searches are the two
@@ -25,6 +34,7 @@ rounds it, formed without an eigensolve) and projects a step only when
 ``next`` asks for its point, so every projection it makes is evaluated.
 """
 
+import ctypes
 import math
 from typing import Callable, NamedTuple, Optional
 
@@ -164,8 +174,10 @@ def _eigh(S: np.ndarray):
 
     The wrapper checks the shape and dtype, which the loop's matrices always
     pass, and turns a LAPACK convergence failure into LinAlgError; here that
-    failure gives NaN and numpy's invalid-value warning, and NaN input gives
-    NaN through either.  The searches reject a NaN value as InvalidInput.
+    failure gives NaN and numpy's invalid-value warning.  NaN input gives
+    the same output through either: often NaN, but not always (with numpy
+    2.4's OpenBLAS, an identity with one NaN entry off its first row keeps a
+    finite w[0]).  The searches reject a NaN value as InvalidInput.
     """
     return _umath_linalg.eigh_lo(S, signature="d->dd")
 
@@ -176,12 +188,71 @@ def _sym_eigh(S: np.ndarray):
     return _eigh(h + h.T)
 
 
+# From this side on, dsyevr's one pair beats eigh's all.  Best-of-runs times on a 2-vCPU Xeon
+# VM (numpy 2.4, OpenBLAS 0.3.31, one BLAS thread), dsyevr against eigh: 20 us against 23 us
+# at side 14, 21 against 28 at 16, 70-85 against 200 at 48, 110 against 300 at 64; at 13 they
+# tie, and below it the ~10 us of the ctypes call are most of the cost (15 against 10 at 8).
+SELECTIVE_MIN_SIDE = 14
+
+_ILP64 = getattr(_umath_linalg, "_ilp64", None)  # numpy's LAPACK takes 64-bit integers
+_LAPACK_INT = np.int64 if _ILP64 else np.int32
+_COL_MAJOR = 102  # LAPACK_COL_MAJOR: LAPACKE makes no transposed copy
+
+
+def _bind_dsyevr():
+    """LAPACKE_dsyevr of the LAPACK numpy's linalg extension is linked to, or None.
+
+    numpy's wheels link scipy-openblas, whose symbols carry the prefix
+    ``scipy_`` and, in an ILP64 build, the suffix ``64_``.  The symbol is
+    looked up through the extension's own handle, which searches the
+    libraries already loaded with it, so no second LAPACK is loaded.
+    """
+    if _ILP64 is None:
+        return None
+    try:
+        fn = getattr(ctypes.CDLL(_umath_linalg.__file__),
+                     "scipy_LAPACKE_dsyevr64_" if _ILP64 else "scipy_LAPACKE_dsyevr")
+    except (OSError, AttributeError):
+        return None
+    integer, ptr, char, dbl = (ctypes.c_int64 if _ILP64 else ctypes.c_int32,
+                               ctypes.c_void_p, ctypes.c_char, ctypes.c_double)
+    # layout, jobz, range, uplo, n, a, lda, vl, vu, il, iu, abstol, m, w, z, ldz, isuppz
+    fn.argtypes = [ctypes.c_int, char, char, char, integer, ptr, integer, dbl, dbl,
+                   integer, integer, dbl, ptr, ptr, ptr, integer, ptr]
+    fn.restype = integer
+    return fn
+
+
+_dsyevr = _bind_dsyevr()
+
+
 def _min_eigpair(S: np.ndarray):
     """min_eigpair without validation, for square finite matrices built in the loop.
 
-    It also skips np.linalg.eigh's Python wrapper: ``_eigh`` calls the same
-    LAPACK gufunc, and a test checks that both give the same bits.
+    Below SELECTIVE_MIN_SIDE, or without ``_dsyevr``, it is the bottom pair
+    of ``_sym_eigh``: it skips np.linalg.eigh's Python wrapper, as ``_eigh``
+    calls the same LAPACK gufunc, and a test checks that both give the same
+    bits.  From that side on, dsyevr computes the one pair on the same
+    symmetric part (RANGE = 'I', IL = IU = 1, ABSTOL = 0), which overwrites
+    it.  There a NaN or inf entry, which makes the sum of squares of the
+    matrix non-finite, gives a NaN value and vector, which the ascent
+    rejects (bisection on a NaN tridiagonal may return a finite number, and
+    so may ``_eigh``); ``_sym_eigh`` still runs when that sum overflows
+    (entries past about 1e154) and when dsyevr reports a failure.
     """
+    n = len(S)
+    if n >= SELECTIVE_MIN_SIDE and _dsyevr is not None and S.shape == (n, n):
+        h = S * 0.5  # as in _sym_eigh, into the contiguous float64 block dsyevr reads
+        a = np.add(h, h.T, dtype=np.float64, order="C")
+        if math.isfinite(np.vdot(a, a)):
+            w, z = np.empty(n), np.empty(n)
+            ints = np.empty(3, _LAPACK_INT)  # M, the number of pairs found, then ISUPPZ
+            p = ints.ctypes.data
+            if _dsyevr(_COL_MAJOR, b"V", b"I", b"L", n, a.ctypes.data, n, 0.0, 0.0, 1, 1, 0.0,
+                       p, w.ctypes.data, z.ctypes.data, n, p + ints.itemsize) == 0:
+                return float(w[0]), z
+        elif not np.isfinite(a).all():
+            return math.nan, np.full(n, math.nan)
     w, V = _sym_eigh(S)
     return float(w[0]), V[:, 0].copy()
 
@@ -189,8 +260,9 @@ def _min_eigpair(S: np.ndarray):
 def min_eigpair(S):
     """Smallest eigenvalue and a unit eigenvector for it.
 
-    With a degenerate bottom eigenvalue the vector returned is the
-    lowest-index eigenvector, which makes supergradients deterministic.
+    With a degenerate bottom eigenvalue the vector is some unit vector of
+    the bottom eigenspace, each a valid supergradient direction; the same
+    matrix always gives the same vector.
     """
     return _min_eigpair(symmetrize(S))
 

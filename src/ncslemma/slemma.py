@@ -482,11 +482,15 @@ def _check_slater(g: NCQuadPoly, slater: MatTuple, tol_strict: float, hereditary
 # _spectraplex_project (the start is the center as it rounds it), each
 # within O(n u) of a trace-one PSD matrix (n <= MAX_DIM its side,
 # u = 2^-53); they form certify values, <A, M> and
-# lambda_min(sum B_ij (x) M_ij) through GEMMs, sums and eigh whose
-# a-priori errors are also O(n u) times those norms.  Summed, a computed
-# certify value exceeds the computed bound of a separator point by less
-# than about 12 n u (1 + ||A||_F + ||B||_F) < 12 n u 3, which is 1.6e-11 at
-# n = MAX_DIM: 1e-10 leaves a factor of 6.
+# lambda_min(sum B_ij (x) M_ij) through GEMMs, sums and _min_eigpair, whose
+# a-priori errors are also O(n u) times those norms.  From its selective
+# side on, _min_eigpair's value is dsyevr's: the tridiagonal reduction is
+# backward stable to O(n u) ||S||_F, and dstebz's bisection with ABSTOL = 0
+# stops within ulp ||T||_1 <= 2 u sqrt(n) ||S||_F of an eigenvalue of the
+# tridiagonal T, so its error is O(n u) too; below that side it is eigh's.
+# Summed, a computed certify value exceeds the computed bound of a
+# separator point by less than about 12 n u (1 + ||A||_F + ||B||_F)
+# < 12 n u 3, which is 1.6e-11 at n = MAX_DIM: 1e-10 leaves a factor of 6.
 CUT_ROUNDOFF = 1e-10
 
 

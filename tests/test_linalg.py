@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -216,12 +221,17 @@ def test_public_search_kernels_near_the_largest_float(sign):
                           np.diag([1.0, 0.0] if sign > 0 else [0.0, 1.0]))
 
 
+@pytest.mark.parametrize("n", [2, 13, 14, 15, 16, 17, 48, 64])
 @pytest.mark.parametrize("sign", [1.0, -1.0])
-def test_min_eigpair_core_near_the_largest_float(sign):
-    # the search loops call the core on matrices they build; it must not overflow
-    S = sign * 1e308 * np.eye(2)
+def test_min_eigpair_core_near_the_largest_float(sign, n):
+    # the search loops call the core on matrices they build; it must not overflow.
+    # 1e308 I_2 padded with zeros: ||S||_F stays below the largest float, and at
+    # every side the sum of squares overflows, which the selective path leaves to eigh
+    S = np.zeros((n, n))
+    S[0, 0] = S[1, 1] = sign * 1e308
     value, v = linalg._min_eigpair(S)
     assert np.isfinite(value) and np.isfinite(v).all()
+    assert value == (sign * 1e308 if sign < 0 or n == 2 else 0.0)
     public = linalg.min_eigpair(S)
     assert value == public[0] and np.array_equal(v, public[1])
 
@@ -338,3 +348,113 @@ def test_search_cores_skip_the_numpy_wrapper(monkeypatch):
     value, v = linalg._min_eigpair(S)
     assert value == want[0][0] and np.array_equal(v, want[0][1])
     assert np.array_equal(linalg._spectraplex_project(S), want[1])
+
+
+# --- _min_eigpair: dsyevr's one pair from SELECTIVE_MIN_SIDE on, _sym_eigh's below ---
+
+PAIR_SIDES = [13, 14, 15, 16, 17, 48, 64]  # around the crossover, and the oracles' (6, 8) sides
+U = 2.0 ** -53
+
+
+def _pair_bound(S):
+    return 8 * S.shape[0] * U * np.linalg.norm(S)
+
+
+def test_selective_min_side_is_among_the_tested_sides():
+    assert linalg.SELECTIVE_MIN_SIDE - 1 in PAIR_SIDES and linalg.SELECTIVE_MIN_SIDE in PAIR_SIDES
+
+
+@pytest.mark.parametrize("scale", [1.0, 2.0 ** 500, 2.0 ** -500])
+@pytest.mark.parametrize("n", PAIR_SIDES)
+def test_min_eigpair_core_is_a_bottom_eigenpair(n, scale):
+    # within 8 n u ||S||_F of eigh's value, with that residual; the scales take
+    # dsyevr through its scaling of matrices far from 1
+    raw = np.random.default_rng(n).standard_normal((n, n)) * scale
+    S = raw + raw.T
+    value, v = linalg._min_eigpair(S)
+    bound = _pair_bound(S)
+    assert abs(value - linalg._sym_eigh(S)[0][0]) <= bound
+    assert abs(v @ v - 1.0) <= 8 * n * U
+    assert np.linalg.norm(S @ v - value * v) <= bound
+    again = linalg._min_eigpair(S)
+    assert again[0] == value and np.array_equal(again[1], v)  # deterministic
+
+
+@pytest.mark.parametrize("n", PAIR_SIDES)
+def test_min_eigpair_core_on_an_exactly_tied_bottom_eigenvalue(n):
+    # Q diag(1, 1, 2, 3, ...) Q^T: any unit vector of span(Q[:, :2]) is a bottom eigenvector
+    Q, _ = np.linalg.qr(np.random.default_rng(100 + n).standard_normal((n, n)))
+    S = (Q * np.r_[1.0, 1.0, 2.0 + np.arange(n - 2)]) @ Q.T
+    value, v = linalg._min_eigpair(S)
+    bound = _pair_bound(S)
+    assert abs(value - 1.0) <= bound
+    assert abs(v @ v - 1.0) <= 8 * n * U
+    tied = Q[:, :2]
+    assert np.linalg.norm(v - tied @ (tied.T @ v)) <= bound  # the gap to the next value is 1
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("n", [s for s in PAIR_SIDES if s >= linalg.SELECTIVE_MIN_SIDE])
+def test_min_eigpair_core_gives_nan_on_non_finite_input(n, bad):
+    # five placements, among them ones where _eigh keeps a finite w[0]
+    for i, j in [(0, 0), (0, n - 1), (1, 2), (1, n - 1), (n - 1, n - 1)]:
+        S = np.eye(n)
+        S[i, j] = S[j, i] = bad
+        value, v = linalg._min_eigpair(S)
+        assert np.isnan(value) and np.isnan(v).all(), (i, j)
+
+
+@pytest.mark.parametrize("n", [1, 2, 8, 13, 14, 16, 48, 64])
+def test_min_eigpair_core_without_the_binding_is_sym_eighs_bits(monkeypatch, n):
+    monkeypatch.setattr(linalg, "_dsyevr", None)
+    raw = np.random.default_rng(n).standard_normal((n, n))
+    S = raw + raw.T
+    w, V = linalg._sym_eigh(S)
+    value, v = linalg._min_eigpair(S)
+    assert value == w[0] and _same_bits(v, V[:, 0].copy())
+
+
+@pytest.mark.parametrize("n", [16, 48])
+def test_min_eigpair_core_falls_back_when_dsyevr_fails(monkeypatch, n):
+    calls = []
+    monkeypatch.setattr(linalg, "_dsyevr", lambda *args: calls.append(args[4]) or -1)
+    raw = np.random.default_rng(n).standard_normal((n, n))
+    S = raw + raw.T
+    w, V = linalg._sym_eigh(S)
+    value, v = linalg._min_eigpair(S)
+    assert calls == [n]
+    assert value == w[0] and _same_bits(v, V[:, 0].copy())
+
+
+def _numpy_lapack():
+    try:
+        config = np.show_config(mode="dicts")
+    except TypeError:  # numpy before 1.26 only prints its configuration
+        return None
+    return config.get("Build Dependencies", {}).get("lapack", {}).get("name")
+
+
+def test_dsyevr_is_bound_where_numpy_links_scipy_openblas():
+    # a numpy release that renames the symbol fails here instead of quietly
+    # sending every oracle back to the full eigh
+    if _numpy_lapack() != "scipy-openblas":
+        pytest.skip(f"numpy's LAPACK is {_numpy_lapack()!r}")
+    assert linalg._dsyevr is not None
+
+
+def test_a_decision_loads_no_scipy():
+    # dsyevr is numpy's own: neither the import nor a (6, 8) decision brings scipy's LAPACK in
+    code = """
+import sys
+import numpy as np
+import ncslemma as ns
+from test_counterexample_support import planted_refutation
+f, g, _ = planted_refutation(np.random.default_rng(0), 6, 8)
+slater = np.zeros(6)
+slater[2] = 1.0
+assert ns.decide(f, g, ns.new_tuple(slater.reshape(6, 1, 1))).kind == "counterexample"
+sys.exit("scipy" in sys.modules)
+"""
+    tests, src = Path(__file__).parent, Path(linalg.__file__).parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(src), str(tests)]))
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0

@@ -180,10 +180,16 @@ def test_only_send_ends_an_ascent():
         pytest.fail("the search outlived its budget")
 
 
+# The name the fixture gives a bottom-eigenpair solve of the search oracles: dsyevr from
+# SELECTIVE_MIN_SIDE on where numpy's LAPACK exports it, the full eigh otherwise.
+SELECTIVE = "dsyevr" if linalg._dsyevr is not None else "eigh_lo"
+
+
 @pytest.fixture
 def counts(monkeypatch):
-    """Eigensolves (every LAPACK symmetric eigensolver numpy and the library call) and
-    spectraplex projections, counted once reset to zero."""
+    """Eigensolves (every LAPACK symmetric eigensolver numpy and the library call: numpy's
+    gufuncs and the selective eigensolver dsyevr) and spectraplex projections, counted once
+    reset to zero."""
     tally = {"eig": [], "projections": 0}
     for name in ("eigh_lo", "eigh_up", "eigvalsh_lo", "eigvalsh_up"):
         fn = getattr(_umath_linalg, name)
@@ -191,6 +197,10 @@ def counts(monkeypatch):
             _umath_linalg, name,
             lambda a, *args, _fn=fn, _name=name, **kw: tally["eig"].append(
                 (_name, np.shape(a)[-1])) or _fn(a, *args, **kw))
+    selective = linalg._dsyevr
+    if selective is not None:  # its fifth argument is the side
+        monkeypatch.setattr(linalg, "_dsyevr", lambda *args: tally["eig"].append(
+            ("dsyevr", args[4])) or selective(*args))
     core = linalg._spectraplex_project
 
     def projection(S):
@@ -209,9 +219,9 @@ def test_a_refutation_at_the_separators_first_point_takes_six_eigensolves(counts
     decision = ns.decide(f, g, ns.new_tuple(slater.reshape(6, 1, 1)))
     assert decision.kind == "counterexample"
     assert decision.diagnostics["certify_evals"] == decision.diagnostics["separator_evals"] == 1
-    # g at the Slater point, certify's and the separator's oracles, then the builder:
-    # sum B_ij (x) M_ij, M factored, the g side
-    assert counts["eig"] == [("eigvalsh_lo", 8), ("eigh_lo", 48), ("eigh_lo", 64),
+    # g at the Slater point, certify's and the separator's oracles (one bottom pair each),
+    # then build_counterexample: sum B_ij (x) M_ij, M factored, the g side
+    assert counts["eig"] == [("eigvalsh_lo", 8), (SELECTIVE, 48), (SELECTIVE, 64),
                              ("eigvalsh_lo", 64), ("eigh_lo", 48), ("eigvalsh_lo", 64)]
     assert counts["projections"] == 0
 
