@@ -4,7 +4,7 @@ A linear map phi: R^{s x s} -> R^{t x t} is represented exclusively by its
 Choi matrix J = sum_ab phi(E_ab) (x) E_ab, an (st) x (st) symmetric matrix
 whose t x t grid of s x s blocks J_ij satisfies phi(M)_ij = <J_ij, M>.
 Complete positivity is exactly positive semidefiniteness of J, which is what
-makes the certificate search a spectraplex problem.
+makes the certificate search a conic feasibility problem.
 
 Only real matrices are handled; complete positivity over the complex field
 is a genuinely different notion and out of scope.

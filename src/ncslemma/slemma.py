@@ -14,13 +14,19 @@ A failed certificate search is never treated as a refutation on its own:
 only a verified counterexample refutes, and only a verified certificate
 confirms; everything else is reported inconclusive.
 
-The two searches are the two sides of one duality, so at most one can
-reach its target.  decide races them once, each within the budget: one
-oracle evaluation from each in turn, and the first side to settle the
-question ends the race.  Every separator point also bounds the
-certificate search's values from above, and the certificate search stops
-once that bound rules it out.  At q = 1 there is nothing to race: a CP map
-is a scalar, and one bisection over it (linalg.scalar_multiplier) decides.
+The certificate search looks for a Choi matrix of any trace: it is
+Douglas-Rachford splitting on the paper's condition
+(linalg.conic_feasibility), started from the first two points of the
+trace-one spectral search.  The separator search is a supergradient ascent
+over the trace-one PSD matrices (linalg.spectral_search).  The two are the
+two sides of one duality, so at most one can reach its target.  decide
+races them once, each within the budget: one oracle evaluation from each
+in turn, and the first side to settle the question ends the race.  Every
+separator point M whose sum B_ij (x) M_ij is PSD also bounds the values of
+certificates of every trace from above, by <A, M>, and the certificate
+search stops once that bound rules it out.  At q = 1 there is nothing to
+race: a CP map is a scalar, and one bisection over it
+(linalg.scalar_multiplier) decides.
 """
 
 import functools
@@ -46,8 +52,10 @@ from .linalg import (
     DEFAULT_TOL_STRICT,
     MAX_DIM,
     _ascent,
+    _choi_map,
     _min_eigpair,
     binade,
+    conic_feasibility,
     fro,
     is_psd,
     lambda_min,
@@ -167,7 +175,7 @@ def _times(p: NCQuadPoly, e: int) -> NCQuadPoly:
 
 def _scaled(f: NCQuadPoly, g: NCQuadPoly):
     """(f / 2^e, g / 2^e, e), 2^e = 2^binade(A, B), e of either sign: the one scale rule of every
-    entry point taking (f, g).  One 2^e for both: apart, they would move certify's trace-one slice."""
+    entry point taking (f, g).  One 2^e for both: apart, they would rescale every certificate J."""
     e = binade(f.blocks, g.blocks)
     return _times(f, -e), _times(g, -e), e
 
@@ -175,8 +183,7 @@ def _scaled(f: NCQuadPoly, g: NCQuadPoly):
 def _map_coefficients(J: np.ndarray, blocks: np.ndarray, q: int) -> np.ndarray:
     """(1_m (x) phi_J) applied to coefficient blocks, assembled as an mq x mq matrix."""
     m = blocks.shape[0]
-    out = blocks.reshape(m * m, q * q) @ regroup(J, q, q, q, q).T
-    return regroup(out, m, m, q, q)
+    return _choi_map(J, blocks.reshape(m * m, q * q), m, q)
 
 
 def _b_term(M: np.ndarray, blocks: np.ndarray, q: int) -> np.ndarray:
@@ -187,18 +194,13 @@ def _b_term(M: np.ndarray, blocks: np.ndarray, q: int) -> np.ndarray:
 
 
 def _certify_oracle(calA: np.ndarray, blocks: np.ndarray, q: int):
-    """oracle(J) -> (value, supergradient) of J -> lambda_min(A - (1_m (x) phi_J) B).
+    """oracle(J) -> (value, v) of J -> lambda_min(A - (1_m (x) phi_J) B), v a unit bottom eigenvector.
 
-    The supergradient is minus the adjoint block map at v v^T, v the bottom eigenvector.
+    The supergradient there is minus the adjoint block map at v v^T; linalg.conic_feasibility
+    forms it from v at the one point where it steps along it.
     """
-    m = blocks.shape[0]
-    rows = blocks.reshape(m * m, q * q)
-
     def oracle(J):
-        R = calA - _map_coefficients(J, blocks, q)
-        val, v = _min_eigpair(R)
-        G = -regroup(regroup(v[:, None] * v, m, q, m, q).T @ rows, q, q, q, q)
-        return val, (G + G.T) / 2.0
+        return _min_eigpair(calA - _map_coefficients(J, blocks, q))
 
     return oracle
 
@@ -208,10 +210,11 @@ def _separator_oracle(calA: np.ndarray, blocks: np.ndarray, q: int):
 
     The B-side supergradient is the adjoint block map at the rank-one point
     u u^T, u the bottom eigenvector of T = sum B_ij (x) M_ij.  ``bound`` is
-    <A, M> - lambda_min(T).  At a trace-one PSD M it is weak duality's upper
-    bound on every certify value: for every trace-one PSD J,
+    <A, M> where lambda_min(T) >= 0, and inf elsewhere.  At a trace-one PSD
+    M with T PSD it is weak duality's upper bound on every certify value:
+    for every PSD J, of any trace,
     lambda_min(A - (1_m (x) phi_J) B) <= <A - (1 (x) phi_J) B, M>
-    = <A, M> - <T, s J s^T> <= bound, s the tensor swap.
+    = <A, M> - <T, s J s^T> <= <A, M>, s the tensor swap.
     """
     m = blocks.shape[0]
     rows = blocks.reshape(m * m, q * q)
@@ -220,18 +223,21 @@ def _separator_oracle(calA: np.ndarray, blocks: np.ndarray, q: int):
         T = _b_term(M, blocks, q)
         t1, u = _min_eigpair(T)
         a = float((calA * M).sum())
+        bound = a if t1 >= 0.0 else math.inf
         if t1 <= -a:
             G = regroup(rows @ regroup(u[:, None] * u, q, q, q, q), m, m, q, q)
-            return t1, (G + G.T) / 2.0, a - t1
-        return -a, -calA, a - t1
+            return t1, (G + G.T) / 2.0, bound
+        return -a, -calA, bound
 
     return oracle
 
 
-def _certify_side(f: NCQuadPoly, g: NCQuadPoly, budget: int):
-    """certify's oracle and its spectral search, not yet started."""
-    q = f.q
-    return _certify_oracle(coefficient_matrix(f), g.blocks, q), spectral_search(q * q, budget, 0.0)
+def _certify_side(f: NCQuadPoly, g: NCQuadPoly, budget: int, tol: float):
+    """certify's oracle and its conic feasibility search, not yet started: the target is -tol."""
+    q, m = f.q, f.m
+    calA = coefficient_matrix(f)
+    return (_certify_oracle(calA, g.blocks, q),
+            conic_feasibility(calA, g.blocks.reshape(m * m, q * q), q, budget, -tol))
 
 
 def _certified(f: NCQuadPoly, g: NCQuadPoly, e: int, best_J, best_v: float, tol: float):
@@ -256,20 +262,22 @@ def certify(
     budget: int = DEFAULT_BUDGET,
     tol: float = DEFAULT_TOL,
 ) -> CertifySearch:
-    """Search the trace-one slice for a PSD Choi matrix J with A - (1_m (x) phi_J) B PSD.
+    """Search for a PSD Choi matrix J, of any trace, with A - (1_m (x) phi_J) B PSD.
 
-    Maximizes the concave objective J -> lambda_min(A - (1 (x) phi_J) B)
-    over the spectraplex, in one ascent of ``budget`` evaluations from the
-    maximally mixed point I / q^2 (linalg.spectral_search).  A best value
-    >= -tol yields a certificate, the search's point as it is; otherwise the
-    best value is returned as a (one-sided) diagnostic: it is not a proof
-    that no certificate exists, since a certificate may have any trace.
-    The search runs on _scaled's f and g: tol is relative to their 2^e.
+    One conic feasibility search (linalg.conic_feasibility) of at most
+    ``budget`` candidates J, each tested by lambda_min(A - (1 (x) phi_J) B):
+    the maximally mixed point I / q^2, one supergradient step from it on the
+    spectraplex, then Douglas-Rachford splitting between the affine set
+    R + (1 (x) phi_J) B = A and the PSD cones, from the better of the two.
+    It stops at the first value >= -tol, which yields a certificate, the
+    candidate as it is; otherwise the best value is returned as a
+    (one-sided) diagnostic, not a proof that no certificate exists.  The
+    search runs on _scaled's f and g: tol is relative to their 2^e.
     """
     if f.m != g.m or f.q != g.q:
         raise ShapeMismatch("certify requires matching (m, q); reconcile first")
     f, g, e = _scaled(f, g)
-    best_J, best_v, _ = supergradient_ascent(*_certify_side(f, g, budget))
+    best_J, best_v, _ = supergradient_ascent(*_certify_side(f, g, budget, tol))
     return _certified(f, g, e, best_J, best_v, tol)
 
 
@@ -478,19 +486,25 @@ def _check_slater(g: NCQuadPoly, slater: MatTuple, tol_strict: float, hereditary
 
 
 # Roundoff allowance of the duality cut.  Both searches run on _scaled's f
-# and g, so ||A||_F and ||B||_F are below 1, and only evaluate outputs of
-# _spectraplex_project (the start is the center as it rounds it), each
-# within O(n u) of a trace-one PSD matrix (n <= MAX_DIM its side,
-# u = 2^-53); they form certify values, <A, M> and
-# lambda_min(sum B_ij (x) M_ij) through GEMMs, sums and _min_eigpair, whose
-# a-priori errors are also O(n u) times those norms.  From its selective
-# side on, _min_eigpair's value is dsyevr's: the tridiagonal reduction is
-# backward stable to O(n u) ||S||_F, and dstebz's bisection with ABSTOL = 0
-# stops within ulp ||T||_1 <= 2 u sqrt(n) ||S||_F of an eigenvalue of the
-# tridiagonal T, so its error is O(n u) too; below that side it is eigh's.
-# Summed, a computed certify value exceeds the computed bound of a
-# separator point by less than about 12 n u (1 + ||A||_F + ||B||_F)
-# < 12 n u 3, which is 1.6e-11 at n = MAX_DIM: 1e-10 leaves a factor of 6.
+# and g, so ||A||_F and ||B||_F are below 1.  A bound is <A, M> at a
+# separator point whose computed lambda_min(T) is >= 0, T = sum B_ij (x) M_ij,
+# M an output of _spectraplex_project (the start is the center as it
+# rounds it), within O(n u) of a trace-one PSD matrix (n <= MAX_DIM its
+# side, u = 2^-53).  For a PSD J of any trace, weak duality reads
+# lambda_min(A - L(J)) <= <A, M> - <T, s J s^T> <= <A, M> - lambda_min(T) tr J,
+# so a computed lambda_min(T) >= 0 leaves T's own error, times tr J.  T,
+# certify values and <A, M> come from GEMMs, sums and _min_eigpair, whose
+# a-priori errors are O(n u) times the norms involved: ||B||_F for T,
+# ||A||_F + ||B||_F tr J for a certify value (J from _psd_part, PSD within
+# O(n u) ||J||_F <= O(n u) tr J).  From its selective side on, _min_eigpair's
+# value is dsyevr's: the tridiagonal reduction is backward stable to
+# O(n u) ||S||_F, and dstebz's bisection with ABSTOL = 0 stops within
+# ulp ||K||_1 <= 2 u sqrt(n) ||S||_F of an eigenvalue of the tridiagonal
+# form K, so its error is O(n u) too; below that side it is eigh's.  Summed, a
+# computed certify value exceeds a computed bound by less than about
+# 12 n u (1 + ||A||_F + ||B||_F tr J) < 12 n u (2 + tr J), which is
+# 5.5e-12 (2 + tr J) at n = MAX_DIM: 1e-10 covers certificates of trace up
+# to 16 there, and up to about 1000 at the sides 64 and below of the bench.
 CUT_ROUNDOFF = 1e-10
 
 
@@ -500,7 +514,8 @@ def _race(searches, settle, cut):
     A generator for supergradient_ascent, driven as each search is: ``next``
     yields ``(side, point)``, side 0 (certify) first, and ``send`` takes the
     oracle's output for it back; the separator's output carries a third
-    element, the bound its point puts on every certify value.  A side's
+    element, the bound its point puts on every certify value, of any trace
+    (inf where it puts none).  A side's
     next point is asked of its search only when its turn comes, so a side
     cut short forms no point it would not evaluate.  A side whose search
     finishes leaves the turn; the race ends once both have finished, or as
@@ -510,7 +525,7 @@ def _race(searches, settle, cut):
     separator at its target, whose bound is below the cut (see _race_sides).
     Returns, per side, ``[best point or None if cut short, best value
     reached, evaluations]``, and the lowest bound (inf if the separator
-    made no evaluation): a pair, so that supergradient_ascent's evaluation
+    gave a finite bound): a pair, so that supergradient_ascent's evaluation
     count stays its third element.
     """
     tally = [[None, -np.inf, 0], [None, -np.inf, 0]]
@@ -544,13 +559,15 @@ def _race(searches, settle, cut):
 def _race_sides(f, g, e, budget, tol, tol_strict):
     """Race certify against the separator search (q >= 2): (J, certify value, M, diagnostics).
 
-    f and g are _scaled's.  J is certify's best point, None if it was cut short; M is the
-    separator's, None unless it cleared tol_strict; the diagnostics are the caller's (times 2^e).
-    A separator at its target 2 tol_strict has lambda_min(T) >= 2 tol_strict and <A, M> <=
-    -2 tol_strict, so its bound is at most -4 tol_strict: below the cut -tol - CUT_ROUNDOFF
-    whenever tol <= tol_strict and tol_strict > CUT_ROUNDOFF / 3, and certify stops there.
+    f and g are _scaled's.  Certify is the conic feasibility search, of any trace, to -tol;
+    the separator the spectral search.  J is certify's best point, None if it was cut short;
+    M is the separator's, None unless it cleared tol_strict; the diagnostics are the caller's
+    (times 2^e).  A separator at its target 2 tol_strict has lambda_min(T) >= 2 tol_strict and
+    <A, M> <= -2 tol_strict, so its bound <A, M> is at most -2 tol_strict: below the cut
+    -tol - CUT_ROUNDOFF whenever tol <= tol_strict and tol_strict > CUT_ROUNDOFF, and certify
+    stops there.
     """
-    cert_oracle, cert_search = _certify_side(f, g, budget)
+    cert_oracle, cert_search = _certify_side(f, g, budget, tol)
     sep_oracle, sep_search = _separator_side(f, g, budget, tol_strict)
     sides = (cert_oracle, sep_oracle)
 
@@ -634,17 +651,18 @@ def decide(
 
     Requires lambda_min(g(slater)) > tol_strict.  Coefficient dimensions are
     reconciled automatically (pad f, or replace g by repeated blocks).  The
-    certificate search and the separator search each run one ascent of at
-    most ``budget`` evaluations from the center of their spectraplex
-    (linalg.spectral_search), so no random number is drawn and the same
+    certificate search (certify's: Choi matrices of any trace, from I / q^2)
+    and the separator search (find_separator's: one ascent from I / mq) each
+    take at most ``budget`` evaluations, draw no random number, so the same
     inputs give the same decision, and take one evaluation each in turn,
     certificate side first.  The race ends once certify finishes at >= -tol.
-    Each separator point M bounds every certify value from above by
-    <A, M> - lambda_min(sum B_ij (x) M_ij) (weak duality); once a bound is
-    below -tol by more than a roundoff allowance (CUT_ROUNDOFF), certify
-    can no longer settle and stops, as it has once the separator reaches
-    its target (see _race_sides), and the separator goes on alone.  So the
-    objects returned are those of certify then find_separator run in full.
+    Each separator point M with T = sum B_ij (x) M_ij PSD bounds every
+    certify value, of a map of any trace, from above by <A, M> (weak
+    duality); once a bound is below -tol by more than a roundoff allowance
+    (CUT_ROUNDOFF), certify can no longer settle and stops, as it has once
+    the separator reaches its target (see _race_sides), and the separator
+    goes on alone.  So the objects returned are those of certify then
+    find_separator run in full.
     The report is inconclusive when neither yields a verified object:
     certify ended below -tol or was ruled out, and the separator ended
     without a verified counterexample (a builder's failure, a rejected
@@ -653,9 +671,9 @@ def decide(
     spent (``certify_evals``, ``separator_evals``), the best value each
     reached before the race ended (``certify_best``, ``separator_best``)
     and ``certify_bound``, the lowest of those bounds; ``separator_best``
-    and ``certify_bound`` are None if the separator made no evaluation.  A
-    bound below -tol shows, up to roundoff, that no trace-one certificate
-    exists.
+    is None if the separator made no evaluation, and ``certify_bound`` if
+    none of its points had T PSD.  A bound below -tol shows, up to
+    roundoff, that no certificate of any trace exists.
 
     At a reconciled q = 1 no search runs and ``budget`` is unused: a CP
     map is a scalar lambda >= 0, and linalg.scalar_multiplier bisects

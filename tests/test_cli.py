@@ -206,34 +206,57 @@ def test_slemma_huge_coefficients_exit_code(capsys, tmp_path):
         assert run(capsys, "verify", str(out), str(path))[0] == 0
 
 
-def check_scale_gap_inconclusive(capsys, budget):
+def test_slemma_certifies_the_scale_gap_at_q2_off_the_trace_one_slice(capsys, tmp_path):
     # f = x1x1 (x) I_2, g = 4 x1x1 (x) I_2: every trace-one map phi has
-    # tr phi(I_2) = 1, so A - (1 (x) phi) B = I_2 - 4 phi(I_2) is never PSD,
-    # while phi = id / 4 (trace 1/2) is a certificate.  (At q = 1 no search runs.)
+    # tr phi(I_2) = 1, so A - (1 (x) phi) B = I_2 - 4 phi(I_2) is never PSD
+    # there, while phi = id / 4 (trace 1/2) is a certificate.  The certify
+    # search is not bound to the slice: its first two points, both trace one,
+    # fail, and its first Douglas-Rachford candidate certifies.
     path = fx("scale_gap_q2.json")
+    out = tmp_path / "cert.json"
+    code, doc, _ = run(capsys, "slemma", "--budget", "500", "-o", str(out), path)
+    assert code == cli.EXIT_OK
+    assert abs(np.trace(np.array(doc["J"]["J"])) - 1.0) > 0.5
+    assert doc["residual_lambda_min"] >= 0.0
+    d = doc["diagnostics"]
+    assert (d["certify_evals"], d["separator_evals"]) == (3, 2)
+    assert run(capsys, "verify", str(out), path)[0] == cli.EXIT_OK
+
+
+def check_near_miss_inconclusive(capsys, budget):
+    # f = x1x1 (x) diag(1, -2^-22), g = x1x1 (x) I_2: (A - (1 (x) phi) B)_22 =
+    # -2^-22 - phi(I_2)_22 <= -2^-22 for every CP phi, so no certificate
+    # exists, and the best separator value, min(lambda_min(M), -<A, M>) near
+    # M = e_2 e_2^T, is about 2^-23, far below tol_strict.  Neither side
+    # settles at any budget.
+    path = fx("near_miss_q2.json")
     code, doc, _ = run(capsys, "slemma", "--budget", str(budget), path)
     assert code == cli.EXIT_INCONCLUSIVE
     with open(path) as fh:
         inst = serialize.instance_from_json(json.load(fh))
-    assert np.array_equal(ns.coefficient_matrix(inst["f"]), np.eye(2))
-    assert np.array_equal(ns.coefficient_matrix(inst["g"]), 4.0 * np.eye(2))
+    assert np.array_equal(ns.coefficient_matrix(inst["f"]), np.diag([1.0, -2.0 ** -22]))
+    assert np.array_equal(ns.coefficient_matrix(inst["g"]), np.eye(2))
     expected = ns.decide(inst["f"], inst["g"], inst["slater"], budget=budget).diagnostics
     for key in ("certify_evals", "separator_evals"):
         assert budget >= doc["diagnostics"][key] == expected[key] > 0
-    # The separator's first point, I_2 / 2, bounds every certify value by
-    # <A, M> - lambda_min = 1 - 2.
+    # Every separator point M has T = M (x) I_2 PSD, so its bound is <A, M> >= -2^-22;
+    # a bound below -tol cut certify short.
     keys = list(doc["diagnostics"])
     assert keys[keys.index("certify_best") + 1] == "certify_bound"
-    assert doc["diagnostics"]["certify_bound"] == expected["certify_bound"] == -1.0
+    bound = doc["diagnostics"]["certify_bound"]
+    assert bound == expected["certify_bound"]
+    assert -2.0 ** -22 <= bound < -ns.DEFAULT_TOL
+    assert doc["diagnostics"]["certify_evals"] < budget
+    assert doc["diagnostics"]["certify_best"] <= -2.0 ** -22 * (1.0 - 1e-9)
 
 
 def test_slemma_inconclusive_reports_the_evaluations_of_each_side(capsys):
-    check_scale_gap_inconclusive(capsys, 600)
+    check_near_miss_inconclusive(capsys, 600)
 
 
 @pytest.mark.parametrize("budget", [500, 1000, 5000])
 def test_slemma_inconclusive_evaluations_stay_within_the_budget(capsys, budget):
-    check_scale_gap_inconclusive(capsys, budget)
+    check_near_miss_inconclusive(capsys, budget)
 
 
 def test_slemma_scale_gap_at_q1_runs_no_search(capsys, tmp_path):

@@ -10,6 +10,7 @@ import ncslemma as ns
 from ncslemma import slemma
 from ncslemma.errors import InvalidInput
 from ncslemma.linalg import (
+    _choi_adjoint,
     fro,
     min_eigpair,
     simplex_project,
@@ -119,12 +120,24 @@ def test_certify_oracle_matches_einsum(m, q):
     f, g = random_poly(rng, m, q), random_poly(rng, m, q)
     calA = ns.coefficient_matrix(f)
     J = spectraplex_project(random_sym(rng, q * q))
-    val, G = _certify_oracle(calA, g.blocks, q)(J)
+    val, v = _certify_oracle(calA, g.blocks, q)(J)
 
     w, V = np.linalg.eigh(calA - ref_map_coefficients(J, g.blocks, q))
-    G_ref = ref_certify_gradient(V[:, 0], g.blocks, q)
     assert val == pytest.approx(w[0], abs=1e-12 * (1.0 + np.linalg.norm(calA)))
-    close(G, (G_ref + G_ref.T) / 2.0)
+    # the supergradient the search forms from v: minus the adjoint map at v v^T
+    G = -_choi_adjoint(np.outer(v, v), g.blocks.reshape(m * m, q * q), m, q)
+    close(G, ref_certify_gradient(v, g.blocks, q))
+    assert abs(abs(v @ V[:, 0]) - 1.0) <= 1e-8  # the bottom eigenvalue is simple here
+
+
+@pytest.mark.parametrize("m,q", SIZES)
+def test_choi_adjoint_is_the_adjoint_of_the_map(m, q):
+    rng = np.random.default_rng(45 * m + q)
+    g = random_poly(rng, m, q)
+    J, R = random_sym(rng, q * q), random_sym(rng, m * q)
+    lhs = float(np.sum(_map_coefficients(J, g.blocks, q) * R))
+    rhs = float(np.sum(J * _choi_adjoint(R, g.blocks.reshape(m * m, q * q), m, q)))
+    assert lhs == pytest.approx(rhs, abs=1e-12 * (1.0 + abs(lhs)) * (q * q + m * q))
 
 
 @pytest.mark.parametrize("m,q", SIZES)
@@ -137,13 +150,19 @@ def test_separator_oracle_matches_einsum(m, q, branch):
     f = random_poly(rng, m, q)
     g = ns.new_quad_poly(sign * random_psd_poly(rng, m, q).blocks)
     calA = sign * np.eye(m * q) + 0.01 * ns.coefficient_matrix(f)
-    M = spectraplex_project(random_sym(rng, m * q))
+    # full rank, so T is definite and the sign of lambda_min(T) is not roundoff's
+    M = 0.5 * spectraplex_project(random_sym(rng, m * q)) + 0.5 * np.eye(m * q) / (m * q)
     val, G, bound = _separator_oracle(calA, g.blocks, q)(M)
 
     w, V = np.linalg.eigh(ref_b_term(M, g.blocks, q))
     t2 = -float(np.sum(calA * M))
-    assert bound == pytest.approx(float(np.sum(calA * M)) - w[0],
-                                  abs=1e-12 * (1.0 + np.linalg.norm(calA) + abs(w[0])))
+    # the bound <A, M> holds for certify values of any trace only where T is PSD: here T is
+    # PSD (NSD) with g, so the bound is <A, M> (inf)
+    if branch == "a-term":
+        assert w[0] >= 0.0
+        assert bound == pytest.approx(-t2, abs=1e-12 * (1.0 + np.linalg.norm(calA)))
+    else:
+        assert w[0] < 0.0 and bound == np.inf
     assert (w[0] <= t2) == (branch == "b-term")
     if branch == "b-term":
         G_ref = ref_separator_gradient(V[:, 0], g.blocks, q)

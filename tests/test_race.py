@@ -1,9 +1,9 @@
 """decide and decide_hereditary race the certify search against the separator
 search, one evaluation each in turn.  By weak duality at most one side can
-reach its target, and each separator point bounds every certify value from
-above, so the race must return what the two searches return run one after
-the other at the same budget: certify, then find_separator, then the
-builder.  Evaluations are counted as bench/spans.py counts them, from what
+reach its target, and each separator point whose sum B_ij (x) M_ij is PSD
+bounds every certify value, of a map of any trace, from above, so the race
+must return what the two searches return run one after the other at the
+same budget: certify, then find_separator, then the builder.  Evaluations are counted as bench/spans.py counts them, from what
 every supergradient_ascent call returns.  At q = 1 decide runs no race, so
 the race is driven there through the sides decide builds for q >= 2."""
 
@@ -47,8 +47,8 @@ def evals(monkeypatch):
 def instance(kind, rng, m, q):
     """(f, g, slater tuple) of one planted kind.
 
-    At f = 0 the separator search finishes early, below its target, and
-    certify goes on alone.
+    The scale-gap kinds, f = t g with t != 1/q and f = 0, are dominated by
+    maps off the trace-one slice: t id and 0.
     """
     if kind in ("scale-gap", "zero-f"):
         f, g, x = scale_gap_instance(rng, m, q, t=0.0 if kind == "zero-f" else None)
@@ -75,7 +75,11 @@ def racing(hereditary, q):
 
 
 def cut_value(tol=ns.DEFAULT_TOL):
-    """The separator bound below which no certify value reaches -tol, on the scaled pair."""
+    """The separator bound below which no certify value reaches -tol, on the scaled pair.
+
+    A bound is <A, M> at a separator point M whose sum B_ij (x) M_ij is PSD,
+    inf at the others.
+    """
     return -tol - slemma.CUT_ROUNDOFF
 
 
@@ -102,12 +106,14 @@ def sequential(f, g, budget, hereditary, evals, tol=ns.DEFAULT_TOL,
                tol_strict=ns.DEFAULT_TOL_STRICT):
     """The decision run one search after the other: certify, then find_separator, then the builder.
 
-    Returns the kind, the object, the evaluations find_separator used, and
-    the evaluations each side makes in the race: one each in turn, certify
-    first, until certify finishes at >= -tol, which settles the race, or
-    certify stops after the separator's k-th evaluation, the first whose
-    bound is below cut_value; when certify wins, no bound is.  A separator
-    at its target has a bound below the cut, so it stops certify too.
+    Returns the kind, the object, the evaluations find_separator used, the
+    evaluations each side makes in the race, and the bound the race reports:
+    one evaluation each in turn, certify first, until certify finishes at >=
+    -tol, which settles the race, or certify stops after the separator's
+    k-th evaluation, the first whose bound is below cut_value; when certify
+    wins, no bound is.  A separator at its target has a bound below the cut,
+    so it stops certify too.  The race's bound is the lowest of the bounds
+    of the separator points it evaluated, None if every one is inf.
     """
     f2, g2 = slemma.reconcile(f, g)
     builder = ns.build_counterexample_hereditary if hereditary else ns.build_counterexample
@@ -122,17 +128,24 @@ def sequential(f, g, budget, hereditary, evals, tol=ns.DEFAULT_TOL,
     n_sep = evals[0] - before
     assert len(bounds) == n_sep
     k = next((i for i, b in enumerate(bounds, 1) if b < cut), math.inf)
+    e = slemma._scaled(f2, g2)[2]
+
+    def reported(race):
+        low = min(bounds[:race[1]], default=math.inf)
+        return math.ldexp(low, e) if low < math.inf else None
+
     if cert.certificate is not None:
         assert k == math.inf
-        return "certificate", cert.certificate, n_sep, [n_cert, min(n_cert - 1, n_sep)]
+        race = [n_cert, min(n_cert - 1, n_sep)]
+        return "certificate", cert.certificate, n_sep, race, reported(race)
     race = [min(n_cert, k), n_sep]
     if sep.M is not None:
         try:
             ce = builder(f2, g2, sep.M, tol=tol, tol_strict=tol_strict)
-            return "counterexample", ce, n_sep, race
+            return "counterexample", ce, n_sep, race, reported(race)
         except VerificationFailed:
             pass
-    return "inconclusive", None, n_sep, race
+    return "inconclusive", None, n_sep, race, reported(race)
 
 
 def same_object(kind, a, b):
@@ -160,21 +173,16 @@ def test_race_returns_the_sequential_decision(evals, kind, m, q, hereditary):
     evals[0] = 0
     decision = racing(hereditary, q)(f, g, slater, budget=BUDGET)
     raced = evals[0]
-    want, obj, separator_alone, race = sequential(f, g, BUDGET, hereditary, evals)
+    want, obj, separator_alone, race, bound = sequential(f, g, BUDGET, hereditary, evals)
 
     assert decision.kind == want
-    if kind in ("certificate", "counterexample"):
-        assert want == kind  # the planted answer
-    if q == 1:  # decide runs no race there; it reaches the race's kind, and also
-        # certifies f = t g, which at m = q = 1 is t b x^2 with b > 0: f alone is
-        # PSD, so h falls at 0 and J = [[0]], off the trace-one slice
+    # the planted answer: the scale-gap kinds are certified off the trace-one slice
+    assert want == ("counterexample" if kind == "counterexample" else "certificate")
+    if want == "certificate" and kind != "certificate":
+        assert ns.verify_certificate(decision.certificate, f, g)
+    if q == 1:  # decide runs no race there; it reaches the race's kind
         direct = (ns.decide_hereditary if hereditary else ns.decide)(f, g, slater)
-        if kind in ("scale-gap", "zero-f"):
-            assert (want, direct.kind) == ("inconclusive", "certificate")
-            assert direct.certificate.J.J.tolist() == [[0.0]]
-            assert ns.verify_certificate(direct.certificate, f, g)
-        else:
-            assert direct.kind == want
+        assert direct.kind == want
     same_object(want, decision.certificate or decision.counterexample, obj)
     d = decision.diagnostics
     assert d["certify_evals"] + d["separator_evals"] == raced
@@ -182,8 +190,7 @@ def test_race_returns_the_sequential_decision(evals, kind, m, q, hereditary):
     if kind == "counterexample":
         assert raced <= 2 * separator_alone
     # Weak duality, as computed: no certify value above any separator bound.
-    bound = d["certify_bound"]
-    assert (bound is None) == (d["separator_evals"] == 0)
+    assert d["certify_bound"] == bound
     if bound is not None:
         e = slemma._scaled(*slemma.reconcile(f, g))[2]
         cut = math.ldexp(cut_value(), e)
@@ -201,7 +208,7 @@ def test_race_keeps_certify_going_when_tol_exceeds_twice_tol_strict(evals, m, q)
     f, g, slater = instance("counterexample", rng, m, q)
     tols = {"tol": 10.0, "tol_strict": ns.DEFAULT_TOL_STRICT}
     decision = racing(False, q)(f, g, slater, budget=BUDGET, **tols)
-    want, obj, _, race = sequential(f, g, BUDGET, False, evals, **tols)
+    want, obj, _, race, _ = sequential(f, g, BUDGET, False, evals, **tols)
     assert decision.kind == want == "certificate"
     same_object(want, decision.certificate, obj)
     d = decision.diagnostics
@@ -210,40 +217,45 @@ def test_race_keeps_certify_going_when_tol_exceeds_twice_tol_strict(evals, m, q)
 
 @pytest.mark.parametrize("hereditary", [False, True])
 @pytest.mark.parametrize("ratio,kind,certify_evals", [
-    (1.0 - 2.0 ** -10, "certificate", 500),
-    (1.0, "certificate", 500),
+    (1.0 - 2.0 ** -10, "certificate", 3),
+    (1.0, "certificate", 3),
     (1.0 + 2.0 ** -10, "inconclusive", 500),  # within the roundoff allowance: not cut
     (1.0 + 2.0 ** -6, "inconclusive", 1),  # 1.16e-10 past -tol: just past the allowance
     (1.125, "inconclusive", 1),  # cut at the separator's first evaluation
 ])
 def test_cut_spares_certify_until_the_bound_clears_the_roundoff_allowance(
         ratio, kind, certify_evals, hereditary):
-    # (m, q) = (1, 1), f = (b - delta) x^2 and g = b x^2: J = 1 is forced, so
-    # every certify value and every separator bound is -delta, exactly at the
-    # first point.  b = 1/2 is its own scale (2^e = 1), so tol is not
-    # rescaled, and with tol = 2^-27 and a dyadic ratio b - delta is exact;
-    # the roundoff allowance is 1e-10, 1.3% of tol.  Without the cut certify
-    # runs one ascent of all 500 evaluations; the first three rows are also
-    # what the race decides without the cut.  decide itself runs no race at
-    # q = 1, and no multiplier is forced: f = (b - delta) x^2 is PSD alone,
-    # so h falls at 0 and every row is the certificate J = [[0]], residual f.
+    # (m, q) = (1, 1), f = -delta x^2 and g = b x^2: every certify value is
+    # -delta - J b <= -delta, reached at J = 0, and the separator's only
+    # point M = 1 has T = b > 0 and bound <A, M> = -delta, exactly.  b = 1/2
+    # is its own scale (2^e = 1), so tol is not rescaled, and with tol =
+    # 2^-27 and a dyadic ratio -delta is exact; the roundoff allowance is
+    # 1e-10, 1.3% of tol.  certify starts at J = 1 (twice: the trace-one
+    # slice is the point 1), and its first Douglas-Rachford candidate is
+    # J = 0, its third evaluation; the separator, one behind, has taken two.
+    # Without the cut certify runs all 500 evaluations.  decide itself runs
+    # no race at q = 1: h(lambda) = -delta - lambda b falls at 0, so one
+    # evaluation of h decides, the certificate J = [[0]] when -delta >= -tol.
     tol = 2.0 ** -27
     b, delta = 0.5, ratio * tol
-    f = ns.new_quad_poly(np.full((1, 1, 1, 1), b - delta))
+    f = ns.new_quad_poly(np.full((1, 1, 1, 1), -delta))
     g = ns.new_quad_poly(np.full((1, 1, 1, 1), b))
     slater = ns.new_tuple(np.full((1, 1, 1), 10.0))
     decision = racing(hereditary, 1)(f, g, slater, budget=500, tol=tol)
     d = decision.diagnostics
     assert (decision.kind, d["certify_evals"]) == (kind, certify_evals)
-    assert d["certify_bound"] == pytest.approx(-delta, rel=1e-12, abs=0.0)
-    assert d["certify_best"] == pytest.approx(-delta, rel=1e-12, abs=0.0)
-    assert d["separator_evals"] == (500 if kind == "inconclusive" else 499)
+    assert d["separator_evals"] == (2 if kind == "certificate" else 500)
+    assert d["certify_bound"] == -delta
+    assert d["certify_best"] == (-delta - b if certify_evals == 1 else -delta)
+    if kind == "certificate":
+        assert decision.certificate.J.J.tolist() == [[0.0]]
+        assert ns.verify_certificate(decision.certificate, f, g, tol=tol)
 
     direct = (ns.decide_hereditary if hereditary else ns.decide)(f, g, slater, budget=500, tol=tol)
     d = direct.diagnostics
-    assert direct.kind == "certificate"
-    assert direct.certificate.J.J.tolist() == [[0.0]]
-    assert d["certify_bound"] == d["certify_best"] == direct.certificate.residual_lambda_min
-    assert d["certify_bound"] == b - delta
+    assert direct.kind == kind
+    assert d["certify_bound"] == d["certify_best"] == -delta
     assert (d["certify_evals"], d["separator_evals"], d["multiplier_evals"]) == (0, 0, 1)
-    assert ns.verify_certificate(direct.certificate, f, g, tol=tol)
+    if kind == "certificate":
+        assert direct.certificate.J.J.tolist() == [[0.0]]
+        assert ns.verify_certificate(direct.certificate, f, g, tol=tol)

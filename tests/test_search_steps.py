@@ -3,17 +3,20 @@
 The ascent starts at its given point and projects a step only when its point
 is asked for; these tests pin that it visits the points, and returns the
 results, of the loop that projected every step as it was taken, and that a
-decision spends no eigensolve whose result it does not read.
+decision spends no eigensolve whose result it does not read.  certify's
+Douglas-Rachford search forms nothing before its first two points fail.
 """
 
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from numpy.linalg import _umath_linalg
 
 import ncslemma as ns
-from ncslemma import linalg
+from ncslemma import linalg, serialize
 from ncslemma.errors import InvalidInput
 from ncslemma.linalg import STAGE_LEN, _spectraplex_project, fro
 
@@ -237,3 +240,46 @@ def test_a_certificate_at_certifys_first_point_projects_nothing(counts):
     assert decision.diagnostics["certify_evals"] == 1
     assert decision.diagnostics["separator_evals"] == 0
     assert counts["projections"] == 0
+
+
+@pytest.fixture
+def cone_work(monkeypatch):
+    """PSD-cone projections and matrix inversions of the Douglas-Rachford search, counted."""
+    tally = {"cone": 0, "inv": 0}
+    cone, inv = linalg._psd_part, np.linalg.inv
+
+    def counted_cone(S):
+        tally["cone"] += 1
+        return cone(S)
+
+    def counted_inv(a):
+        tally["inv"] += 1
+        return inv(a)
+
+    monkeypatch.setattr(linalg, "_psd_part", counted_cone)
+    monkeypatch.setattr(np.linalg, "inv", counted_inv)
+    return tally
+
+
+def fixture_instance(name):
+    with open(Path(__file__).resolve().parent / "fixtures" / f"{name}.json") as fh:
+        inst = serialize.instance_from_json(json.load(fh))
+    return inst["f"], inst["g"], inst["slater"]
+
+
+def test_a_certificate_at_certifys_second_point_forms_no_douglas_rachford_state(counts, cone_work):
+    decision = ns.decide(*fixture_instance("example62"))
+    assert decision.kind == "certificate"
+    assert decision.diagnostics["certify_evals"] == 2
+    assert counts["projections"] == 1  # certify's second point, on the spectraplex
+    assert cone_work == {"cone": 0, "inv": 0}
+
+
+def test_a_douglas_rachford_candidate_takes_two_cone_projections(counts, cone_work):
+    # scale_gap_q2 certifies at its first Douglas-Rachford candidate, certify's third point:
+    # one inverse, one cone projection for the start's R, then one per block for the candidate
+    decision = ns.decide(*fixture_instance("scale_gap_q2"))
+    assert decision.kind == "certificate"
+    assert (decision.diagnostics["certify_evals"], decision.diagnostics["separator_evals"]) == (3, 2)
+    assert counts["projections"] == 2  # the second points of certify and of the separator
+    assert cone_work == {"cone": 3, "inv": 1}

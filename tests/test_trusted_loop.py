@@ -20,10 +20,10 @@ BUDGET = 200
 def recorded(run, validating):
     """``run()`` with the argument of every oracle call recorded.
 
-    With ``validating``, the loop's eigensolver and projection are swapped
+    With ``validating``, the loop's eigensolver and projections are swapped
     for the public ``min_eigpair`` and ``spectraplex_project`` (the
     projection core behind ``symmetrize``, which is what the public kernel
-    runs).
+    runs), and the PSD-cone projection core for itself behind ``symmetrize``.
     """
     iterates = []
     with pytest.MonkeyPatch.context() as mp:
@@ -41,6 +41,8 @@ def recorded(run, validating):
             mp.setattr(slemma, "_min_eigpair", linalg.min_eigpair)
             core = linalg._spectraplex_project
             mp.setattr(linalg, "_spectraplex_project", lambda S: core(linalg.symmetrize(S)))
+            cone = linalg._psd_part
+            mp.setattr(linalg, "_psd_part", lambda S: cone(linalg.symmetrize(S)))
         result = run()
     return result, iterates
 
@@ -120,13 +122,27 @@ def reference_loop(oracle, d, budget, target):
 
 @pytest.mark.parametrize("m,q", SIZES)
 def test_searches_keep_their_start_schedules(m, q):
-    # the searches run on f and g over their 2^e, and report values times 2^e
+    # the searches run on f and g over their 2^e, and report values times 2^e.  certify's
+    # first two points are the spectral search's first two, bit for bit: the center, then a
+    # unit supergradient step from it; its Douglas-Rachford search starts from the better.
     rng = np.random.default_rng(400 * m + q)
     f, g, _ = refutable_instance(rng, m, q)
     f2, g2, e = slemma._scaled(f, g)
     calA = ns.coefficient_matrix(f2)
-    _, best_v = reference_loop(slemma._certify_oracle(calA, g2.blocks, q), q * q, BUDGET, 0.0)
-    assert slemma.certify(f, g, budget=BUDGET).best_value == np.ldexp(best_v, e)
+    certify_oracle = slemma._certify_oracle(calA, g2.blocks, q)
+    rows = g2.blocks.reshape(m * m, q * q)
+    search, points, values = linalg.spectral_search(q * q, BUDGET, 0.0), [], []
+    for _ in range(2):  # the spectral search's first two points, read as it reads them
+        points.append(next(search))
+        val, v = certify_oracle(points[-1])
+        G = -linalg._choi_adjoint(np.outer(v, v), rows, m, q)
+        values.append(val)
+        search.send((val, (G + G.T) / 2.0))
+    cert, certify_points = recorded(lambda: slemma.certify(f, g, budget=2), validating=False)
+    assert cert.best_value == np.ldexp(max(values), e)
+    assert len(certify_points) == 2
+    for a, b in zip(certify_points, points):
+        assert np.array_equal(a, b)
 
     oracle = slemma._separator_oracle(calA, g2.blocks, q)
     M, best_v = reference_loop(lambda M: oracle(M)[:2], m * q, BUDGET, 2.0 * ns.DEFAULT_TOL_STRICT)
