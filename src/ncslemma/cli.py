@@ -280,7 +280,8 @@ def _add_common(sub):
                      help="strict-inequality margin (default 1e-6)")
     sub.add_argument("--budget", type=int, default=None,
                      help="evaluation budget N for searches (default 5000); slemma and "
-                          "slemma-hereditary run each of their two searches for at most N "
+                          "slemma-hereditary run one search for both answers, whose "
+                          "certificate and separator candidates share at most N "
                           "evaluations; it does not apply at q = 1, where they run no "
                           "search, nor to scalar-slemma")
     sub.add_argument("--seed", type=int, default=None,

@@ -22,19 +22,16 @@ through ctypes from the library numpy's linalg extension loads
 (``_dsyevr``); where that library does not export it, ``_min_eigpair``
 is ``_eigh`` at every side.
 
-Every spectraplex search is one engine, ``spectral_search``: a single
-projected supergradient ascent (``_ascent``) from the center I / dim with
-the whole budget, which the separator search runs.  The certificate
-search is ``conic_feasibility``: Douglas-Rachford splitting for a PSD
-Choi matrix of any trace, started from the spectral search's first two
-points.  No search draws a random number.  Each is a generator driven by
-``next``, which yields the point to evaluate, and ``send``, which takes the
-oracle's output and is the only call that ends it.  An ascent starts at
-its given point (for ``spectral_search``, the center as
-``_spectraplex_project`` rounds it, formed without an eigensolve) and
-projects a step only when ``next`` asks for its point, so every
-projection it makes is evaluated; ``conic_feasibility`` forms its points
-in the same way.
+There are two searches.  ``spectral_search`` is a single projected
+supergradient ascent (``_ascent``) from the center I / dim with the whole
+budget, behind ``maximize_spectral``; homogenize runs ``_ascent``
+unconstrained.  ``conic_feasibility`` is the domination search, for both
+answers at once: Douglas-Rachford splitting for a PSD Choi matrix of
+any trace, started from the spectral search's first two points, whose
+dual iterate gives a separator candidate at every step.  No search draws
+a random number.  Each is a generator that ``supergradient_ascent``
+drives: ``next`` yields the first point to evaluate, and ``send`` takes
+the oracle's output and yields the next one, or ends the search.
 """
 
 import ctypes
@@ -347,14 +344,12 @@ def _ascent(
 ):
     """Two-phase projected supergradient ascent for a concave objective, one step at a time.
 
-    A generator driven by ``next`` and ``send``: ``next`` yields the point
-    to evaluate, ``x0`` first, taken as given (it must be feasible), then
-    each step projected; ``send`` takes the oracle's ``(value,
-    supergradient)`` for it and returns None, or ends the search, returning
-    ``(best_x, best_value)``.  Only ``send`` ends a search, so a step is
-    projected only when its point is asked for.  ``supergradient_ascent``
-    drives it.  Phase one runs the classic diminishing 1/sqrt(k) schedule
-    (normalized directions) with best-iterate tracking; phase two restarts
+    A search for ``supergradient_ascent``: it yields ``x0`` first, taken as
+    given (it must be feasible), then each step projected, and takes the
+    oracle's ``(value, supergradient)`` for each point, returning
+    ``(best_x, best_value)`` when it ends.  Phase one runs the classic
+    diminishing 1/sqrt(k) schedule (normalized directions) with
+    best-iterate tracking; phase two restarts
     from the best point and takes raw supergradient steps with a constant
     size that halves whenever a stage fails to improve, which converges
     linearly on sharp maxima and is what pushes boundary-supported optima
@@ -401,41 +396,41 @@ def _ascent(
             if evals >= budget or s <= 1e-14:
                 return best_x, best_v
             stage_base, stop = best_v, min(budget, evals + STAGE_LEN)
-        yield
 
 
 def supergradient_ascent(oracle: Callable, search):
-    """Drive a steppable search with ``oracle``; return ``(*its result, evals)``.
+    """Drive a search with ``oracle``; return ``(*its result, evals)``.
 
-    ``search`` is a generator returning a pair, such as an ``_ascent`` (the
-    one ``spectral_search`` returns, or homogenize's unconstrained one), a
-    ``conic_feasibility`` or the race of ``slemma.decide``: each ``next``
-    gives a point, ``oracle`` is called on it, and ``send`` hands the output
-    back, until a ``send`` ends the search.  ``evals`` is the number of ``oracle`` calls, so every
-    search's evaluations can be counted here.
+    ``search`` is a generator returning a tuple: an ``_ascent`` (the one
+    ``spectral_search`` returns, or homogenize's unconstrained one) or a
+    ``conic_feasibility``.  Its first point comes from ``next``; ``oracle``
+    is called on each point, and ``send`` hands the output back and gives
+    the next point, until a ``send`` ends the search.  ``evals`` is the
+    number of ``oracle`` calls, so every search's evaluations can be
+    counted here.
     """
-    evals = 0
+    point, evals = next(search), 0
     while True:
-        out = oracle(next(search))
+        out = oracle(point)
         evals += 1
         try:
-            search.send(out)
+            point = search.send(out)
         except StopIteration as done:
             return (*done.value, evals)
 
 
-def spectral_search(dim: int, budget: int, target: Optional[float] = None):
-    """maximize_spectral one step at a time: ``_ascent`` from the center, returning (best, value).
+def _center(dim: int) -> np.ndarray:
+    """I / dim as ``_spectraplex_project`` rounds it, formed without the eigensolve: c +
+    _simplex_shift of dim copies of c = 1 / dim on the diagonal, the same bits."""
+    c = 1.0 / dim
+    return np.eye(dim) * (c + _simplex_shift(np.full(dim, c)))
 
-    The center is I / dim as ``_spectraplex_project`` rounds it, formed
-    without the eigensolve: c + _simplex_shift of dim copies of c = 1 / dim
-    on the diagonal, the same bits.
-    """
+
+def spectral_search(dim: int, budget: int, target: Optional[float] = None):
+    """maximize_spectral one step at a time: ``_ascent`` from ``_center(dim)``, returning (best, value)."""
     if dim < 1:
         raise InvalidInput("dim must be positive")
-    c = 1.0 / dim
-    return _ascent(np.eye(dim) * (c + _simplex_shift(np.full(dim, c))), budget,
-                   _spectraplex_project, target)
+    return _ascent(_center(dim), budget, _spectraplex_project, target)
 
 
 def _psd_part(S: np.ndarray) -> np.ndarray:
@@ -461,57 +456,146 @@ def _choi_adjoint(R: np.ndarray, rows: np.ndarray, m: int, q: int) -> np.ndarray
 DR_SIGMA = 8.0
 
 
-def conic_feasibility(A: np.ndarray, rows: np.ndarray, q: int, budget: int, target: float):
-    """Search for a PSD J (of any trace) with A - L(J) PSD, L = _choi_map: Douglas-Rachford.
+def _repair(t: float, a: float, lam0: float, a0: float, margin: float):
+    """The Slater repair of a separator candidate M: (theta, <A, M'>), M' = (1 - theta) M + theta M0.
 
-    A generator driven as ``_ascent`` is: ``next`` yields a candidate J,
-    ``send`` takes ``(lambda_min(A - L(J)), v)`` for it, v a unit bottom
-    eigenvector, and ends the search, returning ``(best_J, best_value)``,
-    at a value of at least ``target`` or after ``budget`` candidates.  The
-    first two candidates are the spectral search's first two points: the
-    center I / q^2 as _spectraplex_project rounds it, then the projection
-    of the center plus the unit supergradient -L^T(v v^T) there.  The
-    Douglas-Rachford state is formed only once both have failed.
+    t = lambda_min T(M) and a = <A, M>, T(M) = sum_ij B_ij (x) M_ij; M0 is trace-one PSD with
+    lam0 = lambda_min T(M0) > 0, and a0 = <A, M0>.  With delta = max(0, -t) + margin and
+    theta = delta / (delta + lam0), T's linearity gives lambda_min T(M') >= (1 - theta) t +
+    theta lam0 >= margin lam0 / (delta + lam0), and <A, M'> = lam0 U_s(M) / (delta + lam0),
+    U_s(M) = a + s delta, s = a0 / lam0, which bounds the trace of every certificate J (0 <=
+    <A - L(J), M0> <= a0 - lam0 tr J): a candidate with U_s(M) < 0 becomes a separator, strict
+    with a positive margin.
+    """
+    delta = max(0.0, -t) + margin
+    theta = delta / (delta + lam0)
+    return theta, (1.0 - theta) * a + theta * a0
 
-    From the better of the two, s, Douglas-Rachford splitting runs on the
-    variables z = (J', R), J = DR_SIGMA J', between the affine set
-    R + DR_SIGMA L(J') = A and the product of PSD cones (Lions and Mercier,
-    1979; Henrion and Malick, 2011): x = P_aff(z), y = P_+(2 x - z),
-    z += y - x, from z = (s / DR_SIGMA, P_+(A - L(s))), and each candidate is
-    DR_SIGMA y's J' part.  In the regrouped coordinates of _choi_map,
-    I + DR_SIGMA^2 L^T L is right multiplication by I + DR_SIGMA^2 rows^T rows,
-    so P_aff is one product with that q^2 x q^2 matrix's inverse, formed once.
-    No random number is drawn: the same inputs give the same candidates.
-    A value that is not finite raises InvalidInput, and so does an iterate
-    z that is not, since _sym_eigh may give finite output on NaN input.
+
+def _gram_separator(G0: np.ndarray, q: int) -> np.ndarray:
+    """G0 (x) I_q over its trace: trace one, and PSD with G0."""
+    m = len(G0)
+    M0 = (G0 / (q * np.trace(G0)))[:, None, :, None] * np.eye(q)[:, None, :]
+    return M0.reshape(m * q, m * q)
+
+
+def conic_feasibility(A: np.ndarray, rows: np.ndarray, q: int, G0: np.ndarray, budget: int,
+                      tol: float, tol_strict: float):
+    """Both answers of the paper's alternative in one search: Douglas-Rachford for a PSD J, of
+    any trace, with A - L(J) PSD (L = _choi_map), and a separator from each of its steps.
+
+    A search for ``supergradient_ascent``: it yields ``(side, X)`` and takes the oracle's output
+    for it.  Side 0 is a candidate J, answered by ``(lambda_min(A - L(J)), v)``, v a unit bottom
+    eigenvector; side 1 a trace-one PSD candidate separator M, answered by ``(lambda_min T(M),
+    <A, M>)``, T(M) = sum_ij B_ij (x) M_ij.  T is L's adjoint up to a swap, so lambda_min(A -
+    L(J)) <= <A, M> - lambda_min T(M) tr J for every PSD J and M: a tested M with T(M) PSD
+    bounds every certify value, of any trace, by <A, M>.
+
+    The candidates J: the center I / q^2 as _spectraplex_project rounds it, then the projection
+    of the center plus the unit supergradient -L^T(v v^T) there (skipped when it vanishes: no J
+    does better than the center then), then, from the better of the two, s, Douglas-Rachford
+    splitting on the variables z = (J', R), J = DR_SIGMA J', between the affine set R +
+    DR_SIGMA L(J') = A and the product of PSD cones (Lions and Mercier, 1979; Henrion and
+    Malick, 2011): x = P_aff(z), y = P_+(2 x - z), z += y - x, from z = (s / DR_SIGMA, P_+(A -
+    L(s))), each candidate DR_SIGMA y's J' part.  In the regrouped coordinates of _choi_map,
+    I + DR_SIGMA^2 L^T L is right multiplication by I + DR_SIGMA^2 rows^T rows, so P_aff is one
+    product with that q^2 x q^2 matrix's inverse, formed once the candidates before it failed.
+
+    The candidate separators, each tested after the J it pairs with fails: the center I / mq
+    after the first J, then after each Douglas-Rachford J the R part of y - (2 x - z), the part
+    of the reflection its cone projection cut off, P_+(z_R - 2 x_R), normalized to trace one
+    (none when it is zero).  That is the R part of z's next value less x, the iteration's dual
+    iterate.  When no certificate exists, z_k / k converges to a certificate of infeasibility,
+    the limit of the step z_{k+1} - z_k (Liu, Ryu and Yin, Math. Program. 177, 2019; Banjac,
+    Goulart, Stellato and Boyd, JOTA 183, 2019), and so does this iterate over k: its R part
+    is an M with T(M) PSD and <A, M> < 0.  On the bench generator's tight pairs moved across the
+    boundary it finds more separators, and sooner, than the step itself.
+
+    A candidate with lambda_min T(M) < tol_strict is repaired toward M0 = _gram_separator(G0, q)
+    (_repair), G0 an m x m PSD matrix with T(M0) positive definite, such as the Gram matrix of
+    a Slater tuple.  M0 is formed, and tested as a candidate, the first time a repair needs its
+    lambda_min T; without a positive one no candidate is repaired.  Repaired with no
+    margin (none at all where T(M) is PSD), every candidate bounds every certify value, of any
+    trace, by its <A, M'>, and ``bound`` is the least of these (inf before the first).  A
+    candidate is a separator when its repair with margin 2 tol_strict, where one is needed, has
+    <A, M'> <= -2 tol_strict; lambda_min T(M') is then positive.
+
+    The search ends at a certify value of at least -tol, at the first separator, or once
+    ``budget`` candidates of either side are tested.  It returns ((best J, its value, certify
+    evaluations), (the separator or None, bound, separator evaluations)).  No random number is
+    drawn: the same inputs give the same candidates.  A value that is not finite raises
+    InvalidInput, and so does an iterate z that is not, since _sym_eigh may give finite output
+    on NaN input.
     """
     m, n = len(A) // q, q * q
-    c = 1.0 / n
-    J = np.eye(n) * (c + _simplex_shift(np.full(n, c)))
-    best_J, best_v, evals = None, -math.inf, 0
-    sigma = DR_SIGMA
+    sigma, cut = DR_SIGMA, -2.0 * tol_strict
+    best_J, best_v, sep, bound = None, -math.inf, None, math.inf
+    evals, M0, lam0, a0 = [0, 0], None, None, None
+
+    def tested(side, X):
+        """The oracle's output for (side, X), its values checked finite."""
+        out = yield side, X
+        evals[side] += 1
+        values = out[:1] if side == 0 else out
+        if not all(map(math.isfinite, values)):
+            raise InvalidInput(f"search step {sum(evals)}: value " + ", ".join(map(repr, values)))
+        return out
+
+    def kept(M, t, a):
+        """Record candidate M, t = lambda_min T(M) and a = <A, M>: whether it is a separator."""
+        nonlocal sep, bound
+        theta = 0.0
+        if t < tol_strict:
+            if not lam0 > 0.0:  # T(M0) is not positive definite as computed: no repair
+                return False
+            bound = min(bound, _repair(t, a, lam0, a0, 0.0)[1])
+            theta, a = _repair(t, a, lam0, a0, 2.0 * tol_strict)
+        else:
+            bound = min(bound, a)
+        if a > cut:
+            return False
+        sep = M if theta == 0.0 else (1.0 - theta) * M + theta * M0
+        return True
+
+    def separated(M):
+        """Test separator candidate M, and M0 the first time a repair needs it: whether either is
+        a separator."""
+        nonlocal M0, lam0, a0
+        t, a = yield from tested(1, M)
+        if t < tol_strict and lam0 is None:
+            if sum(evals) >= budget:
+                return False
+            M0 = _gram_separator(G0, q)
+            lam0, a0 = yield from tested(1, M0)
+            if kept(M0, lam0, a0):
+                return True
+        return kept(M, t, a)
+
+    J, inv = _center(n), None
     while True:
-        v, u = yield J
-        if not math.isfinite(v):
-            raise InvalidInput(f"search step {evals + 1}: value {v!r}")
-        evals += 1
+        v, u = yield from tested(0, J)
         if v > best_v:
             best_J, best_v = J, v
-        if best_v >= target or evals >= budget:
-            return best_J, best_v
-        if evals == 1:  # the spectral search's first step, along the supergradient at the center
+        if best_v >= -tol or sum(evals) >= budget:
+            break
+        M = None
+        if evals[0] == 1:  # the spectral search's first step is along the supergradient here
             G = -_choi_adjoint(u[:, None] * u, rows, m, q)
             G = (G + G.T) / 2.0
             norm = fro(G)
             if not math.isfinite(norm):
                 raise InvalidInput(f"search step 1: supergradient norm {norm!r}")
-            if norm < 1e-15:  # v^T L(J) v = 0 for every J: no J has a larger value
-                return best_J, best_v
-            yield
+            M = _center(len(A))
+        elif inv is not None:  # the R part the cone projection cut off the reflection, P_+(-r_R)
+            dropped = np.maximum(-w, 0.0)
+            if dropped.sum() > 0.0:
+                M = (V * (dropped / dropped.sum())) @ V.T
+        if M is not None and ((yield from separated(M)) or sum(evals) >= budget):
+            break
+        if evals[0] == 1 and norm >= 1e-15:  # else v^T L(J) v = 0 for every J: none does better
             J = _spectraplex_project(J + (1.0 / norm) * G)
             continue
-        yield
-        if evals == 2:  # Douglas-Rachford from the better of the two
+        if inv is None:  # Douglas-Rachford from the better of the candidates so far
             inv = np.linalg.inv(np.eye(n) + sigma * sigma * (rows.T @ rows))
             rows_inv = rows @ inv
             zJ, zR = best_J / sigma, _psd_part(A - _choi_map(best_J, rows, m, q))
@@ -520,11 +604,14 @@ def conic_feasibility(A: np.ndarray, rows: np.ndarray, q: int, budget: int, targ
               + sigma * (regroup(A - zR, m, q, m, q).T @ rows_inv))
         xR = A - sigma * regroup(rows @ xJ.T, m, m, q, q)
         xJ = regroup(xJ, q, q, q, q)
-        yJ, yR = _psd_part(2.0 * xJ - zJ), _psd_part(2.0 * xR - zR)
+        w, V = _sym_eigh(2.0 * xR - zR)
+        yJ, yR = _psd_part(2.0 * xJ - zJ), (V * np.maximum(w, 0.0)) @ V.T
         zJ, zR = zJ + (yJ - xJ), zR + (yR - xR)
         if not math.isfinite(np.vdot(zJ, zJ) + np.vdot(zR, zR)):
-            raise InvalidInput(f"search step {evals + 1}: the iterate is not finite")
+            raise InvalidInput(f"search step {sum(evals) + 1}: the iterate is not finite")
         J = sigma * yJ
+    # a pair, so that supergradient_ascent's evaluation count is its third element
+    return (best_J, best_v, evals[0]), (sep, bound, evals[1])
 
 
 def maximize_spectral(
@@ -631,7 +718,7 @@ def scalar_multiplier(A: np.ndarray, B: np.ndarray, tol_strict: float) -> Multip
     bound are None.
 
     The bisection stops as soon as it decides, by the two rules that end the
-    q >= 2 race: it settles at the first probe with h >= 0, certify's target,
+    q >= 2 search: it settles at the first probe with h >= 0, certify's target,
     which is then lam; and it is cut once the bound is at most -2 tol_strict,
     the separator's target, when every h is too.  Otherwise (a maximum
     between -2 tol_strict and 0) it runs until no float lies between the

@@ -14,19 +14,16 @@ A failed certificate search is never treated as a refutation on its own:
 only a verified counterexample refutes, and only a verified certificate
 confirms; everything else is reported inconclusive.
 
-The certificate search looks for a Choi matrix of any trace: it is
-Douglas-Rachford splitting on the paper's condition
-(linalg.conic_feasibility), started from the first two points of the
-trace-one spectral search.  The separator search is a supergradient ascent
-over the trace-one PSD matrices (linalg.spectral_search).  The two are the
-two sides of one duality, so at most one can reach its target.  decide
-races them once, each within the budget: one oracle evaluation from each
-in turn, and the first side to settle the question ends the race.  Every
-separator point M whose sum B_ij (x) M_ij is PSD also bounds the values of
-certificates of every trace from above, by <A, M>, and the certificate
-search stops once that bound rules it out.  At q = 1 there is nothing to
-race: a CP map is a scalar, and one bisection over it
-(linalg.scalar_multiplier) decides.
+The two answers are the two sides of one duality, and one search looks for
+both (linalg.conic_feasibility): Douglas-Rachford splitting on the paper's
+condition for a Choi matrix of any trace, whose dual iterate, when no
+certificate exists, converges to a certificate of infeasibility.  Each step
+gives a separator candidate, repaired toward the Slater point's own separator
+(_slater_gram) until sum B_ij (x) M_ij is PSD.  Every such M bounds the
+values of certificates of every trace from above, by <A, M>, and the search
+ends at the first certificate, at the first M that is a strict separator, or
+at the budget, which both sides share.  At q = 1 a CP map is a scalar, and
+one bisection over it (linalg.scalar_multiplier) decides instead.
 """
 
 import functools
@@ -63,8 +60,7 @@ from .linalg import (
     psd_factor,
     regroup,
     scalar_multiplier,
-    spectral_search,
-    spectraplex_project,  # unused: spectral_search projects; bench/spans.py wraps this name here
+    spectraplex_project,  # unused: the search projects; bench/spans.py wraps this name here
     supergradient_ascent,
     symmetrize,
     times_pow2,
@@ -141,7 +137,6 @@ class CertifySearch:
 @dataclass(frozen=True)
 class SeparatorSearch:
     M: Optional[np.ndarray]
-    best_value: float
     b_margin: float = -np.inf
     a_value: float = np.inf
     evals: int = 0
@@ -193,51 +188,61 @@ def _b_term(M: np.ndarray, blocks: np.ndarray, q: int) -> np.ndarray:
     return regroup(out, q, q, q, q)
 
 
-def _certify_oracle(calA: np.ndarray, blocks: np.ndarray, q: int):
-    """oracle(J) -> (value, v) of J -> lambda_min(A - (1_m (x) phi_J) B), v a unit bottom eigenvector.
+def _oracle(calA: np.ndarray, blocks: np.ndarray, q: int):
+    """The one oracle of linalg.conic_feasibility, on a ``(side, X)`` point.
 
-    The supergradient there is minus the adjoint block map at v v^T; linalg.conic_feasibility
-    forms it from v at the one point where it steps along it.
+    Side 0, a Choi matrix J: (lambda_min(A - (1_m (x) phi_J) B), v), v a unit bottom
+    eigenvector; the search forms the supergradient, minus the adjoint block map at v v^T, at the
+    one point where it steps along it.  Side 1, a separator candidate M: (lambda_min(T), <A, M>),
+    T = sum B_ij (x) M_ij.
     """
-    def oracle(J):
-        return _min_eigpair(calA - _map_coefficients(J, blocks, q))
+    def oracle(step):
+        side, X = step
+        if side:
+            return _min_eigpair(_b_term(X, blocks, q))[0], float(np.vdot(calA, X))
+        return _min_eigpair(calA - _map_coefficients(X, blocks, q))
 
     return oracle
 
 
-def _separator_oracle(calA: np.ndarray, blocks: np.ndarray, q: int):
-    """oracle(M) -> (value, supergradient, bound) of min(lambda_min(T), -<A, M>).
+def _slater_gram(slater: MatTuple) -> np.ndarray:
+    """G0 = [tr X_i X_j^T], the Gram matrix of the Slater tuple, divided by its own 2^b first, so
+    no product overflows.
 
-    The B-side supergradient is the adjoint block map at the rank-one point
-    u u^T, u the bottom eigenvector of T = sum B_ij (x) M_ij.  ``bound`` is
-    <A, M> where lambda_min(T) >= 0, and inf elsewhere.  At a trace-one PSD
-    M with T PSD it is weak duality's upper bound on every certify value:
-    for every PSD J, of any trace,
-    lambda_min(A - (1_m (x) phi_J) B) <= <A - (1 (x) phi_J) B, M>
-    = <A, M> - <T, s J s^T> <= <A, M>, s the tensor swap.
+    The search repairs separator candidates toward M0 = G0 (x) I_q over its trace
+    (linalg._gram_separator): sum B_ij (x) (G0)_ij I_q = tr_n g(X) (x) I_q, the partial trace of
+    g at the Slater point (of its hereditary form for a general tuple, the same at a symmetric
+    one), is positive definite.
     """
-    m = blocks.shape[0]
-    rows = blocks.reshape(m * m, q * q)
-
-    def oracle(M):
-        T = _b_term(M, blocks, q)
-        t1, u = _min_eigpair(T)
-        a = float((calA * M).sum())
-        bound = a if t1 >= 0.0 else math.inf
-        if t1 <= -a:
-            G = regroup(rows @ regroup(u[:, None] * u, q, q, q, q), m, m, q, q)
-            return t1, (G + G.T) / 2.0, bound
-        return -a, -calA, bound
-
-    return oracle
+    X = np.ldexp(slater.mats, -binade(slater.mats)).reshape(slater.m, -1)
+    return X @ X.T
 
 
-def _certify_side(f: NCQuadPoly, g: NCQuadPoly, budget: int, tol: float):
-    """certify's oracle and its conic feasibility search, not yet started: the target is -tol."""
+def _searched(f, g, e, G0, budget, tol, tol_strict):
+    """One run of the search on _scaled's f and g (q >= 2 in decide): (J, certify value, M, diagnostics).
+
+    J is certify's best candidate, M the separator the search ended at, or None; the
+    diagnostics are the caller's (values times 2^e).
+    """
     q, m = f.q, f.m
     calA = coefficient_matrix(f)
-    return (_certify_oracle(calA, g.blocks, q),
-            conic_feasibility(calA, g.blocks.reshape(m * m, q * q), q, budget, -tol))
+    (J, cert_best, cert_evals), (M, bound, sep_evals), _ = supergradient_ascent(
+        _oracle(calA, g.blocks, q),
+        conic_feasibility(calA, g.blocks.reshape(m * m, q * q), q, G0, budget, tol, tol_strict),
+    )
+    diagnostics = {"certify_best": times_pow2(cert_best, e),
+                   "certify_bound": times_pow2(bound, e) if bound < np.inf else None,
+                   "certify_evals": cert_evals, "separator_evals": sep_evals}
+    return J, cert_best, M, diagnostics
+
+
+def _search(f, g, slater, budget, tol, tol_strict, caller):
+    """certify's and find_separator's common part: (f and g _scaled, e, _searched's output)."""
+    if f.m != g.m or f.q != g.q:
+        raise ShapeMismatch(f"{caller} requires matching (m, q); reconcile first")
+    _check_slater(g, slater, tol_strict, hereditary=True)
+    f, g, e = _scaled(f, g)
+    return f, g, e, _searched(f, g, e, _slater_gram(slater), budget, tol, tol_strict)
 
 
 def _certified(f: NCQuadPoly, g: NCQuadPoly, e: int, best_J, best_v: float, tol: float):
@@ -259,60 +264,47 @@ def _certified(f: NCQuadPoly, g: NCQuadPoly, e: int, best_J, best_v: float, tol:
 def certify(
     f: NCQuadPoly,
     g: NCQuadPoly,
+    slater: MatTuple,
     budget: int = DEFAULT_BUDGET,
     tol: float = DEFAULT_TOL,
+    tol_strict: float = DEFAULT_TOL_STRICT,
 ) -> CertifySearch:
     """Search for a PSD Choi matrix J, of any trace, with A - (1_m (x) phi_J) B PSD.
 
-    One conic feasibility search (linalg.conic_feasibility) of at most
-    ``budget`` candidates J, each tested by lambda_min(A - (1 (x) phi_J) B):
-    the maximally mixed point I / q^2, one supergradient step from it on the
-    spectraplex, then Douglas-Rachford splitting between the affine set
-    R + (1 (x) phi_J) B = A and the PSD cones, from the better of the two.
-    It stops at the first value >= -tol, which yields a certificate, the
-    candidate as it is; otherwise the best value is returned as a
-    (one-sided) diagnostic, not a proof that no certificate exists.  The
-    search runs on _scaled's f and g: tol is relative to their 2^e.
+    The certificate side of decide's one search (linalg.conic_feasibility), at any q, without
+    reconciling: at most ``budget`` evaluations, of candidates J, each tested by lambda_min(A -
+    (1 (x) phi_J) B), from I / q^2, and of the separator candidates paired with them.  It stops
+    at the first value >= -tol, which yields a certificate, the candidate as it is; it also
+    stops at a strict separator, so the slater tuple, of either kind, must pass the Slater test
+    (the hereditary form's, the same at a symmetric tuple).  Otherwise the best value is
+    returned as a (one-sided) diagnostic, not a proof that no certificate exists.  The search
+    runs on _scaled's f and g: tol and tol_strict are relative to their 2^e.
     """
-    if f.m != g.m or f.q != g.q:
-        raise ShapeMismatch("certify requires matching (m, q); reconcile first")
-    f, g, e = _scaled(f, g)
-    best_J, best_v, _ = supergradient_ascent(*_certify_side(f, g, budget, tol))
-    return _certified(f, g, e, best_J, best_v, tol)
-
-
-def _separator_side(f: NCQuadPoly, g: NCQuadPoly, budget: int, tol_strict: float):
-    """find_separator's oracle and its spectral search, not yet started: the target is 2 tol_strict."""
-    q = f.q
-    return (_separator_oracle(coefficient_matrix(f), g.blocks, q),
-            spectral_search(f.m * q, budget, 2.0 * tol_strict))
+    f, g, e, (J, best_v, _, _) = _search(f, g, slater, budget, tol, tol_strict, "certify")
+    return _certified(f, g, e, J, best_v, tol)
 
 
 def find_separator(
     f: NCQuadPoly,
     g: NCQuadPoly,
+    slater: MatTuple,
     budget: int = DEFAULT_BUDGET,
+    tol: float = DEFAULT_TOL,
     tol_strict: float = DEFAULT_TOL_STRICT,
 ) -> SeparatorSearch:
-    """Search for a trace-one PSD M with sum B_ij (x) M_ij PSD and <A, M> < 0.
+    """Search for a trace-one PSD M with sum B_ij (x) M_ij PSD and <A, M> <= -2 tol_strict.
 
-    Maximizes min(lambda_min(sum B_ij (x) M_ij), -<A, M>) in one ascent
-    from the maximally mixed point I / mq (linalg.spectral_search), up to
-    the target 2 tol_strict in ``evals`` evaluations, at most ``budget``.
-    A best value >= tol_strict is the separator: both inequalities then
-    hold with margin tol_strict.  As in certify, the search runs on
-    _scaled's f and g, so tol_strict is relative to their 2^e.
+    The separator side of the search certify runs, with the same arguments: M is the
+    separator it ended at, None when it ended otherwise (a certificate, or the budget);
+    ``a_value`` is <A, M> and ``b_margin`` lambda_min(sum B_ij (x) M_ij) there (inf and -inf
+    without one), and ``evals`` the separator evaluations.
     """
-    if f.m != g.m or f.q != g.q:
-        raise ShapeMismatch("find_separator requires matching (m, q); reconcile first")
-    f, g, e = _scaled(f, g)
-    oracle, search = _separator_side(f, g, budget, tol_strict)
-    M, best_v, evals = supergradient_ascent(lambda M: oracle(M)[:2], search)
-    b_margin = lambda_min(_b_term(M, g.blocks, f.q))
-    a_value = float(np.sum(coefficient_matrix(f) * M))
-    return SeparatorSearch(M=M if best_v >= tol_strict else None, best_value=times_pow2(best_v, e),
-                           b_margin=times_pow2(b_margin, e), a_value=times_pow2(a_value, e),
-                           evals=evals)
+    f, g, e, (_, _, M, d) = _search(f, g, slater, budget, tol, tol_strict, "find_separator")
+    if M is None:
+        return SeparatorSearch(M=None, evals=d["separator_evals"])
+    return SeparatorSearch(M=M, a_value=times_pow2(float(np.vdot(coefficient_matrix(f), M)), e),
+                           b_margin=times_pow2(lambda_min(_b_term(M, g.blocks, f.q)), e),
+                           evals=d["separator_evals"])
 
 
 def _checked_separator(f, g, M, tol, tol_strict) -> np.ndarray:
@@ -485,120 +477,20 @@ def _check_slater(g: NCQuadPoly, slater: MatTuple, tol_strict: float, hereditary
         raise SlaterViolated(f"lambda_min(g(slater)) = {times_pow2(lm, a + 2 * b):.3e} <= {tol_strict}")
 
 
-# Roundoff allowance of the duality cut.  Both searches run on _scaled's f
-# and g, so ||A||_F and ||B||_F are below 1.  A bound is <A, M> at a
-# separator point whose computed lambda_min(T) is >= 0, T = sum B_ij (x) M_ij,
-# M an output of _spectraplex_project (the start is the center as it
-# rounds it), within O(n u) of a trace-one PSD matrix (n <= MAX_DIM its
-# side, u = 2^-53).  For a PSD J of any trace, weak duality reads
-# lambda_min(A - L(J)) <= <A, M> - <T, s J s^T> <= <A, M> - lambda_min(T) tr J,
-# so a computed lambda_min(T) >= 0 leaves T's own error, times tr J.  T,
-# certify values and <A, M> come from GEMMs, sums and _min_eigpair, whose
-# a-priori errors are O(n u) times the norms involved: ||B||_F for T,
-# ||A||_F + ||B||_F tr J for a certify value (J from _psd_part, PSD within
-# O(n u) ||J||_F <= O(n u) tr J).  From its selective side on, _min_eigpair's
-# value is dsyevr's: the tridiagonal reduction is backward stable to
-# O(n u) ||S||_F, and dstebz's bisection with ABSTOL = 0 stops within
-# ulp ||K||_1 <= 2 u sqrt(n) ||S||_F of an eigenvalue of the tridiagonal
-# form K, so its error is O(n u) too; below that side it is eigh's.  Summed, a
-# computed certify value exceeds a computed bound by less than about
-# 12 n u (1 + ||A||_F + ||B||_F tr J) < 12 n u (2 + tr J), which is
-# 5.5e-12 (2 + tr J) at n = MAX_DIM: 1e-10 covers certificates of trace up
-# to 16 there, and up to about 1000 at the sides 64 and below of the bench.
-CUT_ROUNDOFF = 1e-10
-
-
-def _race(searches, settle, cut):
-    """The certify and separator searches of one decision, one evaluation each in turn.
-
-    A generator for supergradient_ascent, driven as each search is: ``next``
-    yields ``(side, point)``, side 0 (certify) first, and ``send`` takes the
-    oracle's output for it back; the separator's output carries a third
-    element, the bound its point puts on every certify value, of any trace
-    (inf where it puts none).  A side's
-    next point is asked of its search only when its turn comes, so a side
-    cut short forms no point it would not evaluate.  A side whose search
-    finishes leaves the turn; the race ends once both have finished, or as
-    soon as certify finishes with a best value of at least ``settle``,
-    which cuts the separator short.  A separator bound below ``cut`` cuts
-    certify short, since certify can then no longer settle; so does a
-    separator at its target, whose bound is below the cut (see _race_sides).
-    Returns, per side, ``[best point or None if cut short, best value
-    reached, evaluations]``, and the lowest bound (inf if the separator
-    gave a finite bound): a pair, so that supergradient_ascent's evaluation
-    count stays its third element.
-    """
-    tally = [[None, -np.inf, 0], [None, -np.inf, 0]]
-    bound = np.inf
-    live = list(searches)
-    while True:
-        for side in (0, 1):
-            if live[side] is None:
-                continue
-            out = yield side, next(live[side])
-            rec = tally[side]
-            rec[2] += 1
-            if out[0] > rec[1]:
-                rec[1] = out[0]
-            if side and out[2] < bound:
-                bound = out[2]
-                if bound < cut:
-                    live[0] = None
-            try:
-                live[side].send(out[:2])
-            except StopIteration as done:
-                live[side] = None
-                rec[0] = done.value[0]
-                if not side and done.value[1] >= settle:
-                    live[1] = None
-            if not (live[0] or live[1]):
-                return tally, bound
-            yield
-
-
-def _race_sides(f, g, e, budget, tol, tol_strict):
-    """Race certify against the separator search (q >= 2): (J, certify value, M, diagnostics).
-
-    f and g are _scaled's.  Certify is the conic feasibility search, of any trace, to -tol;
-    the separator the spectral search.  J is certify's best point, None if it was cut short;
-    M is the separator's, None unless it cleared tol_strict; the diagnostics are the caller's
-    (times 2^e).  A separator at its target 2 tol_strict has lambda_min(T) >= 2 tol_strict and
-    <A, M> <= -2 tol_strict, so its bound <A, M> is at most -2 tol_strict: below the cut
-    -tol - CUT_ROUNDOFF whenever tol <= tol_strict and tol_strict > CUT_ROUNDOFF, and certify
-    stops there.
-    """
-    cert_oracle, cert_search = _certify_side(f, g, budget, tol)
-    sep_oracle, sep_search = _separator_side(f, g, budget, tol_strict)
-    sides = (cert_oracle, sep_oracle)
-
-    def oracle(step):
-        side, X = step
-        return sides[side](X)
-
-    # A separator bound below the cut puts every certify value below -tol.
-    ((J, cert_best, cert_evals), (M, sep_best, sep_evals)), bound, _ = supergradient_ascent(
-        oracle, _race((cert_search, sep_search), -tol, -tol - CUT_ROUNDOFF),
-    )
-    diagnostics = {"certify_best": times_pow2(cert_best, e),
-                   "certify_bound": times_pow2(bound, e) if bound < np.inf else None,
-                   "separator_best": times_pow2(sep_best, e) if sep_evals else None,
-                   "certify_evals": cert_evals, "separator_evals": sep_evals}
-    return J, cert_best, M if sep_best >= tol_strict else None, diagnostics
-
-
 def _multiplier_sides(f, g, e, tol, tol_strict):
-    """Decide q = 1 without a search: (J, certify value, M, diagnostics) as _race_sides gives them.
+    """Decide q = 1 without a search: (J, certify value, M, diagnostics) as _searched gives them.
 
     A CP map is then a scalar lambda >= 0: linalg.scalar_multiplier bisects h(lambda) =
-    lambda_min(A - lambda B) over all of them, with the race's settle and cut targets, read by
-    decide's q = 1 rule.  Its bracket's bound on every h is the certify bound.
+    lambda_min(A - lambda B) over all of them, up to the search's targets: h >= 0 settles, and a
+    bracket bound <A, M> <= -2 tol_strict cuts.  Its bracket's bound on every h is the certify
+    bound.
     """
     mult = scalar_multiplier(coefficient_matrix(f), coefficient_matrix(g), tol_strict)
     value = times_pow2(mult.value, e)
     bound = None if mult.bound is None else times_pow2(mult.bound, e)
-    diagnostics = {"certify_best": value, "certify_bound": bound, "separator_best": None,
-                   "certify_evals": 0, "separator_evals": 0, "multiplier": mult.lam,
-                   "multiplier_value": value, "multiplier_evals": mult.evals}
+    diagnostics = {"certify_best": value, "certify_bound": bound, "certify_evals": 0,
+                   "separator_evals": 0, "multiplier": mult.lam, "multiplier_value": value,
+                   "multiplier_evals": mult.evals}
     if mult.value >= -tol:
         return np.full((1, 1), mult.lam), mult.value, None, diagnostics
     return None, mult.value, mult.M if mult.value <= -tol_strict else None, diagnostics
@@ -635,7 +527,7 @@ def _decide_common(f, g, slater, budget, tol, tol_strict, hereditary):
     if q == 1:
         sides = _multiplier_sides(f2, g2, e, tol, tol_strict)
     else:
-        sides = _race_sides(f2, g2, e, budget, tol, tol_strict)
+        sides = _searched(f2, g2, e, _slater_gram(slater), budget, tol, tol_strict)
     return _concluded(f2, g2, e, *sides, tol, tol_strict, hereditary)
 
 
@@ -650,43 +542,39 @@ def decide(
     """Full decision for the projected domination question.
 
     Requires lambda_min(g(slater)) > tol_strict.  Coefficient dimensions are
-    reconciled automatically (pad f, or replace g by repeated blocks).  The
-    certificate search (certify's: Choi matrices of any trace, from I / q^2)
-    and the separator search (find_separator's: one ascent from I / mq) each
-    take at most ``budget`` evaluations, draw no random number, so the same
-    inputs give the same decision, and take one evaluation each in turn,
-    certificate side first.  The race ends once certify finishes at >= -tol.
-    Each separator point M with T = sum B_ij (x) M_ij PSD bounds every
-    certify value, of a map of any trace, from above by <A, M> (weak
-    duality); once a bound is below -tol by more than a roundoff allowance
-    (CUT_ROUNDOFF), certify can no longer settle and stops, as it has once
-    the separator reaches its target (see _race_sides), and the separator
-    goes on alone.  So the objects returned are those of certify then
-    find_separator run in full.
-    The report is inconclusive when neither yields a verified object:
-    certify ended below -tol or was ruled out, and the separator ended
-    without a verified counterexample (a builder's failure, a rejected
-    separator's PreconditionViolated included, is ``counterexample_error``).
-    ``diagnostics`` holds, for every outcome, the evaluations each side
-    spent (``certify_evals``, ``separator_evals``), the best value each
-    reached before the race ended (``certify_best``, ``separator_best``)
-    and ``certify_bound``, the lowest of those bounds; ``separator_best``
-    is None if the separator made no evaluation, and ``certify_bound`` if
-    none of its points had T PSD.  A bound below -tol shows, up to
-    roundoff, that no certificate of any trace exists.
+    reconciled automatically (pad f, or replace g by repeated blocks).  One
+    search (linalg.conic_feasibility) looks for both answers and draws no
+    random number, so the same inputs give the same decision.  Its
+    candidates are certificates J, Choi matrices of any trace from I / q^2,
+    and after each J that fails the separator candidate it pairs with: the
+    center I / mq after the first, then one from each Douglas-Rachford step,
+    repaired toward the Slater tuple's separator (_slater_gram) where
+    T = sum B_ij (x) M_ij is not safely PSD.  The search ends at the first J
+    with value >= -tol, which is the certificate, at the first M whose
+    repair has <A, M> <= -2 tol_strict, which goes to the builder, or once
+    ``budget`` candidates of either side are tested.  The report is
+    inconclusive when neither yields a verified object: the budget ran out,
+    or the builder failed (its failure, a rejected separator's
+    PreconditionViolated included, is ``counterexample_error``).
+    ``diagnostics`` holds, for every outcome, the evaluations of each side
+    (``certify_evals``, ``separator_evals``), certify's best value
+    (``certify_best``) and ``certify_bound``, the least <A, M'> over the
+    separator candidates repaired with no margin, None if none was: each such
+    M' has T PSD and bounds every certify value, of a map of any trace, from
+    above (weak duality).  A bound below -tol shows, up to roundoff, that no
+    certificate of any trace exists.
 
     At a reconciled q = 1 no search runs and ``budget`` is unused: a CP
     map is a scalar lambda >= 0, and linalg.scalar_multiplier bisects
     h(lambda) = lambda_min(A - lambda B) over all of them, stopping at the
-    race's targets: the first h >= 0, or a bracket whose separator M bounds
+    search's targets: the first h >= 0, or a bracket whose separator M bounds
     every h by <A, M> <= -2 tol_strict.  It is read by
     positivity.scalar_slemma's rule.  A best h at or above -tol gives the
     certificate J = [[lambda]] (J = [[0]] when f alone is PSD), one at or
     below -tol_strict hands its bracket separator to the builder, and one
     between is inconclusive.  ``certify_best`` is that h and
     ``certify_bound`` the bracket's <A, M>, None when no bracket formed;
-    ``certify_evals`` and ``separator_evals`` are 0,
-    ``separator_best`` is None, and ``multiplier``, ``multiplier_value``
+    ``certify_evals`` and ``separator_evals`` are 0, and ``multiplier``, ``multiplier_value``
     and ``multiplier_evals`` are lambda, h(lambda) and the evaluations of
     h.  Past the Slater test, in the caller's units, f and g are divided by their 2^e (_scaled):
     tol and tol_strict are relative to 2^e, and the values come back times 2^e; J, M, X, P, E do not.
@@ -875,13 +763,15 @@ def verify_counterexample(
     Both are checked on the support of the point (see _sides), which gives the verdict of the
     whole evaluation, on _scaled's f and g, as the builders check them.  Any
     structural inconsistency in the stored object (wrong shapes, missing pieces, a non-finite
-    witness E) counts as a failed verification rather than an error.
+    witness E, a point whose evaluation leaves the float range) counts as a failed
+    verification rather than an error.
     """
     try:
         f2, g2, _ = _scaled(*reconcile(f, g))
         if ce.X is None or ce.X.m != f2.m:
             return False
-        g_side, violation = _sides(ce, f2, g2)
+        with np.errstate(over="raise", invalid="raise"):
+            g_side, violation = _sides(ce, f2, g2)
         return bool(is_psd(g_side, tol) and violation <= -tol_strict)
-    except (ShapeMismatch, ValueError, TypeError):  # TypeError: e.g. a 2-D E
+    except (ShapeMismatch, ValueError, TypeError, FloatingPointError):  # TypeError: e.g. a 2-D E
         return False

@@ -22,6 +22,7 @@ from helpers import (
     random_scalar_pair,
     random_sym_tuple,
     refutable_instance,
+    slater_poly,
 )
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
@@ -162,8 +163,9 @@ def test_criterion_6_planted_certificates():
     shapes = [(m, q) for m in range(1, 5) for q in range(1, 4) if m * q <= 12]
     for trial in range(50):
         m, q = shapes[int(rng.integers(0, len(shapes)))]
-        f, g, _ = planted_certificate_instance(rng, m, q)
-        out = ns.certify(f, g, budget=5000)
+        g, x = slater_poly(rng, m, q)
+        f, g, _ = planted_certificate_instance(rng, m, q, g=g)
+        out = ns.certify(f, g, ns.new_tuple(x.reshape(m, 1, 1)), budget=5000)
         assert out.certificate is not None, f"trial {trial} ({m},{q}): {out.best_value}"
         assert out.certificate.residual_lambda_min >= -1e-6
         assert ns.verify_certificate(out.certificate, f, g, seed=trial)
@@ -179,15 +181,16 @@ def test_criterion_7_counterexamples():
     # the canonical scalar embedding is always part of the batch
     f0 = ns.scalar_to_nc(ns.new_scalar_quad([[0.0, 1.0], [1.0, 0.0]]))
     g0 = ns.scalar_to_nc(ns.new_scalar_quad([[1.0, 0.0], [0.0, 0.0]]))
-    instances = [(f0, g0)]
+    instances = [(f0, g0, ns.new_tuple([[[1.0]], [[0.0]]]))]
     while len(instances) < 50:
         m = int(rng.integers(1, 4))
         q = int(rng.integers(1, 3))
-        f, g, _ = refutable_instance(rng, m, q)
-        instances.append((f, g))
-    for f, g in instances:
+        g, x = slater_poly(rng, m, q)
+        f, g, _ = refutable_instance(rng, m, q, g=g)  # g gains a PSD shift: x stays Slater
+        instances.append((f, g, ns.new_tuple(x.reshape(m, 1, 1))))
+    for f, g, slater in instances:
         trial += 1
-        sep = ns.find_separator(f, g, budget=4000)
+        sep = ns.find_separator(f, g, slater, budget=4000)
         assert sep.M is not None, f"separator search failed on trial {trial}"
         ce = ns.build_counterexample(f, g, sep.M)
         assert ns.verify_counterexample(ce, f, g)
@@ -209,14 +212,16 @@ def test_criterion_8_mutual_exclusion():
         m = int(rng.integers(1, 3))
         q = int(rng.integers(1, 3))
         roll = rng.random()
+        g, x = slater_poly(rng, m, q)
         if roll < 0.35:
-            f, g, _ = planted_certificate_instance(rng, m, q)
+            f, g, _ = planted_certificate_instance(rng, m, q, g=g)
         elif roll < 0.7:
-            f, g, _ = refutable_instance(rng, m, q)
+            f, g, _ = refutable_instance(rng, m, q, g=g)
         else:
-            f, g = random_poly(rng, m, q), random_poly(rng, m, q)
-        cert = ns.certify(f, g, budget=900)
-        sep = ns.find_separator(f, g, budget=900)
+            f = random_poly(rng, m, q)
+        slater = ns.new_tuple(x.reshape(m, 1, 1))
+        cert = ns.certify(f, g, slater, budget=900)
+        sep = ns.find_separator(f, g, slater, budget=900)
         cert_ok = cert.certificate is not None and cert.best_value >= 1e-6
         sep_ok = (sep.M is not None and sep.b_margin >= 1e-6
                   and sep.a_value <= -1e-6)

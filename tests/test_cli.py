@@ -211,7 +211,8 @@ def test_slemma_certifies_the_scale_gap_at_q2_off_the_trace_one_slice(capsys, tm
     # tr phi(I_2) = 1, so A - (1 (x) phi) B = I_2 - 4 phi(I_2) is never PSD
     # there, while phi = id / 4 (trace 1/2) is a certificate.  The certify
     # search is not bound to the slice: its first two points, both trace one,
-    # fail, and its first Douglas-Rachford candidate certifies.
+    # fail, and its first Douglas-Rachford candidate certifies.  The one
+    # separator it tests is the center I / mq, after the first point.
     path = fx("scale_gap_q2.json")
     out = tmp_path / "cert.json"
     code, doc, _ = run(capsys, "slemma", "--budget", "500", "-o", str(out), path)
@@ -219,16 +220,16 @@ def test_slemma_certifies_the_scale_gap_at_q2_off_the_trace_one_slice(capsys, tm
     assert abs(np.trace(np.array(doc["J"]["J"])) - 1.0) > 0.5
     assert doc["residual_lambda_min"] >= 0.0
     d = doc["diagnostics"]
-    assert (d["certify_evals"], d["separator_evals"]) == (3, 2)
+    assert (d["certify_evals"], d["separator_evals"]) == (3, 1)
     assert run(capsys, "verify", str(out), path)[0] == cli.EXIT_OK
 
 
 def check_near_miss_inconclusive(capsys, budget):
     # f = x1x1 (x) diag(1, -2^-22), g = x1x1 (x) I_2: (A - (1 (x) phi) B)_22 =
     # -2^-22 - phi(I_2)_22 <= -2^-22 for every CP phi, so no certificate
-    # exists, and the best separator value, min(lambda_min(M), -<A, M>) near
-    # M = e_2 e_2^T, is about 2^-23, far below tol_strict.  Neither side
-    # settles at any budget.
+    # exists, and every trace-one M with T = M (x) I_2 PSD has <A, M> >= -2^-22,
+    # reached at M = e_2 e_2^T, far above the separator's -2 tol_strict.
+    # Neither side settles at any budget, and the two share it.
     path = fx("near_miss_q2.json")
     code, doc, _ = run(capsys, "slemma", "--budget", str(budget), path)
     assert code == cli.EXIT_INCONCLUSIVE
@@ -239,13 +240,14 @@ def check_near_miss_inconclusive(capsys, budget):
     expected = ns.decide(inst["f"], inst["g"], inst["slater"], budget=budget).diagnostics
     for key in ("certify_evals", "separator_evals"):
         assert budget >= doc["diagnostics"][key] == expected[key] > 0
-    # Every separator point M has T = M (x) I_2 PSD, so its bound is <A, M> >= -2^-22;
-    # a bound below -tol cut certify short.
+    # Every separator the search keeps has T PSD, so its bound is <A, M> >= -2^-22, and the
+    # search's bound comes within roundoff of it: below -tol, it shows no certificate exists.
     keys = list(doc["diagnostics"])
     assert keys[keys.index("certify_best") + 1] == "certify_bound"
     bound = doc["diagnostics"]["certify_bound"]
     assert bound == expected["certify_bound"]
     assert -2.0 ** -22 <= bound < -ns.DEFAULT_TOL
+    assert doc["diagnostics"]["certify_evals"] + doc["diagnostics"]["separator_evals"] == budget
     assert doc["diagnostics"]["certify_evals"] < budget
     assert doc["diagnostics"]["certify_best"] <= -2.0 ** -22 * (1.0 - 1e-9)
 
@@ -257,6 +259,24 @@ def test_slemma_inconclusive_reports_the_evaluations_of_each_side(capsys):
 @pytest.mark.parametrize("budget", [500, 1000, 5000])
 def test_slemma_inconclusive_evaluations_stay_within_the_budget(capsys, budget):
     check_near_miss_inconclusive(capsys, budget)
+
+
+def test_slemma_refutes_with_a_separator_from_a_douglas_rachford_step(capsys, tmp_path):
+    # f = x1x1 (x) diag(1, -1/2), g = x1x1 (x) I_2: A - (1 (x) phi) B = diag(1, -1/2) - phi(I_2)
+    # is never PSD, and the center I / 2 is no separator, <A, I / 2> = 1/4.  The separator
+    # comes from the first Douglas-Rachford step, the third candidate J: near e_2 e_2^T, whose
+    # T = I_2 (x) M is only PSD, it is repaired toward the Slater point's I / 2, tested then.
+    path = fx("dr_counterexample_q2.json")
+    out = tmp_path / "ce.json"
+    code, doc, _ = run(capsys, "slemma", "-o", str(out), path)
+    assert code == cli.EXIT_COUNTEREXAMPLE
+    d = doc["diagnostics"]
+    assert (d["certify_evals"], d["separator_evals"]) == (3, 3)
+    assert d["certify_best"] == -0.5 and -0.5 <= d["certify_bound"] < -0.5 + 1e-9
+    M = np.array(doc["M"])
+    assert np.linalg.eigvalsh(M)[0] > 0.0 and abs(np.trace(M) - 1.0) < 1e-12
+    assert doc["violation"] <= -0.49
+    assert run(capsys, "verify", str(out), path)[0] == cli.EXIT_OK
 
 
 def test_slemma_scale_gap_at_q1_runs_no_search(capsys, tmp_path):
@@ -271,13 +291,13 @@ def test_slemma_scale_gap_at_q1_runs_no_search(capsys, tmp_path):
     assert run(capsys, "verify", str(out), fx("scale_gap.json"))[0] == cli.EXIT_OK
     d = doc["diagnostics"]
     assert d["certify_bound"] == d["certify_best"] == 1.0
-    assert (d["certify_evals"], d["separator_evals"], d["separator_best"]) == (0, 0, None)
+    assert (d["certify_evals"], d["separator_evals"]) == (0, 0)
     assert (d["multiplier"], d["multiplier_value"], d["multiplier_evals"]) == (0.0, 1.0, 1)
 
 
 def test_certificate_at_certifys_first_point_reports_no_separator_value(capsys, tmp_path):
-    # the separator makes no evaluation, so its best value is null, not -inf,
-    # which has no JSON form
+    # the search tests no separator, so certify_bound is null, not inf, which
+    # has no JSON form
     rng = np.random.default_rng(3)
     g, x = slater_poly(rng, 2, 3)
     f, g, _ = planted_certificate_instance(rng, 2, 3, noise_margin=2.0, g=g)
@@ -289,7 +309,7 @@ def test_certificate_at_certifys_first_point_reports_no_separator_value(capsys, 
     assert code == cli.EXIT_OK
     d = doc["diagnostics"]
     assert (d["certify_evals"], d["separator_evals"]) == (1, 0)
-    assert d["separator_best"] is None and d["certify_bound"] is None
+    assert d["certify_bound"] is None
     assert json.loads(out.read_text()) == doc
     assert run(capsys, "verify", str(out), str(inst))[0] == cli.EXIT_OK
 

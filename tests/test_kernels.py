@@ -17,12 +17,7 @@ from ncslemma.linalg import (
     spectraplex_project,
     symmetrize,
 )
-from ncslemma.slemma import (
-    _b_term,
-    _certify_oracle,
-    _map_coefficients,
-    _separator_oracle,
-)
+from ncslemma.slemma import _b_term, _map_coefficients, _oracle
 
 from helpers import random_gen_tuple, random_poly, random_psd_poly, random_sym, random_sym_tuple
 
@@ -52,12 +47,6 @@ def ref_certify_gradient(v, blocks, q):
     m = blocks.shape[0]
     W = np.outer(v, v).reshape(m, q, m, q).transpose(0, 2, 1, 3)
     return -np.einsum("ijab,ijcd->acbd", W, blocks).reshape(q * q, q * q)
-
-
-def ref_separator_gradient(u, blocks, q):
-    m = blocks.shape[0]
-    W = np.outer(u, u).reshape(q, q, q, q)
-    return np.einsum("ijab,acbd->icjd", blocks, W).reshape(m * q, m * q)
 
 
 def ref_homogenize_oracle(x, quad, lin, A0):
@@ -120,7 +109,7 @@ def test_certify_oracle_matches_einsum(m, q):
     f, g = random_poly(rng, m, q), random_poly(rng, m, q)
     calA = ns.coefficient_matrix(f)
     J = spectraplex_project(random_sym(rng, q * q))
-    val, v = _certify_oracle(calA, g.blocks, q)(J)
+    val, v = _oracle(calA, g.blocks, q)((0, J))
 
     w, V = np.linalg.eigh(calA - ref_map_coefficients(J, g.blocks, q))
     assert val == pytest.approx(w[0], abs=1e-12 * (1.0 + np.linalg.norm(calA)))
@@ -141,36 +130,16 @@ def test_choi_adjoint_is_the_adjoint_of_the_map(m, q):
 
 
 @pytest.mark.parametrize("m,q", SIZES)
-@pytest.mark.parametrize("branch", ["b-term", "a-term"])
-def test_separator_oracle_matches_einsum(m, q, branch):
-    # With sign = +1 (-1), g's coefficient matrix is PSD (NSD), so is the
-    # B-term at a PSD M, and <A, M> > 0 (< 0): the A-term (B-term) is smaller.
-    sign = 1.0 if branch == "a-term" else -1.0
+def test_separator_oracle_matches_einsum(m, q):
+    # side 1: lambda_min of T = sum B_ij (x) M_ij and <A, M>, at a full-rank trace-one M
     rng = np.random.default_rng(50 * m + q)
-    f = random_poly(rng, m, q)
-    g = ns.new_quad_poly(sign * random_psd_poly(rng, m, q).blocks)
-    calA = sign * np.eye(m * q) + 0.01 * ns.coefficient_matrix(f)
-    # full rank, so T is definite and the sign of lambda_min(T) is not roundoff's
+    f, g = random_poly(rng, m, q), random_poly(rng, m, q)
+    calA = ns.coefficient_matrix(f)
     M = 0.5 * spectraplex_project(random_sym(rng, m * q)) + 0.5 * np.eye(m * q) / (m * q)
-    val, G, bound = _separator_oracle(calA, g.blocks, q)(M)
-
-    w, V = np.linalg.eigh(ref_b_term(M, g.blocks, q))
-    t2 = -float(np.sum(calA * M))
-    # the bound <A, M> holds for certify values of any trace only where T is PSD: here T is
-    # PSD (NSD) with g, so the bound is <A, M> (inf)
-    if branch == "a-term":
-        assert w[0] >= 0.0
-        assert bound == pytest.approx(-t2, abs=1e-12 * (1.0 + np.linalg.norm(calA)))
-    else:
-        assert w[0] < 0.0 and bound == np.inf
-    assert (w[0] <= t2) == (branch == "b-term")
-    if branch == "b-term":
-        G_ref = ref_separator_gradient(V[:, 0], g.blocks, q)
-        val_ref, G_ref = w[0], (G_ref + G_ref.T) / 2.0
-    else:
-        val_ref, G_ref = t2, -calA
-    assert val == pytest.approx(val_ref, abs=1e-12 * (1.0 + abs(val_ref)))
-    close(G, G_ref)
+    t, a = _oracle(calA, g.blocks, q)((1, M))
+    t_ref = np.linalg.eigvalsh(ref_b_term(M, g.blocks, q))[0]
+    assert t == pytest.approx(t_ref, abs=1e-12 * (1.0 + np.linalg.norm(g.blocks)))
+    assert a == pytest.approx(float(np.sum(calA * M)), abs=1e-12 * (1.0 + np.linalg.norm(calA)))
 
 
 @pytest.mark.parametrize("m,q", SIZES)

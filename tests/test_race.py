@@ -1,11 +1,16 @@
-"""decide and decide_hereditary race the certify search against the separator
-search, one evaluation each in turn.  By weak duality at most one side can
-reach its target, and each separator point whose sum B_ij (x) M_ij is PSD
-bounds every certify value, of a map of any trace, from above, so the race
-must return what the two searches return run one after the other at the
-same budget: certify, then find_separator, then the builder.  Evaluations are counted as bench/spans.py counts them, from what
-every supergradient_ascent call returns.  At q = 1 decide runs no race, so
-the race is driven there through the sides decide builds for q >= 2."""
+"""decide and decide_hereditary run one search for both answers at q >= 2,
+linalg.conic_feasibility, which certify and find_separator run too: every
+candidate certificate J, and after each J that fails the separator candidate
+it pairs with, is one oracle evaluation, within one budget for both sides.
+By weak duality at most one side can reach its target, and every separator
+candidate, repaired toward the Slater point's separator, bounds every certify
+value, of a map of any trace, from above.  So a decision must return what
+certify and find_separator return at the same budget: certify's certificate,
+or the counterexample the builder assembles from find_separator's separator,
+with the same evaluations.  Evaluations are counted as bench/spans.py counts
+them, from what every supergradient_ascent call returns.  At q = 1 decide
+runs the multiplier bisection instead, and the search is driven there
+through certify and find_separator."""
 
 import importlib.util
 import math
@@ -59,93 +64,38 @@ def instance(kind, rng, m, q):
     return f, g, ns.new_tuple(x.reshape(m, 1, 1))
 
 
-def racing(hereditary, q):
-    """decide or decide_hereditary, or at q = 1, where they run no search, the race they run above it."""
-    decider = ns.decide_hereditary if hereditary else ns.decide
-    if q > 1:
-        return decider
-
-    def race(f, g, slater, budget=ns.DEFAULT_BUDGET, tol=ns.DEFAULT_TOL,
-             tol_strict=ns.DEFAULT_TOL_STRICT):
-        f2, g2, e = slemma._scaled(*slemma.reconcile(f, g))
-        sides = slemma._race_sides(f2, g2, e, budget, tol, tol_strict)
-        return slemma._concluded(f2, g2, e, *sides, tol, tol_strict, hereditary)
-
-    return race
+def decider(hereditary):
+    return ns.decide_hereditary if hereditary else ns.decide
 
 
-def cut_value(tol=ns.DEFAULT_TOL):
-    """The separator bound below which no certify value reaches -tol, on the scaled pair.
+def engine_answer(f, g, slater, budget, hereditary, evals, tol=ns.DEFAULT_TOL,
+                  tol_strict=ns.DEFAULT_TOL_STRICT):
+    """The answer of certify and find_separator on the reconciled pair, then the builder.
 
-    A bound is <A, M> at a separator point M whose sum B_ij (x) M_ij is PSD,
-    inf at the others.
-    """
-    return -tol - slemma.CUT_ROUNDOFF
-
-
-def separator_with_bounds(*args, **kwargs):
-    """find_separator's result and the bound the oracle gave at each point it evaluated."""
-    bounds, make = [], slemma._separator_oracle
-
-    def recording(*oracle_args):
-        oracle = make(*oracle_args)
-
-        def recorded(M):
-            out = oracle(M)
-            bounds.append(out[2])
-            return out
-
-        return recorded
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(slemma, "_separator_oracle", recording)
-        return ns.find_separator(*args, **kwargs), bounds
-
-
-def sequential(f, g, budget, hereditary, evals, tol=ns.DEFAULT_TOL,
-               tol_strict=ns.DEFAULT_TOL_STRICT):
-    """The decision run one search after the other: certify, then find_separator, then the builder.
-
-    Returns the kind, the object, the evaluations find_separator used, the
-    evaluations each side makes in the race, and the bound the race reports:
-    one evaluation each in turn, certify first, until certify finishes at >=
-    -tol, which settles the race, or certify stops after the separator's
-    k-th evaluation, the first whose bound is below cut_value; when certify
-    wins, no bound is.  A separator at its target has a bound below the cut,
-    so it stops certify too.  The race's bound is the lowest of the bounds
-    of the separator points it evaluated, None if every one is inf.
+    Returns the kind, the object and the evaluations each of the two calls counted, which
+    must be the same: both run the whole search.
     """
     f2, g2 = slemma.reconcile(f, g)
     builder = ns.build_counterexample_hereditary if hereditary else ns.build_counterexample
-    # the searches run on the scaled pair, where the cut and the oracle's
-    # bounds live; find_separator's best value comes back times 2^e
-    cut = cut_value(tol)
+    counted = []
     before = evals[0]
-    cert = ns.certify(f2, g2, budget=budget, tol=tol)
-    n_cert = evals[0] - before
+    cert = ns.certify(f2, g2, slater, budget=budget, tol=tol, tol_strict=tol_strict)
+    counted.append(evals[0] - before)
     before = evals[0]
-    sep, bounds = separator_with_bounds(f2, g2, budget=budget, tol_strict=tol_strict)
-    n_sep = evals[0] - before
-    assert len(bounds) == n_sep
-    k = next((i for i, b in enumerate(bounds, 1) if b < cut), math.inf)
-    e = slemma._scaled(f2, g2)[2]
-
-    def reported(race):
-        low = min(bounds[:race[1]], default=math.inf)
-        return math.ldexp(low, e) if low < math.inf else None
-
+    sep = ns.find_separator(f2, g2, slater, budget=budget, tol=tol, tol_strict=tol_strict)
+    counted.append(evals[0] - before)
+    assert counted[0] == counted[1] <= budget
+    assert (cert.certificate is None) or (sep.M is None)  # the search ends at one or the other
     if cert.certificate is not None:
-        assert k == math.inf
-        race = [n_cert, min(n_cert - 1, n_sep)]
-        return "certificate", cert.certificate, n_sep, race, reported(race)
-    race = [min(n_cert, k), n_sep]
+        return "certificate", cert.certificate, counted[0]
     if sep.M is not None:
+        assert sep.a_value <= -2.0 * tol_strict * 2.0 ** slemma._scaled(f2, g2)[2]
+        assert sep.b_margin > 0.0
         try:
-            ce = builder(f2, g2, sep.M, tol=tol, tol_strict=tol_strict)
-            return "counterexample", ce, n_sep, race, reported(race)
+            return "counterexample", builder(f2, g2, sep.M, tol=tol, tol_strict=tol_strict), counted[0]
         except VerificationFailed:
             pass
-    return "inconclusive", None, n_sep, race, reported(race)
+    return "inconclusive", None, counted[0]
 
 
 def same_object(kind, a, b):
@@ -163,99 +113,112 @@ def same_object(kind, a, b):
         assert np.array_equal(x, y)
 
 
+def roundoff(e):
+    """Allowance for a certify value above a bound, on the scaled pair, in the caller's units."""
+    return math.ldexp(1e-12, e)
+
+
 @pytest.mark.parametrize("hereditary", [False, True])
 @pytest.mark.parametrize("kind", ["certificate", "counterexample", "scale-gap", "zero-f"])
 @pytest.mark.parametrize("m,q", SIZES)
-def test_race_returns_the_sequential_decision(evals, kind, m, q, hereditary):
+def test_decide_returns_the_answer_of_certify_and_find_separator(evals, kind, m, q, hereditary):
     rng = np.random.default_rng(100 * m + 10 * q + len(kind))
     f, g, slater = instance(kind, rng, m, q)
 
     evals[0] = 0
-    decision = racing(hereditary, q)(f, g, slater, budget=BUDGET)
-    raced = evals[0]
-    want, obj, separator_alone, race, bound = sequential(f, g, BUDGET, hereditary, evals)
+    decision = decider(hereditary)(f, g, slater, budget=BUDGET)
+    counted = evals[0]
+    want, obj, searched = engine_answer(f, g, slater, BUDGET, hereditary, evals)
 
-    assert decision.kind == want
     # the planted answer: the scale-gap kinds are certified off the trace-one slice
     assert want == ("counterexample" if kind == "counterexample" else "certificate")
-    if want == "certificate" and kind != "certificate":
+    assert decision.kind == want
+    if want == "certificate":
         assert ns.verify_certificate(decision.certificate, f, g)
-    if q == 1:  # decide runs no race there; it reaches the race's kind
-        direct = (ns.decide_hereditary if hereditary else ns.decide)(f, g, slater)
-        assert direct.kind == want
-    same_object(want, decision.certificate or decision.counterexample, obj)
+    else:
+        assert ns.verify_counterexample(decision.counterexample, f, g)
     d = decision.diagnostics
-    assert d["certify_evals"] + d["separator_evals"] == raced
-    assert [d["certify_evals"], d["separator_evals"]] == race
-    if kind == "counterexample":
-        assert raced <= 2 * separator_alone
-    # Weak duality, as computed: no certify value above any separator bound.
-    assert d["certify_bound"] == bound
-    if bound is not None:
+    if q == 1:  # the multiplier bisection decides, and no search runs
+        assert counted == d["certify_evals"] == d["separator_evals"] == 0
+        return
+    same_object(want, decision.certificate or decision.counterexample, obj)
+    assert d["certify_evals"] + d["separator_evals"] == counted == searched
+    # weak duality, as computed: no certify value above the bound of any repaired separator
+    if d["certify_bound"] is not None:
         e = slemma._scaled(*slemma.reconcile(f, g))[2]
-        cut = math.ldexp(cut_value(), e)
-        assert bound >= d["certify_best"] - (math.ldexp(-ns.DEFAULT_TOL, e) - cut)
-        if kind == "certificate":
-            assert bound >= cut  # a planted certificate is never cut
+        assert d["certify_best"] <= d["certify_bound"] + roundoff(e)
+        if want == "certificate":  # a planted certificate rules every separator out
+            assert d["certify_bound"] > -2.0 * ns.DEFAULT_TOL_STRICT * 2.0 ** e
 
 
 @pytest.mark.parametrize("m,q", SIZES)
-def test_race_keeps_certify_going_when_tol_exceeds_twice_tol_strict(evals, m, q):
-    # At tol = 10 a refutable instance's certify search finishes above -tol,
-    # which a separator at its target no longer rules out, so the separator
-    # must not cut certify short: the sequential answer is a certificate.
+def test_a_certificate_within_tol_ends_the_search_before_its_separator(evals, m, q):
+    # At tol = 10 a refutable instance's first candidate J is within tol, and it is tested
+    # before the separator it pairs with, the planted separator's center I / mq: the answer
+    # is that certificate, after one evaluation.
     rng = np.random.default_rng(100 * m + 10 * q)
     f, g, slater = instance("counterexample", rng, m, q)
     tols = {"tol": 10.0, "tol_strict": ns.DEFAULT_TOL_STRICT}
-    decision = racing(False, q)(f, g, slater, budget=BUDGET, **tols)
-    want, obj, _, race, _ = sequential(f, g, BUDGET, False, evals, **tols)
+    decision = decider(False)(f, g, slater, budget=BUDGET, **tols)
+    want, obj, searched = engine_answer(f, g, slater, BUDGET, False, evals, **tols)
     assert decision.kind == want == "certificate"
-    same_object(want, decision.certificate, obj)
-    d = decision.diagnostics
-    assert [d["certify_evals"], d["separator_evals"]] == race
+    assert searched == 1
+    if q > 1:
+        same_object(want, decision.certificate, obj)
+        assert (decision.diagnostics["certify_evals"], decision.diagnostics["separator_evals"]) == (1, 0)
+
+
+TOL, TOL_STRICT = 2.0 ** -27, 2.0 ** -20
 
 
 @pytest.mark.parametrize("hereditary", [False, True])
-@pytest.mark.parametrize("ratio,kind,certify_evals", [
-    (1.0 - 2.0 ** -10, "certificate", 3),
-    (1.0, "certificate", 3),
-    (1.0 + 2.0 ** -10, "inconclusive", 500),  # within the roundoff allowance: not cut
-    (1.0 + 2.0 ** -6, "inconclusive", 1),  # 1.16e-10 past -tol: just past the allowance
-    (1.125, "inconclusive", 1),  # cut at the separator's first evaluation
+@pytest.mark.parametrize("delta,kind,counts,direct", [
+    ((1.0 - 2.0 ** -10) * TOL, "certificate", (3, 1), "certificate"),
+    (TOL, "certificate", (3, 1), "certificate"),
+    ((1.0 + 2.0 ** -10) * TOL, "inconclusive", None, "inconclusive"),
+    ((1.0 - 2.0 ** -10) * 2.0 * TOL_STRICT, "inconclusive", None, "counterexample"),
+    (2.0 * TOL_STRICT, "counterexample", (1, 1), "counterexample"),
 ])
-def test_cut_spares_certify_until_the_bound_clears_the_roundoff_allowance(
-        ratio, kind, certify_evals, hereditary):
-    # (m, q) = (1, 1), f = -delta x^2 and g = b x^2: every certify value is
-    # -delta - J b <= -delta, reached at J = 0, and the separator's only
-    # point M = 1 has T = b > 0 and bound <A, M> = -delta, exactly.  b = 1/2
-    # is its own scale (2^e = 1), so tol is not rescaled, and with tol =
-    # 2^-27 and a dyadic ratio -delta is exact; the roundoff allowance is
-    # 1e-10, 1.3% of tol.  certify starts at J = 1 (twice: the trace-one
-    # slice is the point 1), and its first Douglas-Rachford candidate is
-    # J = 0, its third evaluation; the separator, one behind, has taken two.
-    # Without the cut certify runs all 500 evaluations.  decide itself runs
-    # no race at q = 1: h(lambda) = -delta - lambda b falls at 0, so one
-    # evaluation of h decides, the certificate J = [[0]] when -delta >= -tol.
-    tol = 2.0 ** -27
-    b, delta = 0.5, ratio * tol
+def test_the_search_settles_at_tol_and_cuts_at_twice_tol_strict(evals, delta, kind, counts, direct,
+                                                                 hereditary):
+    # (m, q) = (1, 1), f = -delta x^2 and g = b x^2: every certify value is -delta - J b <=
+    # -delta, reached at J = 0, and the only trace-one M = 1 has T = b > 0 and <A, M> = -delta,
+    # exactly.  b = 1/2 is its own scale (2^e = 1), so the tolerances are not rescaled, and
+    # with dyadic ones -delta is exact.  The search's first two candidates are J = 1 (the
+    # trace-one slice is the point 1), and its first Douglas-Rachford candidate is J = 0, its
+    # third; the separator M = 1 is tested after the first.  A certificate within tol ends the
+    # search there; the separator ends it at once when -delta <= -2 tol_strict, and otherwise
+    # the search runs the whole budget.  decide itself runs the multiplier bisection at q = 1,
+    # whose one evaluation of h(0) = -delta decides, and hands its separator to the builder at
+    # -delta <= -tol_strict.  ``counts`` are the evaluations of each side, None where the two
+    # share the whole budget.
+    b = 0.5
     f = ns.new_quad_poly(np.full((1, 1, 1, 1), -delta))
     g = ns.new_quad_poly(np.full((1, 1, 1, 1), b))
     slater = ns.new_tuple(np.full((1, 1, 1), 10.0))
-    decision = racing(hereditary, 1)(f, g, slater, budget=500, tol=tol)
-    d = decision.diagnostics
-    assert (decision.kind, d["certify_evals"]) == (kind, certify_evals)
-    assert d["separator_evals"] == (2 if kind == "certificate" else 500)
-    assert d["certify_bound"] == -delta
-    assert d["certify_best"] == (-delta - b if certify_evals == 1 else -delta)
+    tols = {"tol": TOL, "tol_strict": TOL_STRICT}
+    got, obj, searched = engine_answer(f, g, slater, 500, hereditary, evals, **tols)
+    assert got == kind
+    assert searched == (500 if counts is None else sum(counts))
+    f2, g2, e = slemma._scaled(f, g)
+    assert e == 0
+    calA = ns.coefficient_matrix(f2)
+    (J, best, n_cert), (M, bound, n_sep), _ = linalg.supergradient_ascent(
+        slemma._oracle(calA, g2.blocks, 1),
+        linalg.conic_feasibility(calA, g2.blocks.reshape(1, 1), 1, np.ones((1, 1)), 500, TOL,
+                                 TOL_STRICT))
+    assert (n_cert, n_sep) == counts or counts is None and n_cert + n_sep == 500
+    assert bound == -delta
+    assert best == (-delta - b if n_cert == 1 else -delta)
     if kind == "certificate":
-        assert decision.certificate.J.J.tolist() == [[0.0]]
-        assert ns.verify_certificate(decision.certificate, f, g, tol=tol)
+        assert J.tolist() == [[0.0]] and obj.J.J.tolist() == [[0.0]]
+        assert ns.verify_certificate(obj, f, g, tol=TOL)
+    if kind == "counterexample":
+        assert M.tolist() == [[1.0]]
+        assert ns.verify_counterexample(obj, f, g, **tols)
 
-    direct = (ns.decide_hereditary if hereditary else ns.decide)(f, g, slater, budget=500, tol=tol)
-    d = direct.diagnostics
-    assert direct.kind == kind
-    assert d["certify_bound"] == d["certify_best"] == -delta
-    assert (d["certify_evals"], d["separator_evals"], d["multiplier_evals"]) == (0, 0, 1)
-    if kind == "certificate":
-        assert direct.certificate.J.J.tolist() == [[0.0]]
-        assert ns.verify_certificate(direct.certificate, f, g, tol=tol)
+    d = decider(hereditary)(f, g, slater, budget=500, **tols)
+    assert d.kind == direct
+    assert d.diagnostics["certify_bound"] == d.diagnostics["certify_best"] == -delta
+    assert (d.diagnostics["certify_evals"], d.diagnostics["separator_evals"],
+            d.diagnostics["multiplier_evals"]) == (0, 0, 1)

@@ -1,10 +1,11 @@
 """A search forms only the points it evaluates.
 
-The ascent starts at its given point and projects a step only when its point
-is asked for; these tests pin that it visits the points, and returns the
+The ascent starts at its given point and projects a step only when the search
+goes on past it; these tests pin that it visits the points, and returns the
 results, of the loop that projected every step as it was taken, and that a
-decision spends no eigensolve whose result it does not read.  certify's
-Douglas-Rachford search forms nothing before its first two points fail.
+decision spends no eigensolve whose result it does not read.  The
+domination search's Douglas-Rachford state is formed only once its first
+candidates fail.
 """
 
 import json
@@ -169,16 +170,18 @@ def test_flat_ascent_visits_the_nested_ascents_points_unconstrained(budget, seed
     assert_same_run(old, new)
 
 
-def test_only_send_ends_an_ascent():
-    # next() only forms a point; each send either returns None or ends the search
+def test_each_send_gives_the_next_point_or_ends_an_ascent():
+    # next() gives the first point only; each send takes the output for the last point and
+    # gives the next one, or ends the search
     oracle = spectraplex_oracle(np.random.default_rng(5), 3)
     search = linalg.spectral_search(3, 37)
+    x = next(search)
     for _ in range(37):
-        x = next(search)
         try:
-            assert search.send(oracle(x)) is None
+            x = search.send(oracle(x))
         except StopIteration:
             break
+        assert x.shape == (3, 3)
     else:
         pytest.fail("the search outlived its budget")
 
@@ -276,10 +279,18 @@ def test_a_certificate_at_certifys_second_point_forms_no_douglas_rachford_state(
 
 
 def test_a_douglas_rachford_candidate_takes_two_cone_projections(counts, cone_work):
-    # scale_gap_q2 certifies at its first Douglas-Rachford candidate, certify's third point:
-    # one inverse, one cone projection for the start's R, then one per block for the candidate
+    # scale_gap_q2 (m = 1, q = 2) certifies at its first Douglas-Rachford candidate, certify's
+    # third point; its one separator candidate, the center I / mq, is tested after the first.
+    # One inverse, one cone projection for the start's R, then one per block for the
+    # candidate: R's (side mq = 2) through its eigensolve, whose negative part the candidate
+    # separator would take, and J's (side q^2 = 4) through _psd_part.
     decision = ns.decide(*fixture_instance("scale_gap_q2"))
     assert decision.kind == "certificate"
-    assert (decision.diagnostics["certify_evals"], decision.diagnostics["separator_evals"]) == (3, 2)
-    assert counts["projections"] == 2  # the second points of certify and of the separator
-    assert cone_work == {"cone": 3, "inv": 1}
+    assert (decision.diagnostics["certify_evals"], decision.diagnostics["separator_evals"]) == (3, 1)
+    assert counts["projections"] == 1  # certify's second point, on the spectraplex
+    assert cone_work == {"cone": 2, "inv": 1}
+    # the Slater test; the first J's oracle; the center's T; the second J's projection and
+    # oracle; the start's R; the candidate's R and J; its oracle; the certificate's residual
+    assert counts["eig"] == [("eigvalsh_lo", 2), ("eigh_lo", 2), ("eigh_lo", 4), ("eigh_lo", 4),
+                             ("eigh_lo", 2), ("eigh_lo", 2), ("eigh_lo", 2), ("eigh_lo", 4),
+                             ("eigh_lo", 2), ("eigvalsh_lo", 2)]

@@ -114,7 +114,7 @@ def test_certificate_roundtrip():
     from test_poly import example_62_f, example_62_g
 
     f, g = example_62_f(), example_62_g()
-    cert = ns.certify(f, g).certificate
+    cert = ns.certify(f, g, ns.new_tuple([[[1.0]], [[0.0]]])).certificate
     opts = {"tol": 1e-8, "tol_strict": 1e-6, "budget": 5000, "seed": 42}
     doc = json.loads(serialize.dumps(serialize.certificate_to_json(cert, opts)))
     back = serialize.certificate_from_json(doc)
@@ -126,7 +126,7 @@ def test_certificate_roundtrip():
 def test_counterexample_roundtrip():
     f = ns.scalar_to_nc(ns.new_scalar_quad([[0.0, 1.0], [1.0, 0.0]]))
     g = ns.scalar_to_nc(ns.new_scalar_quad([[1.0, 0.0], [0.0, 0.0]]))
-    sep = ns.find_separator(f, g)
+    sep = ns.find_separator(f, g, ns.new_tuple([[[1.0]], [[0.0]]]))
     ce = ns.build_counterexample(f, g, sep.M)
     opts = {"tol": 1e-8, "tol_strict": 1e-6, "budget": 5000, "seed": 42}
     doc = json.loads(serialize.dumps(serialize.counterexample_to_json(ce, opts)))

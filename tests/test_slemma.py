@@ -42,7 +42,7 @@ def unit_slater():
 
 def test_certify_example_62():
     f, g = example_62_f(), example_62_g()
-    out = ns.certify(f, g)
+    out = ns.certify(f, g, unit_slater())
     cert = out.certificate
     assert cert is not None
     assert cert.residual_lambda_min >= -1e-6
@@ -63,7 +63,7 @@ def test_certify_identity_map_on_psd_self():
         J_id = ns.identity_choi(q).J / q
         residual = calA - _map_coefficients(J_id, f.blocks, q)
         assert np.allclose(residual, (1.0 - 1.0 / q) * calA, atol=1e-10)
-        out = ns.certify(f, f)
+        out = ns.certify(f, f, ns.new_tuple(np.ones((m, 1, 1))))  # f's coefficients are PD
         assert out.certificate is not None
         assert ns.verify_certificate(out.certificate, f, f)
 
@@ -73,8 +73,9 @@ def test_certify_planted():
     for _ in range(8):
         m = int(rng.integers(1, 4))
         q = int(rng.integers(1, 4))
-        f, g, _ = planted_certificate_instance(rng, m, q)
-        out = ns.certify(f, g)
+        g, x = slater_poly(rng, m, q)
+        f, g, _ = planted_certificate_instance(rng, m, q, g=g)
+        out = ns.certify(f, g, ns.new_tuple(x.reshape(m, 1, 1)))
         assert out.certificate is not None
         assert out.certificate.residual_lambda_min >= -1e-6
         assert ns.verify_certificate(out.certificate, f, g)
@@ -83,29 +84,28 @@ def test_certify_planted():
 def test_certify_shape_mismatch():
     f, _ = scalar_embedded_pair()
     with pytest.raises(ShapeMismatch):
-        ns.certify(f, example_62_g())
+        ns.certify(f, example_62_g(), unit_slater())
 
 
 def test_find_separator_scalar_embedding():
     f, g = scalar_embedded_pair()
-    sep = ns.find_separator(f, g)
+    sep = ns.find_separator(f, g, unit_slater())
     assert sep.M is not None
-    assert sep.a_value <= -1e-6
-    assert sep.b_margin >= -1e-8
-    # the optimum is known in closed form for this instance
-    expected = np.array([[0.5, -0.5], [-0.5, 0.5]])
-    assert np.linalg.norm(sep.M - expected) <= 1e-4
+    assert sep.a_value <= -2e-6  # the search's cut, -2 tol_strict
+    assert sep.a_value == pytest.approx(float(np.sum(ns.coefficient_matrix(f) * sep.M)), abs=1e-12)
+    assert sep.b_margin >= 0.0
+    assert np.trace(sep.M) == pytest.approx(1.0) and np.linalg.eigvalsh(sep.M)[0] >= -1e-12
 
 
 def test_find_separator_not_found_when_certificate_exists():
     f, g = example_62_f(), example_62_g()
-    sep = ns.find_separator(f, g, budget=3000)
+    sep = ns.find_separator(f, g, unit_slater(), budget=3000)
     assert sep.M is None
 
 
 def test_build_counterexample_scalar_embedding():
     f, g = scalar_embedded_pair()
-    sep = ns.find_separator(f, g)
+    sep = ns.find_separator(f, g, unit_slater())
     ce = ns.build_counterexample(f, g, sep.M)
     assert ce.violation <= -1e-6
     assert ce.violation == pytest.approx(float(np.sum(ns.coefficient_matrix(f) * ce.M)),
@@ -255,8 +255,8 @@ def test_searches_draw_no_random_numbers(monkeypatch):
     for f, kind in ((f_cert, "certificate"), (f_ref, "counterexample")):
         assert ns.decide(f, g, slater, budget=300).kind == kind
         assert ns.decide_hereditary(f, g, slater, budget=300).kind == kind
-    assert ns.certify(f_cert, g, budget=300).certificate is not None
-    assert ns.find_separator(f_ref, g, budget=300).M is not None
+    assert ns.certify(f_cert, g, slater, budget=300).certificate is not None
+    assert ns.find_separator(f_ref, g, slater, budget=300).M is not None
     _, value = ns.maximize_spectral(lambda M: (float(M[0, 0]), np.diag([1.0, 0.0])), 2,
                                     budget=300)
     assert value == pytest.approx(1.0)
@@ -365,7 +365,7 @@ def test_decide_hereditary_counterexample():
 
 def test_hereditary_counterexample_q1_structure():
     f, g = scalar_embedded_pair()
-    sep = ns.find_separator(f, g)
+    sep = ns.find_separator(f, g, unit_slater())
     ce = ns.build_counterexample_hereditary(f, g, sep.M)
     # q = 1: the variables are zero-padded rows and g(X) embeds <B, M> at (0, 0)
     gX = ns.evaluate_hereditary(g, ce.X)
@@ -383,7 +383,7 @@ def test_builders_accept_through_the_verifier_evaluations(monkeypatch, hereditar
     from ncslemma import poly
 
     f, g = (ns.new_quad_poly(3.0 * p.blocks) for p in scalar_embedded_pair())
-    sep = ns.find_separator(f, g)
+    sep = ns.find_separator(f, g, unit_slater())
     build = ns.build_counterexample_hereditary if hereditary else ns.build_counterexample
     calls = []
     gram_form = poly._gram_form
@@ -512,7 +512,7 @@ def test_homogenize_searches_only_if_the_principal_blocks_allow(evals, block, sh
 
 def test_verify_certificate_rejects_tampering():
     f, g = example_62_f(), example_62_g()
-    cert = ns.certify(f, g).certificate
+    cert = ns.certify(f, g, unit_slater()).certificate
     assert ns.verify_certificate(cert, f, g)
 
     J = cert.J.J.copy()
@@ -571,7 +571,7 @@ def test_decide_supergradient_norm_near_the_largest_float(hereditary):
     d = decider(f, g, ns.new_tuple([[[0.5]]]))
     assert d.kind == "counterexample"
     assert ns.verify_counterexample(d.counterexample, f, g)
-    assert ns.certify(f, g, budget=200).certificate is None  # the whole certify search
+    assert ns.certify(f, g, ns.new_tuple([[[0.5]]]), budget=200).certificate is None
 
 
 @pytest.mark.parametrize("hereditary", [False, True])
@@ -597,7 +597,7 @@ def test_verify_counterexample_rejects_a_missing_or_mismatched_point(hereditary)
 
 def test_verify_certificate_rejects_instances_of_different_m():
     f, g = example_62_f(), example_62_g()
-    cert = ns.certify(f, g).certificate
+    cert = ns.certify(f, g, unit_slater()).certificate
     assert ns.verify_certificate(cert, f, g)
     g3 = ns.new_quad_poly(np.zeros((3, 3, g.q, g.q)))  # m = 3 against f's 2: reconcile refuses
     assert ns.verify_certificate(cert, f, g3) is False
@@ -605,7 +605,7 @@ def test_verify_certificate_rejects_instances_of_different_m():
 
 def test_verify_certificate_wrong_instance():
     f, g = example_62_f(), example_62_g()
-    cert = ns.certify(f, g).certificate
+    cert = ns.certify(f, g, unit_slater()).certificate
     other = ns.scalar_to_nc(ns.new_scalar_quad([[0.0, 1.0], [1.0, 0.0]]))
     other = ns.pad_coefficients(other, 2)
     assert not ns.verify_certificate(cert, other, g)
@@ -613,8 +613,9 @@ def test_verify_certificate_wrong_instance():
 
 def test_certificate_soundness_with_compressions():
     rng = np.random.default_rng(6)
-    f, g, _ = planted_certificate_instance(rng, 2, 2)
-    cert = ns.certify(f, g).certificate
+    g, x = slater_poly(rng, 2, 2)
+    f, g, _ = planted_certificate_instance(rng, 2, 2, g=g)
+    cert = ns.certify(f, g, ns.new_tuple(x.reshape(2, 1, 1))).certificate
     assert cert is not None
     for _ in range(20):
         n = int(rng.integers(2, 5))
@@ -643,14 +644,16 @@ def test_mutual_exclusion_sample():
         m = int(rng.integers(1, 3))
         q = int(rng.integers(1, 3))
         roll = rng.random()
+        g, x = slater_poly(rng, m, q)
         if roll < 0.4:
-            f, g, _ = planted_certificate_instance(rng, m, q)
+            f, g, _ = planted_certificate_instance(rng, m, q, g=g)
         elif roll < 0.8:
-            f, g, _ = refutable_instance(rng, m, q)
+            f, g, _ = refutable_instance(rng, m, q, g=g)  # g gains a PSD shift: x stays Slater
         else:
-            f, g = random_poly(rng, m, q), random_poly(rng, m, q)
-        cert = ns.certify(f, g, budget=1200)
-        sep = ns.find_separator(f, g, budget=1200)
+            f = random_poly(rng, m, q)
+        slater = ns.new_tuple(x.reshape(m, 1, 1))
+        cert = ns.certify(f, g, slater, budget=1200)
+        sep = ns.find_separator(f, g, slater, budget=1200)
         cert_ok = cert.certificate is not None and cert.best_value >= 1e-6
         sep_ok = (sep.M is not None and sep.b_margin >= 1e-6
                   and sep.a_value <= -1e-6)

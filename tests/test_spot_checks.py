@@ -158,7 +158,7 @@ def test_spot_tuples_are_the_reference_draws_grouped_by_size(m):
 
 def test_verify_certificate_evaluates_at_the_reference_draws(monkeypatch):
     f, g = example_62_f(), example_62_g()
-    cert = ns.certify(f, g).certificate
+    cert = ns.certify(f, g, ns.new_tuple([[[1.0]], [[0.0]]])).certificate
     seen = []
     gram_form = slemma._gram_form
 

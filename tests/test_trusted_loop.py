@@ -11,7 +11,14 @@ from ncslemma.errors import InvalidInput
 from ncslemma.linalg import _simplex_shift, supergradient_ascent
 from ncslemma.positivity import scalar_slemma
 
-from helpers import random_poly, random_psd_poly, random_sym, refutable_instance
+from helpers import (
+    random_poly,
+    random_psd_poly,
+    random_sym,
+    refutable_instance,
+    scale_gap_instance,
+    slater_poly,
+)
 
 SIZES = [(1, 1), (2, 2), (3, 2), (4, 4)]
 BUDGET = 200
@@ -24,6 +31,7 @@ def recorded(run, validating):
     for the public ``min_eigpair`` and ``spectraplex_project`` (the
     projection core behind ``symmetrize``, which is what the public kernel
     runs), and the PSD-cone projection core for itself behind ``symmetrize``.
+    A point of the domination search is recorded as it is, ``(side, X)``.
     """
     iterates = []
     with pytest.MonkeyPatch.context() as mp:
@@ -31,7 +39,7 @@ def recorded(run, validating):
 
             def ascent(oracle, *args, _ascent=mod.supergradient_ascent, **kwargs):
                 def recording(x):
-                    iterates.append(x.copy())
+                    iterates.append((x[0], x[1].copy()) if isinstance(x, tuple) else x.copy())
                     return oracle(x)
 
                 return _ascent(recording, *args, **kwargs)
@@ -52,6 +60,9 @@ def same_runs(run):
     checked, checked_xs = recorded(run, validating=True)
     assert len(trusted_xs) == len(checked_xs)
     for a, b in zip(trusted_xs, checked_xs):
+        if isinstance(a, tuple):
+            assert a[0] == b[0]
+            a, b = a[1], b[1]
         assert np.array_equal(a, b)
     return trusted, checked, len(trusted_xs)
 
@@ -62,18 +73,25 @@ def same_array(a, b):
         assert np.array_equal(a, b)
 
 
+def refutable(rng, m, q):
+    """(f, g, slater tuple) with a planted strict separator."""
+    g, x = slater_poly(rng, m, q)
+    f, g, _ = refutable_instance(rng, m, q, g=g)
+    return f, g, ns.new_tuple(x.reshape(m, 1, 1))
+
+
 @pytest.mark.parametrize("m,q", SIZES)
 def test_certify_and_separator_trusted_equals_validating(m, q):
     rng = np.random.default_rng(100 * m + q)
-    f, g, _ = refutable_instance(rng, m, q)
-    a, b, steps = same_runs(lambda: slemma.certify(f, g, budget=BUDGET))
+    f, g, slater = refutable(rng, m, q)
+    a, b, steps = same_runs(lambda: slemma.certify(f, g, slater, budget=BUDGET))
     assert steps > 0
     assert a.best_value == b.best_value
     assert a.certificate is None and b.certificate is None  # refutable: no map exists
 
-    a, b, steps = same_runs(lambda: slemma.find_separator(f, g, budget=BUDGET))
+    a, b, steps = same_runs(lambda: slemma.find_separator(f, g, slater, budget=BUDGET))
     assert steps > 0
-    assert (a.best_value, a.b_margin, a.a_value) == (b.best_value, b.b_margin, b.a_value)
+    assert (a.b_margin, a.a_value, a.evals) == (b.b_margin, b.a_value, b.evals)
     same_array(a.M, b.M)
 
 
@@ -109,46 +127,38 @@ def test_scalar_separator_trusted_equals_validating(m, q):
     same_array(a.x, b.x)
 
 
-def reference_loop(oracle, d, budget, target):
-    """The search certify and find_separator each run: one ascent from I / d with the whole budget.
-
-    The ascent takes its start as given, so it starts at I / d as the projection rounds it.
-    """
-    x, v, _ = supergradient_ascent(oracle, linalg._ascent(
-        linalg._spectraplex_project(np.eye(d) / d), budget, project=linalg._spectraplex_project,
-        target=target))
-    return x, v
-
-
 @pytest.mark.parametrize("m,q", SIZES)
-def test_searches_keep_their_start_schedules(m, q):
-    # the searches run on f and g over their 2^e, and report values times 2^e.  certify's
-    # first two points are the spectral search's first two, bit for bit: the center, then a
-    # unit supergradient step from it; its Douglas-Rachford search starts from the better.
+def test_the_search_keeps_its_start_schedule(m, q):
+    # The search runs on f and g over their 2^e, and reports values times 2^e.  Its first two
+    # candidates J are the spectral search's first two points, bit for bit: the center, then
+    # a unit supergradient step from it.  The separator candidate tested between them is the
+    # center I / mq as the projection rounds it.  A scale-gap pair is dominated only off the
+    # trace-one slice, so neither J settles, and no separator exists.
     rng = np.random.default_rng(400 * m + q)
-    f, g, _ = refutable_instance(rng, m, q)
+    f, g, x = scale_gap_instance(rng, m, q)
+    slater = ns.new_tuple(x.reshape(m, 1, 1))
     f2, g2, e = slemma._scaled(f, g)
     calA = ns.coefficient_matrix(f2)
-    certify_oracle = slemma._certify_oracle(calA, g2.blocks, q)
+    oracle = slemma._oracle(calA, g2.blocks, q)
     rows = g2.blocks.reshape(m * m, q * q)
     search, points, values = linalg.spectral_search(q * q, BUDGET, 0.0), [], []
+    point = next(search)
     for _ in range(2):  # the spectral search's first two points, read as it reads them
-        points.append(next(search))
-        val, v = certify_oracle(points[-1])
+        points.append(point)
+        val, v = oracle((0, point))
         G = -linalg._choi_adjoint(np.outer(v, v), rows, m, q)
         values.append(val)
-        search.send((val, (G + G.T) / 2.0))
-    cert, certify_points = recorded(lambda: slemma.certify(f, g, budget=2), validating=False)
-    assert cert.best_value == np.ldexp(max(values), e)
-    assert len(certify_points) == 2
-    for a, b in zip(certify_points, points):
+        point = search.send((val, (G + G.T) / 2.0))
+    _, searched = recorded(lambda: slemma.certify(f, g, slater, budget=BUDGET), validating=False)
+    certify_points = [X for side, X in searched if side == 0]
+    assert searched[1][0] == 1
+    assert np.array_equal(searched[1][1], linalg._spectraplex_project(np.eye(m * q) / (m * q)))
+    for a, b in zip(certify_points[:2], points):
         assert np.array_equal(a, b)
-
-    oracle = slemma._separator_oracle(calA, g2.blocks, q)
-    M, best_v = reference_loop(lambda M: oracle(M)[:2], m * q, BUDGET, 2.0 * ns.DEFAULT_TOL_STRICT)
-    sep = slemma.find_separator(f, g, budget=BUDGET)
-    assert sep.best_value == np.ldexp(best_v, e)
-    assert sep.M is not None and np.array_equal(sep.M, M)
+    through_second = [side for side, _ in searched].index(0, 1) + 1
+    cert = slemma.certify(f, g, slater, budget=through_second)
+    assert cert.certificate is None
+    assert cert.best_value == np.ldexp(max(values), e)
 
 
 # --- the simplex shift ---------------------------------------------------------
