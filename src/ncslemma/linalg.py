@@ -472,14 +472,7 @@ def _repair(t: float, a: float, lam0: float, a0: float, margin: float):
     return theta, (1.0 - theta) * a + theta * a0
 
 
-def _gram_separator(G0: np.ndarray, q: int) -> np.ndarray:
-    """G0 (x) I_q over its trace: trace one, and PSD with G0."""
-    m = len(G0)
-    M0 = (G0 / (q * np.trace(G0)))[:, None, :, None] * np.eye(q)[:, None, :]
-    return M0.reshape(m * q, m * q)
-
-
-def conic_feasibility(A: np.ndarray, rows: np.ndarray, q: int, G0: np.ndarray, budget: int,
+def conic_feasibility(A: np.ndarray, rows: np.ndarray, q: int, M0: np.ndarray, budget: int,
                       tol: float, tol_strict: float):
     """Both answers of the paper's alternative in one search: Douglas-Rachford for a PSD J, of
     any trace, with A - L(J) PSD (L = _choi_map), and a separator from each of its steps.
@@ -501,36 +494,41 @@ def conic_feasibility(A: np.ndarray, rows: np.ndarray, q: int, G0: np.ndarray, b
     I + DR_SIGMA^2 L^T L is right multiplication by I + DR_SIGMA^2 rows^T rows, so P_aff is one
     product with that q^2 x q^2 matrix's inverse, formed once the candidates before it failed.
 
-    The candidate separators, each tested after the J it pairs with fails: the center I / mq
-    after the first J, then after each Douglas-Rachford J the R part of y - (2 x - z), the part
-    of the reflection its cone projection cut off, P_+(z_R - 2 x_R), normalized to trace one
-    (none when it is zero).  That is the R part of z's next value less x, the iteration's dual
+    The candidate separators, each tested after the J it pairs with: the center I / mq with the
+    first J, then with each Douglas-Rachford J the R part of y - (2 x - z), the part of the
+    reflection its cone projection cut off, P_+(z_R - 2 x_R), normalized to trace one (none
+    when it is zero).  That is the R part of z's next value less x, the iteration's dual
     iterate.  When no certificate exists, z_k / k converges to a certificate of infeasibility,
     the limit of the step z_{k+1} - z_k (Liu, Ryu and Yin, Math. Program. 177, 2019; Banjac,
     Goulart, Stellato and Boyd, JOTA 183, 2019), and so does this iterate over k: its R part
     is an M with T(M) PSD and <A, M> < 0.  On the bench generator's tight pairs moved across the
     boundary it finds more separators, and sooner, than the step itself.
 
-    A candidate with lambda_min T(M) < tol_strict is repaired toward M0 = _gram_separator(G0, q)
-    (_repair), G0 an m x m PSD matrix with T(M0) positive definite, such as the Gram matrix of
-    a Slater tuple.  M0 is formed, and tested as a candidate, the first time a repair needs its
-    lambda_min T; without a positive one no candidate is repaired.  Repaired with no
+    A candidate with lambda_min T(M) < tol_strict is repaired toward M0 (_repair), a trace-one
+    PSD matrix with T(M0) positive definite, such as the Slater tuple's (slemma._slater_separator).
+    M0 is tested as a candidate the first time a repair needs its lambda_min T, but not before
+    the second J: the center's repair waits for it, and a second J that certifies saves the
+    test.  Without a positive lambda_min T(M0) no candidate is repaired.  Repaired with no
     margin (none at all where T(M) is PSD), every candidate bounds every certify value, of any
-    trace, by its <A, M'>, and ``bound`` is the least of these (inf before the first).  A
-    candidate is a separator when its repair with margin 2 tol_strict, where one is needed, has
-    <A, M'> <= -2 tol_strict; lambda_min T(M') is then positive.
+    trace, by its <A, M'>, and ``bound`` is the least of these (inf before the first).  Repaired
+    with margin 2 tol_strict, where one is needed, the first candidate with <A, M'> <= -2
+    tol_strict is the separator, and lambda_min T(M') is then positive; the best one at or
+    below -tol_strict is the separator when the search ends otherwise.
 
-    The search ends at a certify value of at least -tol, at the first separator, or once
-    ``budget`` candidates of either side are tested.  It returns ((best J, its value, certify
-    evaluations), (the separator or None, bound, separator evaluations)).  No random number is
-    drawn: the same inputs give the same candidates.  A value that is not finite raises
-    InvalidInput, and so does an iterate z that is not, since _sym_eigh may give finite output
-    on NaN input.
+    J is tested only while ``bound`` >= -tol: below, weak duality puts every certify value below
+    -tol.  The search ends at a certify value of at least -tol, at the first separator, or after
+    ``budget`` steps, each forming one J and the separator candidate it pairs with: at most
+    ``budget`` evaluations of each side, and one of M0.  It returns
+    ((best J, its value, certify evaluations), (the separator or None, bound, separator
+    evaluations)).  No random number is drawn: the same inputs give the same candidates.  A
+    value that is not finite raises InvalidInput, and so does an iterate z that is not, since
+    _sym_eigh may give finite output on NaN input.
     """
     m, n = len(A) // q, q * q
     sigma, cut = DR_SIGMA, -2.0 * tol_strict
-    best_J, best_v, sep, bound = None, -math.inf, None, math.inf
-    evals, M0, lam0, a0 = [0, 0], None, None, None
+    best_J, best_v, bound = None, -math.inf, math.inf
+    kept_a, kept_M = -tol_strict, None  # the best repaired candidate at or below -tol_strict
+    evals, lam0, a0 = [0, 0], None, None
 
     def tested(side, X):
         """The oracle's output for (side, X), its values checked finite."""
@@ -541,45 +539,37 @@ def conic_feasibility(A: np.ndarray, rows: np.ndarray, q: int, G0: np.ndarray, b
             raise InvalidInput(f"search step {sum(evals)}: value " + ", ".join(map(repr, values)))
         return out
 
-    def kept(M, t, a):
-        """Record candidate M, t = lambda_min T(M) and a = <A, M>: whether it is a separator."""
-        nonlocal sep, bound
-        theta = 0.0
+    def separated(M, t, a):
+        """Record candidate M, t = lambda_min T(M) and a = <A, M>, testing M0 first if its repair
+        needs it: whether the search found its separator."""
+        nonlocal bound, kept_a, kept_M, lam0, a0
+        if t < tol_strict and lam0 is None:
+            lam0, a0 = yield from tested(1, M0)
+            if (yield from separated(M0, lam0, a0)):
+                return True
+        if t >= 0.0:  # T(M) is PSD: <A, M> bounds as it is
+            bound = min(bound, a)
         if t < tol_strict:
             if not lam0 > 0.0:  # T(M0) is not positive definite as computed: no repair
                 return False
             bound = min(bound, _repair(t, a, lam0, a0, 0.0)[1])
             theta, a = _repair(t, a, lam0, a0, 2.0 * tol_strict)
-        else:
-            bound = min(bound, a)
-        if a > cut:
-            return False
-        sep = M if theta == 0.0 else (1.0 - theta) * M + theta * M0
-        return True
+            M = (1.0 - theta) * M + theta * M0
+        if a <= kept_a:
+            kept_a, kept_M = a, M
+        return a <= cut
 
-    def separated(M):
-        """Test separator candidate M, and M0 the first time a repair needs it: whether either is
-        a separator."""
-        nonlocal M0, lam0, a0
-        t, a = yield from tested(1, M)
-        if t < tol_strict and lam0 is None:
-            if sum(evals) >= budget:
-                return False
-            M0 = _gram_separator(G0, q)
-            lam0, a0 = yield from tested(1, M0)
-            if kept(M0, lam0, a0):
-                return True
-        return kept(M, t, a)
-
-    J, inv = _center(n), None
+    J, inv, held, steps = _center(n), None, None, 0
     while True:
-        v, u = yield from tested(0, J)
-        if v > best_v:
-            best_J, best_v = J, v
-        if best_v >= -tol or sum(evals) >= budget:
-            break
+        steps += 1
+        if bound >= -tol:  # else every certify value is below -tol
+            v, u = yield from tested(0, J)
+            if v > best_v:
+                best_J, best_v = J, v
+            if best_v >= -tol:
+                break
         M = None
-        if evals[0] == 1:  # the spectral search's first step is along the supergradient here
+        if steps == 1:  # the spectral search's first step is along the supergradient here
             G = -_choi_adjoint(u[:, None] * u, rows, m, q)
             G = (G + G.T) / 2.0
             norm = fro(G)
@@ -590,9 +580,19 @@ def conic_feasibility(A: np.ndarray, rows: np.ndarray, q: int, G0: np.ndarray, b
             dropped = np.maximum(-w, 0.0)
             if dropped.sum() > 0.0:
                 M = (V * (dropped / dropped.sum())) @ V.T
-        if M is not None and ((yield from separated(M)) or sum(evals) >= budget):
+        if held is not None:  # the center, whose repair waited for the second J
+            if (yield from separated(*held)):
+                break
+            held = None
+        if M is not None:
+            t, a = yield from tested(1, M)
+            if steps == 1 and t < tol_strict:
+                held = M, t, a
+            elif (yield from separated(M, t, a)):
+                break
+        if steps >= budget:
             break
-        if evals[0] == 1 and norm >= 1e-15:  # else v^T L(J) v = 0 for every J: none does better
+        if steps == 1 and norm >= 1e-15:  # else v^T L(J) v = 0 for every J: none does better
             J = _spectraplex_project(J + (1.0 / norm) * G)
             continue
         if inv is None:  # Douglas-Rachford from the better of the candidates so far
@@ -611,7 +611,7 @@ def conic_feasibility(A: np.ndarray, rows: np.ndarray, q: int, G0: np.ndarray, b
             raise InvalidInput(f"search step {sum(evals) + 1}: the iterate is not finite")
         J = sigma * yJ
     # a pair, so that supergradient_ascent's evaluation count is its third element
-    return (best_J, best_v, evals[0]), (sep, bound, evals[1])
+    return (best_J, best_v, evals[0]), (kept_M, bound, evals[1])
 
 
 def maximize_spectral(

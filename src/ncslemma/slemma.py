@@ -19,11 +19,12 @@ both (linalg.conic_feasibility): Douglas-Rachford splitting on the paper's
 condition for a Choi matrix of any trace, whose dual iterate, when no
 certificate exists, converges to a certificate of infeasibility.  Each step
 gives a separator candidate, repaired toward the Slater point's own separator
-(_slater_gram) until sum B_ij (x) M_ij is PSD.  Every such M bounds the
+(_slater_separator) until sum B_ij (x) M_ij is PSD.  Every such M bounds the
 values of certificates of every trace from above, by <A, M>, and the search
 ends at the first certificate, at the first M that is a strict separator, or
-at the budget, which both sides share.  At q = 1 a CP map is a scalar, and
-one bisection over it (linalg.scalar_multiplier) decides instead.
+after the budget's steps, each of which tests one candidate of each side.  At
+q = 1 a CP map is a scalar, and one bisection over it
+(linalg.scalar_multiplier) decides instead.
 """
 
 import functools
@@ -205,20 +206,20 @@ def _oracle(calA: np.ndarray, blocks: np.ndarray, q: int):
     return oracle
 
 
-def _slater_gram(slater: MatTuple) -> np.ndarray:
-    """G0 = [tr X_i X_j^T], the Gram matrix of the Slater tuple, divided by its own 2^b first, so
-    no product overflows.
+def _slater_separator(slater: MatTuple, q: int) -> np.ndarray:
+    """M0 = G0 (x) I_q over its trace, G0 = [tr X_i X_j^T] the Gram matrix of the Slater tuple,
+    divided by its own 2^b first, so no product overflows.
 
-    The search repairs separator candidates toward M0 = G0 (x) I_q over its trace
-    (linalg._gram_separator): sum B_ij (x) (G0)_ij I_q = tr_n g(X) (x) I_q, the partial trace of
-    g at the Slater point (of its hereditary form for a general tuple, the same at a symmetric
-    one), is positive definite.
+    The search repairs separator candidates toward M0: sum B_ij (x) (G0)_ij I_q = tr_n g(X) (x)
+    I_q, the partial trace of g at the Slater point (of its hereditary form for a general tuple,
+    the same at a symmetric one), is positive definite, and so is T(M0).
     """
     X = np.ldexp(slater.mats, -binade(slater.mats)).reshape(slater.m, -1)
-    return X @ X.T
+    G0 = (X @ X.T) / (q * np.vdot(X, X))  # tr G0 = ||X||_F^2
+    return (G0[:, None, :, None] * np.eye(q)[:, None, :]).reshape(len(G0) * q, -1)  # np.kron
 
 
-def _searched(f, g, e, G0, budget, tol, tol_strict):
+def _searched(f, g, e, M0, budget, tol, tol_strict):
     """One run of the search on _scaled's f and g (q >= 2 in decide): (J, certify value, M, diagnostics).
 
     J is certify's best candidate, M the separator the search ended at, or None; the
@@ -228,7 +229,7 @@ def _searched(f, g, e, G0, budget, tol, tol_strict):
     calA = coefficient_matrix(f)
     (J, cert_best, cert_evals), (M, bound, sep_evals), _ = supergradient_ascent(
         _oracle(calA, g.blocks, q),
-        conic_feasibility(calA, g.blocks.reshape(m * m, q * q), q, G0, budget, tol, tol_strict),
+        conic_feasibility(calA, g.blocks.reshape(m * m, q * q), q, M0, budget, tol, tol_strict),
     )
     diagnostics = {"certify_best": times_pow2(cert_best, e),
                    "certify_bound": times_pow2(bound, e) if bound < np.inf else None,
@@ -242,7 +243,7 @@ def _search(f, g, slater, budget, tol, tol_strict, caller):
         raise ShapeMismatch(f"{caller} requires matching (m, q); reconcile first")
     _check_slater(g, slater, tol_strict, hereditary=True)
     f, g, e = _scaled(f, g)
-    return f, g, e, _searched(f, g, e, _slater_gram(slater), budget, tol, tol_strict)
+    return f, g, e, _searched(f, g, e, _slater_separator(slater, f.q), budget, tol, tol_strict)
 
 
 def _certified(f: NCQuadPoly, g: NCQuadPoly, e: int, best_J, best_v: float, tol: float):
@@ -272,8 +273,8 @@ def certify(
     """Search for a PSD Choi matrix J, of any trace, with A - (1_m (x) phi_J) B PSD.
 
     The certificate side of decide's one search (linalg.conic_feasibility), at any q, without
-    reconciling: at most ``budget`` evaluations, of candidates J, each tested by lambda_min(A -
-    (1 (x) phi_J) B), from I / q^2, and of the separator candidates paired with them.  It stops
+    reconciling: at most ``budget`` steps, each testing a candidate J by lambda_min(A - (1 (x)
+    phi_J) B), from I / q^2, and the separator candidate paired with it.  It stops
     at the first value >= -tol, which yields a certificate, the candidate as it is; it also
     stops at a strict separator, so the slater tuple, of either kind, must pass the Slater test
     (the hereditary form's, the same at a symmetric tuple).  Otherwise the best value is
@@ -292,10 +293,11 @@ def find_separator(
     tol: float = DEFAULT_TOL,
     tol_strict: float = DEFAULT_TOL_STRICT,
 ) -> SeparatorSearch:
-    """Search for a trace-one PSD M with sum B_ij (x) M_ij PSD and <A, M> <= -2 tol_strict.
+    """Search for a trace-one PSD M with sum B_ij (x) M_ij PSD and <A, M> <= -tol_strict.
 
     The separator side of the search certify runs, with the same arguments: M is the
-    separator it ended at, None when it ended otherwise (a certificate, or the budget);
+    separator it ended at, at <A, M> <= -2 tol_strict, or after its last step its best one
+    at or below -tol_strict; None otherwise (a certificate, or no such M);
     ``a_value`` is <A, M> and ``b_margin`` lambda_min(sum B_ij (x) M_ij) there (inf and -inf
     without one), and ``evals`` the separator evaluations.
     """
@@ -527,7 +529,7 @@ def _decide_common(f, g, slater, budget, tol, tol_strict, hereditary):
     if q == 1:
         sides = _multiplier_sides(f2, g2, e, tol, tol_strict)
     else:
-        sides = _searched(f2, g2, e, _slater_gram(slater), budget, tol, tol_strict)
+        sides = _searched(f2, g2, e, _slater_separator(slater, q), budget, tol, tol_strict)
     return _concluded(f2, g2, e, *sides, tol, tol_strict, hereditary)
 
 
@@ -548,11 +550,13 @@ def decide(
     candidates are certificates J, Choi matrices of any trace from I / q^2,
     and after each J that fails the separator candidate it pairs with: the
     center I / mq after the first, then one from each Douglas-Rachford step,
-    repaired toward the Slater tuple's separator (_slater_gram) where
+    repaired toward the Slater tuple's separator (_slater_separator) where
     T = sum B_ij (x) M_ij is not safely PSD.  The search ends at the first J
     with value >= -tol, which is the certificate, at the first M whose
-    repair has <A, M> <= -2 tol_strict, which goes to the builder, or once
-    ``budget`` candidates of either side are tested.  The report is
+    repair has <A, M> <= -2 tol_strict, which goes to the builder, or after
+    ``budget`` steps, each testing one J and the M it pairs with; then its
+    best repaired M at or below -tol_strict goes to the builder.  No J is
+    tested once the bound below shows that none reaches -tol.  The report is
     inconclusive when neither yields a verified object: the budget ran out,
     or the builder failed (its failure, a rejected separator's
     PreconditionViolated included, is ``counterexample_error``).

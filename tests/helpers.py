@@ -131,3 +131,30 @@ def random_scalar_pair(rng, m=2):
     f = ns.new_scalar_quad(A)
     g = ns.new_scalar_quad(B)
     return f, g, slater
+
+
+def planted_certificate(f, g, J0):
+    """The certificate of a planted map J0 for f and g of the same (m, q), as decide emits one."""
+    residual = ns.coefficient_matrix(f) - _map_coefficients(J0, g.blocks, g.q)
+    return ns.CPCertificate(J=ns.new_choi(J0, g.q, g.q), residual=residual,
+                            residual_lambda_min=float(np.linalg.eigvalsh(residual)[0]))
+
+
+def decided_both_ways(f, g, slater, budget, planted=()):
+    """The kind decide and decide_hereditary agree on, checked against independent references.
+
+    Every object either emits, and every ``planted`` object (a certificate, or a counterexample
+    built from a planted separator), must pass verify_*, and no certificate may stand beside a
+    counterexample: the two answers exclude each other.
+    """
+    decisions = [ns.decide(f, g, slater, budget=budget),
+                 ns.decide_hereditary(f, g, slater, budget=budget)]
+    objects = [d.certificate or d.counterexample for d in decisions] + list(planted)
+    objects = [obj for obj in objects if obj is not None]
+    certificates = [obj for obj in objects if isinstance(obj, ns.CPCertificate)]
+    counterexamples = [obj for obj in objects if not isinstance(obj, ns.CPCertificate)]
+    assert all(ns.verify_certificate(c, f, g) for c in certificates)
+    assert all(ns.verify_counterexample(c, f, g) for c in counterexamples)
+    assert not (certificates and counterexamples)
+    assert decisions[0].kind == decisions[1].kind
+    return decisions[0].kind

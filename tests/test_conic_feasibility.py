@@ -53,42 +53,48 @@ def test_scale_gap_certifies_off_the_trace_one_slice(m, q, hereditary):
     assert ns.verify_certificate(decision.certificate, f, g)
 
 
-def recorded_search(f, g, slater, budget, tol):
+def recorded_search(f, g, slater, budget, shift=0.0, tol=ns.DEFAULT_TOL):
     """The search on _scaled's f and g, every oracle output recorded by side, and M0's values.
 
-    Returns (the search's output, [(J, value)], [(t, a)], (lam0, a0)).
+    The search is shown every certify value less ``shift``; the values recorded are the
+    oracle's own.  Returns (the search's output, [(J, value)], [(t, a)], (lam0, a0)).
     """
     f2, g2, _ = slemma._scaled(f, g)
     m, q = f2.m, f2.q
     calA = ns.coefficient_matrix(f2)
     oracle = slemma._oracle(calA, g2.blocks, q)
-    G0 = slemma._slater_gram(slater)
+    M0 = slemma._slater_separator(slater, q)
     sides = ([], [])
 
     def recording(step):
         out = oracle(step)
-        sides[step[0]].append((step[1], out[0]) if step[0] == 0 else out)
+        if step[0] == 0:
+            sides[0].append((step[1], out[0]))
+            return out[0] - shift, out[1]
+        sides[1].append(out)
         return out
 
     out = linalg.supergradient_ascent(recording, linalg.conic_feasibility(
-        calA, g2.blocks.reshape(m * m, q * q), q, G0, budget, tol, ns.DEFAULT_TOL_STRICT))
-    return out, sides[0], sides[1], oracle((1, linalg._gram_separator(G0, q)))
+        calA, g2.blocks.reshape(m * m, q * q), q, M0, budget, tol, ns.DEFAULT_TOL_STRICT))
+    return out, sides[0], sides[1], oracle((1, M0))
 
 
 ROUNDOFF = 1e-12  # a certify value above a separator bound, on the scaled pair (norms below 1)
+SHIFT = 2.0 ** 10  # far beyond every certify value and bound on the scaled pair
 
 
 @pytest.mark.parametrize("kind", ["planted", "scale-gap"])
 @pytest.mark.parametrize("m,q", [(2, 2), (3, 2), (2, 3)])
 def test_no_certify_value_of_any_trace_exceeds_a_separator_bound(kind, m, q):
     # Weak duality: lambda_min(A - L(J)) <= <A, M> for every PSD J and every trace-one M with
-    # sum B_ij (x) M_ij PSD.  300 evaluations of the search with its certify target out of
-    # reach (tol = -inf; of many traces on the scale gap): every separator candidate it tests,
-    # repaired with no margin toward M0, has T PSD and bounds every certify value, and the
-    # search's bound is the least of them.  A dominated pair has no separator, and the search
-    # finds none.
+    # sum B_ij (x) M_ij PSD.  The decision's own bound holds its best certify value.  Then 300
+    # steps of the search with every certify value shown SHIFT lower and tol = SHIFT / 2: no J
+    # settles, and the bound never rules the J side out, so each step tests its J (of many
+    # traces on the scale gap).  Every separator candidate it tests, repaired with no margin
+    # toward M0, has T PSD and bounds every certify value, and the search's bound is the least
+    # of them.  A dominated pair has no separator, and the search finds none.
     rng = np.random.default_rng(100 * m + q + len(kind))
-    f, g, slater, decision = decided(kind, rng, m, q, budget=1000)  # (2, 3)'s gap takes 294 J
+    f, g, slater, decision = decided(kind, rng, m, q)
     assert decision.kind == "certificate"
     d = decision.diagnostics
     if d["certify_bound"] is not None:
@@ -96,11 +102,11 @@ def test_no_certify_value_of_any_trace_exceeds_a_separator_bound(kind, m, q):
         assert d["certify_best"] <= d["certify_bound"] + math.ldexp(ROUNDOFF, e)
 
     ((_, best, n_cert), (sep, bound, n_sep), _), certs, seps, (lam0, a0) = recorded_search(
-        f, g, slater, 300, -math.inf)
-    assert sep is None and n_cert + n_sep == 300 and len(seps) == n_sep
+        f, g, slater, 300, SHIFT, SHIFT / 2.0)
+    assert sep is None and n_cert == 300 and len(seps) == n_sep > 0
     assert lam0 > 0.0
     values = [v for _, v in certs]
-    assert best == max(values)
+    assert best == max(values) - SHIFT
     if kind == "scale-gap":  # from trace one to about t q
         traces = [np.trace(J) for J, _ in certs]
         assert max(traces) - min(traces) > 0.1
@@ -121,7 +127,7 @@ def test_the_repair_makes_t_psd_at_the_predicted_value():
     f2, g2, _ = slemma._scaled(f, g)
     calA = ns.coefficient_matrix(f2)
     oracle = slemma._oracle(calA, g2.blocks, q)
-    M0 = linalg._gram_separator(slemma._slater_gram(ns.new_tuple(x.reshape(m, 1, 1))), q)
+    M0 = slemma._slater_separator(ns.new_tuple(x.reshape(m, 1, 1)), q)
     assert np.allclose(M0, np.kron(np.outer(x, x) / (x @ x), np.eye(q) / q), rtol=0.0, atol=1e-15)
     lam0, a0 = oracle((1, M0))
     assert lam0 > 0.0
@@ -169,7 +175,8 @@ def test_an_iterate_that_is_not_finite_is_invalid_input():
     A[1, 2] = A[2, 1] = math.nan
     rows = rng.standard_normal((m * m, q * q))
     v = np.ones(m * q) / math.sqrt(m * q)
-    search = linalg.conic_feasibility(A, rows, q, np.eye(m), 100, 0.0, ns.DEFAULT_TOL_STRICT)
+    search = linalg.conic_feasibility(A, rows, q, np.eye(m * q) / (m * q), 100, 0.0,
+                                      ns.DEFAULT_TOL_STRICT)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
         with pytest.raises(InvalidInput, match="search step 4: the iterate is not finite"):
@@ -186,15 +193,15 @@ def test_the_same_inputs_give_the_same_certificate_bits():
     assert a.diagnostics == b.diagnostics
 
 
-def test_example62_decides_at_the_second_candidate():
+def test_example62_decides_within_three_evaluations():
     # the spectral step certifies; between the two J the center I / mq is tested, whose T is
-    # not safely PSD, so M0 is tested for its repair
+    # not safely PSD: its repair waits for the second J, which certifies, and M0 is never tested
     with open(FIXTURES / "example62.json") as fh:
         inst = serialize.instance_from_json(json.load(fh))
     decision = ns.decide(inst["f"], inst["g"], inst["slater"])
     d = decision.diagnostics
     assert decision.kind == "certificate"
-    assert (d["certify_evals"], d["separator_evals"]) == (2, 2)
+    assert d["certify_evals"] + d["separator_evals"] <= 3
 
 
 @pytest.mark.parametrize("m,q", [(1, 2), (2, 2), (2, 3), (3, 3), (4, 4)])

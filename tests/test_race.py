@@ -1,12 +1,12 @@
 """decide and decide_hereditary run one search for both answers at q >= 2,
 linalg.conic_feasibility, which certify and find_separator run too: every
-candidate certificate J, and after each J that fails the separator candidate
-it pairs with, is one oracle evaluation, within one budget for both sides.
-By weak duality at most one side can reach its target, and every separator
-candidate, repaired toward the Slater point's separator, bounds every certify
-value, of a map of any trace, from above.  So a decision must return what
-certify and find_separator return at the same budget: certify's certificate,
-or the counterexample the builder assembles from find_separator's separator,
+candidate certificate J, and the separator candidate each step pairs with it,
+is one oracle evaluation, and one budget caps the search's steps.  By weak
+duality at most one side can reach its target, and every separator candidate,
+repaired toward the Slater point's separator, bounds every certify value, of a
+map of any trace, from above.  Each pair is checked against independent
+references: its planted answer, decided in both kinds, and the planted
+object, verified.  certify and find_separator return the decision's parts,
 with the same evaluations.  Evaluations are counted as bench/spans.py counts
 them, from what every supergradient_ascent call returns.  At q = 1 decide
 runs the multiplier bisection instead, and the search is driven there
@@ -25,6 +25,8 @@ from ncslemma import linalg, slemma
 from ncslemma.errors import VerificationFailed
 
 from helpers import (
+    decided_both_ways,
+    planted_certificate,
     planted_certificate_instance,
     refutable_instance,
     scale_gap_instance,
@@ -50,18 +52,26 @@ def evals(monkeypatch):
 
 
 def instance(kind, rng, m, q):
-    """(f, g, slater tuple) of one planted kind.
+    """(f, g, slater tuple, planted object) of one planted kind.
 
     The scale-gap kinds, f = t g with t != 1/q and f = 0, are dominated by
-    maps off the trace-one slice: t id and 0.
+    maps off the trace-one slice: t id and 0.  The planted object is the
+    certificate of the planted map, or the counterexample the builder makes of
+    the planted separator.
     """
     if kind in ("scale-gap", "zero-f"):
-        f, g, x = scale_gap_instance(rng, m, q, t=0.0 if kind == "zero-f" else None)
+        t = 0.0 if kind == "zero-f" else rng.uniform(0.2, 0.6) / q
+        f, g, x = scale_gap_instance(rng, m, q, t=t)
+        planted = planted_certificate(f, g, t * ns.identity_choi(q).J)
     else:
         g, x = slater_poly(rng, m, q)
-        make = planted_certificate_instance if kind == "certificate" else refutable_instance
-        f, g, _ = make(rng, m, q, g=g)
-    return f, g, ns.new_tuple(x.reshape(m, 1, 1))
+        if kind == "certificate":
+            f, g, J0 = planted_certificate_instance(rng, m, q, g=g)
+            planted = planted_certificate(f, g, J0)
+        else:
+            f, g, Mstar = refutable_instance(rng, m, q, g=g)
+            planted = ns.build_counterexample(f, g, Mstar)
+    return f, g, ns.new_tuple(x.reshape(m, 1, 1)), planted
 
 
 def decider(hereditary):
@@ -73,7 +83,7 @@ def engine_answer(f, g, slater, budget, hereditary, evals, tol=ns.DEFAULT_TOL,
     """The answer of certify and find_separator on the reconciled pair, then the builder.
 
     Returns the kind, the object and the evaluations each of the two calls counted, which
-    must be the same: both run the whole search.
+    must be the same: both run the whole search, of at most ``budget`` steps.
     """
     f2, g2 = slemma.reconcile(f, g)
     builder = ns.build_counterexample_hereditary if hereditary else ns.build_counterexample
@@ -84,12 +94,12 @@ def engine_answer(f, g, slater, budget, hereditary, evals, tol=ns.DEFAULT_TOL,
     before = evals[0]
     sep = ns.find_separator(f2, g2, slater, budget=budget, tol=tol, tol_strict=tol_strict)
     counted.append(evals[0] - before)
-    assert counted[0] == counted[1] <= budget
+    assert counted[0] == counted[1] <= 2 * budget + 1
     assert (cert.certificate is None) or (sep.M is None)  # the search ends at one or the other
     if cert.certificate is not None:
         return "certificate", cert.certificate, counted[0]
     if sep.M is not None:
-        assert sep.a_value <= -2.0 * tol_strict * 2.0 ** slemma._scaled(f2, g2)[2]
+        assert sep.a_value <= -tol_strict * 2.0 ** slemma._scaled(f2, g2)[2]
         assert sep.b_margin > 0.0
         try:
             return "counterexample", builder(f2, g2, sep.M, tol=tol, tol_strict=tol_strict), counted[0]
@@ -121,18 +131,19 @@ def roundoff(e):
 @pytest.mark.parametrize("hereditary", [False, True])
 @pytest.mark.parametrize("kind", ["certificate", "counterexample", "scale-gap", "zero-f"])
 @pytest.mark.parametrize("m,q", SIZES)
-def test_decide_returns_the_answer_of_certify_and_find_separator(evals, kind, m, q, hereditary):
+def test_decide_returns_the_planted_answer_in_both_kinds(evals, kind, m, q, hereditary):
     rng = np.random.default_rng(100 * m + 10 * q + len(kind))
-    f, g, slater = instance(kind, rng, m, q)
+    f, g, slater, planted = instance(kind, rng, m, q)
+    # the planted answer, in both kinds, beside the planted object: the scale-gap kinds are
+    # certified off the trace-one slice
+    want = "counterexample" if kind == "counterexample" else "certificate"
+    assert decided_both_ways(f, g, slater, BUDGET, [planted]) == want
 
     evals[0] = 0
     decision = decider(hereditary)(f, g, slater, budget=BUDGET)
     counted = evals[0]
-    want, obj, searched = engine_answer(f, g, slater, BUDGET, hereditary, evals)
-
-    # the planted answer: the scale-gap kinds are certified off the trace-one slice
-    assert want == ("counterexample" if kind == "counterexample" else "certificate")
-    assert decision.kind == want
+    got, obj, searched = engine_answer(f, g, slater, BUDGET, hereditary, evals)
+    assert decision.kind == got == want
     if want == "certificate":
         assert ns.verify_certificate(decision.certificate, f, g)
     else:
@@ -157,7 +168,7 @@ def test_a_certificate_within_tol_ends_the_search_before_its_separator(evals, m,
     # before the separator it pairs with, the planted separator's center I / mq: the answer
     # is that certificate, after one evaluation.
     rng = np.random.default_rng(100 * m + 10 * q)
-    f, g, slater = instance("counterexample", rng, m, q)
+    f, g, slater, _ = instance("counterexample", rng, m, q)
     tols = {"tol": 10.0, "tol_strict": ns.DEFAULT_TOL_STRICT}
     decision = decider(False)(f, g, slater, budget=BUDGET, **tols)
     want, obj, searched = engine_answer(f, g, slater, BUDGET, False, evals, **tols)
@@ -175,8 +186,9 @@ TOL, TOL_STRICT = 2.0 ** -27, 2.0 ** -20
 @pytest.mark.parametrize("delta,kind,counts,direct", [
     ((1.0 - 2.0 ** -10) * TOL, "certificate", (3, 1), "certificate"),
     (TOL, "certificate", (3, 1), "certificate"),
-    ((1.0 + 2.0 ** -10) * TOL, "inconclusive", None, "inconclusive"),
-    ((1.0 - 2.0 ** -10) * 2.0 * TOL_STRICT, "inconclusive", None, "counterexample"),
+    ((1.0 + 2.0 ** -10) * TOL, "inconclusive", (1, 499), "inconclusive"),
+    ((1.0 - 2.0 ** -10) * 2.0 * TOL_STRICT, "counterexample", (1, 499), "counterexample"),
+    (TOL_STRICT, "counterexample", (1, 499), "counterexample"),
     (2.0 * TOL_STRICT, "counterexample", (1, 1), "counterexample"),
 ])
 def test_the_search_settles_at_tol_and_cuts_at_twice_tol_strict(evals, delta, kind, counts, direct,
@@ -187,11 +199,12 @@ def test_the_search_settles_at_tol_and_cuts_at_twice_tol_strict(evals, delta, ki
     # with dyadic ones -delta is exact.  The search's first two candidates are J = 1 (the
     # trace-one slice is the point 1), and its first Douglas-Rachford candidate is J = 0, its
     # third; the separator M = 1 is tested after the first.  A certificate within tol ends the
-    # search there; the separator ends it at once when -delta <= -2 tol_strict, and otherwise
-    # the search runs the whole budget.  decide itself runs the multiplier bisection at q = 1,
-    # whose one evaluation of h(0) = -delta decides, and hands its separator to the builder at
-    # -delta <= -tol_strict.  ``counts`` are the evaluations of each side, None where the two
-    # share the whole budget.
+    # search there; the separator ends it at once when -delta <= -2 tol_strict.  Otherwise its
+    # bound -delta < -tol leaves no J in reach, and the search tests M = 1 at each of its 500
+    # steps but the second, whose J has no separator candidate; at the end it hands its best
+    # separator to the builder when -delta <= -tol_strict, as the multiplier bisection does.
+    # decide itself runs that bisection at q = 1, whose one evaluation of h(0) = -delta
+    # decides.  ``counts`` are the evaluations of each side.
     b = 0.5
     f = ns.new_quad_poly(np.full((1, 1, 1, 1), -delta))
     g = ns.new_quad_poly(np.full((1, 1, 1, 1), b))
@@ -199,7 +212,7 @@ def test_the_search_settles_at_tol_and_cuts_at_twice_tol_strict(evals, delta, ki
     tols = {"tol": TOL, "tol_strict": TOL_STRICT}
     got, obj, searched = engine_answer(f, g, slater, 500, hereditary, evals, **tols)
     assert got == kind
-    assert searched == (500 if counts is None else sum(counts))
+    assert searched == sum(counts)
     f2, g2, e = slemma._scaled(f, g)
     assert e == 0
     calA = ns.coefficient_matrix(f2)
@@ -207,7 +220,7 @@ def test_the_search_settles_at_tol_and_cuts_at_twice_tol_strict(evals, delta, ki
         slemma._oracle(calA, g2.blocks, 1),
         linalg.conic_feasibility(calA, g2.blocks.reshape(1, 1), 1, np.ones((1, 1)), 500, TOL,
                                  TOL_STRICT))
-    assert (n_cert, n_sep) == counts or counts is None and n_cert + n_sep == 500
+    assert (n_cert, n_sep) == counts
     assert bound == -delta
     assert best == (-delta - b if n_cert == 1 else -delta)
     if kind == "certificate":

@@ -18,6 +18,8 @@ from ncslemma.poly import blocks_from_matrix
 from ncslemma.slemma import _b_term, _map_coefficients
 
 from helpers import (
+    decided_both_ways,
+    planted_certificate,
     planted_certificate_instance,
     poly_from_matrix,
     random_poly,
@@ -638,28 +640,38 @@ def test_certificate_soundness_with_compressions():
 
 
 def test_mutual_exclusion_sample():
+    # Certificates and counterexamples exclude each other.  Each pair is decided in both kinds,
+    # which must agree, against the planted answer: a planted certificate, verified, must not
+    # meet a verified counterexample, and a counterexample built from a planted separator
+    # must not meet a verified certificate.  Random pairs, f and g both drawn at random, go
+    # through the same checks whenever the drawn point is a Slater point of g.
     rng = np.random.default_rng(7)
-    both = 0
+    kinds = []
     for trial in range(40):
         m = int(rng.integers(1, 3))
         q = int(rng.integers(1, 3))
         roll = rng.random()
-        g, x = slater_poly(rng, m, q)
-        if roll < 0.4:
-            f, g, _ = planted_certificate_instance(rng, m, q, g=g)
-        elif roll < 0.8:
-            f, g, _ = refutable_instance(rng, m, q, g=g)  # g gains a PSD shift: x stays Slater
+        if roll < 0.8:
+            g, x = slater_poly(rng, m, q)
         else:
-            f = random_poly(rng, m, q)
+            g, x = random_poly(rng, m, q), rng.standard_normal(m)
         slater = ns.new_tuple(x.reshape(m, 1, 1))
-        cert = ns.certify(f, g, slater, budget=1200)
-        sep = ns.find_separator(f, g, slater, budget=1200)
-        cert_ok = cert.certificate is not None and cert.best_value >= 1e-6
-        sep_ok = (sep.M is not None and sep.b_margin >= 1e-6
-                  and sep.a_value <= -1e-6)
-        if cert_ok and sep_ok:
-            both += 1
-    assert both == 0
+        if roll < 0.4:
+            f, g, J0 = planted_certificate_instance(rng, m, q, g=g)
+            planted, want = [planted_certificate(f, g, J0)], "certificate"
+        elif roll < 0.8:
+            f, g, Mstar = refutable_instance(rng, m, q, g=g)  # g gains a PSD shift: x stays Slater
+            planted, want = [ns.build_counterexample(f, g, Mstar)], "counterexample"
+        else:
+            f, planted, want = random_poly(rng, m, q), [], None
+        try:
+            kind = decided_both_ways(f, g, slater, 1200, planted)
+        except ns.SlaterViolated:
+            assert want is None
+            continue
+        assert kind == want or want is None
+        kinds.append((want, kind))
+    assert sum(want is None for want, _ in kinds) >= 1
 
 
 def test_decide_certifies_the_scale_gap_at_q1():
