@@ -279,11 +279,11 @@ def _add_common(sub):
     sub.add_argument("--tol-strict", dest="tol_strict", type=float, default=None,
                      help="strict-inequality margin (default 1e-6)")
     sub.add_argument("--budget", type=int, default=None,
-                     help="search budget N (default 5000); slemma and slemma-hereditary "
-                          "run one search for both answers, of at most N steps, each "
-                          "testing a certificate candidate and the separator candidate "
-                          "paired with it; it does not apply at q = 1, where they run no "
-                          "search, nor to scalar-slemma")
+                     help="search budget N (default 5000); slemma and slemma-hereditary run "
+                          "one search for both answers, of at most N steps, each testing a "
+                          "certificate candidate and the separator candidate paired with it; "
+                          "it does not apply at q = 1, where they run no search, nor to "
+                          "scalar-slemma; homogenize tests at most N homogenizations")
     sub.add_argument("--seed", type=int, default=None,
                      help="seed of the spot-check tuples verify draws (default 42); "
                           "the searches draw no random numbers")

@@ -23,9 +23,9 @@ through ctypes from the library numpy's linalg extension loads
 is ``_eigh`` at every side.
 
 There are two searches.  ``spectral_search`` is a single projected
-supergradient ascent (``_ascent``) from the center I / dim with the whole
-budget, behind ``maximize_spectral``; homogenize runs ``_ascent``
-unconstrained.  ``conic_feasibility`` is the domination search, for both
+supergradient ascent (``_ascent``) over the spectraplex from the center
+I / dim with the whole budget, behind ``maximize_spectral``; no decision
+runs it.  ``conic_feasibility`` is the domination search, for both
 answers at once: Douglas-Rachford splitting for a PSD Choi matrix of
 any trace, started from the spectral search's first two points, whose
 dual iterate gives a separator candidate at every step.  No search draws
@@ -336,13 +336,8 @@ def psd_factor(S, tol: float = DEFAULT_TOL) -> np.ndarray:
     return V[:, keep] * np.sqrt(w[keep])
 
 
-def _ascent(
-    x0: np.ndarray,
-    budget: int,
-    project: Optional[Callable[[np.ndarray], np.ndarray]] = None,
-    target: Optional[float] = None,
-):
-    """Two-phase projected supergradient ascent for a concave objective, one step at a time.
+def _ascent(x0: np.ndarray, budget: int, target: Optional[float] = None):
+    """Two-phase projected supergradient ascent on the spectraplex, one step at a time.
 
     A search for ``supergradient_ascent``: it yields ``x0`` first, taken as
     given (it must be feasible), then each step projected, and takes the
@@ -357,19 +352,15 @@ def _ascent(
     search ends at the budget, at ``target``, or once the step halves to
     1e-14.
 
-    ``project`` is called on every step without validation: it must accept
-    the finite arrays the loop builds.  A step whose value or supergradient
-    norm is not finite raises InvalidInput, since past that point no
-    iterate would be finite.
+    A step whose value or supergradient norm is not finite raises
+    InvalidInput, since past that point no iterate would be finite.
     """
-    if project is None:
-        project = lambda x: x
     x, step = x0, None  # step is None while x needs no projection
     best_x, best_v, evals = None, -np.inf, 0
     s, stop = None, max(1, budget // 4)  # s is None in phase one
     while True:
         if step is not None:
-            x = project(x + step * G)
+            x = _spectraplex_project(x + step * G)
         v, G = yield x
         norm = fro(G)
         if not (math.isfinite(v) and math.isfinite(norm)):
@@ -383,11 +374,7 @@ def _ascent(
                 return best_x, best_v
         if norm < 1e-15:  # constant objective: nothing to ascend
             return best_x, best_v
-        if s is None:  # 1 / (sqrt(k) norm), split where the product overflows
-            d = math.sqrt(evals) * norm
-            step = 1.0 / d if d < math.inf else 1.0 / math.sqrt(evals) / norm
-        else:
-            step = s
+        step = 1.0 / (math.sqrt(evals) * norm) if s is None else s
         if evals >= stop:  # the stage ends
             if s is None:
                 s, x, step = 1.0, best_x.copy(), None
@@ -402,8 +389,8 @@ def supergradient_ascent(oracle: Callable, search):
     """Drive a search with ``oracle``; return ``(*its result, evals)``.
 
     ``search`` is a generator returning a tuple: an ``_ascent`` (the one
-    ``spectral_search`` returns, or homogenize's unconstrained one) or a
-    ``conic_feasibility``.  Its first point comes from ``next``; ``oracle``
+    ``spectral_search`` returns), a ``conic_feasibility`` or homogenize's
+    Douglas-Rachford search.  Its first point comes from ``next``; ``oracle``
     is called on each point, and ``send`` hands the output back and gives
     the next point, until a ``send`` ends the search.  ``evals`` is the
     number of ``oracle`` calls, so every search's evaluations can be
@@ -430,7 +417,7 @@ def spectral_search(dim: int, budget: int, target: Optional[float] = None):
     """maximize_spectral one step at a time: ``_ascent`` from ``_center(dim)``, returning (best, value)."""
     if dim < 1:
         raise InvalidInput("dim must be positive")
-    return _ascent(_center(dim), budget, _spectraplex_project, target)
+    return _ascent(_center(dim), budget, target)
 
 
 def _psd_part(S: np.ndarray) -> np.ndarray:

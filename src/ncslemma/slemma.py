@@ -28,6 +28,7 @@ q = 1 a CP map is a scalar, and one bisection over it
 """
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass, field, replace
 from typing import Optional
@@ -49,9 +50,9 @@ from .linalg import (
     DEFAULT_TOL,
     DEFAULT_TOL_STRICT,
     MAX_DIM,
-    _ascent,
     _choi_map,
     _min_eigpair,
+    _psd_part,
     binade,
     conic_feasibility,
     fro,
@@ -603,6 +604,12 @@ def decide_hereditary(
     return _decide_common(f, g, slater, budget, tol, tol_strict, hereditary=True)
 
 
+# homogenize's over-relaxation: Douglas-Rachford converges for any value in (0, 2) (Eckstein
+# and Bertsekas, Math. Program. 55, 1992).  On one pass of the bench's scalar-homogenize seeds
+# 0-9, 1.0, 1.5 and 1.8 take 77, 64 and 55 evaluations in all, with the same verdicts.
+RELAX = 1.8
+
+
 def homogenize(
     quad: NCQuadPoly,
     linear,
@@ -612,54 +619,60 @@ def homogenize(
 ) -> HomogenizationResult:
     """Search for a PSD homogenization of sum A_ij x_i x_j + sum A_i x_i + A_0.
 
-    The homogenization introduces a variable x_0 with mixed blocks
-    H_i0 = A_i/2 + K_i (K_i skew-symmetric, H_0i = H_i0^T), the only freedom
-    allowed by H_i0 + H_0i = A_i and symmetry.  The concave function
-    K -> lambda_min(coefficient matrix of h) is maximized by supergradient
-    ascent over the unconstrained skew parameters; success means the
-    optimum reaches -tol.  A0 and the quadratic part are principal blocks
-    of every homogenization, so lambda_min(C) is at most the smaller of
-    their lambda_mins (Cauchy interlacing) whatever K is: when that is
-    below -tol no K helps, no search runs, and the result is at K = 0.
+    The homogenization introduces a variable x_0 with mixed blocks H_i0 = A_i/2 + K_i (K_i
+    skew-symmetric, H_0i = H_i0^T), the only freedom H_i0 + H_0i = A_i and symmetry allow: a PSD
+    completion of C(K) = [[A_0, H^T], [H, Q]], searched on C(0) / 2^e (e = binade(C(0))) by
+    Douglas-Rachford, over-relaxed by RELAX: from z = C(0), each candidate x = P_aff(z) (C's
+    fixed blocks, and A_i/2 plus the skew part of z's block i) is tested by its lambda_min, then
+    z += RELAX (P_+(2 x - z) - x).  The first is K = 0, the only one at q = 1.  The search ends
+    at lambda_min >= -tol / 10 or after ``budget`` candidates; the best is feasible at lambda_min
+    >= -tol, and its ``h_blocks``, ``coefficient`` and ``lambda_min`` come back times 2^e.  A
+    value or iterate z that is not finite raises InvalidInput.  A0 and Q are principal blocks of
+    every C(K), so when either has lambda_min < -tol no K helps (Cauchy interlacing): no search
+    runs, and the result is at K = 0.
     """
     m, q = quad.m, quad.q
     linear = np.asarray(linear, dtype=float)
     if linear.shape != (m, q, q):
         raise ShapeMismatch(f"linear part must have shape {(m, q, q)}")
-    lin = np.stack([symmetrize(linear[i]) for i in range(m)])
+    half = np.stack([symmetrize(linear[i]) for i in range(m)]).reshape(m * q, q) / 2.0
     A0 = symmetrize(constant)
     if A0.shape != (q, q):
         raise ShapeMismatch(f"constant part must be {q}x{q}")
+    C = np.block([[A0, half.T], [half, coefficient_matrix(quad)]])
+    e = binade(C)
+    C, half = np.ldexp(C, -e), np.ldexp(half, -e)
 
-    iu = np.triu_indices(q, 1)
-    n_skew = len(iu[0])
-    quad_coeff = coefficient_matrix(quad)
+    def oracle(x):  # homogenize's own closure: bench/spans.py names its span from that
+        return _min_eigpair(x)
 
-    def h_blocks(x):
-        K = np.zeros((m, q, q))
-        K[:, iu[0], iu[1]] = x.reshape(m, n_skew)
-        return lin / 2.0 + (K - K.transpose(0, 2, 1))
+    def search():
+        z, x, best, best_v = C, C, None, -math.inf
+        for steps in itertools.count(1):
+            v, _ = yield x
+            if not math.isfinite(v):
+                raise InvalidInput(f"search step {steps}: value {v!r}")
+            if v > best_v:
+                best, best_v = x, v
+            if best_v >= -0.1 * tol or steps >= budget or q == 1:
+                return best, best_v
+            z = z + RELAX * (_psd_part(2.0 * x - z) - x)
+            if not math.isfinite(np.vdot(z, z)):
+                raise InvalidInput(f"search step {steps + 1}: the iterate is not finite")
+            Z = z[q:, :q].reshape(m, q, q)
+            x = C.copy()
+            x[q:, :q] = half + ((Z - Z.transpose(0, 2, 1)) / 2.0).reshape(m * q, q)
+            x[:q, q:] = x[q:, :q].T
 
-    def coeff(H):
-        side = H.reshape(m * q, q)
-        return np.block([[A0, side.T], [side, quad_coeff]])
-
-    def oracle(x):
-        val, v = _min_eigpair(coeff(h_blocks(x)))
-        W = (v[q:, None] * v[:q]).reshape(m, q, q)
-        return val, 2.0 * (W - W.transpose(0, 2, 1))[:, iu[0], iu[1]].ravel()
-
-    best_x = np.zeros(m * n_skew)
-    if min(lambda_min(A0), lambda_min(quad_coeff)) >= -tol:
-        best_x, _, _ = supergradient_ascent(oracle, _ascent(best_x, budget, target=-0.1 * tol))
-    H = h_blocks(best_x)
-    C = coeff(H)
-    lam = lambda_min(C)
+    x = C
+    if min(lambda_min(C[:q, :q]), lambda_min(C[q:, q:])) >= -tol:
+        x, _, _ = supergradient_ascent(oracle, search())
+    lam = lambda_min(x)
     return HomogenizationResult(
         feasible=bool(lam >= -tol),
-        h_blocks=H,
-        coefficient=C,
-        lambda_min=lam,
+        h_blocks=np.ldexp(x[q:, :q], e).reshape(m, q, q),
+        coefficient=np.ldexp(x, e),
+        lambda_min=times_pow2(lam, e),
     )
 
 

@@ -3,6 +3,8 @@ the 4-index einsum formulas (for homogenize, the per-variable loops) they
 replace, plus the cheaper validation primitives against the checks they
 must keep."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -49,27 +51,17 @@ def ref_certify_gradient(v, blocks, q):
     return -np.einsum("ijab,ijcd->acbd", W, blocks).reshape(q * q, q * q)
 
 
-def ref_homogenize_oracle(x, quad, lin, A0):
-    """homogenize's oracle as per-variable loops: value and supergradient at x."""
+def ref_homogenization(quad, lin, A0, K):
+    """The coefficient matrix of the homogenization with skew parts K, block by block."""
     m, q = quad.m, quad.q
-    iu = np.triu_indices(q, 1)
-    n_skew = len(iu[0])
     C = np.zeros(((m + 1) * q, (m + 1) * q))
     C[:q, :q] = A0
     for i in range(m):
-        K = np.zeros((q, q))
-        K[iu] = x[i * n_skew : (i + 1) * n_skew]
-        H = lin[i] / 2.0 + (K - K.T)
+        H = lin[i] / 2.0 + K[i]
         C[(i + 1) * q : (i + 2) * q, :q] = H
         C[:q, (i + 1) * q : (i + 2) * q] = H.T
     C[q:, q:] = ns.coefficient_matrix(quad)
-    val, v = min_eigpair(C)
-    W = np.outer(v, v)
-    G = np.zeros_like(x)
-    for i in range(m):
-        Wi0 = W[(i + 1) * q : (i + 2) * q, :q]
-        G[i * n_skew : (i + 1) * n_skew] = 2.0 * (Wi0 - Wi0.T)[iu]
-    return val, G
+    return C
 
 
 def ref_evaluate(p, mats, hereditary):
@@ -143,23 +135,25 @@ def test_separator_oracle_matches_einsum(m, q):
 
 
 @pytest.mark.parametrize("m,q", SIZES)
-def test_homogenize_oracle_matches_loops(monkeypatch, m, q):
-    # the array expressions do the loops' arithmetic, so the results are equal
+def test_homogenize_candidates_are_homogenizations(monkeypatch, m, q):
+    # every candidate the search tests is C(K) / 2^e for some skew K, built block by block
     rng = np.random.default_rng(55 * m + q)
     quad = random_psd_poly(rng, m, q)  # PSD principal blocks, so the search runs
-    lin = np.stack([random_sym(rng, q) for _ in range(m)])
+    lin = np.stack([random_sym(rng, q) for _ in range(m)]) * 3.0
     R = random_sym(rng, q)
     A0 = R @ R
-    oracles = []
+    points = []
     ascent = slemma.supergradient_ascent
-    monkeypatch.setattr(slemma, "supergradient_ascent",
-                        lambda oracle, search: oracles.append(oracle) or ascent(oracle, search))
-    ns.homogenize(quad, lin, A0, budget=1)
-    x = rng.standard_normal(m * (q * (q - 1) // 2))
-    val, G = oracles[0](x)
-    ref_val, ref_G = ref_homogenize_oracle(x, quad, lin, A0)
-    assert val == ref_val
-    assert np.array_equal(G, ref_G)
+    monkeypatch.setattr(slemma, "supergradient_ascent", lambda oracle, search: ascent(
+        lambda x: points.append(x.copy()) or oracle(x), search))
+    res = ns.homogenize(quad, lin, A0, budget=20)
+    e = math.frexp(np.linalg.norm(ref_homogenization(quad, lin, A0, np.zeros((m, q, q)))))[1]
+    for x in points:
+        H = np.ldexp(x[q:, :q], e).reshape(m, q, q)
+        K = (H - H.transpose(0, 2, 1)) / 2.0
+        close(np.ldexp(x, e), ref_homogenization(quad, lin, A0, K))
+        assert np.array_equal(x, x.T)
+    assert any(np.array_equal(res.coefficient, np.ldexp(x, e)) for x in points)
 
 
 # --- poly kernels ------------------------------------------------------------

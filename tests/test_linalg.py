@@ -187,16 +187,15 @@ def test_maximize_spectral_deterministic():
     assert np.array_equal(M1, M2)
 
 
-def test_supergradient_ascent_unconstrained():
-    # concave, sharp at x = (1, 2): -(|x1 - 1| + |x2 - 2|)
-    def oracle(x):
-        return -abs(x[0] - 1.0) - abs(x[1] - 2.0), np.array(
-            [-np.sign(x[0] - 1.0), -np.sign(x[1] - 2.0)]
-        )
+def test_supergradient_ascent_reaches_a_sharp_maximum_on_the_spectraplex():
+    # concave, sharp where diag(M) = (1/4, 3/4): -(|M_11 - 1/4| + |M_22 - 3/4|)
+    def oracle(M):
+        d = np.diag(M) - [0.25, 0.75]
+        return -float(np.abs(d).sum()), -np.diag(np.sign(d))
 
-    x, v, _ = supergradient_ascent(oracle, linalg._ascent(np.zeros(2), 3000))
+    M, v, _ = supergradient_ascent(oracle, linalg.spectral_search(2, 3000))
     assert v >= -1e-9
-    assert np.allclose(x, [1.0, 2.0], atol=1e-8)
+    assert np.allclose(np.diag(M), [0.25, 0.75], atol=1e-9)
 
 
 @pytest.mark.parametrize("sign,verdict", [(1.0, True), (-1.0, False)])

@@ -523,7 +523,7 @@ def reference_scalar_outcome(f, g, best_value, budget, tol=1e-8, tol_strict=1e-6
 
     raw = np.random.default_rng(seed).standard_normal((f.m, f.m))
     S, _, _ = linalg.supergradient_ascent(oracle, linalg._ascent(
-        ns.spectraplex_project((raw + raw.T) / 2.0), budget, linalg._spectraplex_project))
+        ns.spectraplex_project((raw + raw.T) / 2.0), budget))
     if float(np.sum(A * S)) > -tol_strict or float(np.sum(B * S)) < -tol:
         return "inconclusive"
     x = ns.rank_one_split(S, A, B, tol=tol, tol_strict=tol_strict)

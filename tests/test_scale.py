@@ -21,6 +21,7 @@ import ncslemma as ns
 from ncslemma import cli, linalg, serialize
 
 from helpers import planted_certificate_instance, refutable_instance, scale_gap_instance, slater_poly
+from test_race import evals  # noqa: F401  (the bench's evaluation counter, a fixture)
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 KS = [-900, -300, -40, -2, 0, 2, 40, 300, 900]
@@ -193,3 +194,39 @@ def test_fro_is_exact_under_powers_of_two(k):
     assert linalg.binade(np.ldexp(S, k)) == linalg.binade(S) + k
     tiny = math.sqrt(3.0) * 1e-200  # its plain sum of squares is 0
     assert abs(linalg.fro(np.full(3, 1e-200)) - tiny) <= np.spacing(tiny)
+
+
+@pytest.mark.parametrize("k", [-40, 0, 40])
+@pytest.mark.parametrize("m,q,size", [(1, 2, 3.0), (2, 3, 3.0), (2, 2, 1.0), (2, 3, 0.5)])
+def test_homogenize_is_scale_equivariant(m, q, size, k, evals):
+    # instances whose search takes several candidates, the first two without a PSD
+    # homogenization and the last two with one: the same verdict, the same evaluations
+    # and the same objects, times 2^k
+    from helpers import random_psd_poly, random_sym
+
+    rng = np.random.default_rng(10 * m + q)
+    quad = random_psd_poly(rng, m, q)
+    linear = np.stack([random_sym(rng, q) for _ in range(m)]) * size
+    R = random_sym(rng, q)
+    constant = R @ R + np.eye(q)
+    base = ns.homogenize(quad, linear, constant, budget=BUDGET)
+    base_evals, evals[0] = evals[0], 0
+    assert base_evals > 1
+    assert base.feasible == (size < 3.0)
+    got = ns.homogenize(ns.new_quad_poly(np.ldexp(quad.blocks, k)), np.ldexp(linear, k),
+                        np.ldexp(constant, k), budget=BUDGET)
+    assert evals == [base_evals]
+    assert got.feasible == base.feasible
+    assert got.lambda_min == math.ldexp(base.lambda_min, k)
+    assert np.array_equal(got.h_blocks, np.ldexp(base.h_blocks, k))
+    assert np.array_equal(got.coefficient, np.ldexp(base.coefficient, k))
+
+
+@pytest.mark.parametrize("k", [0, -30, -40])
+def test_a_small_affine_scalar_without_a_psd_homogenization_is_infeasible(k):
+    # x^2 + 3x + 1 takes negative values: C = [[1, 3/2], [3/2, 1]] has lambda_min -1/2.
+    # Read against an absolute tol, at 2^-30 and 2^-40 it was "PSD within 1e-8".
+    t = math.ldexp(1.0, k)
+    res = ns.homogenize(ns.new_quad_poly([[[[t]]]]), [[[3.0 * t]]], [[t]])
+    assert not res.feasible
+    assert res.lambda_min == pytest.approx(-0.5 * t, rel=1e-12)

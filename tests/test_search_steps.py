@@ -25,15 +25,13 @@ from helpers import planted_certificate_instance, random_sym, slater_poly
 from test_counterexample_support import planted_refutation
 
 
-def nested_ascent(x0, budget, project=None, target=None):
+def nested_ascent(x0, budget, target=None):
     """The ascent as it ran when every step was projected as it was taken.
 
     A generator driven by ``send`` alone: each ``send`` takes the output for
     the last point and gives the next one, projected at once.
     """
-    if project is None:
-        project = lambda x: x
-    x = project(np.array(x0, dtype=float))
+    x = _spectraplex_project(np.array(x0, dtype=float))
     best_x, best_v, evals = None, -np.inf, 0
     s, stop = None, max(1, budget // 4)
     while True:
@@ -51,12 +49,8 @@ def nested_ascent(x0, budget, project=None, target=None):
             if norm < 1e-15:
                 return best_x, best_v
             k += 1
-            if s is None:
-                d = math.sqrt(k) * norm
-                step = 1.0 / d if d < math.inf else 1.0 / math.sqrt(k) / norm
-            else:
-                step = s
-            x = project(x + step * G)
+            step = 1.0 / (math.sqrt(k) * norm) if s is None else s
+            x = _spectraplex_project(x + step * G)
         if s is None:
             s, x = 1.0, best_x.copy()
         elif best_v < stage_base + 0.01 * s:
@@ -104,18 +98,6 @@ def spectraplex_oracle(rng, d, pieces=5):
     return oracle
 
 
-def unconstrained_oracle(rng, n, pieces=5):
-    """min_k (a_k . x + b_k) - |x|^2 / 2, with supergradient a_k - x."""
-    a, b = rng.standard_normal((pieces, n)), rng.standard_normal(pieces)
-
-    def oracle(x):
-        values = a @ x + b
-        k = int(np.argmin(values))
-        return float(values[k] - 0.5 * x @ x), a[k] - x
-
-    return oracle
-
-
 def target_for(values):
     """A target the search reaches midway: its best value after half its evaluations."""
     return max(values[: max(1, len(values) // 2)])
@@ -147,26 +129,10 @@ def test_flat_ascent_visits_the_nested_ascents_points_on_the_spectraplex(budget,
     target = None
     if with_target:
         values = [oracle(x)[0] for x in run_nested(oracle, nested_ascent(
-            np.eye(d) / d, budget, _spectraplex_project))[2]]
+            np.eye(d) / d, budget))[2]]
         target = target_for(values)
-    old = run_nested(oracle, nested_ascent(np.eye(d) / d, budget, _spectraplex_project, target))
+    old = run_nested(oracle, nested_ascent(np.eye(d) / d, budget, target))
     new = run_flat(oracle, linalg.spectral_search(d, budget, target))
-    assert_same_run(old, new)
-
-
-@pytest.mark.parametrize("budget", [1, 4, 37, 500])
-@pytest.mark.parametrize("seed", [0, 1, 2])
-@pytest.mark.parametrize("with_target", [False, True])
-def test_flat_ascent_visits_the_nested_ascents_points_unconstrained(budget, seed, with_target):
-    rng = np.random.default_rng(10 + seed)
-    n = 2 + seed
-    oracle, x0 = unconstrained_oracle(rng, n), rng.standard_normal(n)
-    target = None
-    if with_target:
-        values = [oracle(x)[0] for x in run_nested(oracle, nested_ascent(x0, budget))[2]]
-        target = target_for(values)
-    old = run_nested(oracle, nested_ascent(x0, budget, target=target))
-    new = run_flat(oracle, linalg._ascent(x0, budget, target=target))
     assert_same_run(old, new)
 
 

@@ -475,8 +475,8 @@ def test_homogenize_trivial_cases():
 
 
 def test_homogenize_q1_is_one_counted_evaluation(evals):
-    # at q = 1 there is no skew freedom: the ascent stops after one
-    # evaluation, on a zero supergradient, and the bench counts it
+    # at q = 1 there is no skew freedom: the search stops after one
+    # evaluation, K = 0, and the bench counts it
     quad = ns.new_quad_poly(np.array([[[[2.0]]]]))
     res = ns.homogenize(quad, [[[1.0]]], [[1.0]])
     assert evals == [1]
@@ -510,6 +510,25 @@ def test_homogenize_searches_only_if_the_principal_blocks_allow(evals, block, sh
     if not searched:
         assert not res.feasible
         assert np.array_equal(res.h_blocks, linear / 2.0)  # K = 0
+
+
+def test_a_planted_rank_deficient_homogenization_is_found():
+    # C = W W^T / 9, W 9 x 5, so C has rank 5 and no PSD margin, and its mixed blocks are not
+    # symmetric, so K = 0 is not PSD.  The supergradient ascent this search replaced ended at
+    # lambda_min -5.5e-7 within the same budget.
+    m, q = 2, 3
+    W = np.random.default_rng(6).standard_normal((9, 5))
+    C = W @ W.T / 9
+    H = np.stack([C[(i + 1) * q:(i + 2) * q, :q] for i in range(m)])
+    linear = H + H.transpose(0, 2, 1)
+    quad = ns.new_quad_poly(blocks_from_matrix(C[q:, q:], m, q))
+    at_zero = C.copy()
+    at_zero[q:, :q] = (linear / 2.0).reshape(m * q, q)
+    at_zero[:q, q:] = at_zero[q:, :q].T
+    assert np.linalg.eigvalsh(at_zero)[0] < -1e-3
+    res = ns.homogenize(quad, linear, C[:q, :q], budget=500)
+    assert res.feasible
+    assert np.abs(res.h_blocks + res.h_blocks.transpose(0, 2, 1) - linear).max() <= 1e-12
 
 
 def test_verify_certificate_rejects_tampering():

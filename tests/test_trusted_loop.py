@@ -2,6 +2,8 @@
 same floats as the public validating kernels, and that a search step that
 stops being finite is still an error."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -50,7 +52,8 @@ def recorded(run, validating):
             core = linalg._spectraplex_project
             mp.setattr(linalg, "_spectraplex_project", lambda S: core(linalg.symmetrize(S)))
             cone = linalg._psd_part
-            mp.setattr(linalg, "_psd_part", lambda S: cone(linalg.symmetrize(S)))
+            for mod in (slemma, linalg):
+                mp.setattr(mod, "_psd_part", lambda S: cone(linalg.symmetrize(S)))
         result = run()
     return result, iterates
 
@@ -196,16 +199,44 @@ def test_ascent_rejects_nan_value():
     def oracle(x):
         calls.append(1)
         value = 0.0 if len(calls) < 5 else float("nan")
-        return value, -x + 1.0
+        return value, np.eye(3) - x
 
     with pytest.raises(InvalidInput):
-        supergradient_ascent(oracle, linalg._ascent(np.zeros(3), 100))
+        supergradient_ascent(oracle, linalg.spectral_search(3, 100))
     assert len(calls) == 5
 
 
 def test_ascent_rejects_infinite_supergradient():
     def oracle(x):
-        return 0.0, np.array([np.inf, 0.0])
+        return 0.0, np.array([[np.inf, 0.0], [0.0, 0.0]])
 
     with pytest.raises(InvalidInput):
-        supergradient_ascent(oracle, linalg._ascent(np.zeros(2), 100))
+        supergradient_ascent(oracle, linalg.spectral_search(2, 100))
+
+
+def not_psd_homogenization():
+    """(quad, linear, constant) with PSD principal blocks but no PSD homogenization: the mixed
+    block [[0, 3/2 + k], [3/2 - k, 0]] keeps a singular value of at least 3/2 whatever k is."""
+    quad = ns.new_quad_poly(np.array([[np.eye(2)]]))
+    return quad, [[[0.0, 3.0], [3.0, 0.0]]], np.eye(2)
+
+
+def test_homogenize_rejects_nan_value(monkeypatch):
+    calls, core = [0], slemma._min_eigpair
+
+    def second_is_nan(S):
+        calls[0] += 1
+        val, v = core(S)
+        return (math.nan if calls[0] == 2 else val), v
+
+    monkeypatch.setattr(slemma, "_min_eigpair", second_is_nan)
+    with pytest.raises(InvalidInput, match="search step 2: value nan"):
+        slemma.homogenize(*not_psd_homogenization(), budget=100)
+
+
+def test_homogenize_rejects_an_iterate_that_is_not_finite(monkeypatch):
+    # the PSD-cone projection may give finite output on NaN input, so the iterate
+    # itself is checked before a candidate is formed from it
+    monkeypatch.setattr(slemma, "_psd_part", lambda S: np.full(S.shape, math.inf))
+    with pytest.raises(InvalidInput, match="search step 2: the iterate is not finite"):
+        slemma.homogenize(*not_psd_homogenization(), budget=100)
