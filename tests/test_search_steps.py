@@ -98,6 +98,19 @@ def spectraplex_oracle(rng, d, pieces=5):
     return oracle
 
 
+def strongly_concave_oracle(rng, d, pieces=5):
+    """min_k (<A_k, X> + b_k) - |X|^2 / 2, with supergradient A_k - X."""
+    A = [random_sym(rng, d) for _ in range(pieces)]
+    b = rng.standard_normal(pieces)
+
+    def oracle(X):
+        values = [float(np.sum(a * X)) + bk for a, bk in zip(A, b)]
+        k = int(np.argmin(values))
+        return values[k] - 0.5 * float(np.sum(X * X)), A[k] - X
+
+    return oracle
+
+
 def target_for(values):
     """A target the search reaches midway: its best value after half its evaluations."""
     return max(values[: max(1, len(values) // 2)])
@@ -133,6 +146,27 @@ def test_flat_ascent_visits_the_nested_ascents_points_on_the_spectraplex(budget,
         target = target_for(values)
     old = run_nested(oracle, nested_ascent(np.eye(d) / d, budget, target))
     new = run_flat(oracle, linalg.spectral_search(d, budget, target))
+    assert_same_run(old, new)
+
+
+@pytest.mark.parametrize("budget", [1, 4, 37, 500])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("with_target", [False, True])
+def test_flat_ascent_visits_the_nested_ascents_points_from_a_given_start(budget, seed,
+                                                                         with_target):
+    # _ascent takes its first point as given: started at the projection of a random
+    # symmetric matrix, it visits the points the nested loop reaches by projecting that matrix
+    rng = np.random.default_rng(10 + seed)
+    d = 2 + seed
+    oracle, S = strongly_concave_oracle(rng, d), random_sym(rng, d)
+    x0 = _spectraplex_project(S)
+    target = None
+    if with_target:
+        values = [oracle(x)[0] for x in run_nested(oracle, nested_ascent(S, budget))[2]]
+        target = target_for(values)
+    old = run_nested(oracle, nested_ascent(S, budget, target))
+    new = run_flat(oracle, linalg._ascent(x0, budget, target))
+    assert np.array_equal(new[2][0], x0)
     assert_same_run(old, new)
 
 
